@@ -55,7 +55,10 @@ class MarketParams:
         object.__setattr__(self, "sigma_i", _as_vector(self.sigma_i, "sigma_i"))
         object.__setattr__(self, "sigma_s", _as_vector(self.sigma_s, "sigma_s"))
         for name in ("mu_i", "mu_s", "r", "t"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if self.t <= 0.0:
             raise ValueError("horizon t must be positive")
         if self.sigma_i.shape != self.sigma_s.shape:
@@ -228,8 +231,12 @@ def simulate_terminal(
     mu_i, mu_s = drift_pair(params, measure)
     xi = rng.normal_pairs(seed, np.arange(first_path, first_path + n_paths))
     sqrt_t = np.sqrt(params.t)
-    log_i = (mu_i - 0.5 * reduced.norm_i**2) * params.t + sqrt_t * (xi @ reduced.sigma_i_bar)
-    log_s = (mu_s - 0.5 * reduced.norm_s**2) * params.t + sqrt_t * (xi @ reduced.sigma_s_bar)
+    # elementwise, not ``xi @ sigma_bar``: a matrix product may round a
+    # row differently depending on how many rows it is given
+    w_i = xi[:, 0] * reduced.sigma_i_bar[0] + xi[:, 1] * reduced.sigma_i_bar[1]
+    w_s = xi[:, 0] * reduced.sigma_s_bar[0] + xi[:, 1] * reduced.sigma_s_bar[1]
+    log_i = (mu_i - 0.5 * reduced.norm_i**2) * params.t + sqrt_t * w_i
+    log_s = (mu_s - 0.5 * reduced.norm_s**2) * params.t + sqrt_t * w_s
     return TerminalSample(index=np.exp(log_i), stock=np.exp(log_s))
 
 

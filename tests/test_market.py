@@ -40,6 +40,14 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             MarketParams(0.0, 0.0, (0.2, 0.0), (0.1, 0.1), 0.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["mu_i", "mu_s", "r", "t"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_scalars(self, name, bad):
+        kwargs = dict(mu_i=0.0, mu_s=0.0, sigma_i=(0.2, 0.0), sigma_s=(0.1, 0.1), r=0.0, t=1.0)
+        kwargs[name] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MarketParams(**kwargs)
+
     def test_initial_prices_pinned(self, set_a):
         assert set_a.I0 == 1.0 and set_a.S0 == 1.0
 
@@ -128,6 +136,13 @@ class TestSimulateTerminal:
     def test_rejects_empty_batch(self, set_a):
         with pytest.raises(ValueError):
             simulate_terminal(set_a, Measure.PHYSICAL, 0, 1)
+
+    def test_single_path_equals_row_of_large_batch(self, set_a):
+        n = 10**5
+        batch = simulate_terminal(set_a, Measure.PHYSICAL, n, 7)
+        for k in np.random.default_rng(0).choice(n, 200, replace=False):
+            one = simulate_terminal(set_a, Measure.PHYSICAL, 1, 7, first_path=int(k))
+            assert one.index[0] == batch.index[k] and one.stock[0] == batch.stock[k]
 
 
 class TestSimulatePath:

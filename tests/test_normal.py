@@ -73,6 +73,14 @@ def test_quantile_round_trip_on_log_grid():
     assert np.max(np.abs(std_normal_cdf(z) - (1.0 - p))) <= 1e-9
 
 
+@given(st.floats(min_value=1e-300, max_value=1.0 - 2.0**-53))
+def test_quantile_matches_bisection_oracle(p):
+    # the upper half goes through 1 - p, exact there (Sterbenz), because
+    # the CDF near 1 resolves z only to ~1e-16 / pdf(z)
+    ref = bisect_cdf_inverse(p) if p <= 0.5 else -bisect_cdf_inverse(1.0 - p)
+    assert std_normal_quantile(p) == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+
 def test_quantile_rejects_closed_endpoints():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
