@@ -33,13 +33,12 @@ from .market import (
     LogRatioLaw,
     MarketParams,
     Measure,
-    PathSample,
+    PathBatch,
     ReducedParams,
     TerminalSample,
     log_ratio_law,
     reduce_dimension,
     reduce_dimension_vs_bond,
-    simulate_path,
     simulate_paths,
     simulate_terminal,
 )
@@ -50,7 +49,6 @@ from .strategies import (
     Side,
     Underlying,
     WealthTrack,
-    analytic_wealth,
     bound_check,
     build_capm_composite,
     build_index_vs_bond,
@@ -59,7 +57,7 @@ from .strategies import (
     event_one_sided,
     event_recover,
     event_two_sided,
-    hedged_wealth,
+    wealth_tracks,
 )
 
 __version__ = "0.1.0"

@@ -215,9 +215,10 @@ def hedge_ratios(
     d = (np.log(ratio) - spec.log_threshold - 0.5 * delta_norm * delta_norm * tau) / scale
     sign = 1.0 if spec.direction is Direction.AT_LEAST else -1.0
     density = std_normal_pdf(d)
+    prob = std_normal_cdf(sign * d)
     units_s = sign * density / (ratio * scale)
-    units_i = std_normal_cdf(sign * d) - sign * density / scale
-    value = i_t * std_normal_cdf(sign * d)
+    units_i = prob - sign * density / scale
+    value = i_t * prob
     bond = value - units_s * s_t - units_i * i_t
     if np.asarray(units_s).ndim == 0:
         return HedgeRatios(float(units_s), float(units_i), float(bond))

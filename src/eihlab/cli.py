@@ -17,7 +17,6 @@ Config schema::
     market.t       = 10.0          # horizon, years
     run.seed       = 42
     run.n_paths    = 1000000
-    run.n_steps    = 256
     run.delta      = 0.05
     run.eps        = 0.05
     run.measure    = physical      # or risk-neutral
@@ -50,7 +49,6 @@ EXIT_INCONCLUSIVE = 3
 _RUN_DEFAULTS = {
     "run.seed": str(DEFAULT_SEED),
     "run.n_paths": "100000",
-    "run.n_steps": "256",
     "run.delta": "0.05",
     "run.eps": "0.05",
     "run.measure": "physical",
@@ -126,22 +124,24 @@ def market_from_config(values: dict[str, str]) -> MarketParams:
 
 
 def _resolve_seed(args, values: dict[str, str]) -> int:
-    if args.seed is not None:
-        return args.seed
     env = os.environ.get("EIHLAB_SEED")
-    if env is not None:
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    elif env is not None:
         try:
-            return int(env)
+            seed, source = int(env), "EIHLAB_SEED"
         except ValueError as exc:
             raise UsageError(f"EIHLAB_SEED must be an integer, got {env!r}") from exc
-    return int(_real(values, "run.seed"))
+    else:
+        seed, source = int(_real(values, "run.seed")), "run.seed"
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"{source} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def _apply_overrides(args, values: dict[str, str]) -> None:
     if getattr(args, "paths", None) is not None:
         values["run.n_paths"] = str(args.paths)
-    if getattr(args, "steps", None) is not None:
-        values["run.n_steps"] = str(args.steps)
     if getattr(args, "delta", None) is not None:
         values["run.delta"] = repr(args.delta)
     if getattr(args, "eps", None) is not None:
@@ -247,8 +247,10 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args, values)
     measure = _measure(values)
     if args.steps is not None:
-        n_steps = int(_real(values, "run.n_steps"))
-        batch = simulate_paths(params, measure, n_steps, 1, seed)
+        try:
+            batch = simulate_paths(params, measure, args.steps, 1, seed)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         rows = [
             {"time": t, "index": i, "stock": s}
             for t, i, s in zip(batch.times, batch.index_values[0], batch.stock_values[0])
@@ -256,7 +258,10 @@ def cmd_simulate(args) -> int:
         _emit(_csv_text(["time", "index", "stock"], rows), args.out)
     else:
         n_paths = int(_real(values, "run.n_paths"))
-        terminal = simulate_terminal(params, measure, n_paths, seed)
+        try:
+            terminal = simulate_terminal(params, measure, n_paths, seed)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         rows = [
             {"path": k, "index_terminal": i, "stock_terminal": s}
             for k, (i, s) in enumerate(zip(terminal.index, terminal.stock))
@@ -265,7 +270,7 @@ def cmd_simulate(args) -> int:
     return EXIT_PASS
 
 
-def _experiment_config(args, values: dict[str, str], proposition: str) -> experiments.ExperimentConfig:
+def _experiment_config(args, values: dict[str, str]) -> experiments.ExperimentConfig:
     try:
         return experiments.ExperimentConfig(
             params=market_from_config(values),
@@ -273,8 +278,6 @@ def _experiment_config(args, values: dict[str, str], proposition: str) -> experi
             eps=_real(values, "run.eps"),
             n_paths=int(_real(values, "run.n_paths")),
             seed=_resolve_seed(args, values),
-            proposition=proposition,
-            n_steps=int(_real(values, "run.n_steps")),
             n_workers=int(_real(values, "run.workers")),
         )
     except ValueError as exc:
@@ -295,7 +298,7 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"unknown proposition {args.prop!r}; expected one of {sorted(_VERIFIERS)}"
         )
-    config = _experiment_config(args, values, args.prop)
+    config = _experiment_config(args, values)
     report = _VERIFIERS[args.prop](config)
     _emit(_json_text(experiments.report_to_dict(config, report)), args.out)
     print(f"runtime: {report.runtime_seconds:.2f}s", file=sys.stderr)
@@ -309,7 +312,7 @@ def cmd_verify(args) -> int:
 def cmd_hedge(args) -> int:
     values = load_config(args.config)
     _apply_overrides(args, values)
-    config = _experiment_config(args, values, "hedging")
+    config = _experiment_config(args, values)
     rows = experiments.hedging_fidelity_study(config)
     header = ["n_steps", "median_abs_error", "rms_error", "max_abs_error",
               "analytic_negative_count", "hedged_negative_fraction", "hedged_min_wealth"]
@@ -329,8 +332,8 @@ def cmd_table(args) -> int:
         grid_text = values["run.t_grid"].strip()
         if not grid_text:
             raise UsageError("convergence table needs run.t_grid (or --t-grid)")
-        t_grid = [float(x) for x in grid_text.split(",")]
         try:
+            t_grid = [float(x) for x in grid_text.split(",")]
             study = experiments.capm_convergence_study(
                 params, delta, eps, t_grid,
                 n_paths=int(_real(values, "run.n_paths")), seed=seed, n_workers=n_workers,

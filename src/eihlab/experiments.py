@@ -62,8 +62,6 @@ class ExperimentConfig:
     eps: float = 0.05
     n_paths: int = 10**6
     seed: int = 42
-    proposition: str = ""
-    n_steps: int = 0
     n_workers: int = 1
 
     def __post_init__(self):
@@ -317,7 +315,7 @@ def verify_index_premium(config: ExperimentConfig) -> ExperimentReport:
     params = config.params
     bound = bound_check(params, config.delta, config.eps, "index")
     band = strategies.build_index_vs_bond(params, config.delta)
-    one_sided = strategies._bond_one_sided(params, config.delta)
+    one_sided = strategies.build_bond_one_sided(params, config.delta)
 
     def chunk(first: int, count: int) -> tuple[int, int, int, int]:
         terminal = simulate_terminal(
@@ -468,6 +466,8 @@ def lemma_crosscheck(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    if n_mc < 2:
+        raise ValueError("n_mc must be at least 2 for a standard error")
     from .analytic import gaussian_halfspace_expectation
 
     rows = []
@@ -514,23 +514,13 @@ def hedging_fidelity_study(
             batch = simulate_paths(
                 params, Measure.PHYSICAL, n_steps, count, config.seed, first_path=first
             )
-            analytic = strategies._analytic_values(
-                strategy, params, batch.times, batch.index_values, batch.stock_values
-            )
-
-            def positions(t, s, i):
-                return strategies._aggregate_deltas(strategy, params, t, s, i)
-
-            hedged = strategies._self_financing_track(
-                analytic[:, 0], batch.times, batch.stock_values, batch.index_values,
-                params.r, positions, cutoff,
-            )
-            errors = np.abs(hedged[:, -1] - analytic[:, -1])
+            track = strategies.wealth_tracks(strategy, params, batch, cutoff)
+            errors = np.abs(track.hedged[:, -1] - track.analytic[:, -1])
             return (
                 errors,
-                int((analytic < 0.0).sum()),
-                int((hedged.min(axis=1) < 0.0).sum()),
-                float(hedged.min()),
+                int((track.analytic < 0.0).sum()),
+                int((track.hedged.min(axis=1) < 0.0).sum()),
+                float(track.hedged.min()),
             )
 
         # smaller chunks: a path chunk holds n_steps normal pairs per path

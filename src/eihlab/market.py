@@ -6,6 +6,10 @@ the span of the two vectors matters, everything is reduced to two
 driving motions via an orthonormal basis of that span; samplers then
 draw the exact lognormal solution (no Euler bias), one normal pair per
 (path, step) through the counter-based generator in :mod:`eihlab.rng`.
+
+Paths have one type, :class:`PathBatch`; a single path is a one-path
+batch, and because draws depend only on (seed, path, step) it equals
+the matching row of any larger batch.
 """
 
 from __future__ import annotations
@@ -181,28 +185,6 @@ class LogRatioLaw(NamedTuple):
     std: float
 
 
-@dataclass(frozen=True, eq=False)
-class PathSample:
-    """One discretized path: grid times, prices, and driver increments."""
-
-    times: np.ndarray
-    index_values: np.ndarray
-    stock_values: np.ndarray
-    driver_increments: np.ndarray
-
-    def __post_init__(self):
-        for name in ("times", "index_values", "stock_values", "driver_increments"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.index_values[0] != 1.0 or self.stock_values[0] != 1.0:
-            raise ValueError("paths must start at I0 = S0 = 1")
-        if np.any(self.index_values <= 0.0) or np.any(self.stock_values <= 0.0):
-            raise ValueError("prices must stay strictly positive")
-        if np.any(np.diff(self.times) <= 0.0) or self.times[0] != 0.0:
-            raise ValueError("times must increase strictly from 0")
-
-
 class PathBatch(NamedTuple):
     """Vectorized paths: times (m+1,), prices (n, m+1), increments (n, m, 2)."""
 
@@ -240,33 +222,22 @@ def simulate_terminal(
     return TerminalSample(index=np.exp(log_i), stock=np.exp(log_s))
 
 
-def path_from_increments(
-    params: MarketParams,
-    measure: Measure,
-    times: np.ndarray,
-    increments: np.ndarray,
-) -> PathSample:
-    """Build a path by exact lognormal stepping from given 2-d increments.
-
-    ``increments[k]`` is the driver increment over ``(times[k], times[k+1])``.
-    Passing zeros yields the deterministic drift-only path.
-    """
-    batch = _paths_from_increments(params, measure, np.asarray(times, float),
-                                   np.asarray(increments, float)[None, :, :])
-    return PathSample(
-        times=batch.times,
-        index_values=batch.index_values[0],
-        stock_values=batch.stock_values[0],
-        driver_increments=batch.driver_increments[0],
-    )
-
-
-def _paths_from_increments(
+def paths_from_increments(
     params: MarketParams,
     measure: Measure,
     times: np.ndarray,
     increments: np.ndarray,
 ) -> PathBatch:
+    """Build paths by exact lognormal stepping from given 2-d increments.
+
+    ``increments[p, k]`` is path ``p``'s driver increment over
+    ``(times[k], times[k+1])``.  Zeros yield the deterministic drift-only
+    path.
+    """
+    times = np.asarray(times, dtype=float)
+    increments = np.asarray(increments, dtype=float)
+    if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must increase strictly from 0")
     reduced = reduce_dimension(params)
     mu_i, mu_s = drift_pair(params, measure)
     dt = np.diff(times)
@@ -296,7 +267,12 @@ def simulate_paths(
     *,
     first_path: int = 0,
 ) -> PathBatch:
-    """Exact stepping of a batch of paths on the uniform grid."""
+    """Exact stepping of a batch of paths on the uniform grid.
+
+    Path ``k`` uses the normal pairs at counters ``(seed, first_path + k,
+    step)``, so a one-path call with ``first_path=k`` equals row ``k`` of
+    any batch that holds it.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if n_paths < 1:
@@ -304,26 +280,9 @@ def simulate_paths(
     times = np.linspace(0.0, params.t, n_steps + 1)
     lanes = np.arange(first_path, first_path + n_paths, dtype=np.uint64)[:, None]
     blocks = np.arange(n_steps, dtype=np.uint64)[None, :]
-    xi = rng.normal_pairs(seed, lanes, blocks)
-    increments = np.sqrt(params.t / n_steps) * xi
-    return _paths_from_increments(params, measure, times, increments)
-
-
-def simulate_path(
-    params: MarketParams,
-    measure: Measure,
-    n_steps: int,
-    seed: int,
-    path_index: int,
-) -> PathSample:
-    """Single path; identical to the corresponding row of a batched run."""
-    batch = simulate_paths(params, measure, n_steps, 1, seed, first_path=path_index)
-    return PathSample(
-        times=batch.times,
-        index_values=batch.index_values[0],
-        stock_values=batch.stock_values[0],
-        driver_increments=batch.driver_increments[0],
-    )
+    increments = rng.normal_pairs(seed, lanes, blocks)
+    increments *= np.sqrt(params.t / n_steps)
+    return paths_from_increments(params, measure, times, increments)
 
 
 def log_ratio_law(params: MarketParams, measure: Measure = Measure.PHYSICAL) -> LogRatioLaw:

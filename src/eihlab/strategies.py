@@ -9,11 +9,12 @@ lean on: "the band event failed" and "the strategy collected the 1/delta
 multiple of the index" are complementary booleans computed from one
 comparison, never two formulas that agree only in exact arithmetic.
 
-Wealth is tracked two ways: the analytic track sums claim values along
-a path (the ground truth used to verify the propositions), and the
-hedged track rebalances a discrete self-financing portfolio to the
-closed-form deltas, as a numerical-fidelity study.  Rebalancing stops
-one grid step before expiry because digital deltas diverge there.
+``wealth_tracks`` follows a batch of paths two ways in one pass over
+the grid: the analytic track sums claim values (the ground truth used
+to verify the propositions), and the hedged track rebalances a discrete
+self-financing portfolio to the closed-form deltas, as a
+numerical-fidelity study.  Rebalancing stops before expiry because
+digital deltas diverge there.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .analytic import DigitalSpec, Direction, claim_value, hedge_ratios, log_thresholds
 from .market import (
     MarketParams,
-    PathSample,
+    PathBatch,
     ReducedParams,
     reduce_dimension,
     reduce_dimension_vs_bond,
@@ -42,9 +42,9 @@ __all__ = [
     "Side",
     "Underlying",
     "WealthTrack",
-    "analytic_wealth",
     "bond_drift_gap",
     "bound_check",
+    "build_bond_one_sided",
     "build_capm_composite",
     "build_index_vs_bond",
     "build_one_sided",
@@ -53,9 +53,9 @@ __all__ = [
     "event_one_sided",
     "event_recover",
     "event_two_sided",
-    "hedged_wealth",
     "strategy_fires",
     "terminal_wealth",
+    "wealth_tracks",
 ]
 
 
@@ -110,11 +110,11 @@ class PrudentStrategy:
 
 @dataclass(frozen=True)
 class WealthTrack:
-    """Strategy wealth along one path: analytic and (optionally) hedged."""
+    """Strategy wealth on a path batch: (n_paths, n_times) analytic and hedged."""
 
     times: np.ndarray
     analytic: np.ndarray
-    hedged: np.ndarray | None = None
+    hedged: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,9 @@ def build_index_vs_bond(params: MarketParams, delta: float) -> PrudentStrategy:
     return PrudentStrategy(components=comps, label="index_vs_bond")
 
 
-def _bond_one_sided(params: MarketParams, delta: float) -> PrudentStrategy:
+def build_bond_one_sided(params: MarketParams, delta: float) -> PrudentStrategy:
+    """One-sided bond/index strategy, tail picked by the sign of the bond drift gap."""
+    _check_delta(delta)
     side = Side.UPPER if bond_drift_gap(params) >= 0.0 else Side.LOWER
     comp = _one_sided_component(
         reduce_dimension_vs_bond(params), Underlying.BOND, params.t, delta, side
@@ -276,10 +278,10 @@ def build_capm_composite(
         return PrudentStrategy(strat.components, label="prop_mu_bis")
     if variant == "cor_2delta":
         stock = _scaled(build_capm_composite(params, delta, eps, "prop_mu_bis"), 1.0, "")
-        bond = _scaled(_bond_one_sided(params, delta), 1.0, "")
+        bond = _scaled(build_bond_one_sided(params, delta), 1.0, "")
         return PrudentStrategy(stock.components + bond.components, label="cor_2delta")
     if variant == "cor_3delta":
-        bond = _scaled(_bond_one_sided(params, delta), 1.0, "")
+        bond = _scaled(build_bond_one_sided(params, delta), 1.0, "")
         inner = build_capm_composite(params, delta, eps, "cor_2delta")
         return PrudentStrategy(bond.components + inner.components, label="cor_3delta")
     raise ValueError(f"unknown composite variant: {variant!r}")
@@ -368,124 +370,63 @@ def event_recover(params: MarketParams, delta: float, i_terminal):
 # Wealth tracking
 
 
-def _analytic_values(
+def wealth_tracks(
     strategy: PrudentStrategy,
     params: MarketParams,
-    times: np.ndarray,
-    index_values: np.ndarray,
-    stock_values: np.ndarray,
-) -> np.ndarray:
-    """Claim-value sum on a (n_paths, n_times) price grid; exact payoff at T."""
-    n, m_plus_1 = index_values.shape
-    wealth = np.zeros((n, m_plus_1))
-    for k, t in enumerate(times[:-1]):
-        for comp in strategy.components:
-            numer = _running_numerator(comp.underlying, params, float(t), stock_values[:, k])
-            wealth[:, k] += comp.units * claim_value(
-                comp.reduced, comp.spec, float(t), numer, index_values[:, k], params.t
-            )
-    wealth[:, -1] = terminal_wealth(
-        strategy, params, index_values[:, -1], stock_values[:, -1]
-    )
-    return wealth
+    batch: PathBatch,
+    rebalance_cutoff: float,
+) -> WealthTrack:
+    """Analytic wealth and its discrete self-financing replication.
 
-
-def _aggregate_deltas(
-    strategy: PrudentStrategy,
-    params: MarketParams,
-    t: float,
-    stock_t: np.ndarray,
-    index_t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Total stock and index positions of the basket at time t.
-
+    The analytic track sums claim values at each grid time and is the
+    exact indicator payoff at the horizon.  The hedged track starts at
+    the analytic value and, at every grid time up to ``rebalance_cutoff``
+    (which must precede the horizon), resets its stock and index
+    positions to the closed-form deltas; the residual is cash accruing
+    at ``r``, and after the cutoff the last positions are held.
     Bond-ratio components hedge with the bond and the index; their bond
     position lands in the cash leg via the self-financing residual, so
-    only their index units show up here.
+    only their index units are held.
     """
-    h_stock = np.zeros(index_t.shape)
-    h_index = np.zeros(index_t.shape)
-    for comp in strategy.components:
-        numer = _running_numerator(comp.underlying, params, t, stock_t)
-        ratios = hedge_ratios(comp.reduced, comp.spec, t, numer, index_t, params.t)
-        h_index += comp.units * np.asarray(ratios.units_i)
-        if comp.underlying is Underlying.STOCK:
-            h_stock += comp.units * np.asarray(ratios.units_s)
-    return h_stock, h_index
-
-
-def _self_financing_track(
-    v0: np.ndarray,
-    times: np.ndarray,
-    stock_values: np.ndarray,
-    index_values: np.ndarray,
-    rate: float,
-    positions: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    rebalance_cutoff: float,
-) -> np.ndarray:
-    """Discrete self-financing portfolio value on a price grid.
-
-    At each grid time up to the cutoff the stock/index positions are
-    reset by ``positions``; the residual is cash accruing at ``rate``.
-    After the cutoff the last positions are held to expiry.
-    """
+    if not rebalance_cutoff < params.t:
+        raise ValueError("rebalance cutoff must precede the horizon")
+    times = batch.times
+    index_values = batch.index_values
+    stock_values = batch.stock_values
     n, m_plus_1 = index_values.shape
-    value = np.empty((n, m_plus_1))
-    value[:, 0] = v0
+    analytic = np.zeros((n, m_plus_1))
+    hedged = np.empty((n, m_plus_1))
     h_stock = np.zeros(n)
     h_index = np.zeros(n)
     for k in range(m_plus_1 - 1):
         t = float(times[k])
-        if t <= rebalance_cutoff:
-            h_stock, h_index = positions(t, stock_values[:, k], index_values[:, k])
-        cash = value[:, k] - h_stock * stock_values[:, k] - h_index * index_values[:, k]
-        growth = math.exp(rate * float(times[k + 1] - times[k]))
-        value[:, k + 1] = (
+        stock_t = stock_values[:, k]
+        index_t = index_values[:, k]
+        rebalance = t <= rebalance_cutoff
+        if rebalance:
+            h_stock = np.zeros(n)
+            h_index = np.zeros(n)
+        for comp in strategy.components:
+            numer = _running_numerator(comp.underlying, params, t, stock_t)
+            analytic[:, k] += comp.units * claim_value(
+                comp.reduced, comp.spec, t, numer, index_t, params.t
+            )
+            if rebalance:
+                ratios = hedge_ratios(comp.reduced, comp.spec, t, numer, index_t, params.t)
+                h_index += comp.units * np.asarray(ratios.units_i)
+                if comp.underlying is Underlying.STOCK:
+                    h_stock += comp.units * np.asarray(ratios.units_s)
+        if k == 0:
+            hedged[:, 0] = analytic[:, 0]
+        cash = hedged[:, k] - h_stock * stock_t - h_index * index_t
+        growth = math.exp(params.r * float(times[k + 1] - times[k]))
+        hedged[:, k + 1] = (
             h_stock * stock_values[:, k + 1] + h_index * index_values[:, k + 1] + cash * growth
         )
-    return value
-
-
-def analytic_wealth(
-    strategy: PrudentStrategy, params: MarketParams, path: PathSample
-) -> WealthTrack:
-    """Claim-value wealth along one path (exact payoff at the horizon)."""
-    wealth = _analytic_values(
-        strategy,
-        params,
-        path.times,
-        path.index_values[None, :],
-        path.stock_values[None, :],
+    analytic[:, -1] = terminal_wealth(
+        strategy, params, index_values[:, -1], stock_values[:, -1]
     )
-    return WealthTrack(times=path.times, analytic=wealth[0])
-
-
-def hedged_wealth(
-    strategy: PrudentStrategy,
-    params: MarketParams,
-    path: PathSample,
-    rebalance_cutoff: float,
-) -> WealthTrack:
-    """Analytic track plus its discrete self-financing replication.
-
-    The hedged track starts at the analytic value and rebalances to the
-    closed-form deltas at every grid time up to ``rebalance_cutoff``
-    (which must be before expiry), then holds.
-    """
-    if not rebalance_cutoff < params.t:
-        raise ValueError("rebalance cutoff must precede the horizon")
-    index_values = path.index_values[None, :]
-    stock_values = path.stock_values[None, :]
-    analytic = _analytic_values(strategy, params, path.times, index_values, stock_values)
-
-    def positions(t, s, i):
-        return _aggregate_deltas(strategy, params, t, s, i)
-
-    hedged = _self_financing_track(
-        analytic[:, 0], path.times, stock_values, index_values,
-        params.r, positions, rebalance_cutoff,
-    )
-    return WealthTrack(times=path.times, analytic=analytic[0], hedged=hedged[0])
+    return WealthTrack(times=times, analytic=analytic, hedged=hedged)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,44 @@ class TestSeedPrecedence:
         assert "EIHLAB_SEED" in err
 
 
+    def test_largest_seed_is_accepted(self, capsys, config_path):
+        code, out, _ = run_cli(capsys, "simulate", "--config", config_path,
+                               "--paths", "5", "--seed", str(2**64 - 1))
+        assert code == 0
+        assert len(out.splitlines()) == 6
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, env_seed, config_seed", [
+        (("simulate", "--paths", "0"), None, None),
+        (("simulate", "--steps", "0"), None, None),
+        (("table", "--study", "convergence", "--t-grid", "1,abc"), None, None),
+        (("table", "--study", "lemma", "--paths", "0"), None, None),
+        (("simulate", "--paths", "5", "--seed", "-1"), None, None),
+        (("verify", "--prop", "two_sided", "--seed", str(2**64)), None, None),
+        (("simulate", "--paths", "5"), "-1", None),
+        (("simulate", "--paths", "5"), str(2**64), None),
+        (("simulate", "--paths", "5"), None, "-1"),
+        (("hedge", "--paths", "1000"), None, "1e20"),
+    ], ids=["paths-0", "steps-0", "t-grid-not-a-number", "lemma-paths-0",
+            "flag-seed-negative", "flag-seed-2^64", "env-seed-negative", "env-seed-2^64",
+            "config-seed-negative", "config-seed-above-2^64"])
+    def test_bad_input_is_one_error_line(self, capsys, tmp_path, monkeypatch,
+                                         argv, env_seed, config_seed):
+        path = tmp_path / "c.cfg"
+        text = SET_A_CONFIG
+        if config_seed is not None:
+            text = text.replace("run.seed       = 42", f"run.seed = {config_seed}")
+        path.write_text(text)
+        monkeypatch.delenv("EIHLAB_SEED", raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv("EIHLAB_SEED", env_seed)
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestTable:
     def test_convergence_rows(self, capsys, config_path):
         code, out, err = run_cli(

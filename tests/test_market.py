@@ -10,10 +10,9 @@ from eihlab.market import (
     MarketParams,
     Measure,
     log_ratio_law,
-    path_from_increments,
+    paths_from_increments,
     reduce_dimension,
     reduce_dimension_vs_bond,
-    simulate_path,
     simulate_paths,
     simulate_terminal,
 )
@@ -158,10 +157,15 @@ class TestSimulatePath:
 
     def test_zero_noise_path_is_drift_only(self, set_a):
         times = np.linspace(0.0, set_a.t, 9)
-        path = path_from_increments(set_a, Measure.PHYSICAL, times, np.zeros((8, 2)))
+        path = paths_from_increments(set_a, Measure.PHYSICAL, times, np.zeros((1, 8, 2)))
         norm_i_sq = float(set_a.sigma_i @ set_a.sigma_i)
         expected = math.exp((set_a.mu_i - norm_i_sq / 2.0) * set_a.t)
-        assert path.index_values[-1] == pytest.approx(expected, rel=1e-12)
+        assert path.index_values[0, -1] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
+    def test_rejects_times_not_increasing_from_zero(self, set_a, times):
+        with pytest.raises(ValueError, match="increase strictly from 0"):
+            paths_from_increments(set_a, Measure.PHYSICAL, times, np.zeros((1, 2, 2)))
 
     def test_terminal_law_against_analytic_ks(self, set_a):
         n = 10**5
@@ -172,13 +176,20 @@ class TestSimulatePath:
         assert result.pvalue > 0.01
 
     def test_path_sample_fields(self, set_a):
-        path = simulate_path(set_a, Measure.PHYSICAL, 16, 4, 123)
+        path = simulate_paths(set_a, Measure.PHYSICAL, 16, 1, 4, first_path=123)
         assert path.times.shape == (17,)
-        assert path.index_values[0] == 1.0 and path.stock_values[0] == 1.0
-        assert path.driver_increments.shape == (16, 2)
+        assert path.index_values.shape == path.stock_values.shape == (1, 17)
+        assert path.index_values[0, 0] == 1.0 and path.stock_values[0, 0] == 1.0
+        assert path.driver_increments.shape == (1, 16, 2)
         assert np.all(path.index_values > 0.0) and np.all(path.stock_values > 0.0)
-        row = simulate_paths(set_a, Measure.PHYSICAL, 16, 1, 4, first_path=123)
-        assert np.array_equal(path.index_values, row.index_values[0])
+
+    def test_one_path_equals_row_of_batch(self, set_a):
+        batch = simulate_paths(set_a, Measure.PHYSICAL, 64, 500, 4)
+        for k in (0, 1, 123, 499):
+            one = simulate_paths(set_a, Measure.PHYSICAL, 64, 1, 4, first_path=k)
+            assert np.array_equal(one.times, batch.times)
+            for name in ("index_values", "stock_values", "driver_increments"):
+                assert np.array_equal(getattr(one, name)[0], getattr(batch, name)[k])
 
 
 class TestLogRatioLaw:

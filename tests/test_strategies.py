@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from eihlab.analytic import DigitalSpec, Direction, digital_price
-from eihlab.market import Measure, reduce_dimension, simulate_path, simulate_paths, simulate_terminal
+from eihlab.analytic import DigitalSpec, Direction, digital_price, hedge_ratios
+from eihlab.market import Measure, reduce_dimension, simulate_paths, simulate_terminal
 from eihlab.strategies import (
     Side,
-    _self_financing_track,
-    analytic_wealth,
+    Underlying,
     bond_drift_gap,
     bound_check,
     build_capm_composite,
@@ -21,9 +20,9 @@ from eihlab.strategies import (
     event_one_sided,
     event_recover,
     event_two_sided,
-    hedged_wealth,
     strategy_fires,
     terminal_wealth,
+    wealth_tracks,
 )
 
 from conftest import random_market
@@ -173,92 +172,98 @@ class TestComposites:
             build_capm_composite(set_a, 0.05, 0.05, "nope")
 
 
+def _cutoff(params, n_steps):
+    return params.t * (1.0 - 1.0 / n_steps)
+
+
 class TestAnalyticWealth:
     def test_inception_value_matches_total(self, set_a):
         strat = build_two_sided(set_a, 0.05)
-        path = simulate_path(set_a, Measure.PHYSICAL, 32, 18, 0)
-        track = analytic_wealth(strat, set_a, path)
-        assert track.analytic[0] == pytest.approx(strat.total_initial_wealth, abs=1e-12)
+        batch = simulate_paths(set_a, Measure.PHYSICAL, 32, 1, 18)
+        track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, 32))
+        assert track.analytic[0, 0] == pytest.approx(strat.total_initial_wealth, abs=1e-12)
 
     def test_terminal_is_indicator_payoff(self, set_a):
         strat = build_two_sided(set_a, 0.05)
+        batch = simulate_paths(set_a, Measure.PHYSICAL, 8, 20, 19)
+        track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, 8))
         for k in range(20):
-            path = simulate_path(set_a, Measure.PHYSICAL, 8, 19, k)
-            track = analytic_wealth(strat, set_a, path)
-            terminal = track.analytic[-1]
-            assert terminal in (0.0, path.index_values[-1])
+            assert track.analytic[k, -1] in (0.0, batch.index_values[k, -1])
 
     def test_nonnegative_on_many_paths(self, set_a):
-        from eihlab.strategies import _analytic_values
         strat = build_capm_composite(set_a, 0.05, 0.05, "cor_3delta")
         batch = simulate_paths(set_a, Measure.PHYSICAL, 16, 10_000, 20)
-        values = _analytic_values(strat, set_a, batch.times,
-                                  batch.index_values, batch.stock_values)
-        assert values.min() >= 0.0
+        track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, 16))
+        assert track.analytic.min() >= 0.0
 
 
 class TestHedgedWealth:
     def test_starts_at_analytic_value(self, set_a):
         strat = build_two_sided(set_a, 0.05)
-        path = simulate_path(set_a, Measure.PHYSICAL, 64, 23, 1)
-        cutoff = set_a.t * (1.0 - 1.0 / 64)
-        track = hedged_wealth(strat, set_a, path, cutoff)
-        assert track.hedged[0] == track.analytic[0]
+        batch = simulate_paths(set_a, Measure.PHYSICAL, 64, 1, 23, first_path=1)
+        track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, 64))
+        assert track.hedged[0, 0] == track.analytic[0, 0]
 
     def test_pure_bond_track_grows_at_rate(self, set_a):
-        times = np.linspace(0.0, set_a.t, 257)
-        flat = np.ones((1, 257))
-        value = _self_financing_track(
-            np.array([2.5]), times, flat, flat, set_a.r,
-            lambda t, s, i: (np.zeros(1), np.zeros(1)),
-            rebalance_cutoff=times[-2],
-        )
-        assert value[0, -1] == pytest.approx(2.5 * math.exp(set_a.r * set_a.t), rel=1e-12)
+        # a cutoff before the first grid time never rebalances, so the
+        # whole initial wealth sits in cash
+        strat = build_two_sided(set_a, 0.05)
+        batch = simulate_paths(set_a, Measure.PHYSICAL, 256, 1, 23)
+        track = wealth_tracks(strat, set_a, batch, -1.0)
+        expected = track.analytic[0, 0] * math.exp(set_a.r * set_a.t)
+        assert track.hedged[0, -1] == pytest.approx(expected, rel=1e-12)
 
     def test_self_financing_identity(self, set_a):
         strat = build_two_sided(set_a, 0.05)
-        path = simulate_path(set_a, Measure.PHYSICAL, 32, 24, 2)
-        cutoff = set_a.t * (1.0 - 1.0 / 32)
-        track = hedged_wealth(strat, set_a, path, cutoff)
+        path = simulate_paths(set_a, Measure.PHYSICAL, 32, 1, 24, first_path=2)
+        cutoff = _cutoff(set_a, 32)
+        hedged = wealth_tracks(strat, set_a, path, cutoff).hedged[0]
+        stock, index = path.stock_values[0], path.index_values[0]
         # replay the rebalances and check each step reprices exactly
-        from eihlab.strategies import _aggregate_deltas
         dt = path.times[1] - path.times[0]
         h_s = h_i = 0.0
         for k in range(32):
             t = float(path.times[k])
             if t <= cutoff:
-                hs_arr, hi_arr = _aggregate_deltas(
-                    strat, set_a, t,
-                    path.stock_values[k:k + 1], path.index_values[k:k + 1])
+                hs_arr, hi_arr = np.zeros(1), np.zeros(1)
+                for comp in strat.components:
+                    assert comp.underlying is Underlying.STOCK
+                    ratios = hedge_ratios(comp.reduced, comp.spec, t, stock[k:k + 1],
+                                          index[k:k + 1], set_a.t)
+                    hs_arr += comp.units * ratios.units_s
+                    hi_arr += comp.units * ratios.units_i
                 h_s, h_i = float(hs_arr[0]), float(hi_arr[0])
-            cash = track.hedged[k] - h_s * path.stock_values[k] - h_i * path.index_values[k]
-            recomputed = (h_s * path.stock_values[k + 1]
-                          + h_i * path.index_values[k + 1]
+            cash = hedged[k] - h_s * stock[k] - h_i * index[k]
+            recomputed = (h_s * stock[k + 1]
+                          + h_i * index[k + 1]
                           + cash * math.exp(set_a.r * dt))
-            assert recomputed == track.hedged[k + 1]
+            assert recomputed == hedged[k + 1]
 
     def test_error_shrinks_with_refinement(self, set_a):
-        from eihlab.strategies import _aggregate_deltas, _analytic_values
         strat = build_two_sided(set_a, 0.05)
         medians = []
         for n_steps in (64, 256):
             batch = simulate_paths(set_a, Measure.PHYSICAL, n_steps, 2_000, 25)
-            analytic = _analytic_values(strat, set_a, batch.times,
-                                        batch.index_values, batch.stock_values)
-            hedged = _self_financing_track(
-                analytic[:, 0], batch.times, batch.stock_values,
-                batch.index_values, set_a.r,
-                lambda t, s, i: _aggregate_deltas(strat, set_a, t, s, i),
-                rebalance_cutoff=set_a.t * (1.0 - 1.0 / n_steps),
-            )
-            medians.append(float(np.median(np.abs(hedged[:, -1] - analytic[:, -1]))))
+            track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, n_steps))
+            medians.append(float(np.median(np.abs(track.hedged[:, -1] - track.analytic[:, -1]))))
         assert medians[1] < medians[0]
 
     def test_rejects_cutoff_at_horizon(self, set_a):
         strat = build_two_sided(set_a, 0.05)
-        path = simulate_path(set_a, Measure.PHYSICAL, 8, 26, 3)
+        batch = simulate_paths(set_a, Measure.PHYSICAL, 8, 1, 26, first_path=3)
         with pytest.raises(ValueError):
-            hedged_wealth(strat, set_a, path, set_a.t)
+            wealth_tracks(strat, set_a, batch, set_a.t)
+
+    def test_one_path_equals_row_of_batch(self, set_a):
+        strat = build_capm_composite(set_a, 0.05, 0.05, "cor_3delta")
+        cutoff = _cutoff(set_a, 32)
+        batch = simulate_paths(set_a, Measure.PHYSICAL, 32, 500, 27)
+        full = wealth_tracks(strat, set_a, batch, cutoff)
+        for k in (0, 1, 137, 499):
+            one = simulate_paths(set_a, Measure.PHYSICAL, 32, 1, 27, first_path=k)
+            track = wealth_tracks(strat, set_a, one, cutoff)
+            assert np.array_equal(track.analytic[0], full.analytic[k])
+            assert np.array_equal(track.hedged[0], full.hedged[k])
 
 
 class TestEvents:
