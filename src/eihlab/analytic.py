@@ -140,7 +140,10 @@ def thresholds(reduced: "ReducedParams", horizon: float, delta: float) -> tuple[
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     log_a, log_b = log_thresholds(reduced.delta_norm, horizon, delta)
-    return math.exp(log_a), math.exp(log_b)
+    a, b = math.exp(log_a), math.exp(log_b)
+    if a == 0.0:
+        raise ValueError(f"band edge a = exp({log_a!r}) underflows; shorten the horizon")
+    return a, b
 
 
 def _ratio_probability(spec: DigitalSpec, log_ratio, delta_norm: float, tau):

@@ -400,6 +400,10 @@ def capm_convergence_study(
     the mean log relative performance under zero-gap drifts matches
     ``-delta_norm^2 T / 2``.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if n_workers < 1:
+        raise ValueError("n_workers must be at least 1")
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise ValueError("t_grid must not be empty")

@@ -1,11 +1,18 @@
 """Command-line contract: parsing, precedence, exit codes, output stability."""
 
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eihlab import cli
 from eihlab.cli import main
+from eihlab.market import MarketParams, Measure, simulate_paths, simulate_terminal
 
 # reference market with the stock drift at its index-implied level
 # (0.06 - 0.025 + 0.0325), so the band event probability is exactly 0.95
@@ -21,6 +28,7 @@ run.n_paths    = 20000
 run.delta      = 0.05
 run.eps        = 0.05
 """
+SET_A_PARAMS = MarketParams(0.06, 0.0675, (0.15, 0.05), (0.25, -0.10), 0.02, 10.0)
 
 
 @pytest.fixture
@@ -223,9 +231,12 @@ class TestUsageErrors:
         (("simulate", "--paths", "5"), str(2**64), None),
         (("simulate", "--paths", "5"), None, "-1"),
         (("hedge", "--paths", "1000"), None, "1e20"),
+        (("table", "--study", "convergence", "--t-grid", "10", "--paths", "0"), None, None),
+        (("table", "--study", "convergence", "--t-grid", "10", "--workers", "0"), None, None),
     ], ids=["paths-0", "steps-0", "t-grid-not-a-number", "lemma-paths-0",
             "flag-seed-negative", "flag-seed-2^64", "env-seed-negative", "env-seed-2^64",
-            "config-seed-negative", "config-seed-above-2^64"])
+            "config-seed-negative", "config-seed-above-2^64", "convergence-paths-0",
+            "convergence-workers-0"])
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, monkeypatch,
                                          argv, env_seed, config_seed):
         path = tmp_path / "c.cfg"
@@ -240,6 +251,15 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["price", "thresholds"])
+    def test_underflowing_band_edge_is_one_error_line(self, capsys, tmp_path, command):
+        path = tmp_path / "c.cfg"
+        path.write_text(SET_A_CONFIG.replace("market.t       = 10.0", "market.t = 1e300"))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "underflows" in err
 
 
 class TestTable:
@@ -313,3 +333,208 @@ class TestConfigParsing:
         _, neutral, _ = run_cli(capsys, "simulate", "--config", config_path,
                                 "--paths", "50", "--measure", "risk-neutral")
         assert physical != neutral
+
+
+def reference_csv(header: str, *columns) -> str:
+    """One row per index, each value through ``str`` (ints) or
+    ``format(x, ".17g")`` (floats), as the table writer formats them."""
+    def text(x):
+        return str(x) if isinstance(x, int) else format(float(x), ".17g")
+    return header + "\n" + "".join(
+        ",".join(text(x) for x in row) + "\n" for row in zip(*columns))
+
+
+class TestStreamedSimulate:
+    @pytest.mark.parametrize("n_rows", [6, 7, 8, 22])
+    @pytest.mark.parametrize("measure", [Measure.PHYSICAL, Measure.RISK_NEUTRAL])
+    def test_chunks_equal_one_batch(self, capsys, monkeypatch, config_path, tmp_path,
+                                    n_rows, measure):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["first_path"])
+            return simulate_terminal(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "SIMULATE_CHUNK_ROWS", 7)
+        monkeypatch.setattr(cli, "simulate_terminal", counted)
+        out_path = tmp_path / "terminal.csv"
+        code, out, _ = run_cli(capsys, "simulate", "--config", config_path,
+                               "--paths", str(n_rows), "--seed", "7",
+                               "--measure", measure.value.replace("_", "-"),
+                               "--out", str(out_path))
+        assert code == 0
+        assert calls == list(range(0, n_rows, 7))
+        batch = simulate_terminal(SET_A_PARAMS, measure, n_rows, 7)
+        assert out == reference_csv("path,index_terminal,stock_terminal",
+                                    range(n_rows), batch.index, batch.stock)
+        assert out_path.read_bytes() == out.encode()
+
+    def test_single_path_uses_the_same_format(self, capsys, monkeypatch, config_path,
+                                              tmp_path):
+        monkeypatch.setattr(cli, "SIMULATE_CHUNK_ROWS", 7)
+        out_path = tmp_path / "path.csv"
+        code, out, _ = run_cli(capsys, "simulate", "--config", config_path,
+                               "--steps", "16", "--seed", "7", "--out", str(out_path))
+        assert code == 0
+        batch = simulate_paths(SET_A_PARAMS, Measure.PHYSICAL, 16, 1, 7)
+        assert out == reference_csv("time,index,stock", batch.times,
+                                    batch.index_values[0], batch.stock_values[0])
+        assert out_path.read_bytes() == out.encode()
+
+    def test_unwritable_out_fails_before_stdout(self, capsys, config_path, tmp_path):
+        code, out, err = run_cli(capsys, "simulate", "--config", config_path,
+                                 "--paths", "5", "--out", str(tmp_path / "no-dir" / "t.csv"))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "cannot write" in err
+
+
+class TestIntegerConfig:
+    def write(self, tmp_path, key: str, value: str) -> str:
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{SET_A_CONFIG}{key} = {value}\n")
+        return str(path)
+
+    def test_config_seed_above_2_53_is_exact(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("EIHLAB_SEED", raising=False)
+        outs = {}
+        for seed in (2**53, 2**53 + 1):
+            _, outs[seed], _ = run_cli(capsys, "simulate", "--paths", "3",
+                                       "--config", self.write(tmp_path, "run.seed", str(seed)))
+        _, flag, _ = run_cli(capsys, "simulate", "--paths", "3", "--config",
+                             self.write(tmp_path, "run.seed", "0"), "--seed", str(2**53 + 1))
+        assert outs[2**53] != outs[2**53 + 1] == flag
+
+    @pytest.mark.parametrize("text, value", [
+        ("12", 12), (" -3 ", -3), ("1e3", 1000), ("2.0", 2),
+        (str(2**53 + 1), 2**53 + 1), (str(2**64 + 7), 2**64 + 7), ("9.007199254740992e15", 2**53),
+    ])
+    def test_integer_values(self, text, value):
+        assert cli._integer({"k": text}, "k") == value
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (("simulate",), "run.n_paths", "2.5"),
+        (("simulate",), "run.n_paths", "1e20"),
+        (("simulate",), "run.n_paths", "nan"),
+        (("simulate",), "run.n_paths", "abc"),
+        (("simulate", "--paths", "3"), "run.seed", "4.5"),
+        (("simulate", "--paths", "3"), "run.seed", "1.8446744073709552e19"),
+        (("verify", "--prop", "two_sided"), "run.workers", "1.5"),
+        (("table", "--study", "lemma", "--paths", "100"), "run.trials", "inf"),
+    ])
+    def test_non_integer_is_one_error_line(self, capsys, tmp_path, monkeypatch,
+                                           argv, key, value):
+        monkeypatch.delenv("EIHLAB_SEED", raising=False)
+        code, out, err = run_cli(capsys, *argv, "--config", self.write(tmp_path, key, value))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {key}")
+
+
+class TestMemoryError:
+    @pytest.mark.parametrize("argv, module, name", [
+        (("simulate", "--paths", "5"), cli, "simulate_terminal"),
+        (("simulate", "--steps", "5"), cli, "simulate_paths"),
+        (("hedge", "--paths", "1000"), cli.experiments, "hedging_fidelity_study"),
+    ])
+    def test_exhausted_memory_is_one_error_line(self, capsys, monkeypatch, config_path,
+                                                argv, module, name):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(module, name, exhausted)
+        code, out, err = run_cli(capsys, *argv, "--config", config_path)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
+
+
+# Inputs for the CLI fuzz test.  Each run changes a few fields of a
+# valid invocation, so that one bad value at a time meets code past the
+# parsing; every valid path count is at most 200 and every valid worker
+# count at most 2, so no example runs long.
+_ODD = ["", "abc", "nan", "inf", "-inf", "1e400", "0x10", "2.5", "-0", ",", "1,,2"]
+_SEEDS = st.one_of(st.integers(-(2**70), -1), st.integers(0, 1000),
+                   st.integers(2**64 - 2, 2**70)).map(str)
+_REALS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "1", "1e-300"]),
+                   st.floats(-1.0, 2.0).map(repr))
+_GRIDS = st.sampled_from(_ODD + ["10", "2.5,10", "10,2.5", "0,1", " 1 , 2 "])
+_COMMANDS = [("price",), ("thresholds",), ("simulate",), ("hedge",),
+             ("verify", "--prop", "two_sided"), ("verify", "--prop", "mu_bis"),
+             ("verify", "--prop", "index"), ("verify", "--prop", "nonsense"),
+             ("table", "--study", "convergence"), ("table", "--study", "lemma"),
+             ("table", "--study", "hedging")]
+# field -> values; "run.*" and "market.*" go to the config file, "--*" to
+# the command line and EIHLAB_SEED to the environment
+_FIELDS = {
+    "run.seed": st.one_of(_SEEDS, st.sampled_from(_ODD)),
+    "run.n_paths": st.one_of(st.integers(-2, 200).map(str), st.sampled_from(_ODD + ["1e2"])),
+    "run.workers": st.one_of(st.integers(-1, 2).map(str), st.sampled_from(_ODD)),
+    "run.trials": st.sampled_from(["-1", "0", "1", "2", "1.5", "abc"]),
+    "run.delta": _REALS,
+    "run.eps": _REALS,
+    "run.measure": st.sampled_from(["risk-neutral", "risk_neutral", " PHYSICAL ", "q", ""]),
+    "run.t_grid": _GRIDS,
+    "market.t": st.sampled_from(["0", "-1", "nan", "1e-300", "1e300"]),
+    "market.sigma_s": st.sampled_from(["0.15, 0.05", "0.25", "0, 0", "inf, 0", "a,b", ""]),
+    "--paths": st.one_of(st.integers(-2, 200).map(str), st.sampled_from(["2.5", "x"])),
+    "--steps": st.one_of(st.integers(-1, 16).map(str), st.sampled_from(["1e1", ""])),
+    "--workers": st.integers(-1, 2).map(str),
+    "--seed": _SEEDS,
+    "--delta": _REALS,
+    "--eps": _REALS,
+    "--measure": st.sampled_from(["physical", "risk-neutral", "risk_neutral"]),
+    "--t-grid": _GRIDS,
+    "--out": st.sampled_from(["out.txt", "."]),  # a file, or the directory itself
+    "EIHLAB_SEED": st.one_of(_SEEDS, st.sampled_from(_ODD)),
+}
+
+
+@st.composite
+def _invocations(draw, out_dir):
+    """(argv, config text, environment) for one CLI run."""
+    argv = list(draw(st.sampled_from(_COMMANDS)))
+    config = {"run.n_paths": "100", "run.trials": "2", "run.t_grid": "2.5,10"}
+    env = {}
+    for field in sorted(draw(st.sets(st.sampled_from(sorted(_FIELDS)), max_size=3))):
+        value = draw(_FIELDS[field])
+        if field == "--out":
+            argv += [field, str(out_dir / value)]
+        elif field.startswith("--"):
+            argv += [field, value]
+        elif field == "EIHLAB_SEED":
+            env[field] = value
+        else:
+            config[field] = value
+    text = SET_A_CONFIG + "".join(f"{k} = {v}\n" for k, v in config.items())
+    return argv, text, env
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_cli_fuzz_keeps_the_exit_code_contract(fuzz_dir, data):
+    argv, text, env = data.draw(_invocations(fuzz_dir))
+    config = fuzz_dir / "fuzz.cfg"
+    config.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if not env:
+            os.environ.pop("EIHLAB_SEED", None)
+        try:
+            code = main(argv + ["--config", str(config)])
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(errors) == 1
+        assert out.getvalue() == ""
+    else:
+        assert errors == []
