@@ -24,9 +24,7 @@ from .experiments import (
     capm_convergence_study,
     hedging_fidelity_study,
     lemma_crosscheck,
-    verify_capm,
-    verify_index_premium,
-    verify_two_sided,
+    verify,
     wilson_ci,
 )
 from .market import (
@@ -38,7 +36,6 @@ from .market import (
     TerminalSample,
     log_ratio_law,
     reduce_dimension,
-    reduce_dimension_vs_bond,
     simulate_paths,
     simulate_terminal,
 )

@@ -37,8 +37,8 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import experiments
-from .analytic import DigitalSpec, Direction, digital_price, thresholds
-from .market import MarketParams, Measure, reduce_dimension, simulate_paths, simulate_terminal
+from .analytic import DigitalSpec, Direction, digital_price, log_thresholds, thresholds
+from .market import MarketParams, Measure, simulate_paths, simulate_terminal
 
 DEFAULT_SEED = 42
 
@@ -247,18 +247,26 @@ def _terminal_chunks(params: MarketParams, measure: Measure, n_paths: int,
 # Subcommands
 
 
+def _band_edges(params: MarketParams, delta: float) -> tuple[float, float, float, float]:
+    """(a, b, ln a, ln b); the logs are the stored values that payoffs and
+    events compare against, not logs of the rounded exponentials."""
+    try:
+        a, b = thresholds(params.reduced, params.t, delta)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return (a, b, *log_thresholds(params.reduced.delta_norm, params.t, delta))
+
+
 def cmd_price(args) -> int:
     values = load_config(args.config)
     _apply_overrides(args, values)
     params = market_from_config(values)
     delta = _real(values, "run.delta")
-    reduced = reduce_dimension(params)
-    try:
-        a, b = thresholds(reduced, params.t, delta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    price_low = digital_price(reduced, DigitalSpec.at_level(Direction.AT_MOST, a), params.t)
-    price_high = digital_price(reduced, DigitalSpec.at_level(Direction.AT_LEAST, b), params.t)
+    a, b, log_a, log_b = _band_edges(params, delta)
+    price_low = digital_price(
+        params.reduced, DigitalSpec.at_log_level(Direction.AT_MOST, log_a), params.t)
+    price_high = digital_price(
+        params.reduced, DigitalSpec.at_log_level(Direction.AT_LEAST, log_b), params.t)
     payload = {
         "schema_version": 1,
         "delta": delta,
@@ -277,12 +285,9 @@ def cmd_thresholds(args) -> int:
     _apply_overrides(args, values)
     params = market_from_config(values)
     delta = _real(values, "run.delta")
-    try:
-        a, b = thresholds(reduce_dimension(params), params.t, delta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    a, b, log_a, log_b = _band_edges(params, delta)
     payload = {"schema_version": 1, "delta": delta, "a": a, "b": b,
-               "log_a": math.log(a), "log_b": math.log(b)}
+               "log_a": log_a, "log_b": log_b}
     _emit([_json_text(payload)], args.out)
     return EXIT_PASS
 
@@ -325,22 +330,14 @@ def _experiment_config(args, values: dict[str, str]) -> experiments.ExperimentCo
         raise UsageError(str(exc)) from exc
 
 
-_VERIFIERS = {
-    "two_sided": experiments.verify_two_sided,
-    "mu_bis": experiments.verify_capm,
-    "index": experiments.verify_index_premium,
-}
-
-
 def cmd_verify(args) -> int:
     values = load_config(args.config)
     _apply_overrides(args, values)
-    if args.prop not in _VERIFIERS:
-        raise UsageError(
-            f"unknown proposition {args.prop!r}; expected one of {sorted(_VERIFIERS)}"
-        )
+    if args.prop not in experiments.PROPOSITIONS:
+        raise UsageError(f"unknown proposition {args.prop!r}; "
+                         f"expected one of {sorted(experiments.PROPOSITIONS)}")
     config = _experiment_config(args, values)
-    report = _VERIFIERS[args.prop](config)
+    report = experiments.verify(config, args.prop)
     _emit([_json_text(experiments.report_to_dict(config, report))], args.out)
     print(f"runtime: {report.runtime_seconds:.2f}s", file=sys.stderr)
     if report.verdict == experiments.PASS:

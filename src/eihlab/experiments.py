@@ -5,7 +5,9 @@ prices, evaluate the band event and the strategy payoff path by path,
 and report the empirical frequency with a Wilson 95% interval next to
 its closed-form target.  The payoff/event dichotomy is an algebraic
 identity of the construction, so its violation count is asserted to be
-exactly zero rather than small.
+exactly zero rather than small.  One runner, :func:`verify`, does this
+for every proposition; what differs between them (drift bound, counts,
+target) is an entry of :data:`PROPOSITIONS`, keyed by the CLI name.
 
 Closed-form targets sharper than the stated guarantees (the exact beat
 probability when a bound is violated with a given margin) are derived
@@ -23,12 +25,12 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import strategies
-from .market import MarketParams, Measure, simulate_paths, simulate_terminal
+from .market import MarketParams, Measure, TerminalSample, simulate_paths, simulate_terminal
 from .normal import std_normal_cdf, upper_quantile
 from .quadrature import halfspace_monte_carlo, halfspace_quadrature
 from .rng import uniform_pairs
@@ -84,11 +86,6 @@ class ExperimentReport:
     """
 
     proposition: str
-    delta: float
-    eps: float
-    n_paths: int
-    seed: int
-    n_workers: int
     empirical_probability: float | None
     wilson_ci_95: tuple[float, float] | None
     theoretical_target: float | None
@@ -151,9 +148,7 @@ def one_sided_beat_probability(
 
 def exact_capm_params(params: MarketParams) -> MarketParams:
     """Same market with mu_s moved to its index-implied level (zero gap)."""
-    norm_i_sq = float(params.sigma_i @ params.sigma_i)
-    cross = float(params.sigma_s @ params.sigma_i)
-    return replace(params, mu_s=params.mu_i - norm_i_sq + cross)
+    return replace(params, mu_s=params.mu_i - params.norm_i_sq + params.cross)
 
 
 def mu_bis_boundary_params(
@@ -166,8 +161,7 @@ def mu_bis_boundary_params(
     outside the bound in floating point as well.
     """
     sqrt_t = math.sqrt(params.t)
-    delta_norm = float(np.linalg.norm(params.sigma_s - params.sigma_i))
-    width = float(upper_quantile(delta) + upper_quantile(eps)) * delta_norm / sqrt_t
+    width = float(upper_quantile(delta) + upper_quantile(eps)) * params.spread_norm / sqrt_t
     gap = margin * width * (1.0 + 1e-12)
     base = exact_capm_params(params)
     return replace(base, mu_s=base.mu_s + gap)
@@ -177,53 +171,105 @@ def mu_bis_boundary_params(
 # Proposition experiments
 
 
-def verify_two_sided(config: ExperimentConfig) -> ExperimentReport:
-    """Band event frequency and payoff dichotomy for the band strategy.
+def _two_sided_counts(config: ExperimentConfig) -> Callable:
+    """Band event frequency; on every path either the band event holds
+    or the band strategy collects 1/delta times the index."""
+    params, delta = config.params, config.delta
+    strategy = strategies.build_two_sided(params, delta)
 
-    Simulates under the physical measure; on every path either the band
-    event holds or the strategy multiplies its wealth by exactly
-    1/delta times the index level (zero tolerated exceptions).
-    """
-    start = time.perf_counter()
-    params = config.params
-    strategy = strategies.build_two_sided(params, config.delta)
-
-    def chunk(first: int, count: int) -> tuple[int, int]:
-        terminal = simulate_terminal(
-            params, Measure.PHYSICAL, count, config.seed, first_path=first
-        )
-        event = event_two_sided(params, config.delta, terminal.stock, terminal.index)
+    def counts(terminal: TerminalSample) -> tuple[int, int]:
+        event = event_two_sided(params, delta, terminal.stock, terminal.index)
         fires = strategy_fires(strategy, params, terminal.index, terminal.stock)
         return int(event.sum()), int((event == fires).sum())
 
-    results = _map_chunks(config.n_paths, config.n_workers, chunk)
-    event_count = sum(r[0] for r in results)
-    violations = sum(r[1] for r in results)
+    return counts
 
-    ci = wilson_ci(event_count, config.n_paths)
-    reduced = strategies.reduce_dimension(params)
-    target = band_probability(
-        drift_gap(params), reduced.delta_norm, params.t,
-        float(upper_quantile(config.delta / 2.0)),
-    )
-    covered = ci[0] <= target <= ci[1]
-    verdict = PASS if (violations == 0 and covered) else FAIL
-    return ExperimentReport(
-        proposition="two_sided",
-        delta=config.delta,
-        eps=config.eps,
-        n_paths=config.n_paths,
-        seed=config.seed,
-        n_workers=config.n_workers,
-        empirical_probability=event_count / config.n_paths,
-        wilson_ci_95=ci,
-        theoretical_target=target,
-        target_kind="equals",
-        dichotomy_violations=violations,
-        bound=None,
-        verdict=verdict,
-        runtime_seconds=time.perf_counter() - start,
-    )
+
+def _mu_bis_counts(config: ExperimentConfig) -> Callable:
+    """Beat frequency of the one-sided stock strategy, tail picked by the
+    sign of the drift gap, against the complementary one-sided event."""
+    params, delta = config.params, config.delta
+    strategy = strategies.build_capm_composite(params, delta, config.eps, "prop_mu_bis")
+    side = Side.UPPER if drift_gap(params) >= 0.0 else Side.LOWER
+
+    def counts(terminal: TerminalSample) -> tuple[int, int]:
+        fires = strategy_fires(strategy, params, terminal.index, terminal.stock)
+        event = event_one_sided(params, delta, terminal.stock, terminal.index, side)
+        return int(fires.sum()), int((event == fires).sum())
+
+    return counts
+
+
+def _index_counts(config: ExperimentConfig) -> Callable:
+    """Beat frequency of the one-sided bond strategy; the dichotomy and
+    the extra count are those of the bond/index band (recover) event."""
+    params, delta = config.params, config.delta
+    band = strategies.build_index_vs_bond(params, delta)
+    one_sided = strategies.build_bond_one_sided(params, delta)
+
+    def counts(terminal: TerminalSample) -> tuple[int, int, int]:
+        recover = event_recover(params, delta, terminal.index)
+        band_fires = strategy_fires(band, params, terminal.index, terminal.stock)
+        beat = strategy_fires(one_sided, params, terminal.index, terminal.stock)
+        return int(beat.sum()), int((recover == band_fires).sum()), int(recover.sum())
+
+    return counts
+
+
+def _index_extras(config: ExperimentConfig, counts: tuple[int, ...]) -> dict:
+    params = config.params
+    recover_ci = wilson_ci(counts[2], config.n_paths)
+    return {
+        "recover_probability": counts[2] / config.n_paths,
+        "recover_ci_low": recover_ci[0],
+        "recover_ci_high": recover_ci[1],
+        "recover_target": band_probability(
+            bond_drift_gap(params), params.reduced_vs_bond.delta_norm, params.t,
+            float(upper_quantile(config.delta / 2.0)),
+        ),
+    }
+
+
+class Proposition(NamedTuple):
+    """How :func:`verify` certifies one proposition.
+
+    ``bound``: the drift bound whose failure makes the guarantee bite, or
+    None; while it holds the verdict is inconclusive, and paths are
+    simulated only for ``extras``.  ``counts(config)`` builds the
+    strategies once and returns chunk -> (headline successes, dichotomy
+    violations, counts read by ``extras``).  ``target_kind`` "equals"
+    passes when the Wilson interval covers ``target(config)``,
+    "at_least" when it clears the 1 - eps guarantee.
+    """
+
+    bound: str | None
+    counts: Callable[[ExperimentConfig], Callable[[TerminalSample], tuple[int, ...]]]
+    target: Callable[[ExperimentConfig], float]
+    target_kind: str
+    extras: Callable[[ExperimentConfig, tuple[int, ...]], dict] | None = None
+
+
+PROPOSITIONS = {
+    "two_sided": Proposition(
+        None, _two_sided_counts,
+        lambda c: band_probability(drift_gap(c.params), c.params.reduced.delta_norm, c.params.t,
+                                   float(upper_quantile(c.delta / 2.0))),
+        "equals",
+    ),
+    "mu_bis": Proposition(
+        "mu_bis", _mu_bis_counts,
+        lambda c: one_sided_beat_probability(drift_gap(c.params), c.params.reduced.delta_norm,
+                                             c.params.t, c.delta),
+        "at_least",
+    ),
+    "index": Proposition(
+        "index", _index_counts,
+        lambda c: one_sided_beat_probability(bond_drift_gap(c.params),
+                                             c.params.reduced_vs_bond.delta_norm,
+                                             c.params.t, c.delta),
+        "at_least", _index_extras,
+    ),
+}
 
 
 def _beat_verdict(ci: tuple[float, float], guarantee: float) -> str:
@@ -235,148 +281,56 @@ def _beat_verdict(ci: tuple[float, float], guarantee: float) -> str:
     return INCONCLUSIVE
 
 
-def verify_capm(config: ExperimentConfig) -> ExperimentReport:
-    """Beat probability of the one-sided strategy when the drift bound fails.
+def verify(config: ExperimentConfig, proposition: str) -> ExperimentReport:
+    """Certify one proposition of :data:`PROPOSITIONS` by Monte Carlo.
 
-    The guarantee only bites when the one-sided bound is violated;
-    otherwise the experiment is inconclusive by design.
+    Simulates terminal prices under the physical measure in fixed
+    chunks, sums the proposition's counts, and compares the headline
+    frequency's Wilson interval with its target.  Any dichotomy
+    violation fails the run, whatever its bound says.
     """
     start = time.perf_counter()
+    spec = PROPOSITIONS[proposition]
     params = config.params
-    bound = bound_check(params, config.delta, config.eps, "mu_bis")
-    if bound.holds:
-        return ExperimentReport(
-            proposition="mu_bis",
-            delta=config.delta,
-            eps=config.eps,
-            n_paths=config.n_paths,
-            seed=config.seed,
-            n_workers=config.n_workers,
-            empirical_probability=None,
-            wilson_ci_95=None,
-            theoretical_target=None,
-            target_kind="at_least",
-            dichotomy_violations=0,
-            bound=bound,
-            verdict=INCONCLUSIVE,
-            runtime_seconds=time.perf_counter() - start,
-        )
+    bound = None
+    if spec.bound is not None:
+        bound = bound_check(params, config.delta, config.eps, spec.bound)
+    gated = bound is not None and bound.holds
+    totals: tuple[int, ...] = (0, 0)
+    if not gated or spec.extras is not None:
+        counts = spec.counts(config)
 
-    strategy = strategies.build_capm_composite(params, config.delta, config.eps, "prop_mu_bis")
-    side = Side.UPPER if drift_gap(params) >= 0.0 else Side.LOWER
+        def chunk(first: int, count: int) -> tuple[int, ...]:
+            return counts(simulate_terminal(
+                params, Measure.PHYSICAL, count, config.seed, first_path=first))
 
-    def chunk(first: int, count: int) -> tuple[int, int]:
-        terminal = simulate_terminal(
-            params, Measure.PHYSICAL, count, config.seed, first_path=first
-        )
-        fires = strategy_fires(strategy, params, terminal.index, terminal.stock)
-        event = event_one_sided(params, config.delta, terminal.stock, terminal.index, side)
-        return int(fires.sum()), int((event == fires).sum())
+        totals = tuple(map(sum, zip(*_map_chunks(config.n_paths, config.n_workers, chunk))))
+    hits, violations = totals[:2]
 
-    results = _map_chunks(config.n_paths, config.n_workers, chunk)
-    beat_count = sum(r[0] for r in results)
-    violations = sum(r[1] for r in results)
-
-    ci = wilson_ci(beat_count, config.n_paths)
-    reduced = strategies.reduce_dimension(params)
-    target = one_sided_beat_probability(
-        drift_gap(params), reduced.delta_norm, params.t, config.delta
-    )
-    verdict = _beat_verdict(ci, 1.0 - config.eps)
-    if violations:
-        verdict = FAIL
-    return ExperimentReport(
-        proposition="mu_bis",
-        delta=config.delta,
-        eps=config.eps,
-        n_paths=config.n_paths,
-        seed=config.seed,
-        n_workers=config.n_workers,
-        empirical_probability=beat_count / config.n_paths,
-        wilson_ci_95=ci,
-        theoretical_target=target,
-        target_kind="at_least",
-        dichotomy_violations=violations,
-        bound=bound,
-        verdict=verdict,
-        runtime_seconds=time.perf_counter() - start,
-    )
-
-
-def verify_index_premium(config: ExperimentConfig) -> ExperimentReport:
-    """Bond-vs-index analog: equity-premium band and beat probability.
-
-    Always measures the bond/index band event frequency (reported in
-    ``extras``); when the equity-premium bound is violated the headline
-    probability is the one-sided bond strategy's beat frequency,
-    otherwise the experiment is inconclusive by design.
-    """
-    start = time.perf_counter()
-    params = config.params
-    bound = bound_check(params, config.delta, config.eps, "index")
-    band = strategies.build_index_vs_bond(params, config.delta)
-    one_sided = strategies.build_bond_one_sided(params, config.delta)
-
-    def chunk(first: int, count: int) -> tuple[int, int, int, int]:
-        terminal = simulate_terminal(
-            params, Measure.PHYSICAL, count, config.seed, first_path=first
-        )
-        recover = event_recover(params, config.delta, terminal.index)
-        band_fires = strategy_fires(band, params, terminal.index, terminal.stock)
-        beat = strategy_fires(one_sided, params, terminal.index, terminal.stock)
-        return (
-            int(recover.sum()),
-            int((recover == band_fires).sum()),
-            int(beat.sum()),
-            count,
-        )
-
-    results = _map_chunks(config.n_paths, config.n_workers, chunk)
-    recover_count = sum(r[0] for r in results)
-    violations = sum(r[1] for r in results)
-    beat_count = sum(r[2] for r in results)
-
-    reduced = strategies.reduce_dimension_vs_bond(params)
-    gap = bond_drift_gap(params)
-    recover_ci = wilson_ci(recover_count, config.n_paths)
-    recover_target = band_probability(
-        gap, reduced.delta_norm, params.t, float(upper_quantile(config.delta / 2.0))
-    )
-    extras = {
-        "recover_probability": recover_count / config.n_paths,
-        "recover_ci_low": recover_ci[0],
-        "recover_ci_high": recover_ci[1],
-        "recover_target": recover_target,
-    }
-
-    if bound.holds:
+    empirical = ci = target = None
+    if gated:
         verdict = INCONCLUSIVE
-        empirical = None
-        ci = None
-        target = None
     else:
-        empirical = beat_count / config.n_paths
-        ci = wilson_ci(beat_count, config.n_paths)
-        target = one_sided_beat_probability(gap, reduced.delta_norm, params.t, config.delta)
-        verdict = _beat_verdict(ci, 1.0 - config.eps)
+        empirical = hits / config.n_paths
+        ci = wilson_ci(hits, config.n_paths)
+        target = spec.target(config)
+        if spec.target_kind == "equals":
+            verdict = PASS if ci[0] <= target <= ci[1] else FAIL
+        else:
+            verdict = _beat_verdict(ci, 1.0 - config.eps)
     if violations:
         verdict = FAIL
     return ExperimentReport(
-        proposition="index",
-        delta=config.delta,
-        eps=config.eps,
-        n_paths=config.n_paths,
-        seed=config.seed,
-        n_workers=config.n_workers,
+        proposition=proposition,
         empirical_probability=empirical,
         wilson_ci_95=ci,
         theoretical_target=target,
-        target_kind="at_least",
+        target_kind=spec.target_kind,
         dichotomy_violations=violations,
         bound=bound,
         verdict=verdict,
         runtime_seconds=time.perf_counter() - start,
-        extras=extras,
+        extras=spec.extras(config, totals) if spec.extras else {},
     )
 
 
@@ -414,7 +368,6 @@ def capm_convergence_study(
     rows = []
     for horizon in t_grid:
         p_t = replace(exact_capm_params(params), t=horizon)
-        reduced = strategies.reduce_dimension(p_t)
 
         def chunk(first: int, count: int) -> tuple[float, float, int]:
             terminal = simulate_terminal(p_t, Measure.PHYSICAL, count, seed, first_path=first)
@@ -433,7 +386,7 @@ def capm_convergence_study(
             "width_capm1": bound_check(p_t, delta, eps, "capm1").rhs,
             "width_capm_final": bound_check(p_t, delta, eps, "capm_final").rhs,
             "tpd_mc_mean": mean,
-            "tpd_target": -0.5 * reduced.delta_norm**2 * horizon,
+            "tpd_target": -0.5 * p_t.reduced.delta_norm**2 * horizon,
             "tpd_se": math.sqrt(var / n_paths),
         }
         rows.append(row)
@@ -571,10 +524,10 @@ def report_to_dict(config: ExperimentConfig, report: ExperimentReport) -> dict:
             "r": params.r,
             "t": params.t,
         },
-        "delta": report.delta,
-        "eps": report.eps,
-        "n_paths": report.n_paths,
-        "seed": report.seed,
+        "delta": config.delta,
+        "eps": config.eps,
+        "n_paths": config.n_paths,
+        "seed": config.seed,
         "empirical_probability": report.empirical_probability,
         "wilson_ci_95": list(report.wilson_ci_95) if report.wilson_ci_95 else None,
         "theoretical_target": report.theoretical_target,

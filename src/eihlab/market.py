@@ -3,9 +3,15 @@
 An index and a stock load on ``d >= 2`` independent Brownian drivers
 through volatility vectors ``sigma_i`` and ``sigma_s``.  Because only
 the span of the two vectors matters, everything is reduced to two
-driving motions via an orthonormal basis of that span; samplers then
-draw the exact lognormal solution (no Euler bias), one normal pair per
-(path, step) through the counter-based generator in :mod:`eihlab.rng`.
+driving motions: the pair is written in coordinates of an orthonormal
+basis of that span (the basis itself is not kept, nothing reads it).
+Samplers then draw the exact lognormal solution (no Euler bias), one
+normal pair per (path, step) through the counter-based generator in
+:mod:`eihlab.rng`.
+
+:class:`MarketParams` is the one home of the pair's geometry: its
+norms, inner products and both reductions are computed once per
+instance and read by the bounds, builders, events and samplers.
 
 Paths have one type, :class:`PathBatch`; a single path is a one-path
 batch, and because draws depend only on (seed, path, step) it equals
@@ -17,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +87,64 @@ class MarketParams:
     def d(self) -> int:
         return self.sigma_i.size
 
+    # The pair's geometry, computed on first use.  Two look-alike pairs
+    # differ in the last bit on many markets and are kept apart, each the
+    # exact float its readers always used: the driver-space ``spread_norm``
+    # (drift bounds) against ``reduced.delta_norm`` (pricing, events,
+    # samplers), and ``norm_i_sq`` = sigma_i . sigma_i (drift gaps) against
+    # ``norm_i**2`` (bounds).  ``cross`` is sigma_s . sigma_i.
+
+    @cached_property
+    def norm_i(self) -> float:
+        return float(np.linalg.norm(self.sigma_i))
+
+    @cached_property
+    def norm_s(self) -> float:
+        return float(np.linalg.norm(self.sigma_s))
+
+    @cached_property
+    def spread_norm(self) -> float:
+        return float(np.linalg.norm(self.sigma_s - self.sigma_i))
+
+    @cached_property
+    def norm_i_sq(self) -> float:
+        return float(self.sigma_i @ self.sigma_i)
+
+    @cached_property
+    def cross(self) -> float:
+        return float(self.sigma_s @ self.sigma_i)
+
+    @cached_property
+    def reduced(self) -> ReducedParams:
+        """The pair in coordinates of an orthonormal basis of its span.
+
+        ``e1`` points along ``sigma_i``; ``e2`` along the remainder of
+        ``sigma_s`` after removing its ``e1`` component.  When the two
+        vectors are (numerically) collinear the remainder vanishes and
+        the stock sits on the first axis.  Norms and the inner product
+        of the pair are preserved up to rounding.
+        """
+        e1 = self.sigma_i / self.norm_i
+        proj = float(self.sigma_s @ e1)
+        rem_norm = float(np.linalg.norm(self.sigma_s - proj * e1))
+        if rem_norm <= _COLLINEAR_TOL * max(1.0, self.norm_s):
+            # collinear: use the signed norm so that bitwise-equal sigma
+            # vectors reduce to bitwise-equal coordinates
+            s_bar = np.array([math.copysign(self.norm_s, proj), 0.0])
+        else:
+            s_bar = np.array([proj, rem_norm])
+        return ReducedParams(sigma_i_bar=np.array([self.norm_i, 0.0]), sigma_s_bar=s_bar)
+
+    @cached_property
+    def reduced_vs_bond(self) -> ReducedParams:
+        """Reduced pair for comparing the index with the zero-coupon bond.
+
+        The bond has no Brownian exposure, so the pair is (sigma_i, 0)
+        and the ratio volatility equals the index volatility norm.
+        """
+        return ReducedParams(sigma_i_bar=np.array([self.norm_i, 0.0]),
+                             sigma_s_bar=np.array([0.0, 0.0]))
+
 
 @dataclass(frozen=True, eq=False)
 class ReducedParams:
@@ -87,81 +152,28 @@ class ReducedParams:
 
     sigma_i_bar: np.ndarray
     sigma_s_bar: np.ndarray
-    basis_e1: np.ndarray
-    basis_e2: np.ndarray
 
     def __post_init__(self):
-        for name in ("sigma_i_bar", "sigma_s_bar", "basis_e1", "basis_e2"):
+        for name in ("sigma_i_bar", "sigma_s_bar"):
             object.__setattr__(self, name, _as_vector(getattr(self, name), name))
 
-    @property
+    @cached_property
     def delta_norm(self) -> float:
         """Norm of the volatility spread, the lognormal ratio volatility."""
         return float(np.linalg.norm(self.sigma_s_bar - self.sigma_i_bar))
 
-    @property
+    @cached_property
     def norm_i(self) -> float:
         return float(np.linalg.norm(self.sigma_i_bar))
 
-    @property
+    @cached_property
     def norm_s(self) -> float:
         return float(np.linalg.norm(self.sigma_s_bar))
 
 
 def reduce_dimension(params: MarketParams) -> ReducedParams:
-    """Project the two volatility vectors onto a 2-d orthonormal basis.
-
-    ``e1`` points along ``sigma_i``; ``e2`` is the normalized remainder
-    of ``sigma_s`` after removing its ``e1`` component.  When the two
-    vectors are (numerically) collinear the remainder vanishes and
-    ``e2`` is completed with any unit vector orthogonal to ``e1``.
-    Norms and the inner product of the pair are preserved exactly.
-    """
-    norm_i = float(np.linalg.norm(params.sigma_i))
-    norm_s = float(np.linalg.norm(params.sigma_s))
-    e1 = params.sigma_i / norm_i
-    proj = float(params.sigma_s @ e1)
-    remainder = params.sigma_s - proj * e1
-    rem_norm = float(np.linalg.norm(remainder))
-    if rem_norm <= _COLLINEAR_TOL * max(1.0, norm_s):
-        # collinear: use the signed norm so that bitwise-equal sigma
-        # vectors reduce to bitwise-equal coordinates
-        e2 = _orthogonal_unit(e1)
-        s_bar = np.array([math.copysign(norm_s, proj), 0.0])
-    else:
-        e2 = remainder / rem_norm
-        s_bar = np.array([proj, rem_norm])
-    return ReducedParams(
-        sigma_i_bar=np.array([norm_i, 0.0]),
-        sigma_s_bar=s_bar,
-        basis_e1=e1,
-        basis_e2=e2,
-    )
-
-
-def reduce_dimension_vs_bond(params: MarketParams) -> ReducedParams:
-    """Reduced pair for comparing the index with the zero-coupon bond.
-
-    The bond has no Brownian exposure, so the pair is (sigma_i, 0) and
-    the ratio volatility equals the index volatility norm.
-    """
-    norm_i = float(np.linalg.norm(params.sigma_i))
-    e1 = params.sigma_i / norm_i
-    return ReducedParams(
-        sigma_i_bar=np.array([norm_i, 0.0]),
-        sigma_s_bar=np.array([0.0, 0.0]),
-        basis_e1=e1,
-        basis_e2=_orthogonal_unit(e1),
-    )
-
-
-def _orthogonal_unit(e1: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to e1, built from the flattest axis."""
-    j = int(np.argmin(np.abs(e1)))
-    v = np.zeros_like(e1)
-    v[j] = 1.0
-    v -= (v @ e1) * e1
-    return v / np.linalg.norm(v)
+    """The 2-d reduction of the pair, :attr:`MarketParams.reduced`."""
+    return params.reduced
 
 
 def drift_pair(params: MarketParams, measure: Measure) -> tuple[float, float]:
@@ -209,7 +221,7 @@ def simulate_terminal(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    reduced = reduce_dimension(params)
+    reduced = params.reduced
     mu_i, mu_s = drift_pair(params, measure)
     xi = rng.normal_pairs(seed, np.arange(first_path, first_path + n_paths))
     sqrt_t = np.sqrt(params.t)
@@ -238,7 +250,7 @@ def paths_from_increments(
     increments = np.asarray(increments, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must increase strictly from 0")
-    reduced = reduce_dimension(params)
+    reduced = params.reduced
     mu_i, mu_s = drift_pair(params, measure)
     dt = np.diff(times)
     n = increments.shape[0]
@@ -287,7 +299,7 @@ def simulate_paths(
 
 def log_ratio_law(params: MarketParams, measure: Measure = Measure.PHYSICAL) -> LogRatioLaw:
     """Exact normal law of ln(S_T / I_T) under the given measure."""
-    reduced = reduce_dimension(params)
+    reduced = params.reduced
     mu_i, mu_s = drift_pair(params, measure)
     mean = (mu_s - mu_i) * params.t + 0.5 * (reduced.norm_i**2 - reduced.norm_s**2) * params.t
     std = reduced.delta_norm * np.sqrt(params.t)

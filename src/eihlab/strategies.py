@@ -26,13 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import DigitalSpec, Direction, claim_value, hedge_ratios, log_thresholds
-from .market import (
-    MarketParams,
-    PathBatch,
-    ReducedParams,
-    reduce_dimension,
-    reduce_dimension_vs_bond,
-)
+from .market import MarketParams, PathBatch, ReducedParams
 from .normal import cached_upper_quantile
 
 __all__ = [
@@ -140,14 +134,12 @@ def drift_gap(params: MarketParams) -> float:
     Zero exactly when the stock's appreciation rate sits at its
     index-implied level; its sign picks the profitable one-sided tail.
     """
-    norm_i_sq = float(params.sigma_i @ params.sigma_i)
-    cross = float(params.sigma_s @ params.sigma_i)
-    return params.mu_s - params.mu_i + norm_i_sq - cross
+    return params.mu_s - params.mu_i + params.norm_i_sq - params.cross
 
 
 def bond_drift_gap(params: MarketParams) -> float:
     """r - mu_i + ||sigma_i||^2: the drift gap with the bond as the stock."""
-    return params.r - params.mu_i + float(params.sigma_i @ params.sigma_i)
+    return params.r - params.mu_i + params.norm_i_sq
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +204,7 @@ def build_two_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     times the index.
     """
     _check_delta(delta)
-    comps = _band_components(reduce_dimension(params), Underlying.STOCK, params.t, delta)
+    comps = _band_components(params.reduced, Underlying.STOCK, params.t, delta)
     return PrudentStrategy(components=comps, label="two_sided")
 
 
@@ -220,9 +212,7 @@ def build_one_sided(params: MarketParams, delta: float, side: Side | str) -> Pru
     """Single-tail variant with the delta-quantile replacing delta/2."""
     _check_delta(delta)
     side = Side(side)
-    comp = _one_sided_component(
-        reduce_dimension(params), Underlying.STOCK, params.t, delta, side
-    )
+    comp = _one_sided_component(params.reduced, Underlying.STOCK, params.t, delta, side)
     return PrudentStrategy(components=(comp,), label=f"one_sided_{side.value}")
 
 
@@ -234,9 +224,7 @@ def build_index_vs_bond(params: MarketParams, delta: float) -> PrudentStrategy:
     index volatility over the horizon.
     """
     _check_delta(delta)
-    comps = _band_components(
-        reduce_dimension_vs_bond(params), Underlying.BOND, params.t, delta
-    )
+    comps = _band_components(params.reduced_vs_bond, Underlying.BOND, params.t, delta)
     return PrudentStrategy(components=comps, label="index_vs_bond")
 
 
@@ -244,9 +232,7 @@ def build_bond_one_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     """One-sided bond/index strategy, tail picked by the sign of the bond drift gap."""
     _check_delta(delta)
     side = Side.UPPER if bond_drift_gap(params) >= 0.0 else Side.LOWER
-    comp = _one_sided_component(
-        reduce_dimension_vs_bond(params), Underlying.BOND, params.t, delta, side
-    )
+    comp = _one_sided_component(params.reduced_vs_bond, Underlying.BOND, params.t, delta, side)
     return PrudentStrategy(components=(comp,), label=f"index_vs_bond_{side.value}")
 
 
@@ -341,8 +327,7 @@ def event_two_sided(params: MarketParams, delta: float, s_terminal, i_terminal):
     the same log ratio against the same stored band edges.
     """
     _check_delta(delta)
-    reduced = reduce_dimension(params)
-    log_a, log_b = log_thresholds(reduced.delta_norm, params.t, delta)
+    log_a, log_b = log_thresholds(params.reduced.delta_norm, params.t, delta)
     x = _terminal_log_ratio(Underlying.STOCK, params, i_terminal, s_terminal)
     return (x > log_a) & (x < log_b)
 
@@ -352,7 +337,7 @@ def event_one_sided(params: MarketParams, delta: float, s_terminal, i_terminal, 
     z_delta width, lower: stays above its negative."""
     _check_delta(delta)
     side = Side(side)
-    comp = _one_sided_component(reduce_dimension(params), Underlying.STOCK, params.t, delta, side)
+    comp = _one_sided_component(params.reduced, Underlying.STOCK, params.t, delta, side)
     x = _terminal_log_ratio(Underlying.STOCK, params, i_terminal, s_terminal)
     return ~comp.spec.payoff_indicator(x)
 
@@ -360,8 +345,7 @@ def event_one_sided(params: MarketParams, delta: float, s_terminal, i_terminal, 
 def event_recover(params: MarketParams, delta: float, i_terminal):
     """|ln(I_T e^{-rT}) - ||sigma_i||^2 T/2| < z_{delta/2} ||sigma_i|| sqrt(T)."""
     _check_delta(delta)
-    reduced = reduce_dimension_vs_bond(params)
-    log_a, log_b = log_thresholds(reduced.delta_norm, params.t, delta)
+    log_a, log_b = log_thresholds(params.reduced_vs_bond.delta_norm, params.t, delta)
     x = _terminal_log_ratio(Underlying.BOND, params, i_terminal, None)
     return (x > log_a) & (x < log_b)
 
@@ -447,29 +431,25 @@ def bound_check(params: MarketParams, delta: float, eps: float, which: str) -> B
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     sqrt_t = math.sqrt(params.t)
-    norm_i = float(np.linalg.norm(params.sigma_i))
-    norm_s = float(np.linalg.norm(params.sigma_s))
-    delta_norm = float(np.linalg.norm(params.sigma_s - params.sigma_i))
-    cross = float(params.sigma_s @ params.sigma_i)
     z_eps = cached_upper_quantile(eps)
     z_delta = cached_upper_quantile(delta)
 
     if which == "mu":
         lhs = abs(drift_gap(params))
-        rhs = (cached_upper_quantile(delta / 2.0) + z_eps) * delta_norm / sqrt_t
+        rhs = (cached_upper_quantile(delta / 2.0) + z_eps) * params.spread_norm / sqrt_t
     elif which == "mu_bis":
         lhs = abs(drift_gap(params))
-        rhs = (z_delta + z_eps) * delta_norm / sqrt_t
+        rhs = (z_delta + z_eps) * params.spread_norm / sqrt_t
     elif which == "index":
-        lhs = abs(params.mu_i - params.r - norm_i**2)
-        rhs = (z_delta + z_eps) * norm_i / sqrt_t
+        lhs = abs(params.mu_i - params.r - params.norm_i**2)
+        rhs = (z_delta + z_eps) * params.norm_i / sqrt_t
     elif which == "capm1":
-        lhs = abs(params.mu_s - params.r - cross)
-        rhs = (z_delta + z_eps) * (norm_i + delta_norm) / sqrt_t
+        lhs = abs(params.mu_s - params.r - params.cross)
+        rhs = (z_delta + z_eps) * (params.norm_i + params.spread_norm) / sqrt_t
     elif which == "capm_final":
-        beta = cross / norm_i**2
+        beta = params.cross / params.norm_i**2
         lhs = abs(params.mu_s - params.r - beta * (params.mu_i - params.r))
-        rhs = (z_delta + z_eps) * (norm_i + norm_s + delta_norm) / sqrt_t
+        rhs = (z_delta + z_eps) * (params.norm_i + params.norm_s + params.spread_norm) / sqrt_t
         return BoundReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs, proposition=which)
     else:
         raise ValueError(f"unknown bound: {which!r}")

@@ -23,9 +23,7 @@ from eihlab.experiments import (
     lemma_crosscheck,
     mu_bis_boundary_params,
     report_to_dict,
-    verify_capm,
-    verify_index_premium,
-    verify_two_sided,
+    verify,
 )
 from eihlab.market import MarketParams, Measure, reduce_dimension, simulate_terminal
 from eihlab.strategies import bound_check
@@ -93,7 +91,7 @@ def test_criterion_3_two_sided_dichotomy(set_a):
     coverage = []
     for delta in (0.01, 0.05, 0.1):
         config = ExperimentConfig(params=params, delta=delta, n_paths=10**6, seed=4243)
-        report = verify_two_sided(config)
+        report = verify(config, "two_sided")
         violations += report.dichotomy_violations
         low, high = report.wilson_ci_95
         coverage.append(low <= 1.0 - delta <= high)
@@ -110,7 +108,7 @@ def test_criterion_4_one_sided_guarantee(set_a):
     boundary = mu_bis_boundary_params(set_a, delta, eps, margin=1.0)
     config = ExperimentConfig(params=boundary, delta=delta, eps=eps,
                               n_paths=10**6, seed=4244)
-    report_boundary = verify_capm(config)
+    report_boundary = verify(config, "mu_bis")
     low, high = report_boundary.wilson_ci_95
     boundary_ok = (low <= 1.0 - eps <= high
                    and not report_boundary.bound.holds
@@ -119,7 +117,7 @@ def test_criterion_4_one_sided_guarantee(set_a):
     doubled = mu_bis_boundary_params(set_a, delta, eps, margin=2.0)
     config = ExperimentConfig(params=doubled, delta=delta, eps=eps,
                               n_paths=10**6, seed=4245)
-    report_doubled = verify_capm(config)
+    report_doubled = verify(config, "mu_bis")
     doubled_ok = report_doubled.wilson_ci_95[0] > 1.0 - eps
 
     elapsed = time.perf_counter() - start
@@ -137,7 +135,7 @@ def test_criterion_5_equity_premium(set_a):
     pinned = replace(set_a, mu_i=set_a.r + norm_i_sq)
     config = ExperimentConfig(params=pinned, delta=delta, eps=eps,
                               n_paths=10**6, seed=4246)
-    report_pinned = verify_index_premium(config)
+    report_pinned = verify(config, "index")
     low = report_pinned.extras["recover_ci_low"]
     high = report_pinned.extras["recover_ci_high"]
     recover_ok = low <= 1.0 - delta <= high and report_pinned.dichotomy_violations == 0
@@ -150,7 +148,7 @@ def test_criterion_5_equity_premium(set_a):
     assert not bound_check(flat, delta, eps, "index").holds
     config = ExperimentConfig(params=flat, delta=delta, eps=eps,
                               n_paths=10**6, seed=4247)
-    report_flat = verify_index_premium(config)
+    report_flat = verify(config, "index")
     beat_ok = report_flat.wilson_ci_95[0] >= 1.0 - eps
 
     elapsed = time.perf_counter() - start
@@ -224,7 +222,7 @@ def test_criterion_9_determinism(set_a, tmp_path, capsys):
     for workers in (1, 4, 8):
         config = ExperimentConfig(params=exact_capm_params(set_a), delta=0.05,
                                   n_paths=10**5, seed=4251, n_workers=workers)
-        payload = json.dumps(report_to_dict(config, verify_two_sided(config)),
+        payload = json.dumps(report_to_dict(config, verify(config, "two_sided")),
                              sort_keys=True)
         json_payloads.append(payload.encode())
     json_ok = json_payloads[0] == json_payloads[1] == json_payloads[2]

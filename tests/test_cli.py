@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 from unittest import mock
 
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eihlab import cli
+from eihlab.analytic import DigitalSpec, Direction, digital_price, log_thresholds
 from eihlab.cli import main
-from eihlab.market import MarketParams, Measure, simulate_paths, simulate_terminal
+from eihlab.market import MarketParams, Measure, reduce_dimension, simulate_paths, simulate_terminal
 
 # reference market with the stock drift at its index-implied level
 # (0.06 - 0.025 + 0.0325), so the band event probability is exactly 0.95
@@ -83,6 +85,24 @@ class TestThresholds:
         payload = json.loads(out)
         assert payload["log_b"] == pytest.approx(0.9548513846259783, abs=1e-12)
         assert payload["log_a"] == pytest.approx(-1.2798513846259783, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", ["0.09", "0.15"])
+    def test_logs_and_prices_use_the_stored_edges(self, capsys, config_path, delta):
+        # at these deltas ln(exp(ln a)) or ln(exp(ln b)) is not ln a or ln b
+        reduced = reduce_dimension(SET_A_PARAMS)
+        log_a, log_b = log_thresholds(reduced.delta_norm, SET_A_PARAMS.t, float(delta))
+        assert (math.log(math.exp(log_a)), math.log(math.exp(log_b))) != (log_a, log_b)
+        code, out, _ = run_cli(capsys, "thresholds", "--config", config_path, "--delta", delta)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["log_a"], payload["log_b"]) == (log_a, log_b)
+        code, out, _ = run_cli(capsys, "price", "--config", config_path, "--delta", delta)
+        assert code == 0
+        payload = json.loads(out)
+        for key, direction, log_edge in (("price_at_most_a", Direction.AT_MOST, log_a),
+                                          ("price_at_least_b", Direction.AT_LEAST, log_b)):
+            spec = DigitalSpec.at_log_level(direction, log_edge)
+            assert payload[key] == digital_price(reduced, spec, SET_A_PARAMS.t)
 
     def test_bad_delta_is_usage_error(self, capsys, config_path):
         code, _, err = run_cli(capsys, "thresholds", "--config", config_path,

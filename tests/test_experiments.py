@@ -19,9 +19,7 @@ from eihlab.experiments import (
     mu_bis_boundary_params,
     one_sided_beat_probability,
     report_to_dict,
-    verify_capm,
-    verify_index_premium,
-    verify_two_sided,
+    verify,
     wilson_ci,
 )
 from eihlab.market import Measure, reduce_dimension, simulate_terminal
@@ -61,7 +59,7 @@ class TestVerifyTwoSided:
     def test_exact_capm_passes_and_covers(self, set_a):
         config = ExperimentConfig(
             params=exact_capm_params(set_a), delta=0.05, n_paths=10**5, seed=42)
-        report = verify_two_sided(config)
+        report = verify(config, "two_sided")
         assert report.verdict == PASS
         assert report.dichotomy_violations == 0
         low, high = report.wilson_ci_95
@@ -70,7 +68,7 @@ class TestVerifyTwoSided:
 
     def test_biased_drift_matches_band_probability(self, set_a):
         config = ExperimentConfig(params=set_a, delta=0.05, n_paths=10**5, seed=144)
-        report = verify_two_sided(config)
+        report = verify(config, "two_sided")
         assert report.dichotomy_violations == 0
         red = reduce_dimension(set_a)
         from eihlab.strategies import drift_gap
@@ -102,7 +100,7 @@ class TestVerifyCapm:
     def test_bound_holding_is_inconclusive(self, set_a):
         config = ExperimentConfig(params=set_a, delta=0.05, eps=0.05,
                                   n_paths=10**4, seed=45)
-        report = verify_capm(config)
+        report = verify(config, "mu_bis")
         assert report.verdict == INCONCLUSIVE
         assert report.bound.holds
         assert report.empirical_probability is None
@@ -112,7 +110,7 @@ class TestVerifyCapm:
         assert not bound_check(params, 0.05, 0.05, "mu_bis").holds
         config = ExperimentConfig(params=params, delta=0.05, eps=0.05,
                                   n_paths=10**5, seed=46)
-        report = verify_capm(config)
+        report = verify(config, "mu_bis")
         assert report.verdict == PASS
         assert report.dichotomy_violations == 0
         low, high = report.wilson_ci_95
@@ -123,7 +121,7 @@ class TestVerifyCapm:
         params = mu_bis_boundary_params(set_a, 0.05, 0.05, margin=2.0)
         config = ExperimentConfig(params=params, delta=0.05, eps=0.05,
                                   n_paths=10**5, seed=47)
-        report = verify_capm(config)
+        report = verify(config, "mu_bis")
         assert report.verdict == PASS
         assert report.wilson_ci_95[0] > 0.95
 
@@ -132,7 +130,7 @@ class TestVerifyCapm:
         n = 10**5
         config = ExperimentConfig(params=params, delta=0.05, eps=0.05,
                                   n_paths=n, seed=48)
-        report = verify_capm(config)
+        report = verify(config, "mu_bis")
         p = report.theoretical_target
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(report.empirical_probability - p) <= 4.0 * se
@@ -157,7 +155,7 @@ class TestVerifyIndexPremium:
         params = replace(set_a, mu_i=set_a.r + norm_i_sq)
         config = ExperimentConfig(params=params, delta=0.05, eps=0.05,
                                   n_paths=10**5, seed=49)
-        report = verify_index_premium(config)
+        report = verify(config, "index")
         assert report.bound.holds          # zero premium gap
         assert report.verdict == INCONCLUSIVE
         low = report.extras["recover_ci_low"]
@@ -174,7 +172,7 @@ class TestVerifyIndexPremium:
         assert not bound_check(params, 0.05, 0.05, "index").holds
         config = ExperimentConfig(params=params, delta=0.05, eps=0.05,
                                   n_paths=10**5, seed=50)
-        report = verify_index_premium(config)
+        report = verify(config, "index")
         assert report.verdict == PASS
         assert report.wilson_ci_95[0] >= 0.95
 
@@ -248,11 +246,11 @@ class TestDeterminism:
             config = ExperimentConfig(
                 params=exact_capm_params(set_a), delta=0.05,
                 n_paths=200_000, seed=56, n_workers=workers)
-            reports.append(report_to_dict(config, verify_two_sided(config)))
+            reports.append(report_to_dict(config, verify(config, "two_sided")))
         assert reports[0] == reports[1] == reports[2]
 
     def test_repeat_run_identical(self, set_a):
         config = ExperimentConfig(params=set_a, delta=0.05, n_paths=10**4, seed=57)
-        a = report_to_dict(config, verify_two_sided(config))
-        b = report_to_dict(config, verify_two_sided(config))
+        a = report_to_dict(config, verify(config, "two_sided"))
+        b = report_to_dict(config, verify(config, "two_sided"))
         assert a == b

@@ -1,6 +1,7 @@
 """Market reduction and exact samplers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from eihlab.market import (
     log_ratio_law,
     paths_from_increments,
     reduce_dimension,
-    reduce_dimension_vs_bond,
     simulate_paths,
     simulate_terminal,
 )
@@ -57,8 +57,6 @@ class TestReduceDimension:
         red = reduce_dimension(p)
         np.testing.assert_allclose(red.sigma_i_bar, [0.2, 0.0], atol=1e-15)
         np.testing.assert_allclose(red.sigma_s_bar, [0.1, 0.1], atol=1e-15)
-        np.testing.assert_allclose(red.basis_e1, [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(red.basis_e2, [0.0, 1.0], atol=1e-15)
 
     def test_three_driver_example(self):
         p = MarketParams(0.0, 0.0, (0.15, 0.05, 0.0), (0.25, -0.10, 0.0), 0.0, 1.0)
@@ -77,9 +75,6 @@ class TestReduceDimension:
         for _ in range(200):
             p = random_market(gen)
             red = reduce_dimension(p)
-            assert abs(red.basis_e1 @ red.basis_e2) <= 1e-12
-            assert abs(np.linalg.norm(red.basis_e1) - 1.0) <= 1e-12
-            assert abs(np.linalg.norm(red.basis_e2) - 1.0) <= 1e-12
             for bar, orig in ((red.sigma_i_bar, p.sigma_i), (red.sigma_s_bar, p.sigma_s)):
                 assert np.linalg.norm(bar) == pytest.approx(
                     np.linalg.norm(orig), rel=1e-12)
@@ -87,9 +82,66 @@ class TestReduceDimension:
                 p.sigma_i @ p.sigma_s, rel=1e-12, abs=1e-15)
 
     def test_bond_pair(self, set_a):
-        red = reduce_dimension_vs_bond(set_a)
+        red = set_a.reduced_vs_bond
         assert red.delta_norm == pytest.approx(np.linalg.norm(set_a.sigma_i), rel=1e-15)
         assert np.all(red.sigma_s_bar == 0.0)
+
+
+def _direct_geometry(p: MarketParams) -> dict:
+    """Each cached quantity as the expression its readers used inline."""
+    return {
+        "norm_i": float(np.linalg.norm(p.sigma_i)),
+        "norm_s": float(np.linalg.norm(p.sigma_s)),
+        "spread_norm": float(np.linalg.norm(p.sigma_s - p.sigma_i)),
+        "norm_i_sq": float(p.sigma_i @ p.sigma_i),
+        "cross": float(p.sigma_s @ p.sigma_i),
+    }
+
+
+def _cached_geometry(p: MarketParams) -> dict:
+    return {name: getattr(p, name) for name in _direct_geometry(p)}
+
+
+class TestCachedGeometry:
+    def test_cached_scalars_equal_direct_expressions_bitwise(self):
+        gen = np.random.default_rng(3)
+        spread_differs = square_differs = 0
+        for _ in range(500):
+            p = random_market(gen)
+            assert _cached_geometry(p) == _direct_geometry(p)
+            for red in (p.reduced, p.reduced_vs_bond):
+                assert red.delta_norm == float(np.linalg.norm(red.sigma_s_bar - red.sigma_i_bar))
+                assert red.norm_i == float(np.linalg.norm(red.sigma_i_bar))
+                assert red.norm_s == float(np.linalg.norm(red.sigma_s_bar))
+            assert reduce_dimension(p) is p.reduced
+            spread_differs += p.spread_norm != p.reduced.delta_norm
+            square_differs += p.norm_i_sq != p.norm_i**2
+        # the look-alikes are different floats, which is why both are kept
+        assert spread_differs > 0 and square_differs > 0
+
+    def test_replace_recomputes(self, set_a):
+        before = _cached_geometry(set_a)
+        reduced = set_a.reduced
+        moved = replace(set_a, sigma_s=np.array([0.05, 0.3]))
+        assert _cached_geometry(moved) == _direct_geometry(moved)
+        assert _cached_geometry(moved) != before
+        assert moved.reduced is not reduced
+        assert np.array_equal(moved.reduced.sigma_s_bar, reduce_dimension(moved).sigma_s_bar)
+        assert moved.reduced.delta_norm != reduced.delta_norm
+        assert _cached_geometry(set_a) == before
+
+    @pytest.mark.parametrize("sigma_i, factor", [((0.1, 0.2, 0.3), -2.0), ((0.15, 0.05), 0.7)])
+    def test_collinear_pair_takes_the_signed_norm(self, sigma_i, factor):
+        # the projection and the remainder differ from (+-norm_s, 0) in the
+        # last bits here, so only the collinear branch gives these bars
+        sigma_s = factor * np.array(sigma_i)
+        p = MarketParams(0.0, 0.0, sigma_i, sigma_s, 0.0, 1.0)
+        e1 = p.sigma_i / p.norm_i
+        proj = float(p.sigma_s @ e1)
+        assert (proj, float(np.linalg.norm(p.sigma_s - proj * e1))) != (
+            math.copysign(p.norm_s, factor), 0.0)
+        assert p.reduced.sigma_s_bar.tolist() == [math.copysign(p.norm_s, factor), 0.0]
+        assert p.reduced.sigma_i_bar.tolist() == [p.norm_i, 0.0]
 
 
 class TestSimulateTerminal:

@@ -112,9 +112,7 @@ class TestIndexVsBond:
     def test_recover_halfwidth_reference(self, set_a):
         # z_{0.025} * ||sigma_i|| * sqrt(10); frozen from 40-digit arithmetic
         from eihlab.analytic import log_thresholds
-        from eihlab.market import reduce_dimension_vs_bond
-        red = reduce_dimension_vs_bond(set_a)
-        log_a, log_b = log_thresholds(red.delta_norm, set_a.t, 0.05)
+        log_a, log_b = log_thresholds(set_a.reduced_vs_bond.delta_norm, set_a.t, 0.05)
         half_width = 0.5 * (log_b - log_a)
         assert half_width == pytest.approx(0.9799819922700271, abs=1e-12)
 
