@@ -427,19 +427,19 @@ def lemma_crosscheck(
         raise ValueError("n_mc must be at least 2 for a standard error")
     from .analytic import gaussian_halfspace_expectation
 
+    draws = zip(*(uniform_pairs(seed, 0, n_trials, block) for block in range(3)))
     rows = []
-    for trial in range(n_trials):
-        a = uniform_pairs(seed, trial, 0)
-        b = uniform_pairs(seed, trial, 1)
+    for trial, (a, b, c_pair) in enumerate(draws):
         angle_u = 2.0 * math.pi * float(a[0])
         angle_v = 2.0 * math.pi * float(a[1])
         u = 2.0 * float(b[0]) * np.array([math.cos(angle_u), math.sin(angle_u)])
         v = (0.05 + 1.95 * float(b[1])) * np.array([math.cos(angle_v), math.sin(angle_v)])
-        c = -3.0 + 6.0 * float(uniform_pairs(seed, trial, 2)[0])
+        c = -3.0 + 6.0 * float(c_pair[0])
 
         closed = gaussian_halfspace_expectation(u, v, c)
         quad = halfspace_quadrature(u, v, c, n_nodes=n_nodes)
-        mc_mean, mc_se = halfspace_monte_carlo(u, v, c, n_mc, seed + 1 + trial)
+        # a seed is one 64-bit key word, so the derived seeds wrap
+        mc_mean, mc_se = halfspace_monte_carlo(u, v, c, n_mc, (seed + 1 + trial) % 2**64)
         rows.append({
             "u1": u[0], "u2": u[1], "v1": v[0], "v2": v[1], "c": c,
             "closed_form": closed,

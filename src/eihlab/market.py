@@ -223,7 +223,7 @@ def simulate_terminal(
         raise ValueError("n_paths must be at least 1")
     reduced = params.reduced
     mu_i, mu_s = drift_pair(params, measure)
-    xi = rng.normal_pairs(seed, np.arange(first_path, first_path + n_paths))
+    xi = rng.normal_pairs(seed, first_path, n_paths)
     sqrt_t = np.sqrt(params.t)
     # elementwise, not ``xi @ sigma_bar``: a matrix product may round a
     # row differently depending on how many rows it is given
@@ -290,10 +290,12 @@ def simulate_paths(
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     times = np.linspace(0.0, params.t, n_steps + 1)
-    lanes = np.arange(first_path, first_path + n_paths, dtype=np.uint64)[:, None]
-    blocks = np.arange(n_steps, dtype=np.uint64)[None, :]
-    increments = rng.normal_pairs(seed, lanes, blocks)
-    increments *= np.sqrt(params.t / n_steps)
+    scale = np.sqrt(params.t / n_steps)
+    # one run of lanes per step, scaled into its column of the grid
+    increments = np.empty((n_paths, n_steps, 2))
+    for step in range(n_steps):
+        np.multiply(rng.normal_pairs(seed, first_path, n_paths, step), scale,
+                    out=increments[:, step])
     return paths_from_increments(params, measure, times, increments)
 
 

@@ -70,7 +70,7 @@ def halfspace_monte_carlo(
     v = np.asarray(v, dtype=float)
     if float(np.linalg.norm(v)) == 0.0:
         raise ValueError("v must be nonzero")
-    xi = rng.normal_pairs(seed, np.arange(n_draws))
+    xi = rng.normal_pairs(seed, 0, n_draws)
     values = np.exp(xi @ u) * ((xi @ v) >= c)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(n_draws))

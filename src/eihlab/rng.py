@@ -1,4 +1,4 @@
-"""Counter-based random numbers (vectorized Philox4x64-10).
+"""Counter-based random numbers: stream "v3", Philox4x64-10 from numpy.
 
 Every draw is a pure function of ``(seed, lane, block)``, so a batch of
 one million paths produces the same numbers whether it is generated in
@@ -6,19 +6,20 @@ one call, in chunks, or by eight workers racing each other.  ``lane``
 indexes the path and ``block`` the step within the path; block 0 also
 feeds single-shot terminal sampling.
 
-The generator is the Philox 4x64 bijection with 10 rounds.  numpy ships
-the same algorithm (``np.random.Philox``), but its ``Generator`` layer
-consumes a data-dependent number of raw words per normal variate, which
-breaks the pure-function contract; here the raw words are mapped to
-normals through the inverse CDF instead.  The numpy bit generator is
-kept as a cross-check oracle in the test suite.
+The block function is numpy's C Philox 4x64 with 10 rounds, with key
+``(seed, 0)`` and counter ``(lane, block, 0, 0)``.  numpy's
+``Generator`` layer consumes a data-dependent number of raw words per
+normal variate, which would break the pure-function contract, so only
+the bit generator's ``random_raw`` is used: it is a pure function of
+counter and key.  numpy increments counter word 0 before each block,
+so one call yields a run of consecutive lanes at one block; callers
+ask for such runs, ``(first_lane, n_lanes, block)``.  A run may not
+carry word 0 into the block word: lanes lie in ``[0, 2^64)``.
 
-The ten rounds run in place on seven preallocated uint64 buffers, and
-``uniform_pairs`` walks its lanes in fixed chunks of ``_CHUNK``, writing
-each chunk's uniforms straight into the float output.  The generator's
-working memory is therefore bounded by the chunk (about 1 MB, so it
-stays in cache) whatever the batch size; only the output grows with it.
-Chunking cannot change a value, since each lane is computed on its own.
+The first two words of each block map to open-interval uniforms, and
+``normal_pairs`` applies the normal quantile to them.  Both walk the run
+in chunks of ``_CHUNK`` lanes and write each chunk straight into the
+output, so the working memory (about 1 MB) does not grow with the run.
 """
 
 from __future__ import annotations
@@ -27,70 +28,11 @@ import numpy as np
 
 from .normal import std_normal_quantile
 
-_M0 = 0xD2E7470EE14C6C93
-_M1 = 0xCA5A826395121157
-_W0 = 0x9E3779B97F4A7C15
-_W1 = 0xBB67AE8584CAA73B
-_MASK32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_S11 = np.uint64(11)
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
+_LANES = 2**64
 _TO_UNIT = float(2.0 ** -53)
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
+_S11 = np.uint64(11)
 _CHUNK = 16384
-
-
-def _mulhilo(a: int, b: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
-    # 64x64 -> 128 bit product via 32-bit limbs, everything wrapping mod
-    # 2^64.  The high word lands in ``hi`` and the low word replaces ``b``;
-    # ``t`` and ``u`` are scratch.  ``b`` is read until the last step, so
-    # b_hi is taken from it twice instead of holding a fourth buffer.
-    a_lo = np.uint64(a & 0xFFFFFFFF)
-    a_hi = np.uint64(a >> 32)
-    np.bitwise_and(b, _MASK32, out=t)
-    np.multiply(t, a_lo, out=hi)
-    np.right_shift(hi, _S32, out=hi)
-    np.multiply(t, a_hi, out=t)
-    np.add(t, hi, out=t)                 # mid = a_hi*b_lo + (a_lo*b_lo >> 32)
-    np.bitwise_and(t, _MASK32, out=hi)
-    np.right_shift(t, _S32, out=t)
-    np.right_shift(b, _S32, out=u)
-    np.multiply(u, a_lo, out=u)
-    np.add(hi, u, out=hi)                # mid2 = a_lo*b_hi + (mid & mask)
-    np.right_shift(hi, _S32, out=hi)
-    np.add(hi, t, out=hi)
-    np.right_shift(b, _S32, out=u)
-    np.multiply(u, a_hi, out=u)
-    np.add(hi, u, out=hi)                # a_hi*b_hi + (mid >> 32) + (mid2 >> 32)
-    np.multiply(b, np.uint64(a), out=b)
-
-
-def philox4x64(counter, key) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Philox4x64-10 block function.
-
-    ``counter`` is a 4-tuple and ``key`` a 2-tuple of uint64 scalars or
-    equally-shaped arrays; returns the four output words.
-    """
-    words = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
-    shape = words[0].shape
-    # private 1-d copies: the rounds overwrite them, and array (not scalar)
-    # integer arithmetic wraps mod 2^64 silently, as the algorithm needs
-    x0, x1, x2, x3 = (np.array(w, dtype=np.uint64, ndmin=1) for w in words)
-    hi, t, u = (np.empty_like(x0) for _ in range(3))
-    k0 = int(key[0]) & _U64_MASK
-    k1 = int(key[1]) & _U64_MASK
-    for _ in range(10):
-        _mulhilo(_M0, x0, hi, t, u)
-        np.bitwise_xor(x3, hi, out=x3)
-        np.bitwise_xor(x3, np.uint64(k1), out=x3)
-        _mulhilo(_M1, x2, hi, t, u)
-        np.bitwise_xor(x1, hi, out=x1)
-        np.bitwise_xor(x1, np.uint64(k0), out=x1)
-        # (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
-        x0, x1, x2, x3 = x1, x2, x3, x0
-        k0 = (k0 + _W0) & _U64_MASK
-        k1 = (k1 + _W1) & _U64_MASK
-    return tuple(w.reshape(shape) for w in (x0, x1, x2, x3))
 
 
 def _to_unit(words: np.ndarray) -> np.ndarray:
@@ -101,23 +43,43 @@ def _to_unit(words: np.ndarray) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def uniform_pairs(seed: int, lane, block=0) -> np.ndarray:
-    """Two open-interval uniforms per (seed, lane, block), shape (..., 2)."""
-    lane_arr, block_arr = np.broadcast_arrays(
-        np.asarray(lane, dtype=np.uint64), np.asarray(block, dtype=np.uint64)
-    )
-    out = np.empty(lane_arr.shape + (2,))
-    flat = out.reshape(-1, 2)
-    for start in range(0, len(flat), _CHUNK):
-        stop = min(start + _CHUNK, len(flat))
-        w0, w1, _, _ = philox4x64(
-            (block_arr.flat[start:stop], lane_arr.flat[start:stop], 0, 0), (seed, 0))
-        flat[start:stop, 0] = _to_unit(w0)
-        flat[start:stop, 1] = _to_unit(w1)
+def _philox(seed: int, first_lane: int, n_lanes: int, block: int) -> np.random.Philox:
+    """Bit generator whose next block is counter (first_lane, block, 0, 0)."""
+    if first_lane < 0 or n_lanes < 0 or first_lane + n_lanes > _LANES:
+        raise ValueError(
+            f"lanes [{first_lane}, {first_lane + n_lanes}) must lie in [0, 2^64)")
+    if not 0 <= block < _LANES:
+        raise ValueError(f"block {block} must lie in [0, 2^64)")
+    if not 0 <= seed < _LANES:
+        raise ValueError(f"seed {seed} must lie in [0, 2^64)")
+    # numpy increments the counter, carrying upward, before each block,
+    # so it starts one counter early; uint64 arrays, because Python int
+    # lists are rounded through float64
+    if first_lane:
+        before = [first_lane - 1, block, 0, 0]
+    elif block:
+        before = [_LANES - 1, block - 1, 0, 0]
+    else:
+        before = [_LANES - 1] * 4
+    return np.random.Philox(counter=np.array(before, dtype=np.uint64),
+                            key=np.array([seed, 0], dtype=np.uint64))
+
+
+def _pairs(seed: int, first_lane: int, n_lanes: int, block: int, transform) -> np.ndarray:
+    gen = _philox(seed, first_lane, n_lanes, block)
+    out = np.empty((n_lanes, 2))
+    for start in range(0, n_lanes, _CHUNK):
+        stop = min(start + _CHUNK, n_lanes)
+        words = gen.random_raw(4 * (stop - start)).reshape(-1, 4)
+        out[start:stop] = transform(_to_unit(words[:, :2]))
     return out
 
 
-def normal_pairs(seed: int, lane, block=0) -> np.ndarray:
-    """Two independent N(0,1) variates per (seed, lane, block), shape (..., 2)."""
-    u = uniform_pairs(seed, lane, block)
-    return np.asarray(std_normal_quantile(u))
+def uniform_pairs(seed: int, first_lane: int, n_lanes: int, block: int = 0) -> np.ndarray:
+    """Two open-interval uniforms per lane of the run, shape (n_lanes, 2)."""
+    return _pairs(seed, first_lane, n_lanes, block, lambda u: u)
+
+
+def normal_pairs(seed: int, first_lane: int, n_lanes: int, block: int = 0) -> np.ndarray:
+    """Two independent N(0,1) variates per lane of the run, shape (n_lanes, 2)."""
+    return _pairs(seed, first_lane, n_lanes, block, std_normal_quantile)

@@ -182,7 +182,7 @@ class TestClaimValue:
         # oracle: restart the exact risk-neutral solution from (s_t, i_t)
         n = 10**6
         tau = set_a.t - t
-        xi = rng.normal_pairs(404, np.arange(n))
+        xi = rng.normal_pairs(404, 0, n)
         sq = math.sqrt(tau)
         i_term = i_t * np.exp((set_a.r - 0.5 * red.norm_i**2) * tau
                               + sq * (xi @ red.sigma_i_bar))

@@ -46,7 +46,7 @@ class TestWilsonCI:
         # must cover p in at least 93% of them
         p_true = 0.3
         reps, n = 1000, 1000
-        u = rng.uniform_pairs(8888, np.arange(reps * n // 2)).reshape(reps, n)
+        u = rng.uniform_pairs(8888, 0, reps * n // 2).reshape(reps, n)
         covered = 0
         for k in range(reps):
             successes = int((u[k] < p_true).sum())
@@ -226,6 +226,14 @@ class TestLemmaCrosscheck:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             lemma_crosscheck(0, seed=1)
+
+    def test_largest_seed_wraps_the_monte_carlo_seeds(self):
+        from eihlab.quadrature import halfspace_monte_carlo
+        rows = lemma_crosscheck(2, seed=2**64 - 1, n_mc=100)
+        for trial, row in enumerate(rows):
+            u, v = (row["u1"], row["u2"]), (row["v1"], row["v2"])
+            mc = halfspace_monte_carlo(u, v, row["c"], 100, trial)
+            assert (row["mc_mean"], row["mc_se"]) == mc
 
 
 class TestHedgingStudy:

@@ -244,6 +244,27 @@ class TestSimulatePath:
                 assert np.array_equal(getattr(one, name)[0], getattr(batch, name)[k])
 
 
+class TestPathRange:
+    # paths are counter lanes in [0, 2^64): a run outside is an error,
+    # not a wrapped or overflowing counter
+    @pytest.mark.parametrize("first_path, n_paths", [(-1, 1), (-2, 3), (2**64 - 2, 3), (2**64, 1)])
+    def test_rejects_paths_outside_the_lanes(self, set_a, first_path, n_paths):
+        with pytest.raises(ValueError, match="must lie in"):
+            simulate_terminal(set_a, Measure.PHYSICAL, n_paths, 1, first_path=first_path)
+        with pytest.raises(ValueError, match="must lie in"):
+            simulate_paths(set_a, Measure.PHYSICAL, 4, n_paths, 1, first_path=first_path)
+
+    def test_last_lane_is_a_valid_path(self, set_a):
+        last = 2**64 - 1
+        one = simulate_terminal(set_a, Measure.PHYSICAL, 1, 1, first_path=last)
+        two = simulate_terminal(set_a, Measure.PHYSICAL, 2, 1, first_path=last - 1)
+        assert one.index[0] == two.index[1] and one.stock[0] == two.stock[1]
+        path = simulate_paths(set_a, Measure.PHYSICAL, 4, 1, 1, first_path=last)
+        paths = simulate_paths(set_a, Measure.PHYSICAL, 4, 2, 1, first_path=last - 1)
+        assert np.array_equal(path.index_values[0], paths.index_values[1])
+        assert np.all(np.isfinite(path.stock_values))
+
+
 class TestLogRatioLaw:
     def test_reference_values(self, set_a):
         law = log_ratio_law(set_a)

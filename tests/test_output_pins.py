@@ -45,18 +45,18 @@ CASES = {
                        "--seed", "20"),
 }
 
-# (exit code, SHA-256 of stdout) on random stream "v2"
+# (exit code, SHA-256 of stdout) on random stream "v3"
 PINS = {
-    "hedge": (0, "231b2732f9e2e6157849a0b3a6e2d035b9e246723de8ab2c208981f959ddf2b0"),
-    "simulate_steps": (0, "1e14b5c5054f2db70b2242886715bfce2095f740aa7ecb6b7b994f5af944f7cd"),
-    "simulate_terminal": (0, "8da7e95ee875f48938dcc67f4fd0dca3dd38605ebf0923c4915ae0b7ffcf18cb"),
-    "table_convergence": (0, "086ef988e6173dc0f7bd74250cf651bedaf719eadee5ac56377addf8ac68b824"),
-    "verify_index_fails": (0, "8dc65137e61428510dc40de33436738cdef46f6d6feb96384e7b6750569927e0"),
-    "verify_index_holds": (3, "4f0aefcbce86105efff5c69557eae47fb94bc489bb4371e4ed92a42a2d66b32c"),
-    "verify_mu_bis_fails": (0, "c06ecef4597a9d8ac90eceda5150224874b2f37739cdcd4687f8b915e425691e"),
+    "hedge": (0, "c1639d1fb4d4ebadbabc4bf5b61bf02e3690524db270c663acc99c054712e30e"),
+    "simulate_steps": (0, "3377787d0363c26e8772bcbf5c243f973a0d4524dadfa4109850f807e7395348"),
+    "simulate_terminal": (0, "d1037f2e729e26d5d000ba55d757f14ac8d5e1508065492b81c43943902e0dc4"),
+    "table_convergence": (0, "c072526f494b99ba6917f58fbbbf46834aa6b0a9a9ebac4fe62cd4d29da863f1"),
+    "verify_index_fails": (0, "9f7b1f13361852f54864c4abc78e235da0ca52dec7d54260eabd0acdc2194777"),
+    "verify_index_holds": (3, "56251f0adcaeac8b40152a02b5477a564e831f4a291fde3524300d93574cbfe8"),
+    "verify_mu_bis_fails": (0, "2145329ef38c90bf149fbb383437903807a7c581305001911875abbc5008e0e9"),
     "verify_mu_bis_holds": (3, "4426a7cea320e3160bf72cb884c67c5d434582d710356f80a73f7c597b6da889"),
-    "verify_two_sided_fails": (0, "2489fd9d1fa44a010472c7ea7eb065dce65cba89201b14c0c8b70291211bbef3"),
-    "verify_two_sided_holds": (0, "e081da3ebe8eced1adaf55a26ca8dadc1afea3d31372b66ad10915790149da79"),
+    "verify_two_sided_fails": (0, "26faa12b90dcf0aed01c506e67668cf5f035fafb4f3bebf9010e5d2b80c1dc42"),
+    "verify_two_sided_holds": (0, "578ed578e05fb5c16a78b06aa63bcb8788d3d2b5a64e461a6ab1edcc7de38ef2"),
 }
 
 
