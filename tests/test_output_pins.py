@@ -38,6 +38,8 @@ CASES = {
     "verify_index_holds": ("holds", "verify", "--prop", "index", *VERIFY, "--seed", "15"),
     "verify_index_fails": ("fails", "verify", "--prop", "index", *VERIFY, "--seed", "16"),
     "hedge": ("holds", "hedge", "--paths", "1000", "--seed", "17"),
+    # chunks of 4,096 and 904 paths over two workers
+    "hedge_two_chunks": ("holds", "hedge", "--paths", "5000", "--workers", "2", "--seed", "21"),
     "table_convergence": ("holds", "table", "--study", "convergence", "--t-grid", "2.5,10,40",
                           "--paths", "10000", "--seed", "18"),
     "simulate_terminal": ("holds", "simulate", "--paths", "500", "--seed", "19"),
@@ -48,6 +50,7 @@ CASES = {
 # (exit code, SHA-256 of stdout) on random stream "v3"
 PINS = {
     "hedge": (0, "c1639d1fb4d4ebadbabc4bf5b61bf02e3690524db270c663acc99c054712e30e"),
+    "hedge_two_chunks": (0, "6223e65aba2bbc7de09e10860399751769a5bbbf64f92e189cbf4c39cd37c155"),
     "simulate_steps": (0, "3377787d0363c26e8772bcbf5c243f973a0d4524dadfa4109850f807e7395348"),
     "simulate_terminal": (0, "d1037f2e729e26d5d000ba55d757f14ac8d5e1508065492b81c43943902e0dc4"),
     "table_convergence": (0, "c072526f494b99ba6917f58fbbbf46834aa6b0a9a9ebac4fe62cd4d29da863f1"),
