@@ -5,10 +5,14 @@ ratio ``S_T / I_T`` finishes at or beyond a threshold.  Under the
 measure that makes the index the numeraire, the ratio is lognormal with
 volatility ``delta = ||sigma_s - sigma_i||`` and drift ``-delta^2 / 2``,
 so the claim value is the current index level times a normal tail
-probability.  All valuation here flows through that single expression;
-the ``at_most`` direction is priced as one minus the ``at_least``
-probability at the same threshold, which is algebraically identical to
-flipping the sign inside the CDF.
+probability.  All valuation here flows through one private kernel,
+``_valuation``, which computes the standardized distance ``d`` once and
+returns the claim value and, when asked, the replicating units;
+``digital_price``, ``claim_value``, ``hedge_ratios`` and the wealth loop
+in :mod:`eihlab.strategies` all call it.  An ``at_most`` claim is priced
+as ``1 - F(d)`` but hedged with ``F(-d)``.  The two are algebraically
+equal and differ only in rounding; both forms are kept on purpose, so
+that values and hedge ratios keep the exact floats they always had.
 
 Thresholds are computed and stored in log space.  Strategy payoffs and
 event predicates compare ``ln(S_T / I_T)`` against the same stored
@@ -98,11 +102,15 @@ class DigitalSpec:
 
 
 class HedgeRatios(NamedTuple):
-    """Replicating positions: stock units, index units, bond leg value."""
+    """Replicating positions: stock units, index units, bond leg value.
 
-    units_s: float
-    units_i: float
-    bond_value: float
+    Each field is a float for scalar prices and an array, elementwise,
+    for array prices.
+    """
+
+    units_s: float | np.ndarray
+    units_i: float | np.ndarray
+    bond_value: float | np.ndarray
 
 
 def gaussian_halfspace_expectation(u, v, c: float):
@@ -146,15 +154,43 @@ def thresholds(reduced: "ReducedParams", horizon: float, delta: float) -> tuple[
     return a, b
 
 
-def _ratio_probability(spec: DigitalSpec, log_ratio, delta_norm: float, tau):
-    """Index-measure probability that the claim pays, from ln(S_t/I_t)."""
+def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_ratio, i_t,
+               hedge: bool):
+    """Claim value at time to expiry ``tau`` and, with ``hedge``, its units.
+
+    ``ratio`` is the numerator over the index (``S_t / I_t``, or the
+    bond's over the index for bond-ratio claims) and ``log_ratio`` its
+    ``np.log``; callers that value several claims on
+    one ratio compute both once.  Returns ``(value, units_s, units_i,
+    hedge_prob)``: the value is ``i_t`` times the index-measure
+    probability that the claim pays, and without ``hedge`` the other
+    three are None.  ``hedge_prob`` is ``F(sign * d)``, which for an
+    ``at_most`` claim is a second CDF evaluation (see the module
+    docstring).
+    """
     scale = delta_norm * np.sqrt(tau)
-    d = (np.asarray(log_ratio, dtype=float) - spec.log_threshold
-         - 0.5 * delta_norm * delta_norm * tau) / scale
+    d = (log_ratio - spec.log_threshold - 0.5 * delta_norm * delta_norm * tau) / scale
     p = std_normal_cdf(d)
-    if spec.direction is Direction.AT_MOST:
-        p = 1.0 - p
-    return p
+    at_least = spec.direction is Direction.AT_LEAST
+    value = i_t * (p if at_least else 1.0 - p)
+    if not hedge:
+        return value, None, None, None
+    sign = 1.0 if at_least else -1.0
+    prob = p if at_least else std_normal_cdf(-d)
+    density = std_normal_pdf(d)
+    units_s = sign * density / (ratio * scale)
+    units_i = prob - sign * density / scale
+    return value, units_s, units_i, prob
+
+
+def _check_valuation(t: float, horizon: float, s_t, i_t) -> tuple[np.ndarray, np.ndarray]:
+    if not 0.0 <= t < horizon:
+        raise ValueError("valuation time must satisfy 0 <= t < horizon")
+    s_t = np.asarray(s_t, dtype=float)
+    i_t = np.asarray(i_t, dtype=float)
+    if np.any(s_t <= 0.0) or np.any(i_t <= 0.0):
+        raise ValueError("prices must be strictly positive")
+    return s_t, i_t
 
 
 def digital_price(reduced: "ReducedParams", spec: DigitalSpec, tau: float) -> float:
@@ -164,7 +200,7 @@ def digital_price(reduced: "ReducedParams", spec: DigitalSpec, tau: float) -> fl
     delta_norm = reduced.delta_norm
     if delta_norm == 0.0:
         raise ValueError("reduced volatility pair must differ")
-    return float(_ratio_probability(spec, 0.0, delta_norm, tau))
+    return float(_valuation(spec, delta_norm, tau, 1.0, 0.0, 1.0, hedge=False)[0])
 
 
 def claim_value(
@@ -180,15 +216,11 @@ def claim_value(
     Scalar prices give a float; arrays broadcast elementwise.  The value
     is degree-1 homogeneous in ``(s_t, i_t)`` and nonnegative.
     """
-    if not 0.0 <= t < horizon:
-        raise ValueError("valuation time must satisfy 0 <= t < horizon")
-    s_t = np.asarray(s_t, dtype=float)
-    i_t = np.asarray(i_t, dtype=float)
-    if np.any(s_t <= 0.0) or np.any(i_t <= 0.0):
-        raise ValueError("prices must be strictly positive")
-    tau = horizon - t
-    value = i_t * _ratio_probability(spec, np.log(s_t / i_t), reduced.delta_norm, tau)
-    return float(value) if value.ndim == 0 else value
+    s_t, i_t = _check_valuation(t, horizon, s_t, i_t)
+    ratio = s_t / i_t
+    value = _valuation(spec, reduced.delta_norm, horizon - t, ratio, np.log(ratio), i_t,
+                       hedge=False)[0]
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def hedge_ratios(
@@ -205,24 +237,11 @@ def hedge_ratios(
     homogeneous in the two assets, the residual bond leg vanishes
     (returned as the computed residual, a hard zero up to rounding).
     """
-    if not 0.0 <= t < horizon:
-        raise ValueError("valuation time must satisfy 0 <= t < horizon")
-    s_t = np.asarray(s_t, dtype=float)
-    i_t = np.asarray(i_t, dtype=float)
-    if np.any(s_t <= 0.0) or np.any(i_t <= 0.0):
-        raise ValueError("prices must be strictly positive")
-    tau = horizon - t
-    delta_norm = reduced.delta_norm
-    scale = delta_norm * np.sqrt(tau)
+    s_t, i_t = _check_valuation(t, horizon, s_t, i_t)
     ratio = s_t / i_t
-    d = (np.log(ratio) - spec.log_threshold - 0.5 * delta_norm * delta_norm * tau) / scale
-    sign = 1.0 if spec.direction is Direction.AT_LEAST else -1.0
-    density = std_normal_pdf(d)
-    prob = std_normal_cdf(sign * d)
-    units_s = sign * density / (ratio * scale)
-    units_i = prob - sign * density / scale
-    value = i_t * prob
-    bond = value - units_s * s_t - units_i * i_t
-    if np.asarray(units_s).ndim == 0:
+    _, units_s, units_i, prob = _valuation(spec, reduced.delta_norm, horizon - t, ratio,
+                                           np.log(ratio), i_t, hedge=True)
+    bond = i_t * prob - units_s * s_t - units_i * i_t
+    if np.ndim(units_s) == 0:
         return HedgeRatios(float(units_s), float(units_i), float(bond))
     return HedgeRatios(units_s, units_i, bond)

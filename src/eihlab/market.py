@@ -198,7 +198,12 @@ class LogRatioLaw(NamedTuple):
 
 
 class PathBatch(NamedTuple):
-    """Vectorized paths: times (m+1,), prices (n, m+1), increments (n, m, 2)."""
+    """Vectorized paths: times (m+1,), prices (n, m+1), increments (n, m, 2).
+
+    The price grids are column-major (Fortran order): the same shapes and
+    values as row-major grids, laid out so that the prices of all paths
+    at one time are contiguous, as the per-step wealth loop reads them.
+    """
 
     times: np.ndarray
     index_values: np.ndarray
@@ -257,9 +262,10 @@ def paths_from_increments(
 
     def levels(mu: float, sigma_bar: np.ndarray) -> np.ndarray:
         steps = (mu - 0.5 * float(sigma_bar @ sigma_bar)) * dt + increments @ sigma_bar
-        out = np.empty((n, times.size))
+        out = np.empty((n, times.size), order="F")
         out[:, 0] = 1.0
-        np.exp(np.cumsum(steps, axis=1), out=out[:, 1:])
+        np.cumsum(steps, axis=1, out=out[:, 1:])
+        np.exp(out[:, 1:], out=out[:, 1:])
         return out
 
     return PathBatch(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import DigitalSpec, Direction, claim_value, hedge_ratios, log_thresholds
+from .analytic import DigitalSpec, Direction, _valuation, log_thresholds
 from .market import MarketParams, PathBatch, ReducedParams
 from .normal import cached_upper_quantile
 
@@ -288,14 +288,6 @@ def _terminal_log_ratio(
     return params.r * params.t - np.log(i_terminal)
 
 
-def _running_numerator(
-    comp_underlying: Underlying, params: MarketParams, t: float, stock_t
-) -> np.ndarray:
-    if comp_underlying is Underlying.STOCK:
-        return np.asarray(stock_t, dtype=float)
-    return np.asarray(math.exp(params.r * t))
-
-
 def terminal_wealth(strategy: PrudentStrategy, params: MarketParams, i_terminal, s_terminal):
     """Exact terminal wealth of the basket on given terminal prices."""
     i_terminal = np.asarray(i_terminal, dtype=float)
@@ -371,6 +363,13 @@ def wealth_tracks(
     Bond-ratio components hedge with the bond and the index; their bond
     position lands in the cash leg via the self-financing residual, so
     only their index units are held.
+
+    Each step takes the ratio and its log once per underlying and makes
+    one valuation per component (values and, on rebalance steps, units
+    together), with the same floats as ``claim_value`` and
+    ``hedge_ratios``.  Prices are checked once per batch.  Both tracks
+    are ``(n_paths, n_times)`` arrays in column-major order, so that a
+    time slice is contiguous.
     """
     if not rebalance_cutoff < params.t:
         raise ValueError("rebalance cutoff must precede the horizon")
@@ -378,28 +377,43 @@ def wealth_tracks(
     index_values = batch.index_values
     stock_values = batch.stock_values
     n, m_plus_1 = index_values.shape
-    analytic = np.zeros((n, m_plus_1))
-    hedged = np.empty((n, m_plus_1))
+    live = times[:-1]
+    if not np.all((live >= 0.0) & (live < params.t)):
+        raise ValueError("valuation time must satisfy 0 <= t < horizon")
+    underlyings = {comp.underlying for comp in strategy.components}
+    bond_levels = [math.exp(params.r * float(t)) for t in live]
+    if (np.any(index_values[:, :-1] <= 0.0)
+            or (Underlying.STOCK in underlyings and np.any(stock_values[:, :-1] <= 0.0))
+            or (Underlying.BOND in underlyings and min(bond_levels, default=1.0) <= 0.0)):
+        raise ValueError("prices must be strictly positive")
+    analytic = np.zeros((n, m_plus_1), order="F")
+    hedged = np.empty((n, m_plus_1), order="F")
     h_stock = np.zeros(n)
     h_index = np.zeros(n)
     for k in range(m_plus_1 - 1):
         t = float(times[k])
+        tau = params.t - t
         stock_t = stock_values[:, k]
         index_t = index_values[:, k]
         rebalance = t <= rebalance_cutoff
         if rebalance:
             h_stock = np.zeros(n)
             h_index = np.zeros(n)
+        ratios = {}
+        for underlying in underlyings:
+            numer = stock_t if underlying is Underlying.STOCK else bond_levels[k]
+            ratio = numer / index_t
+            ratios[underlying] = ratio, np.log(ratio)
         for comp in strategy.components:
-            numer = _running_numerator(comp.underlying, params, t, stock_t)
-            analytic[:, k] += comp.units * claim_value(
-                comp.reduced, comp.spec, t, numer, index_t, params.t
+            ratio, log_ratio = ratios[comp.underlying]
+            value, units_s, units_i, _ = _valuation(
+                comp.spec, comp.reduced.delta_norm, tau, ratio, log_ratio, index_t, rebalance
             )
+            analytic[:, k] += comp.units * value
             if rebalance:
-                ratios = hedge_ratios(comp.reduced, comp.spec, t, numer, index_t, params.t)
-                h_index += comp.units * np.asarray(ratios.units_i)
+                h_index += comp.units * units_i
                 if comp.underlying is Underlying.STOCK:
-                    h_stock += comp.units * np.asarray(ratios.units_s)
+                    h_stock += comp.units * units_s
         if k == 0:
             hedged[:, 0] = analytic[:, 0]
         cash = hedged[:, k] - h_stock * stock_t - h_index * index_t

@@ -10,6 +10,7 @@ from scipy import stats
 from eihlab.market import (
     MarketParams,
     Measure,
+    drift_pair,
     log_ratio_law,
     paths_from_increments,
     reduce_dimension,
@@ -213,6 +214,25 @@ class TestSimulatePath:
         norm_i_sq = float(set_a.sigma_i @ set_a.sigma_i)
         expected = math.exp((set_a.mu_i - norm_i_sq / 2.0) * set_a.t)
         assert path.index_values[0, -1] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_grids_are_column_major_row_major_bits(self, set_a, measure):
+        # the column-major grids hold exactly the floats of the row-major
+        # cumsum-then-exp on random increments and an uneven time grid
+        rng = np.random.default_rng(808)
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, size=40))])
+        increments = rng.standard_normal((300, 40, 2)) * np.sqrt(np.diff(times))[:, None]
+        batch = paths_from_increments(set_a, measure, times, increments)
+        mu_i, mu_s = drift_pair(set_a, measure)
+        reduced = set_a.reduced
+        for values, mu, sigma_bar in ((batch.index_values, mu_i, reduced.sigma_i_bar),
+                                      (batch.stock_values, mu_s, reduced.sigma_s_bar)):
+            steps = ((mu - 0.5 * float(sigma_bar @ sigma_bar)) * np.diff(times)
+                     + increments @ sigma_bar)
+            assert values.shape == (300, 41)
+            assert values.flags.f_contiguous
+            assert np.all(values[:, 0] == 1.0)
+            assert np.array_equal(values[:, 1:], np.exp(np.cumsum(steps, axis=1)))
 
     @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
     def test_rejects_times_not_increasing_from_zero(self, set_a, times):

@@ -1,12 +1,20 @@
 """Strategy construction, wealth tracking, events, and drift bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eihlab.analytic import DigitalSpec, Direction, digital_price, hedge_ratios
-from eihlab.market import Measure, reduce_dimension, simulate_paths, simulate_terminal
+from eihlab.analytic import DigitalSpec, Direction, claim_value, digital_price, hedge_ratios
+from eihlab.market import (
+    MarketParams,
+    Measure,
+    paths_from_increments,
+    reduce_dimension,
+    simulate_paths,
+    simulate_terminal,
+)
 from eihlab.strategies import (
     Side,
     Underlying,
@@ -25,7 +33,7 @@ from eihlab.strategies import (
     wealth_tracks,
 )
 
-from conftest import random_market
+from conftest import SET_A, random_market
 
 
 class TestTwoSided:
@@ -262,6 +270,98 @@ class TestHedgedWealth:
             track = wealth_tracks(strat, set_a, one, cutoff)
             assert np.array_equal(track.analytic[0], full.analytic[k])
             assert np.array_equal(track.hedged[0], full.hedged[k])
+
+
+def _reference_tracks(strategy, params, batch, cutoff):
+    """The wealth loop written over the public valuation functions: per
+    component, ``claim_value`` then ``hedge_ratios``, each on its own
+    ratio, in row-major arrays."""
+    times = batch.times
+    n, m_plus_1 = batch.index_values.shape
+    analytic = np.zeros((n, m_plus_1))
+    hedged = np.empty((n, m_plus_1))
+    h_stock = np.zeros(n)
+    h_index = np.zeros(n)
+    for k in range(m_plus_1 - 1):
+        t = float(times[k])
+        stock_t = batch.stock_values[:, k]
+        index_t = batch.index_values[:, k]
+        if t <= cutoff:
+            h_stock = np.zeros(n)
+            h_index = np.zeros(n)
+        for comp in strategy.components:
+            if comp.underlying is Underlying.STOCK:
+                numer = stock_t
+            else:
+                numer = np.asarray(math.exp(params.r * t))
+            analytic[:, k] += comp.units * claim_value(
+                comp.reduced, comp.spec, t, numer, index_t, params.t)
+            if t <= cutoff:
+                ratios = hedge_ratios(comp.reduced, comp.spec, t, numer, index_t, params.t)
+                h_index += comp.units * ratios.units_i
+                if comp.underlying is Underlying.STOCK:
+                    h_stock += comp.units * ratios.units_s
+        if k == 0:
+            hedged[:, 0] = analytic[:, 0]
+        cash = hedged[:, k] - h_stock * stock_t - h_index * index_t
+        growth = math.exp(params.r * float(times[k + 1] - times[k]))
+        hedged[:, k + 1] = (h_stock * batch.stock_values[:, k + 1]
+                            + h_index * batch.index_values[:, k + 1] + cash * growth)
+    analytic[:, -1] = terminal_wealth(
+        strategy, params, batch.index_values[:, -1], batch.stock_values[:, -1])
+    return analytic, hedged
+
+
+class TestWealthLoop:
+    # SET_A holds its cor_3delta tails at_most, mu_i = 0 at_least; both
+    # have stock and bond components
+    @pytest.mark.parametrize("mu_i,variant", [(0.06, "two_sided"), (0.06, "cor_3delta"),
+                                              (0.0, "cor_3delta")])
+    @pytest.mark.parametrize("cutoff", [4.6, -1.0])
+    def test_equals_public_function_loop(self, mu_i, variant, cutoff):
+        params = MarketParams(**{**SET_A, "mu_i": mu_i})
+        if variant == "two_sided":
+            strat = build_two_sided(params, 0.05)
+        else:
+            strat = build_capm_composite(params, 0.05, 0.05, variant)
+        batch = simulate_paths(params, Measure.PHYSICAL, 24, 300, 29)
+        track = wealth_tracks(strat, params, batch, cutoff)
+        analytic, hedged = _reference_tracks(strat, params, batch, cutoff)
+        assert np.array_equal(track.analytic, analytic)
+        assert np.array_equal(track.hedged, hedged)
+
+    def test_both_directions_on_both_underlyings(self):
+        kinds = set()
+        for mu_i in (0.06, 0.0):
+            strat = build_capm_composite(MarketParams(**{**SET_A, "mu_i": mu_i}),
+                                         0.05, 0.05, "cor_3delta")
+            kinds |= {(c.underlying, c.spec.direction) for c in strat.components}
+        assert kinds == {(u, d) for u in Underlying for d in Direction}
+
+    @pytest.mark.parametrize("driver", [0, 1])
+    def test_underflowed_prices_are_rejected(self, set_a, driver):
+        # a huge negative increment on driver 0 sends both prices to 0.0,
+        # on driver 1 only the stock (the index does not load on it)
+        increments = np.zeros((3, 4, 2))
+        increments[1, 1, driver] = -1e4
+        batch = paths_from_increments(set_a, Measure.PHYSICAL,
+                                      np.linspace(0.0, set_a.t, 5), increments)
+        assert batch.stock_values[1, 2] == 0.0
+        assert (batch.index_values[1, 2] == 0.0) == (driver == 0)
+        strat = build_two_sided(set_a, 0.05)
+        with pytest.raises(ValueError, match="strictly positive"):
+            wealth_tracks(strat, set_a, batch, _cutoff(set_a, 4))
+
+    def test_peak_memory_is_the_two_tracks(self, set_a):
+        strat = build_two_sided(set_a, 0.05)
+        batch = simulate_paths(set_a, Measure.PHYSICAL, 512, 4096, 30)
+        tracemalloc.start()
+        try:
+            track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, 512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= track.analytic.nbytes + track.hedged.nbytes + 2 * 2**20
 
 
 class TestEvents:
