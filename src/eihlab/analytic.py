@@ -160,13 +160,12 @@ def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_rati
 
     ``ratio`` is the numerator over the index (``S_t / I_t``, or the
     bond's over the index for bond-ratio claims) and ``log_ratio`` its
-    ``np.log``; callers that value several claims on
-    one ratio compute both once.  Returns ``(value, units_s, units_i,
-    hedge_prob)``: the value is ``i_t`` times the index-measure
-    probability that the claim pays, and without ``hedge`` the other
-    three are None.  ``hedge_prob`` is ``F(sign * d)``, which for an
-    ``at_most`` claim is a second CDF evaluation (see the module
-    docstring).
+    ``np.log``; callers that value several claims on one ratio compute
+    both once.  Returns ``(value, units_s, units_i, hedge_prob)``: the
+    value is ``i_t`` times the index-measure probability that the claim
+    pays, and without ``hedge`` the other three are None.
+    ``hedge_prob`` is ``F(sign * d)``, which for an ``at_most`` claim is
+    a second CDF evaluation (see the module docstring).
     """
     scale = delta_norm * np.sqrt(tau)
     d = (log_ratio - spec.log_threshold - 0.5 * delta_norm * delta_norm * tau) / scale
@@ -220,7 +219,7 @@ def claim_value(
     ratio = s_t / i_t
     value = _valuation(spec, reduced.delta_norm, horizon - t, ratio, np.log(ratio), i_t,
                        hedge=False)[0]
-    return float(value) if np.ndim(value) == 0 else value
+    return float(value) if value.ndim == 0 else value
 
 
 def hedge_ratios(
@@ -242,6 +241,6 @@ def hedge_ratios(
     _, units_s, units_i, prob = _valuation(spec, reduced.delta_norm, horizon - t, ratio,
                                            np.log(ratio), i_t, hedge=True)
     bond = i_t * prob - units_s * s_t - units_i * i_t
-    if np.ndim(units_s) == 0:
+    if np.asarray(units_s).ndim == 0:
         return HedgeRatios(float(units_s), float(units_i), float(bond))
     return HedgeRatios(units_s, units_i, bond)
