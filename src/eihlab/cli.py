@@ -2,7 +2,9 @@
 
 Market parameters come from a flat key-value config file (``key = value``
 per line, ``#`` comments); run options can be overridden by flags, with
-precedence flag > EIHLAB_SEED (seed only) > config > default.  Reports
+precedence flag > EIHLAB_SEED (seed only) > config > default.  Each
+command accepts ``--config``, ``--out`` and only the run flags it reads
+(``_COMMANDS``); any other flag is a usage error.  Reports
 are a single JSON object on stdout, tables are CSV with 17-significant-
 digit floats; diagnostics go to stderr.  Exit codes: 0 pass, 1 fail,
 2 usage error, 3 inconclusive.
@@ -66,6 +68,26 @@ _RUN_DEFAULTS = {
     "market.r": "0.0",
     "market.t": "1.0",
 }
+
+
+# argparse settings of the run flags; each command takes those it reads
+_FLAGS = {
+    "--seed": {"type": int, "metavar": "U64"},
+    "--paths": {"type": int, "metavar": "N"},
+    "--steps": {"type": int, "metavar": "N"},
+    "--delta": {"type": float, "metavar": "F"},
+    "--eps": {"type": float, "metavar": "F"},
+    "--measure": {"choices": ["physical", "risk-neutral"]},
+    "--workers": {"type": int, "metavar": "N"},
+    "--t-grid": {"metavar": "T1,T2,..."},
+    "--prop": {"required": True, "metavar": "NAME", "help": "two_sided, mu_bis, or index"},
+    "--study": {"required": True, "choices": ["convergence", "lemma"]},
+}
+
+# flag destination -> the config key it overrides; ``str`` of a float
+# flag is its ``repr``, so the value reads back as the same float
+_OVERRIDES = {"paths": "run.n_paths", "delta": "run.delta", "eps": "run.eps",
+              "measure": "run.measure", "workers": "run.workers", "t_grid": "run.t_grid"}
 
 
 class UsageError(Exception):
@@ -163,18 +185,10 @@ def _resolve_seed(args, values: dict[str, str]) -> int:
 
 
 def _apply_overrides(args, values: dict[str, str]) -> None:
-    if getattr(args, "paths", None) is not None:
-        values["run.n_paths"] = str(args.paths)
-    if getattr(args, "delta", None) is not None:
-        values["run.delta"] = repr(args.delta)
-    if getattr(args, "eps", None) is not None:
-        values["run.eps"] = repr(args.eps)
-    if getattr(args, "measure", None) is not None:
-        values["run.measure"] = args.measure
-    if getattr(args, "workers", None) is not None:
-        values["run.workers"] = str(args.workers)
-    if getattr(args, "t_grid", None) is not None:
-        values["run.t_grid"] = args.t_grid
+    for dest, key in _OVERRIDES.items():
+        flag = getattr(args, dest, None)
+        if flag is not None:
+            values[key] = str(flag)
 
 
 def _measure(values: dict[str, str]) -> Measure:
@@ -257,9 +271,7 @@ def _band_edges(params: MarketParams, delta: float) -> tuple[float, float, float
     return (a, b, *log_thresholds(params.reduced.delta_norm, params.t, delta))
 
 
-def cmd_price(args) -> int:
-    values = load_config(args.config)
-    _apply_overrides(args, values)
+def cmd_price(args, values: dict[str, str]) -> int:
     params = market_from_config(values)
     delta = _real(values, "run.delta")
     a, b, log_a, log_b = _band_edges(params, delta)
@@ -280,9 +292,7 @@ def cmd_price(args) -> int:
     return EXIT_PASS
 
 
-def cmd_thresholds(args) -> int:
-    values = load_config(args.config)
-    _apply_overrides(args, values)
+def cmd_thresholds(args, values: dict[str, str]) -> int:
     params = market_from_config(values)
     delta = _real(values, "run.delta")
     a, b, log_a, log_b = _band_edges(params, delta)
@@ -292,9 +302,7 @@ def cmd_thresholds(args) -> int:
     return EXIT_PASS
 
 
-def cmd_simulate(args) -> int:
-    values = load_config(args.config)
-    _apply_overrides(args, values)
+def cmd_simulate(args, values: dict[str, str]) -> int:
     params = market_from_config(values)
     seed = _resolve_seed(args, values)
     measure = _measure(values)
@@ -330,9 +338,7 @@ def _experiment_config(args, values: dict[str, str]) -> experiments.ExperimentCo
         raise UsageError(str(exc)) from exc
 
 
-def cmd_verify(args) -> int:
-    values = load_config(args.config)
-    _apply_overrides(args, values)
+def cmd_verify(args, values: dict[str, str]) -> int:
     if args.prop not in experiments.PROPOSITIONS:
         raise UsageError(f"unknown proposition {args.prop!r}; "
                          f"expected one of {sorted(experiments.PROPOSITIONS)}")
@@ -347,9 +353,7 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL
 
 
-def cmd_hedge(args) -> int:
-    values = load_config(args.config)
-    _apply_overrides(args, values)
+def cmd_hedge(args, values: dict[str, str]) -> int:
     config = _experiment_config(args, values)
     rows = experiments.hedging_fidelity_study(config)
     header = ["n_steps", "median_abs_error", "rms_error", "max_abs_error",
@@ -358,32 +362,9 @@ def cmd_hedge(args) -> int:
     return EXIT_PASS
 
 
-def cmd_table(args) -> int:
-    values = load_config(args.config)
-    _apply_overrides(args, values)
+def cmd_table(args, values: dict[str, str]) -> int:
     params = market_from_config(values)
     seed = _resolve_seed(args, values)
-    delta = _real(values, "run.delta")
-    eps = _real(values, "run.eps")
-    n_workers = _integer(values, "run.workers")
-    if args.study == "convergence":
-        grid_text = values["run.t_grid"].strip()
-        if not grid_text:
-            raise UsageError("convergence table needs run.t_grid (or --t-grid)")
-        try:
-            t_grid = [float(x) for x in grid_text.split(",")]
-            study = experiments.capm_convergence_study(
-                params, delta, eps, t_grid,
-                n_paths=_integer(values, "run.n_paths"), seed=seed, n_workers=n_workers,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        header = ["horizon", "width_mu_bis", "width_index", "width_capm1",
-                  "width_capm_final", "tpd_mc_mean", "tpd_target", "tpd_se"]
-        for name, slope in study.slopes.items():
-            print(f"log-log slope {name}: {slope:.12f}", file=sys.stderr)
-        _emit(_table_csv(header, study.rows), args.out)
-        return EXIT_PASS
     if args.study == "lemma":
         try:
             rows = experiments.lemma_crosscheck(
@@ -396,9 +377,42 @@ def cmd_table(args) -> int:
                   "abs_gap", "mc_mean", "mc_se"]
         _emit(_table_csv(header, rows), args.out)
         return EXIT_PASS
-    if args.study == "hedging":
-        return cmd_hedge(args)
-    raise UsageError(f"unknown study: {args.study!r}")
+    delta = _real(values, "run.delta")
+    eps = _real(values, "run.eps")
+    n_workers = _integer(values, "run.workers")
+    grid_text = values["run.t_grid"].strip()
+    if not grid_text:
+        raise UsageError("convergence table needs run.t_grid (or --t-grid)")
+    try:
+        t_grid = [float(x) for x in grid_text.split(",")]
+        study = experiments.capm_convergence_study(
+            params, delta, eps, t_grid,
+            n_paths=_integer(values, "run.n_paths"), seed=seed, n_workers=n_workers,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    header = ["horizon", "width_mu_bis", "width_index", "width_capm1",
+              "width_capm_final", "tpd_mc_mean", "tpd_target", "tpd_se"]
+    for name, slope in study.slopes.items():
+        print(f"log-log slope {name}: {slope:.12f}", file=sys.stderr)
+    _emit(_table_csv(header, study.rows), args.out)
+    return EXIT_PASS
+
+
+# command -> (handler, help, the flags it reads besides --config and
+# --out); the flags in a tuple exclude each other
+_COMMANDS = {
+    "price": (cmd_price, "thresholds and digital component prices", ("--delta",)),
+    "thresholds": (cmd_thresholds, "band edges for a given delta", ("--delta",)),
+    "simulate": (cmd_simulate, "terminal pairs (or one path with --steps)",
+                 ("--seed", ("--paths", "--steps"), "--measure")),
+    "hedge": (cmd_hedge, "discrete replication fidelity table",
+              ("--seed", "--paths", "--delta", "--workers")),
+    "verify": (cmd_verify, "run a proposition experiment",
+               ("--prop", "--seed", "--paths", "--delta", "--eps", "--workers")),
+    "table": (cmd_table, "emit a study as CSV",
+              ("--study", "--t-grid", "--seed", "--paths", "--delta", "--eps", "--workers")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,53 +421,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Digital-claim strategies on an index: pricing, simulation, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="flat key-value config file")
-        p.add_argument("--seed", type=int, metavar="U64")
-        p.add_argument("--paths", type=int, metavar="N")
-        p.add_argument("--steps", type=int, metavar="N")
-        p.add_argument("--delta", type=float, metavar="F")
-        p.add_argument("--eps", type=float, metavar="F")
         p.add_argument("--out", metavar="PATH", help="also write the report here")
-        p.add_argument("--measure", choices=["physical", "risk-neutral"])
-        p.add_argument("--workers", type=int, metavar="N")
-
-    p = sub.add_parser("price", help="thresholds and digital component prices")
-    add_common(p)
-    p.set_defaults(func=cmd_price)
-
-    p = sub.add_parser("thresholds", help="band edges for a given delta")
-    add_common(p)
-    p.set_defaults(func=cmd_thresholds)
-
-    p = sub.add_parser("simulate", help="terminal pairs (or one path with --steps)")
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("hedge", help="discrete replication fidelity table")
-    add_common(p)
-    p.set_defaults(func=cmd_hedge)
-
-    p = sub.add_parser("verify", help="run a proposition experiment")
-    add_common(p)
-    p.add_argument("--prop", required=True, metavar="NAME",
-                   help="two_sided, mu_bis, or index")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("table", help="emit a study as CSV")
-    add_common(p)
-    p.add_argument("--study", required=True, choices=["convergence", "lemma", "hedging"])
-    p.add_argument("--t-grid", dest="t_grid", metavar="T1,T2,...")
-    p.set_defaults(func=cmd_table)
+        for flag in flags:
+            if isinstance(flag, tuple):
+                group = p.add_mutually_exclusive_group()
+                for one in flag:
+                    group.add_argument(one, **_FLAGS[one])
+            else:
+                p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        values = load_config(args.config)
+        _apply_overrides(args, values)
+        return args.func(args, values)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

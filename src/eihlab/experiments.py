@@ -31,7 +31,7 @@ import numpy as np
 
 from . import strategies
 from .market import MarketParams, Measure, TerminalSample, simulate_paths, simulate_terminal
-from .normal import std_normal_cdf, upper_quantile
+from .normal import cached_upper_quantile, std_normal_cdf
 from .quadrature import halfspace_monte_carlo, halfspace_quadrature
 from .rng import uniform_pairs
 from .strategies import (
@@ -48,7 +48,7 @@ from .strategies import (
 
 CHUNK_PATHS = 1 << 16
 
-_Z95 = float(upper_quantile(0.025))
+_Z95 = cached_upper_quantile(0.025)
 
 PASS = "pass"
 FAIL = "fail"
@@ -141,7 +141,7 @@ def one_sided_beat_probability(
     gap: float, delta_norm: float, horizon: float, delta: float
 ) -> float:
     """Exact firing probability of the sign-matched one-sided strategy."""
-    z = float(upper_quantile(delta))
+    z = cached_upper_quantile(delta)
     shift = abs(gap) * math.sqrt(horizon) / delta_norm
     return float(std_normal_cdf(shift - z))
 
@@ -161,7 +161,8 @@ def mu_bis_boundary_params(
     outside the bound in floating point as well.
     """
     sqrt_t = math.sqrt(params.t)
-    width = float(upper_quantile(delta) + upper_quantile(eps)) * params.spread_norm / sqrt_t
+    width = ((cached_upper_quantile(delta) + cached_upper_quantile(eps))
+             * params.spread_norm / sqrt_t)
     gap = margin * width * (1.0 + 1e-12)
     base = exact_capm_params(params)
     return replace(base, mu_s=base.mu_s + gap)
@@ -225,7 +226,7 @@ def _index_extras(config: ExperimentConfig, counts: tuple[int, ...]) -> dict:
         "recover_ci_high": recover_ci[1],
         "recover_target": band_probability(
             bond_drift_gap(params), params.reduced_vs_bond.delta_norm, params.t,
-            float(upper_quantile(config.delta / 2.0)),
+            cached_upper_quantile(config.delta / 2.0),
         ),
     }
 
@@ -253,7 +254,7 @@ PROPOSITIONS = {
     "two_sided": Proposition(
         None, _two_sided_counts,
         lambda c: band_probability(drift_gap(c.params), c.params.reduced.delta_norm, c.params.t,
-                                   float(upper_quantile(c.delta / 2.0))),
+                                   cached_upper_quantile(c.delta / 2.0)),
         "equals",
     ),
     "mu_bis": Proposition(

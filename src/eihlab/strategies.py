@@ -175,14 +175,12 @@ def _one_sided_component(
     delta: float,
     side: Side,
 ) -> DigitalComponent:
-    z = cached_upper_quantile(delta)
-    delta_norm = reduced.delta_norm
-    center = -0.5 * delta_norm * delta_norm * horizon
-    width = z * delta_norm * math.sqrt(horizon)
+    # a band of tail mass 2 delta has one tail of mass delta on each side
+    log_a, log_b = log_thresholds(reduced.delta_norm, horizon, 2.0 * delta)
     if side is Side.UPPER:
-        spec = DigitalSpec.at_log_level(Direction.AT_LEAST, center + width)
+        spec = DigitalSpec.at_log_level(Direction.AT_LEAST, log_b)
     else:
-        spec = DigitalSpec.at_log_level(Direction.AT_MOST, center - width)
+        spec = DigitalSpec.at_log_level(Direction.AT_MOST, log_a)
     return DigitalComponent(
         spec=spec,
         reduced=reduced,

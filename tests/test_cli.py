@@ -46,6 +46,17 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def run_rejected(capsys, *argv) -> None:
+    """Run ``argv``, which argparse must reject: exit 2, nothing on
+    stdout and one ``error:`` line on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
 class TestPrice:
     def test_reference_prices(self, capsys, config_path):
         code, out, _ = run_cli(capsys, "price", "--config", config_path)
@@ -291,6 +302,42 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and "underflows" in err
 
 
+# the run flags each command accepts besides --config and --out, and the
+# arguments it cannot run without
+ACCEPTED_FLAGS = {
+    "price": {"--delta"},
+    "thresholds": {"--delta"},
+    "simulate": {"--seed", "--paths", "--steps", "--measure"},
+    "hedge": {"--seed", "--paths", "--delta", "--workers"},
+    "verify": {"--prop", "--seed", "--paths", "--delta", "--eps", "--workers"},
+    "table": {"--study", "--t-grid", "--seed", "--paths", "--delta", "--eps", "--workers"},
+}
+REQUIRED_ARGS = {"verify": ("--prop", "two_sided"), "table": ("--study", "lemma")}
+# a valid value of each run flag that some command does not read
+FOREIGN_VALUES = {"--seed": "1", "--paths": "10", "--steps": "4", "--delta": "0.05",
+                  "--eps": "0.05", "--measure": "physical", "--workers": "1"}
+
+
+class TestFlagSets:
+    @pytest.mark.parametrize("command", sorted(ACCEPTED_FLAGS))
+    def test_each_command_has_exactly_its_flags(self, command):
+        args = cli.build_parser().parse_args([command, *REQUIRED_ARGS.get(command, ())])
+        flags = ACCEPTED_FLAGS[command] | {"--config", "--out"}
+        assert set(vars(args)) - {"command", "func"} == {
+            flag[2:].replace("-", "_") for flag in flags}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in sorted(ACCEPTED_FLAGS)
+        for flag in sorted(FOREIGN_VALUES) if flag not in ACCEPTED_FLAGS[command]])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, capsys, config_path,
+                                                               command, flag):
+        run_rejected(capsys, command, *REQUIRED_ARGS.get(command, ()), "--config", config_path,
+                     flag, FOREIGN_VALUES[flag])
+
+    def test_simulate_takes_paths_or_steps_not_both(self, capsys, config_path):
+        run_rejected(capsys, "simulate", "--config", config_path, "--steps", "4", "--paths", "5")
+
+
 class TestTable:
     def test_convergence_rows(self, capsys, config_path):
         code, out, err = run_cli(
@@ -320,12 +367,17 @@ class TestTable:
             assert float(line.split(",")[gap_col]) <= 1e-8
 
     def test_hedging_table(self, capsys, config_path):
-        code, out, _ = run_cli(capsys, "table", "--config", config_path,
-                               "--study", "hedging", "--paths", "1000")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("n_steps,median_abs_error")
-        assert len(lines) == 5
+        # `hedge` writes that table; its bytes are pinned in test_output_pins
+        run_rejected(capsys, "table", "--config", config_path,
+                     "--study", "hedging", "--paths", "1000")
+
+    def test_lemma_parses_no_convergence_keys(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text(SET_A_CONFIG + "run.delta = abc\nrun.eps = abc\nrun.workers = abc\n")
+        code, out, err = run_cli(capsys, "table", "--config", str(path),
+                                 "--study", "lemma", "--paths", "100")
+        assert (code, err) == (0, "")
+        assert out.startswith("u1,u2,v1,v2,c,")
 
 
 class TestConfigParsing:
@@ -488,11 +540,10 @@ _SEEDS = st.one_of(st.integers(-(2**70), -1), st.integers(0, 1000),
 _REALS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "1", "1e-300"]),
                    st.floats(-1.0, 2.0).map(repr))
 _GRIDS = st.sampled_from(_ODD + ["10", "2.5,10", "10,2.5", "0,1", " 1 , 2 "])
-_COMMANDS = [("price",), ("thresholds",), ("simulate",), ("hedge",),
-             ("verify", "--prop", "two_sided"), ("verify", "--prop", "mu_bis"),
-             ("verify", "--prop", "index"), ("verify", "--prop", "nonsense"),
-             ("table", "--study", "convergence"), ("table", "--study", "lemma"),
-             ("table", "--study", "hedging")]
+_HEADS = [("price",), ("thresholds",), ("simulate",), ("hedge",),
+          ("verify", "--prop", "two_sided"), ("verify", "--prop", "mu_bis"),
+          ("verify", "--prop", "index"), ("verify", "--prop", "nonsense"),
+          ("table", "--study", "convergence"), ("table", "--study", "lemma")]
 # field -> values; "run.*" and "market.*" go to the config file, "--*" to
 # the command line and EIHLAB_SEED to the environment
 _FIELDS = {
@@ -519,13 +570,28 @@ _FIELDS = {
 }
 
 
+def _command_flags(command: str) -> set[str]:
+    """The run flags ``command`` reads, from the CLI's command table."""
+    flags = set()
+    for entry in cli._COMMANDS[command][2]:
+        flags.update(entry if isinstance(entry, tuple) else (entry,))
+    return flags
+
+
 @st.composite
 def _invocations(draw, out_dir):
     """(argv, config text, environment) for one CLI run."""
-    argv = list(draw(st.sampled_from(_COMMANDS)))
+    argv = list(draw(st.sampled_from(_HEADS)))
+    own = _command_flags(argv[0]) | {"--out"}
+    fields = [f for f in sorted(_FIELDS) if not f.startswith("--") or f in own]
+    foreign = [f for f in sorted(_FIELDS) if f not in fields]
+    chosen = draw(st.sets(st.sampled_from(fields), max_size=3))
+    # about one run in five also passes a flag the command does not read
+    if draw(st.integers(0, 4)) == 4:
+        chosen.add(draw(st.sampled_from(foreign)))
     config = {"run.n_paths": "100", "run.trials": "2", "run.t_grid": "2.5,10"}
     env = {}
-    for field in sorted(draw(st.sets(st.sampled_from(sorted(_FIELDS)), max_size=3))):
+    for field in sorted(chosen):
         value = draw(_FIELDS[field])
         if field == "--out":
             argv += [field, str(out_dir / value)]
