@@ -324,12 +324,17 @@ def cmd_simulate(args, values: dict[str, str]) -> int:
     return EXIT_PASS
 
 
-def _experiment_config(args, values: dict[str, str]) -> experiments.ExperimentConfig:
+def _experiment_config(args, values: dict[str, str], *,
+                       reads_eps: bool = True) -> experiments.ExperimentConfig:
+    """The experiment inputs of a run.  With ``reads_eps=False`` (the
+    hedging study reads no eps) ``run.eps`` is not parsed and the config
+    keeps its default eps."""
     try:
+        fields = {"params": market_from_config(values), "delta": _real(values, "run.delta")}
+        if reads_eps:
+            fields["eps"] = _real(values, "run.eps")
         return experiments.ExperimentConfig(
-            params=market_from_config(values),
-            delta=_real(values, "run.delta"),
-            eps=_real(values, "run.eps"),
+            **fields,
             n_paths=_integer(values, "run.n_paths"),
             seed=_resolve_seed(args, values),
             n_workers=_integer(values, "run.workers"),
@@ -354,7 +359,7 @@ def cmd_verify(args, values: dict[str, str]) -> int:
 
 
 def cmd_hedge(args, values: dict[str, str]) -> int:
-    config = _experiment_config(args, values)
+    config = _experiment_config(args, values, reads_eps=False)
     rows = experiments.hedging_fidelity_study(config)
     header = ["n_steps", "median_abs_error", "rms_error", "max_abs_error",
               "analytic_negative_count", "hedged_negative_fraction", "hedged_min_wealth"]
@@ -363,7 +368,6 @@ def cmd_hedge(args, values: dict[str, str]) -> int:
 
 
 def cmd_table(args, values: dict[str, str]) -> int:
-    params = market_from_config(values)
     seed = _resolve_seed(args, values)
     if args.study == "lemma":
         try:
@@ -377,6 +381,7 @@ def cmd_table(args, values: dict[str, str]) -> int:
                   "abs_gap", "mc_mean", "mc_se"]
         _emit(_table_csv(header, rows), args.out)
         return EXIT_PASS
+    params = market_from_config(values)
     delta = _real(values, "run.delta")
     eps = _real(values, "run.eps")
     n_workers = _integer(values, "run.workers")

@@ -16,7 +16,10 @@ they are implementation-side oracles, not quoted results.
 
 Work is split into fixed-size path chunks whose draws depend only on
 (seed, path index); chunk results are combined in chunk order, so a
-report is bit-identical whether computed by one worker or eight.
+report is bit-identical whether computed by one worker or eight.  The
+hedging study also shares draws across step counts: a path chunk draws
+its normals once, for the longest grid, and every grid scales its
+leading steps.
 """
 
 from __future__ import annotations
@@ -30,7 +33,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import strategies
-from .market import MarketParams, Measure, TerminalSample, simulate_paths, simulate_terminal
+from .market import (
+    MarketParams,
+    Measure,
+    TerminalSample,
+    path_normals,
+    paths_from_increments,
+    simulate_terminal,
+)
 from .normal import cached_upper_quantile, std_normal_cdf
 from .quadrature import halfspace_monte_carlo, halfspace_quadrature
 from .rng import uniform_pairs
@@ -461,37 +471,58 @@ def hedging_fidelity_study(
     For each grid resolution, hedges up to one step before expiry and
     reports terminal replication error statistics plus negative-wealth
     excursions of both tracks (the analytic track must never dip).
+
+    Every grid is driven by common normals: step ``k`` of path ``p`` uses
+    the pair at counter ``(seed, p, k)`` on each grid, so a path chunk
+    draws its normals once, for the longest grid, and each shorter grid
+    scales a copy of their leading steps.  The longest grid scales them
+    in place and runs last.  Rows come out in ``step_counts`` order and
+    equal those of :func:`eihlab.market.simulate_paths` run per step count.
     """
+    grids = sorted({int(m) for m in step_counts})
+    if not grids or grids[0] < 1:
+        raise ValueError("step_counts must be positive and nonempty")
     params = config.params
     strategy = strategies.build_two_sided(params, config.delta)
+
+    def hedge(increments: np.ndarray) -> strategies.WealthTrack:
+        n_steps = increments.shape[1]
+        times = np.linspace(0.0, params.t, n_steps + 1)
+        batch = paths_from_increments(params, Measure.PHYSICAL, times, increments)
+        return strategies.wealth_tracks(strategy, params, batch,
+                                        params.t * (1.0 - 1.0 / n_steps))
+
+    def summary(track: strategies.WealthTrack) -> tuple:
+        return (
+            np.abs(track.hedged[:, -1] - track.analytic[:, -1]),
+            int((track.analytic < 0.0).sum()),
+            int((track.hedged.min(axis=1) < 0.0).sum()),
+            float(track.hedged.min()),
+        )
+
+    def chunk(first: int, count: int) -> dict:
+        normals = path_normals(grids[-1], count, config.seed, first_path=first)
+        out = {m: summary(hedge(normals[:, :m] * np.sqrt(params.t / m))) for m in grids[:-1]}
+        # in place, so that the chunk peaks no higher than the longest
+        # grid hedged alone
+        normals *= np.sqrt(params.t / grids[-1])
+        out[grids[-1]] = summary(hedge(normals))
+        return out
+
+    # smaller chunks: a path chunk holds the longest grid's normal pairs
+    results = _map_chunks(config.n_paths, config.n_workers, chunk, chunk_size=4096)
     rows = []
     for n_steps in step_counts:
-        cutoff = params.t * (1.0 - 1.0 / n_steps)
-
-        def chunk(first: int, count: int):
-            batch = simulate_paths(
-                params, Measure.PHYSICAL, n_steps, count, config.seed, first_path=first
-            )
-            track = strategies.wealth_tracks(strategy, params, batch, cutoff)
-            errors = np.abs(track.hedged[:, -1] - track.analytic[:, -1])
-            return (
-                errors,
-                int((track.analytic < 0.0).sum()),
-                int((track.hedged.min(axis=1) < 0.0).sum()),
-                float(track.hedged.min()),
-            )
-
-        # smaller chunks: a path chunk holds n_steps normal pairs per path
-        results = _map_chunks(config.n_paths, config.n_workers, chunk, chunk_size=4096)
-        errors = np.concatenate([r[0] for r in results])
+        parts = [r[int(n_steps)] for r in results]
+        errors = np.concatenate([p[0] for p in parts])
         rows.append({
             "n_steps": int(n_steps),
             "median_abs_error": float(np.median(errors)),
             "rms_error": float(np.sqrt(np.mean(errors * errors))),
             "max_abs_error": float(errors.max()),
-            "analytic_negative_count": sum(r[1] for r in results),
-            "hedged_negative_fraction": sum(r[2] for r in results) / config.n_paths,
-            "hedged_min_wealth": min(r[3] for r in results),
+            "analytic_negative_count": sum(p[1] for p in parts),
+            "hedged_negative_fraction": sum(p[2] for p in parts) / config.n_paths,
+            "hedged_min_wealth": min(p[3] for p in parts),
         })
     return rows
 

@@ -15,7 +15,12 @@ instance and read by the bounds, builders, events and samplers.
 
 Paths have one type, :class:`PathBatch`; a single path is a one-path
 batch, and because draws depend only on (seed, path, step) it equals
-the matching row of any larger batch.
+the matching row of any larger batch.  For the same reason the normals
+of a grid with fewer steps are the leading steps of a longer grid's:
+:func:`path_normals` draws them once, and a caller that steps several
+grids over the same paths scales slices of that one draw.  Price grids
+are column-major, and their log levels are summed one contiguous column
+(one time) at a time.
 """
 
 from __future__ import annotations
@@ -261,12 +266,18 @@ def paths_from_increments(
     n = increments.shape[0]
 
     def levels(mu: float, sigma_bar: np.ndarray) -> np.ndarray:
-        steps = (mu - 0.5 * float(sigma_bar @ sigma_bar)) * dt + increments @ sigma_bar
+        drift = (mu - 0.5 * float(sigma_bar @ sigma_bar)) * dt
         out = np.empty((n, times.size), order="F")
-        out[:, 0] = 1.0
-        np.cumsum(steps, axis=1, out=out[:, 1:])
-        np.exp(out[:, 1:], out=out[:, 1:])
-        return out
+        out[:, 0] = 0.0
+        np.copyto(out[:, 1:], increments @ sigma_bar)
+        # log levels, stepped one contiguous column at a time: each step
+        # is drift plus diffusion, added to the level before it in the
+        # order of ``cumsum`` along a row, so the floats are the same
+        for k in range(1, times.size):
+            level = out[:, k]
+            level += drift[k - 1]
+            level += out[:, k - 1]
+        return np.exp(out, out=out)
 
     return PathBatch(
         times=times,
@@ -274,6 +285,23 @@ def paths_from_increments(
         stock_values=levels(mu_s, reduced.sigma_s_bar),
         driver_increments=increments,
     )
+
+
+def path_normals(n_steps: int, n_paths: int, seed: int, *, first_path: int = 0) -> np.ndarray:
+    """Standard normal driver pairs of a batch of paths, shape (n_paths, n_steps, 2).
+
+    Entry ``[k, step]`` is the pair at counter ``(seed, first_path + k,
+    step)``, so the normals of a grid with fewer steps are the leading
+    steps of this array.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    normals = np.empty((n_paths, n_steps, 2))
+    for step in range(n_steps):
+        normals[:, step] = rng.normal_pairs(seed, first_path, n_paths, step)
+    return normals
 
 
 def simulate_paths(
@@ -291,18 +319,10 @@ def simulate_paths(
     step)``, so a one-path call with ``first_path=k`` equals row ``k`` of
     any batch that holds it.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    times = np.linspace(0.0, params.t, n_steps + 1)
-    scale = np.sqrt(params.t / n_steps)
-    # one run of lanes per step, scaled into its column of the grid
-    increments = np.empty((n_paths, n_steps, 2))
-    for step in range(n_steps):
-        np.multiply(rng.normal_pairs(seed, first_path, n_paths, step), scale,
-                    out=increments[:, step])
-    return paths_from_increments(params, measure, times, increments)
+    increments = path_normals(n_steps, n_paths, seed, first_path=first_path)
+    increments *= np.sqrt(params.t / n_steps)
+    return paths_from_increments(params, measure, np.linspace(0.0, params.t, n_steps + 1),
+                                 increments)
 
 
 def log_ratio_law(params: MarketParams, measure: Measure = Measure.PHYSICAL) -> LogRatioLaw:

@@ -371,6 +371,14 @@ class TestTable:
         run_rejected(capsys, "table", "--config", config_path,
                      "--study", "hedging", "--paths", "1000")
 
+    def test_lemma_reads_no_market(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("run.trials = 2\n")
+        code, out, err = run_cli(capsys, "table", "--config", str(path),
+                                 "--study", "lemma", "--paths", "100")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 3
+
     def test_lemma_parses_no_convergence_keys(self, capsys, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text(SET_A_CONFIG + "run.delta = abc\nrun.eps = abc\nrun.workers = abc\n")
@@ -378,6 +386,29 @@ class TestTable:
                                  "--study", "lemma", "--paths", "100")
         assert (code, err) == (0, "")
         assert out.startswith("u1,u2,v1,v2,c,")
+
+
+class TestHedge:
+    def test_reads_no_eps(self, capsys, tmp_path, config_path):
+        path = tmp_path / "c.cfg"
+        path.write_text(SET_A_CONFIG + "run.eps = abc\n")
+        argv = ("hedge", "--paths", "1000", "--seed", "3")
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv, "--config", config_path)[1]
+
+    @pytest.mark.parametrize("key, value", [
+        ("run.delta", "abc"), ("run.delta", "1.5"), ("run.n_paths", "10"),
+        ("run.workers", "0"), ("run.seed", "-1"),
+    ])
+    def test_validates_what_it_reads(self, capsys, tmp_path, monkeypatch, key, value):
+        monkeypatch.delenv("EIHLAB_SEED", raising=False)
+        path = tmp_path / "c.cfg"
+        path.write_text(SET_A_CONFIG + f"{key} = {value}\n")
+        code, out, err = run_cli(capsys, "hedge", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestConfigParsing:

@@ -1,6 +1,7 @@
 """Verification experiments: verdicts, targets, determinism."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,9 +23,15 @@ from eihlab.experiments import (
     verify,
     wilson_ci,
 )
-from eihlab.market import Measure, reduce_dimension, simulate_terminal
+from eihlab.market import Measure, reduce_dimension, simulate_paths, simulate_terminal
 from eihlab.normal import std_normal_cdf, upper_quantile
-from eihlab.strategies import bound_check, build_two_sided, event_two_sided, strategy_fires
+from eihlab.strategies import (
+    bound_check,
+    build_two_sided,
+    event_two_sided,
+    strategy_fires,
+    wealth_tracks,
+)
 
 
 class TestWilsonCI:
@@ -245,6 +252,59 @@ class TestHedgingStudy:
             assert row["analytic_negative_count"] == 0
             assert row["rms_error"] > 0.0
         assert rows[1]["median_abs_error"] < rows[0]["median_abs_error"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_one_simulation_per_step_count(self, set_a, workers):
+        # unsorted and repeated step counts; 5,000 paths make a chunk of
+        # 4,096 and a partial one of 904
+        config = ExperimentConfig(params=set_a, delta=0.05, n_paths=5000, seed=58,
+                                  n_workers=workers)
+        step_counts = (128, 32, 64, 128)
+        rows = hedging_fidelity_study(config, step_counts)
+        assert rows == [_reference_row(config, n_steps) for n_steps in step_counts]
+
+    @pytest.mark.parametrize("step_counts", [(), (64, 0), (-8,)])
+    def test_rejects_bad_step_counts(self, set_a, step_counts):
+        config = ExperimentConfig(params=set_a, delta=0.05, n_paths=1000, seed=1)
+        with pytest.raises(ValueError, match="step_counts"):
+            hedging_fidelity_study(config, step_counts)
+
+    def test_peak_memory_is_that_of_the_longest_grid_alone(self, set_a):
+        # one chunk of 4,096 paths on all four grids peaks no higher than
+        # the same chunk simulated and hedged on its 512-step grid alone,
+        # so holding the shared normals costs no memory at the peak
+        config = ExperimentConfig(params=set_a, delta=0.05, n_paths=4096, seed=59)
+        study = _traced_peak(lambda: hedging_fidelity_study(config))
+        alone = _traced_peak(lambda: _reference_row(config, 512))
+        assert study <= alone
+
+
+def _reference_row(config: ExperimentConfig, n_steps: int) -> dict:
+    """A study row from one ``simulate_paths`` + ``wealth_tracks`` run over
+    all paths, with the paths alive while the row is summarised."""
+    params = config.params
+    batch = simulate_paths(params, Measure.PHYSICAL, n_steps, config.n_paths, config.seed)
+    track = wealth_tracks(build_two_sided(params, config.delta), params, batch,
+                          params.t * (1.0 - 1.0 / n_steps))
+    errors = np.abs(track.hedged[:, -1] - track.analytic[:, -1])
+    return {
+        "n_steps": n_steps,
+        "median_abs_error": float(np.median(errors)),
+        "rms_error": float(np.sqrt(np.mean(errors * errors))),
+        "max_abs_error": float(errors.max()),
+        "analytic_negative_count": int((track.analytic < 0.0).sum()),
+        "hedged_negative_fraction": int((track.hedged.min(axis=1) < 0.0).sum()) / config.n_paths,
+        "hedged_min_wealth": float(track.hedged.min()),
+    }
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestDeterminism:
