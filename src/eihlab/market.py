@@ -288,7 +288,7 @@ def paths_from_increments(
 
 
 def path_normals(n_steps: int, n_paths: int, seed: int, *, first_path: int = 0) -> np.ndarray:
-    """Standard normal driver pairs of a batch of paths, shape (n_paths, n_steps, 2).
+    """Standard normal pairs of a batch of paths, shape (n_paths, n_steps, 2).
 
     Entry ``[k, step]`` is the pair at counter ``(seed, first_path + k,
     step)``, so the normals of a grid with fewer steps are the leading
