@@ -40,6 +40,11 @@ CASES = {
     "hedge": ("holds", "hedge", "--paths", "1000", "--seed", "17"),
     # chunks of 4,096 and 904 paths over two workers
     "hedge_two_chunks": ("holds", "hedge", "--paths", "5000", "--workers", "2", "--seed", "21"),
+    # a last chunk of one path, whose per-step products are the easiest
+    # to round differently from a batch's
+    "hedge_one_path_chunk": ("holds", "hedge", "--paths", "4097", "--seed", "3"),
+    "price": ("holds", "price"),
+    "thresholds": ("holds", "thresholds"),
     "table_convergence": ("holds", "table", "--study", "convergence", "--t-grid", "2.5,10,40",
                           "--paths", "10000", "--seed", "18"),
     "simulate_terminal": ("holds", "simulate", "--paths", "500", "--seed", "19"),
@@ -50,10 +55,13 @@ CASES = {
 # (exit code, SHA-256 of stdout) on random stream "v3"
 PINS = {
     "hedge": (0, "c1639d1fb4d4ebadbabc4bf5b61bf02e3690524db270c663acc99c054712e30e"),
+    "hedge_one_path_chunk": (0, "a38aa2a34e08fe256bf60e00e7a0e58d7e75822873fbd8f43fe0ee04a5b8311d"),
     "hedge_two_chunks": (0, "6223e65aba2bbc7de09e10860399751769a5bbbf64f92e189cbf4c39cd37c155"),
+    "price": (0, "2f2e488949e2021799a65bba06c9a15c25a06d8ea1d8edf10dab78eb4d1873a4"),
     "simulate_steps": (0, "3377787d0363c26e8772bcbf5c243f973a0d4524dadfa4109850f807e7395348"),
     "simulate_terminal": (0, "d1037f2e729e26d5d000ba55d757f14ac8d5e1508065492b81c43943902e0dc4"),
     "table_convergence": (0, "c072526f494b99ba6917f58fbbbf46834aa6b0a9a9ebac4fe62cd4d29da863f1"),
+    "thresholds": (0, "774eca3b3cb484dea97fca08c7b14e02b41273c18a520e464fe47d786450d96c"),
     "verify_index_fails": (0, "9f7b1f13361852f54864c4abc78e235da0ca52dec7d54260eabd0acdc2194777"),
     "verify_index_holds": (3, "56251f0adcaeac8b40152a02b5477a564e831f4a291fde3524300d93574cbfe8"),
     "verify_mu_bis_fails": (0, "2145329ef38c90bf149fbb383437903807a7c581305001911875abbc5008e0e9"),
