@@ -102,7 +102,7 @@ class DigitalSpec:
 
 
 class HedgeRatios(NamedTuple):
-    """Replicating positions: stock units, index units, bond leg value.
+    """Replicating positions: stock units and index units.
 
     Each field is a float for scalar prices and an array, elementwise,
     for array prices.
@@ -110,7 +110,6 @@ class HedgeRatios(NamedTuple):
 
     units_s: float | np.ndarray
     units_i: float | np.ndarray
-    bond_value: float | np.ndarray
 
 
 def gaussian_halfspace_expectation(u, v, c: float):
@@ -161,11 +160,11 @@ def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_rati
     ``ratio`` is the numerator over the index (``S_t / I_t``, or the
     bond's over the index for bond-ratio claims) and ``log_ratio`` its
     ``np.log``; callers that value several claims on one ratio compute
-    both once.  Returns ``(value, units_s, units_i, hedge_prob)``: the
-    value is ``i_t`` times the index-measure probability that the claim
-    pays, and without ``hedge`` the other three are None.
-    ``hedge_prob`` is ``F(sign * d)``, which for an ``at_most`` claim is
-    a second CDF evaluation (see the module docstring).
+    both once.  Returns ``(value, units_s, units_i)``: the value is
+    ``i_t`` times the index-measure probability that the claim pays, and
+    without ``hedge`` the units are None.  The index units start from
+    ``F(sign * d)``, which for an ``at_most`` claim is a second CDF
+    evaluation (see the module docstring).
     """
     scale = delta_norm * np.sqrt(tau)
     d = (log_ratio - spec.log_threshold - 0.5 * delta_norm * delta_norm * tau) / scale
@@ -173,13 +172,13 @@ def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_rati
     at_least = spec.direction is Direction.AT_LEAST
     value = i_t * (p if at_least else 1.0 - p)
     if not hedge:
-        return value, None, None, None
+        return value, None, None
     sign = 1.0 if at_least else -1.0
     prob = p if at_least else std_normal_cdf(-d)
     density = std_normal_pdf(d)
     units_s = sign * density / (ratio * scale)
     units_i = prob - sign * density / scale
-    return value, units_s, units_i, prob
+    return value, units_s, units_i
 
 
 def _check_valuation(t: float, horizon: float, s_t, i_t) -> tuple[np.ndarray, np.ndarray]:
@@ -233,14 +232,14 @@ def hedge_ratios(
     """Replicating portfolio of the claim at ``(t, s_t, i_t)``.
 
     Positions are the price partials; because the value is degree-1
-    homogeneous in the two assets, the residual bond leg vanishes
-    (returned as the computed residual, a hard zero up to rounding).
+    homogeneous in the two assets, they hold the whole value and no
+    bond: ``units_s * s_t + units_i * i_t`` equals the claim value up to
+    rounding.
     """
     s_t, i_t = _check_valuation(t, horizon, s_t, i_t)
     ratio = s_t / i_t
-    _, units_s, units_i, prob = _valuation(spec, reduced.delta_norm, horizon - t, ratio,
-                                           np.log(ratio), i_t, hedge=True)
-    bond = i_t * prob - units_s * s_t - units_i * i_t
+    _, units_s, units_i = _valuation(spec, reduced.delta_norm, horizon - t, ratio,
+                                     np.log(ratio), i_t, hedge=True)
     if np.asarray(units_s).ndim == 0:
-        return HedgeRatios(float(units_s), float(units_i), float(bond))
-    return HedgeRatios(units_s, units_i, bond)
+        return HedgeRatios(float(units_s), float(units_i))
+    return HedgeRatios(units_s, units_i)

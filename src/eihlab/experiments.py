@@ -18,8 +18,8 @@ Work is split into fixed-size path chunks whose draws depend only on
 (seed, path index); chunk results are combined in chunk order, so a
 report is bit-identical whether computed by one worker or eight.  The
 hedging study also shares draws across step counts: a path chunk draws
-its normals once, for the longest grid, and every grid scales its
-leading steps.
+each step's normals once and moves every grid on by that step, keeping
+no path or wealth grid.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ from . import strategies
 from .market import (
     MarketParams,
     Measure,
+    PricePoint,
     TerminalSample,
-    path_normals,
-    paths_from_increments,
     simulate_terminal,
+    step_prices,
 )
 from .normal import cached_upper_quantile, std_normal_cdf
 from .quadrature import halfspace_monte_carlo, halfspace_quadrature
-from .rng import uniform_pairs
+from .rng import normal_pairs, uniform_pairs
 from .strategies import (
     BoundReport,
     Side,
@@ -473,11 +473,14 @@ def hedging_fidelity_study(
     excursions of both tracks (the analytic track must never dip).
 
     Every grid is driven by common normals: step ``k`` of path ``p`` uses
-    the pair at counter ``(seed, p, k)`` on each grid, so a path chunk
-    draws its normals once, for the longest grid, and each shorter grid
-    scales a copy of their leading steps.  The longest grid scales them
-    in place and runs last.  Rows come out in ``step_counts`` order and
-    equal those of :func:`eihlab.market.simulate_paths` run per step count.
+    the pair at counter ``(seed, p, k)`` on each grid.  A path chunk
+    draws each step's pairs once and moves every grid with more than
+    ``k`` steps one step on (:func:`eihlab.market.step_prices`, then the
+    wealth step of :func:`eihlab.strategies.wealth_tracks`), keeping only
+    each grid's current prices and wealth and the per-path reductions
+    its row reads.  Rows come out in ``step_counts`` order and equal
+    those of :func:`eihlab.market.simulate_paths` plus ``wealth_tracks``
+    run per step count, whatever the chunk size.
     """
     grids = sorted({int(m) for m in step_counts})
     if not grids or grids[0] < 1:
@@ -485,32 +488,53 @@ def hedging_fidelity_study(
     params = config.params
     strategy = strategies.build_two_sided(params, config.delta)
 
-    def hedge(increments: np.ndarray) -> strategies.WealthTrack:
-        n_steps = increments.shape[1]
-        times = np.linspace(0.0, params.t, n_steps + 1)
-        batch = paths_from_increments(params, Measure.PHYSICAL, times, increments)
-        return strategies.wealth_tracks(strategy, params, batch,
-                                        params.t * (1.0 - 1.0 / n_steps))
+    class Grid:
+        """One step count's prices, wealth and reductions on a chunk."""
 
-    def summary(track: strategies.WealthTrack) -> tuple:
-        return (
-            np.abs(track.hedged[:, -1] - track.analytic[:, -1]),
-            int((track.analytic < 0.0).sum()),
-            int((track.hedged.min(axis=1) < 0.0).sum()),
-            float(track.hedged.min()),
-        )
+        def __init__(self, n_steps: int, count: int):
+            self.n_steps = n_steps
+            self.times = np.linspace(0.0, params.t, n_steps + 1)
+            self.scale = np.sqrt(params.t / n_steps)
+            self.cutoff = params.t * (1.0 - 1.0 / n_steps)
+            self.prices = PricePoint.at_start(count)
+            self.hedged = None
+            self.held = np.zeros(count), np.zeros(count)
+            self.low = None
+            self.negative = 0
+
+        def step(self, k: int, pairs: np.ndarray) -> None:
+            t, t_next = self.times[k], self.times[k + 1]
+            now = self.prices
+            self.prices = step_prices(params, Measure.PHYSICAL, t_next - t, pairs * self.scale,
+                                      now)
+            analytic, self.hedged, self.held = strategies._wealth_step(
+                strategy, params, self.cutoff, float(t), float(t_next),
+                (now.index, now.stock), (self.prices.index, self.prices.stock),
+                self.hedged, self.held,
+            )
+            self.negative += int((analytic < 0.0).sum())
+            self.low = np.minimum(analytic if self.low is None else self.low, self.hedged)
+
+        def summary(self) -> tuple:
+            terminal = strategies.terminal_wealth(strategy, params, self.prices.index,
+                                                  self.prices.stock)
+            return (
+                np.abs(self.hedged - terminal),
+                self.negative + int((terminal < 0.0).sum()),
+                int((self.low < 0.0).sum()),
+                float(self.low.min()),
+            )
 
     def chunk(first: int, count: int) -> dict:
-        normals = path_normals(grids[-1], count, config.seed, first_path=first)
-        out = {m: summary(hedge(normals[:, :m] * np.sqrt(params.t / m))) for m in grids[:-1]}
-        # in place, so that the chunk peaks no higher than the longest
-        # grid hedged alone
-        normals *= np.sqrt(params.t / grids[-1])
-        out[grids[-1]] = summary(hedge(normals))
-        return out
+        runs = [Grid(m, count) for m in grids]
+        for k in range(grids[-1]):
+            pairs = normal_pairs(config.seed, first, count, k)
+            for run in runs:
+                if k < run.n_steps:
+                    run.step(k, pairs)
+        return {run.n_steps: run.summary() for run in runs}
 
-    # smaller chunks: a path chunk holds the longest grid's normal pairs
-    results = _map_chunks(config.n_paths, config.n_workers, chunk, chunk_size=4096)
+    results = _map_chunks(config.n_paths, config.n_workers, chunk)
     rows = []
     for n_steps in step_counts:
         parts = [r[int(n_steps)] for r in results]

@@ -15,12 +15,13 @@ instance and read by the bounds, builders, events and samplers.
 
 Paths have one type, :class:`PathBatch`; a single path is a one-path
 batch, and because draws depend only on (seed, path, step) it equals
-the matching row of any larger batch.  For the same reason the normals
-of a grid with fewer steps are the leading steps of a longer grid's:
-:func:`path_normals` draws them once, and a caller that steps several
-grids over the same paths scales slices of that one draw.  Price grids
-are column-major, and their log levels are summed one contiguous column
-(one time) at a time.
+the matching row of any larger batch.  Price grids are column-major,
+and their log levels are summed one contiguous column (one time) at a
+time.  A caller that needs only the current prices of each path steps
+them with :func:`step_prices`, one time at a time, and keeps no grid:
+its floats are those of the matching column of
+:func:`paths_from_increments`.  Draws depend on the step, not on the
+grid, so one draw of a step's normals can drive several grids at once.
 """
 
 from __future__ import annotations
@@ -285,6 +286,55 @@ def paths_from_increments(
         stock_values=levels(mu_s, reduced.sigma_s_bar),
         driver_increments=increments,
     )
+
+
+class PricePoint(NamedTuple):
+    """A path batch at one time: prices and their log levels, shape (n,)."""
+
+    index: np.ndarray
+    stock: np.ndarray
+    log_index: np.ndarray
+    log_stock: np.ndarray
+
+    @classmethod
+    def at_start(cls, n_paths: int) -> "PricePoint":
+        """Time 0: both prices at 1, both log levels at 0."""
+        ones, zeros = np.ones(n_paths), np.zeros(n_paths)
+        return cls(ones, ones, zeros, zeros)
+
+
+def step_prices(
+    params: MarketParams,
+    measure: Measure,
+    dt: float,
+    increments: np.ndarray,
+    start: PricePoint,
+) -> PricePoint:
+    """Exact lognormal step of a path batch over ``dt``.
+
+    ``increments`` holds each path's ``(n, 2)`` driver increment over the
+    step.  Each log level is the increment's diffusion plus the step's
+    drift plus the level at ``start``, added in the order
+    :func:`paths_from_increments` adds them, so the floats are those of
+    the matching column of its grids.
+    """
+    reduced = params.reduced
+    mu_i, mu_s = drift_pair(params, measure)
+    n = increments.shape[0]
+    if n == 1:
+        # a one-row product rounds differently from the same row in a
+        # batch; a two-row one rounds as the batch does
+        increments = np.vstack([increments, increments])
+
+    def level(mu: float, sigma_bar: np.ndarray, previous: np.ndarray) -> np.ndarray:
+        out = (increments @ sigma_bar)[:n]
+        out += (mu - 0.5 * float(sigma_bar @ sigma_bar)) * dt
+        out += previous
+        return out
+
+    log_index = level(mu_i, reduced.sigma_i_bar, start.log_index)
+    log_stock = level(mu_s, reduced.sigma_s_bar, start.log_stock)
+    return PricePoint(np.exp(log_index), np.exp(log_stock), log_index, log_stock)
 
 
 def path_normals(n_steps: int, n_paths: int, seed: int, *, first_path: int = 0) -> np.ndarray:

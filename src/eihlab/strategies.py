@@ -344,6 +344,62 @@ def event_recover(params: MarketParams, delta: float, i_terminal):
 # Wealth tracking
 
 
+def _wealth_step(
+    strategy: PrudentStrategy,
+    params: MarketParams,
+    rebalance_cutoff: float,
+    t: float,
+    t_next: float,
+    prices: tuple[np.ndarray, np.ndarray],
+    prices_next: tuple[np.ndarray, np.ndarray],
+    hedged: np.ndarray | None,
+    held: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """One step of both wealth tracks, from grid time ``t`` to ``t_next``.
+
+    ``prices`` and ``prices_next`` are (index, stock) at the two times,
+    ``hedged`` is the hedged wealth at ``t`` (None at the first step,
+    where it starts at the analytic value) and ``held`` the (stock,
+    index) units held into ``t``.  Returns the analytic wealth at ``t``,
+    the hedged wealth at ``t_next`` and the units held over the step.
+    """
+    index_t, stock_t = prices
+    underlyings = {comp.underlying for comp in strategy.components}
+    bond_level = math.exp(params.r * t)
+    if (np.any(index_t <= 0.0)
+            or (Underlying.STOCK in underlyings and np.any(stock_t <= 0.0))
+            or (Underlying.BOND in underlyings and bond_level <= 0.0)):
+        raise ValueError("prices must be strictly positive")
+    tau = params.t - t
+    rebalance = t <= rebalance_cutoff
+    if rebalance:
+        held = np.zeros(index_t.shape), np.zeros(index_t.shape)
+    h_stock, h_index = held
+    ratios = {}
+    for underlying in underlyings:
+        numer = stock_t if underlying is Underlying.STOCK else bond_level
+        ratio = numer / index_t
+        ratios[underlying] = ratio, np.log(ratio)
+    analytic = np.zeros(index_t.shape)
+    for comp in strategy.components:
+        ratio, log_ratio = ratios[comp.underlying]
+        value, units_s, units_i = _valuation(
+            comp.spec, comp.reduced.delta_norm, tau, ratio, log_ratio, index_t, rebalance
+        )
+        analytic += comp.units * value
+        if rebalance:
+            h_index += comp.units * units_i
+            if comp.underlying is Underlying.STOCK:
+                h_stock += comp.units * units_s
+    if hedged is None:
+        hedged = analytic
+    cash = hedged - h_stock * stock_t - h_index * index_t
+    growth = math.exp(params.r * (t_next - t))
+    index_next, stock_next = prices_next
+    hedged_next = h_stock * stock_next + h_index * index_next + cash * growth
+    return analytic, hedged_next, held
+
+
 def wealth_tracks(
     strategy: PrudentStrategy,
     params: MarketParams,
@@ -365,9 +421,8 @@ def wealth_tracks(
     Each step takes the ratio and its log once per underlying and makes
     one valuation per component (values and, on rebalance steps, units
     together), with the same floats as ``claim_value`` and
-    ``hedge_ratios``.  Prices are checked once per batch.  Both tracks
-    are ``(n_paths, n_times)`` arrays in column-major order, so that a
-    time slice is contiguous.
+    ``hedge_ratios``.  Both tracks are ``(n_paths, n_times)`` arrays in
+    column-major order, so that a time slice is contiguous.
     """
     if not rebalance_cutoff < params.t:
         raise ValueError("rebalance cutoff must precede the horizon")
@@ -378,50 +433,21 @@ def wealth_tracks(
     live = times[:-1]
     if not np.all((live >= 0.0) & (live < params.t)):
         raise ValueError("valuation time must satisfy 0 <= t < horizon")
-    underlyings = {comp.underlying for comp in strategy.components}
-    bond_levels = [math.exp(params.r * float(t)) for t in live]
-    if (np.any(index_values[:, :-1] <= 0.0)
-            or (Underlying.STOCK in underlyings and np.any(stock_values[:, :-1] <= 0.0))
-            or (Underlying.BOND in underlyings and min(bond_levels, default=1.0) <= 0.0)):
-        raise ValueError("prices must be strictly positive")
-    analytic = np.zeros((n, m_plus_1), order="F")
+    analytic = np.empty((n, m_plus_1), order="F")
     hedged = np.empty((n, m_plus_1), order="F")
-    h_stock = np.zeros(n)
-    h_index = np.zeros(n)
+    held = np.zeros(n), np.zeros(n)
+    wealth = None
     for k in range(m_plus_1 - 1):
-        t = float(times[k])
-        tau = params.t - t
-        stock_t = stock_values[:, k]
-        index_t = index_values[:, k]
-        rebalance = t <= rebalance_cutoff
-        if rebalance:
-            h_stock = np.zeros(n)
-            h_index = np.zeros(n)
-        ratios = {}
-        for underlying in underlyings:
-            numer = stock_t if underlying is Underlying.STOCK else bond_levels[k]
-            ratio = numer / index_t
-            ratios[underlying] = ratio, np.log(ratio)
-        for comp in strategy.components:
-            ratio, log_ratio = ratios[comp.underlying]
-            value, units_s, units_i, _ = _valuation(
-                comp.spec, comp.reduced.delta_norm, tau, ratio, log_ratio, index_t, rebalance
-            )
-            analytic[:, k] += comp.units * value
-            if rebalance:
-                h_index += comp.units * units_i
-                if comp.underlying is Underlying.STOCK:
-                    h_stock += comp.units * units_s
-        if k == 0:
-            hedged[:, 0] = analytic[:, 0]
-        cash = hedged[:, k] - h_stock * stock_t - h_index * index_t
-        growth = math.exp(params.r * float(times[k + 1] - times[k]))
-        hedged[:, k + 1] = (
-            h_stock * stock_values[:, k + 1] + h_index * index_values[:, k + 1] + cash * growth
+        analytic[:, k], wealth, held = _wealth_step(
+            strategy, params, rebalance_cutoff, float(times[k]), float(times[k + 1]),
+            (index_values[:, k], stock_values[:, k]),
+            (index_values[:, k + 1], stock_values[:, k + 1]), wealth, held,
         )
+        hedged[:, k + 1] = wealth
     analytic[:, -1] = terminal_wealth(
         strategy, params, index_values[:, -1], stock_values[:, -1]
     )
+    hedged[:, 0] = analytic[:, 0]
     return WealthTrack(times=times, analytic=analytic, hedged=hedged)
 
 

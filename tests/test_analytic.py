@@ -234,7 +234,8 @@ class TestHedgeRatios:
                 s = gen.uniform(0.3, 3.0)
                 i = gen.uniform(0.3, 3.0)
                 ratios = hedge_ratios(red, spec, t, s, i, set_a.t)
-                assert abs(ratios.bond_value) <= 1e-10
+                value = claim_value(red, spec, t, s, i, set_a.t)
+                assert abs(ratios.units_s * s + ratios.units_i * i - value) <= 1e-10
 
     def test_units_match_finite_differences(self, set_a):
         red = reduce_dimension(set_a)
@@ -257,8 +258,7 @@ class TestHedgeRatios:
         t, s, i = 4.0, 0.9, 1.2
         ratios = hedge_ratios(red, spec, t, s, i, set_a.t)
         value = claim_value(red, spec, t, s, i, set_a.t)
-        assert ratios.units_s * s + ratios.units_i * i + ratios.bond_value == pytest.approx(
-            value, rel=1e-12)
+        assert ratios.units_s * s + ratios.units_i * i == pytest.approx(value, rel=1e-12)
 
 
 class TestQuantileBridge:

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eihlab import rng
+from eihlab import experiments, rng
 from eihlab.experiments import (
+    CHUNK_PATHS,
     INCONCLUSIVE,
     PASS,
     ExperimentConfig,
@@ -254,14 +255,33 @@ class TestHedgingStudy:
         assert rows[1]["median_abs_error"] < rows[0]["median_abs_error"]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_rows_equal_one_simulation_per_step_count(self, set_a, workers):
-        # unsorted and repeated step counts; 5,000 paths make a chunk of
-        # 4,096 and a partial one of 904
-        config = ExperimentConfig(params=set_a, delta=0.05, n_paths=5000, seed=58,
-                                  n_workers=workers)
+    def test_rows_equal_one_simulation_per_step_count(self, set_a, workers, monkeypatch):
+        # unsorted and repeated step counts; in chunks of 4,096, 5,000
+        # paths leave a partial chunk of 904 and 4,097 paths one of a
+        # single path, whose per-step products must round as a batch's
         step_counts = (128, 32, 64, 128)
-        rows = hedging_fidelity_study(config, step_counts)
-        assert rows == [_reference_row(config, n_steps) for n_steps in step_counts]
+        for n_paths, seed in ((5000, 58), (4097, 3)):
+            config = ExperimentConfig(params=set_a, delta=0.05, n_paths=n_paths, seed=seed,
+                                      n_workers=workers)
+            rows, errors = _study(monkeypatch, config, step_counts, chunk_size=4096)
+            reference = {m: _reference(config, m) for m in set(step_counts)}
+            assert rows == [reference[m][0] for m in step_counts]
+            for m in step_counts:
+                assert np.array_equal(errors[m], reference[m][1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_size_changes_no_float(self, set_a, workers, monkeypatch):
+        # 20,000 paths: chunks of 4,096 (four and a partial one), of
+        # 16,384 (one and a partial one) and one chunk of CHUNK_PATHS
+        config = ExperimentConfig(params=set_a, delta=0.05, n_paths=20_000, seed=60,
+                                  n_workers=workers)
+        step_counts = (16, 5)
+        runs = [_study(monkeypatch, config, step_counts, chunk_size)
+                for chunk_size in (4096, 16384, CHUNK_PATHS)]
+        for rows, errors in runs[1:]:
+            assert rows == runs[0][0]
+            for m in step_counts:
+                assert np.array_equal(errors[m], runs[0][1][m])
 
     @pytest.mark.parametrize("step_counts", [(), (64, 0), (-8,)])
     def test_rejects_bad_step_counts(self, set_a, step_counts):
@@ -269,19 +289,31 @@ class TestHedgingStudy:
         with pytest.raises(ValueError, match="step_counts"):
             hedging_fidelity_study(config, step_counts)
 
-    def test_peak_memory_is_that_of_the_longest_grid_alone(self, set_a):
-        # one chunk of 4,096 paths on all four grids peaks no higher than
-        # the same chunk simulated and hedged on its 512-step grid alone,
-        # so holding the shared normals costs no memory at the peak
+    def test_peak_memory_holds_no_grid(self, set_a):
+        # a chunk keeps each grid's current prices and wealth, never a
+        # path or wealth grid: the 4,096 x 512 grids of one chunk took
+        # 96.8 MiB, the streamed chunk 1.7 MiB
         config = ExperimentConfig(params=set_a, delta=0.05, n_paths=4096, seed=59)
-        study = _traced_peak(lambda: hedging_fidelity_study(config))
-        alone = _traced_peak(lambda: _reference_row(config, 512))
-        assert study <= alone
+        assert _traced_peak(lambda: hedging_fidelity_study(config)) <= 2 * 2**20
 
 
-def _reference_row(config: ExperimentConfig, n_steps: int) -> dict:
-    """A study row from one ``simulate_paths`` + ``wealth_tracks`` run over
-    all paths, with the paths alive while the row is summarised."""
+def _study(monkeypatch, config: ExperimentConfig, step_counts, chunk_size: int):
+    """The study's rows in chunks of ``chunk_size`` paths, with each step
+    count's per-path terminal errors in path order."""
+    results = []
+
+    def recording(n_paths, n_workers, chunk_fn):
+        results.extend(_MAP_CHUNKS(n_paths, n_workers, chunk_fn, chunk_size))
+        return results
+
+    monkeypatch.setattr(experiments, "_map_chunks", recording)
+    rows = hedging_fidelity_study(config, step_counts)
+    return rows, {m: np.concatenate([r[m][0] for r in results]) for m in set(step_counts)}
+
+
+def _reference(config: ExperimentConfig, n_steps: int) -> tuple[dict, np.ndarray]:
+    """A study row and its per-path terminal errors from one
+    ``simulate_paths`` + ``wealth_tracks`` run over all paths."""
     params = config.params
     batch = simulate_paths(params, Measure.PHYSICAL, n_steps, config.n_paths, config.seed)
     track = wealth_tracks(build_two_sided(params, config.delta), params, batch,
@@ -295,7 +327,10 @@ def _reference_row(config: ExperimentConfig, n_steps: int) -> dict:
         "analytic_negative_count": int((track.analytic < 0.0).sum()),
         "hedged_negative_fraction": int((track.hedged.min(axis=1) < 0.0).sum()) / config.n_paths,
         "hedged_min_wealth": float(track.hedged.min()),
-    }
+    }, errors
+
+
+_MAP_CHUNKS = experiments._map_chunks
 
 
 def _traced_peak(fn) -> int:

@@ -12,10 +12,12 @@ from eihlab.market import (
     Measure,
     drift_pair,
     log_ratio_law,
+    PricePoint,
     paths_from_increments,
     reduce_dimension,
     simulate_paths,
     simulate_terminal,
+    step_prices,
 )
 
 from conftest import make_degenerate_equal_sigmas, random_market
@@ -262,6 +264,22 @@ class TestSimulatePath:
             assert np.array_equal(one.times, batch.times)
             for name in ("index_values", "stock_values", "driver_increments"):
                 assert np.array_equal(getattr(one, name)[0], getattr(batch, name)[k])
+
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 65])
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_stepped_prices_equal_the_grid(self, set_a, n_paths, measure):
+        # one step at a time gives the grid's floats; one path, whose
+        # lone product rounds unlike a batch row's, included
+        times = np.linspace(0.0, set_a.t, 65)
+        increments = np.random.default_rng(n_paths).normal(size=(n_paths, 64, 2)) * 0.4
+        batch = paths_from_increments(set_a, measure, times, increments)
+        point = PricePoint.at_start(n_paths)
+        for k in range(64):
+            point = step_prices(set_a, measure, times[k + 1] - times[k],
+                                np.ascontiguousarray(increments[:, k]), point)
+            assert np.array_equal(point.index, batch.index_values[:, k + 1])
+            assert np.array_equal(point.stock, batch.stock_values[:, k + 1])
 
 
 class TestPathRange:

@@ -38,10 +38,12 @@ CASES = {
     "verify_index_holds": ("holds", "verify", "--prop", "index", *VERIFY, "--seed", "15"),
     "verify_index_fails": ("fails", "verify", "--prop", "index", *VERIFY, "--seed", "16"),
     "hedge": ("holds", "hedge", "--paths", "1000", "--seed", "17"),
-    # chunks of 4,096 and 904 paths over two workers
+    # 5,000 paths over two workers; named when the study ran chunks of
+    # 4,096 paths, where 5,000 made two of them
     "hedge_two_chunks": ("holds", "hedge", "--paths", "5000", "--workers", "2", "--seed", "21"),
-    # a last chunk of one path, whose per-step products are the easiest
-    # to round differently from a batch's
+    # one path past 4,096: in chunks of 4,096 the last chunk holds one
+    # path, whose per-step products round unlike a batch's
+    # (test_rows_equal_one_simulation_per_step_count runs it that way)
     "hedge_one_path_chunk": ("holds", "hedge", "--paths", "4097", "--seed", "3"),
     "price": ("holds", "price"),
     "thresholds": ("holds", "thresholds"),
