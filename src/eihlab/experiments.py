@@ -121,16 +121,14 @@ def wilson_ci(successes: int, trials: int, z: float = _Z95) -> tuple[float, floa
     return (max(0.0, center - margin), min(1.0, center + margin))
 
 
-def _map_chunks(
-    n_paths: int, n_workers: int, chunk_fn: Callable, chunk_size: int = CHUNK_PATHS
-) -> list:
-    """Apply ``chunk_fn(first_path, count)`` over fixed-size chunks.
+def _map_chunks(n_paths: int, n_workers: int, chunk_fn: Callable) -> list:
+    """Apply ``chunk_fn(first_path, count)`` over chunks of CHUNK_PATHS paths.
 
     Chunk boundaries do not depend on the worker count and results are
     returned in chunk order, which keeps every reduction bit-identical
     for any ``n_workers``.
     """
-    tasks = [(s, min(chunk_size, n_paths - s)) for s in range(0, n_paths, chunk_size)]
+    tasks = [(s, min(CHUNK_PATHS, n_paths - s)) for s in range(0, n_paths, CHUNK_PATHS)]
     if n_workers <= 1:
         return [chunk_fn(first, count) for first, count in tasks]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:

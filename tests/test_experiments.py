@@ -302,10 +302,11 @@ def _study(monkeypatch, config: ExperimentConfig, step_counts, chunk_size: int):
     count's per-path terminal errors in path order."""
     results = []
 
-    def recording(n_paths, n_workers, chunk_fn):
-        results.extend(_MAP_CHUNKS(n_paths, n_workers, chunk_fn, chunk_size))
+    def recording(*args):
+        results.extend(_MAP_CHUNKS(*args))
         return results
 
+    monkeypatch.setattr(experiments, "CHUNK_PATHS", chunk_size)
     monkeypatch.setattr(experiments, "_map_chunks", recording)
     rows = hedging_fidelity_study(config, step_counts)
     return rows, {m: np.concatenate([r[m][0] for r in results]) for m in set(step_counts)}
