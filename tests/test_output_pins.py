@@ -49,6 +49,8 @@ CASES = {
     "thresholds": ("holds", "thresholds"),
     "table_convergence": ("holds", "table", "--study", "convergence", "--t-grid", "2.5,10,40",
                           "--paths", "10000", "--seed", "18"),
+    # the one CLI path through the quadrature oracle (100 triples)
+    "table_lemma": ("holds", "table", "--study", "lemma", "--paths", "256", "--seed", "22"),
     "simulate_terminal": ("holds", "simulate", "--paths", "500", "--seed", "19"),
     "simulate_steps": ("fails", "simulate", "--steps", "64", "--measure", "risk-neutral",
                        "--seed", "20"),
@@ -63,6 +65,7 @@ PINS = {
     "simulate_steps": (0, "3377787d0363c26e8772bcbf5c243f973a0d4524dadfa4109850f807e7395348"),
     "simulate_terminal": (0, "d1037f2e729e26d5d000ba55d757f14ac8d5e1508065492b81c43943902e0dc4"),
     "table_convergence": (0, "c072526f494b99ba6917f58fbbbf46834aa6b0a9a9ebac4fe62cd4d29da863f1"),
+    "table_lemma": (0, "830526201660375b2bfb23d5a5c68db1d66e212f301938f7d14ae6644cfead00"),
     "thresholds": (0, "774eca3b3cb484dea97fca08c7b14e02b41273c18a520e464fe47d786450d96c"),
     "verify_index_fails": (0, "9f7b1f13361852f54864c4abc78e235da0ca52dec7d54260eabd0acdc2194777"),
     "verify_index_holds": (3, "56251f0adcaeac8b40152a02b5477a564e831f4a291fde3524300d93574cbfe8"),
