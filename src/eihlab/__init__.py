@@ -13,10 +13,7 @@ from .analytic import (
     digital_price,
     gaussian_halfspace_expectation,
     hedge_ratios,
-    std_normal_cdf,
-    std_normal_quantile,
     thresholds,
-    upper_quantile,
 )
 from .experiments import (
     ExperimentConfig,
@@ -39,6 +36,7 @@ from .market import (
     simulate_paths,
     simulate_terminal,
 )
+from .normal import std_normal_cdf, std_normal_quantile, upper_quantile
 from .strategies import (
     BoundReport,
     DigitalComponent,

@@ -29,13 +29,7 @@ from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
-from .normal import (
-    cached_upper_quantile,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-    upper_quantile,
-)
+from .normal import std_normal_cdf, std_normal_pdf, upper_quantile
 
 if TYPE_CHECKING:
     from .market import ReducedParams
@@ -49,11 +43,7 @@ __all__ = [
     "gaussian_halfspace_expectation",
     "hedge_ratios",
     "log_thresholds",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "std_normal_quantile",
     "thresholds",
-    "upper_quantile",
 ]
 
 
@@ -68,30 +58,20 @@ class Direction(enum.Enum):
 class DigitalSpec:
     """A digital claim on the ratio S_T / I_T.
 
-    ``log_threshold`` is the canonical comparison level; ``threshold``
-    is its exponential, kept for reporting.  Build specs through
-    :meth:`at_level` (price-space threshold) or :meth:`at_log_level`.
+    ``log_threshold`` is the one comparison level, kept in log space
+    only: a band edge whose exponential underflows (``ln a`` near -1000)
+    is still a valid claim.  :meth:`at_level` takes a price-space level.
     """
 
     direction: Direction
-    threshold: float
     log_threshold: float
-
-    def __post_init__(self):
-        if not self.threshold > 0.0:
-            raise ValueError("threshold must be positive")
 
     @classmethod
     def at_level(cls, direction: Direction, threshold: float) -> "DigitalSpec":
         threshold = float(threshold)
         if not threshold > 0.0:
             raise ValueError("threshold must be positive")
-        return cls(direction, threshold, math.log(threshold))
-
-    @classmethod
-    def at_log_level(cls, direction: Direction, log_threshold: float) -> "DigitalSpec":
-        log_threshold = float(log_threshold)
-        return cls(direction, math.exp(log_threshold), log_threshold)
+        return cls(direction, math.log(threshold))
 
     def payoff_indicator(self, log_ratio) -> np.ndarray:
         """Whether the claim pays, from the terminal log ratio."""
@@ -134,7 +114,7 @@ def log_thresholds(delta_norm: float, horizon: float, delta: float) -> tuple[flo
     ``ln a`` mirrors it.  This is the canonical computation: every payoff
     indicator and event predicate compares against these exact floats.
     """
-    z = cached_upper_quantile(delta / 2.0)
+    z = upper_quantile(delta / 2.0)
     center = -0.5 * delta_norm * delta_norm * horizon
     half_width = z * delta_norm * math.sqrt(horizon)
     return center - half_width, center + half_width

@@ -276,9 +276,9 @@ def cmd_price(args, values: dict[str, str]) -> int:
     delta = _real(values, "run.delta")
     a, b, log_a, log_b = _band_edges(params, delta)
     price_low = digital_price(
-        params.reduced, DigitalSpec.at_log_level(Direction.AT_MOST, log_a), params.t)
+        params.reduced, DigitalSpec(Direction.AT_MOST, log_a), params.t)
     price_high = digital_price(
-        params.reduced, DigitalSpec.at_log_level(Direction.AT_LEAST, log_b), params.t)
+        params.reduced, DigitalSpec(Direction.AT_LEAST, log_b), params.t)
     payload = {
         "schema_version": 1,
         "delta": delta,

@@ -41,7 +41,7 @@ from .market import (
     simulate_terminal,
     step_prices,
 )
-from .normal import cached_upper_quantile, std_normal_cdf
+from .normal import std_normal_cdf, upper_quantile
 from .quadrature import halfspace_monte_carlo, halfspace_quadrature
 from .rng import normal_pairs, uniform_pairs
 from .strategies import (
@@ -58,7 +58,7 @@ from .strategies import (
 
 CHUNK_PATHS = 1 << 16
 
-_Z95 = cached_upper_quantile(0.025)
+_Z95 = upper_quantile(0.025)
 
 PASS = "pass"
 FAIL = "fail"
@@ -118,7 +118,10 @@ def wilson_ci(successes: int, trials: int, z: float = _Z95) -> tuple[float, floa
     margin = (z / denom) * math.sqrt(
         p_hat * (1.0 - p_hat) / trials + z_sq / (4.0 * trials * trials)
     )
-    return (max(0.0, center - margin), min(1.0, center + margin))
+    # exactly 0 (1) at no (all) successes, where center -/+ margin cancels
+    low = 0.0 if successes == 0 else max(0.0, center - margin)
+    high = 1.0 if successes == trials else min(1.0, center + margin)
+    return (low, high)
 
 
 def _map_chunks(n_paths: int, n_workers: int, chunk_fn: Callable) -> list:
@@ -149,7 +152,7 @@ def one_sided_beat_probability(
     gap: float, delta_norm: float, horizon: float, delta: float
 ) -> float:
     """Exact firing probability of the sign-matched one-sided strategy."""
-    z = cached_upper_quantile(delta)
+    z = upper_quantile(delta)
     shift = abs(gap) * math.sqrt(horizon) / delta_norm
     return float(std_normal_cdf(shift - z))
 
@@ -169,7 +172,7 @@ def mu_bis_boundary_params(
     outside the bound in floating point as well.
     """
     sqrt_t = math.sqrt(params.t)
-    width = ((cached_upper_quantile(delta) + cached_upper_quantile(eps))
+    width = ((upper_quantile(delta) + upper_quantile(eps))
              * params.spread_norm / sqrt_t)
     gap = margin * width * (1.0 + 1e-12)
     base = exact_capm_params(params)
@@ -234,7 +237,7 @@ def _index_extras(config: ExperimentConfig, counts: tuple[int, ...]) -> dict:
         "recover_ci_high": recover_ci[1],
         "recover_target": band_probability(
             bond_drift_gap(params), params.reduced_vs_bond.delta_norm, params.t,
-            cached_upper_quantile(config.delta / 2.0),
+            upper_quantile(config.delta / 2.0),
         ),
     }
 
@@ -262,7 +265,7 @@ PROPOSITIONS = {
     "two_sided": Proposition(
         None, _two_sided_counts,
         lambda c: band_probability(drift_gap(c.params), c.params.reduced.delta_norm, c.params.t,
-                                   cached_upper_quantile(c.delta / 2.0)),
+                                   upper_quantile(c.delta / 2.0)),
         "equals",
     ),
     "mu_bis": Proposition(

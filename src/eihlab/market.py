@@ -48,10 +48,15 @@ class Measure(enum.Enum):
 
 def _as_vector(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float, copy=True).reshape(-1)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
+
+
+def _norm(v: np.ndarray) -> float:
+    # the expression ``np.linalg.norm`` evaluates for a 1-D real vector
+    return math.sqrt(float(v.dot(v)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,11 +87,11 @@ class MarketParams:
             raise ValueError("sigma_i and sigma_s must have equal length")
         if self.d < 2:
             raise ValueError("at least two Brownian drivers are required (d >= 2)")
-        if not np.any(self.sigma_i):
+        if not self.sigma_i.any():
             raise ValueError("sigma_i must be nonzero")
-        if not np.any(self.sigma_s):
+        if not self.sigma_s.any():
             raise ValueError("sigma_s must be nonzero")
-        if np.array_equal(self.sigma_i, self.sigma_s):
+        if (self.sigma_i == self.sigma_s).all():
             raise ValueError("sigma_i and sigma_s must differ")
 
     @property
@@ -102,15 +107,15 @@ class MarketParams:
 
     @cached_property
     def norm_i(self) -> float:
-        return float(np.linalg.norm(self.sigma_i))
+        return _norm(self.sigma_i)
 
     @cached_property
     def norm_s(self) -> float:
-        return float(np.linalg.norm(self.sigma_s))
+        return _norm(self.sigma_s)
 
     @cached_property
     def spread_norm(self) -> float:
-        return float(np.linalg.norm(self.sigma_s - self.sigma_i))
+        return _norm(self.sigma_s - self.sigma_i)
 
     @cached_property
     def norm_i_sq(self) -> float:
@@ -132,7 +137,7 @@ class MarketParams:
         """
         e1 = self.sigma_i / self.norm_i
         proj = float(self.sigma_s @ e1)
-        rem_norm = float(np.linalg.norm(self.sigma_s - proj * e1))
+        rem_norm = _norm(self.sigma_s - proj * e1)
         if rem_norm <= _COLLINEAR_TOL * max(1.0, self.norm_s):
             # collinear: use the signed norm so that bitwise-equal sigma
             # vectors reduce to bitwise-equal coordinates
@@ -166,15 +171,15 @@ class ReducedParams:
     @cached_property
     def delta_norm(self) -> float:
         """Norm of the volatility spread, the lognormal ratio volatility."""
-        return float(np.linalg.norm(self.sigma_s_bar - self.sigma_i_bar))
+        return _norm(self.sigma_s_bar - self.sigma_i_bar)
 
     @cached_property
     def norm_i(self) -> float:
-        return float(np.linalg.norm(self.sigma_i_bar))
+        return _norm(self.sigma_i_bar)
 
     @cached_property
     def norm_s(self) -> float:
-        return float(np.linalg.norm(self.sigma_s_bar))
+        return _norm(self.sigma_s_bar)
 
 
 def reduce_dimension(params: MarketParams) -> ReducedParams:

@@ -13,17 +13,24 @@ The rest of the package leans on two accuracy guarantees:
 Threshold levels enter prices exponentially, which is why the quantile
 must be accurate to machine precision rather than to a rational
 approximation's 1e-9.
+
+A Python or numpy float takes a scalar path through the CDF and the
+quantiles: the same ``erfc``/``ndtri`` ufunc on the float, with no array
+set-up (under a microsecond a call), giving the bits and the errors of a
+0-d array.  NaN is outside every quantile's domain.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
 
 import numpy as np
 from scipy.special import erfc, ndtri
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = 1.0 / float(np.sqrt(2.0 * np.pi))
+_OPEN_UNIT = "quantile argument must lie strictly inside (0, 1)"
+_POSITIVE = "upper_quantile requires p > 0"
 
 
 def _maybe_scalar(x: np.ndarray, scalar: bool) -> np.ndarray | float:
@@ -35,6 +42,8 @@ def std_normal_cdf(x) -> np.ndarray | float:
 
     Monotone, satisfies F(-x) = 1 - F(x), absolute error below 1e-12.
     """
+    if isinstance(x, float):
+        return float(0.5 * erfc(-x / _SQRT2))
     arr = np.asarray(x, dtype=float)
     return _maybe_scalar(0.5 * erfc(-arr / _SQRT2), arr.ndim == 0)
 
@@ -48,37 +57,31 @@ def std_normal_pdf(x) -> np.ndarray | float:
 def std_normal_quantile(p) -> np.ndarray | float:
     """Inverse of ``std_normal_cdf`` on (0, 1), elementwise.
 
-    Raises ``ValueError`` outside the open unit interval.
+    Raises ``ValueError`` outside the open unit interval and at NaN.
     """
+    if isinstance(p, float):
+        if not 0.0 < p < 1.0:
+            raise ValueError(_OPEN_UNIT)
+        return float(ndtri(p))
     arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    if not ((arr > 0.0).all() and (arr < 1.0).all()):
+        raise ValueError(_OPEN_UNIT)
     return _maybe_scalar(ndtri(arr), arr.ndim == 0)
 
 
 def upper_quantile(p) -> np.ndarray | float:
     """Level z with P(xi >= z) = p for xi ~ N(0, 1), elementwise.
 
-    Defined as -inf for p >= 1; rejects p <= 0.
+    Defined as -inf for p >= 1; rejects p <= 0 and NaN.
     """
+    if isinstance(p, float):
+        if not p > 0.0:
+            raise ValueError(_POSITIVE)
+        return -float(ndtri(p)) if p < 1.0 else -math.inf
     arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("upper_quantile requires p > 0")
-
+    if not (arr > 0.0).all():
+        raise ValueError(_POSITIVE)
     z = np.full(arr.shape, -np.inf)
     interior = arr < 1.0
-    z[interior] = -std_normal_quantile(arr[interior])
+    z[interior] = -ndtri(arr[interior])
     return _maybe_scalar(z, arr.ndim == 0)
-
-
-@lru_cache(maxsize=4096)
-def cached_upper_quantile(p: float) -> float:
-    """Memoized scalar ``upper_quantile`` for hot level computations.
-
-    Kept although ``ndtri`` is fast: the cost of a scalar call is numpy's
-    per-call array set-up, not the arithmetic, so a hit (about 0.1 us)
-    still beats a scalar ``upper_quantile`` (tens of us) by two orders
-    of magnitude, and bound checks ask for the same few masses over and
-    over.
-    """
-    return float(upper_quantile(p))

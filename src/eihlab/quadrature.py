@@ -10,12 +10,14 @@ with one axis (rotation invariance of the Gaussian), which factorizes
 the integral into a smooth full-line factor, handled by Gauss-Hermite,
 and a truncated factor, handled by panel Gauss-Legendre with the
 Gaussian weight folded into the integrand.  Both factors converge to
-near machine precision at 64 nodes per axis.
+near machine precision at 64 nodes per axis.  Each rule is built once
+per node count and shared, read-only, by every later call.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -27,6 +29,14 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PANEL_WIDTH = 2.0
 _TAIL_CUTOFF = 40.0
+
+
+@lru_cache(maxsize=None)
+def _rule(build, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``build(n_nodes)``, made read-only."""
+    nodes, weights = build(n_nodes)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def halfspace_quadrature(u, v, c: float, n_nodes: int = 64) -> float:
@@ -43,14 +53,14 @@ def halfspace_quadrature(u, v, c: float, n_nodes: int = 64) -> float:
     edge = c / norm_v
 
     # Full-line factor E[exp(across * y)] by Gauss-Hermite.
-    nodes, weights = hermgauss(n_nodes)
+    nodes, weights = _rule(hermgauss, n_nodes)
     smooth = float(weights @ np.exp(across * math.sqrt(2.0) * nodes)) / _SQRT_PI
 
     # Truncated factor int_edge^inf exp(along*y) phi(y) dy by panel
     # Gauss-Legendre; the integrand is a Gaussian bump centered at
     # ``along``, so the upper limit is pushed far past both features.
     upper = max(edge, along) + _TAIL_CUTOFF
-    nodes_l, weights_l = leggauss(n_nodes)
+    nodes_l, weights_l = _rule(leggauss, n_nodes)
     n_panels = max(1, int(math.ceil((upper - edge) / _PANEL_WIDTH)))
     edges = np.linspace(edge, upper, n_panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])

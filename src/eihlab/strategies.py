@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytic import DigitalSpec, Direction, _valuation, log_thresholds
 from .market import MarketParams, PathBatch, ReducedParams
-from .normal import cached_upper_quantile
+from .normal import upper_quantile
 
 __all__ = [
     "BoundReport",
@@ -154,13 +154,13 @@ def _band_components(
 ) -> tuple[DigitalComponent, DigitalComponent]:
     log_a, log_b = log_thresholds(reduced.delta_norm, horizon, delta)
     lower = DigitalComponent(
-        spec=DigitalSpec.at_log_level(Direction.AT_MOST, log_a),
+        spec=DigitalSpec(Direction.AT_MOST, log_a),
         reduced=reduced,
         underlying=underlying,
         initial_wealth=delta / 2.0,
     )
     upper = DigitalComponent(
-        spec=DigitalSpec.at_log_level(Direction.AT_LEAST, log_b),
+        spec=DigitalSpec(Direction.AT_LEAST, log_b),
         reduced=reduced,
         underlying=underlying,
         initial_wealth=delta / 2.0,
@@ -178,9 +178,9 @@ def _one_sided_component(
     # a band of tail mass 2 delta has one tail of mass delta on each side
     log_a, log_b = log_thresholds(reduced.delta_norm, horizon, 2.0 * delta)
     if side is Side.UPPER:
-        spec = DigitalSpec.at_log_level(Direction.AT_LEAST, log_b)
+        spec = DigitalSpec(Direction.AT_LEAST, log_b)
     else:
-        spec = DigitalSpec.at_log_level(Direction.AT_MOST, log_a)
+        spec = DigitalSpec(Direction.AT_MOST, log_a)
     return DigitalComponent(
         spec=spec,
         reduced=reduced,
@@ -469,12 +469,12 @@ def bound_check(params: MarketParams, delta: float, eps: float, which: str) -> B
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     sqrt_t = math.sqrt(params.t)
-    z_eps = cached_upper_quantile(eps)
-    z_delta = cached_upper_quantile(delta)
+    z_eps = upper_quantile(eps)
+    z_delta = upper_quantile(delta)
 
     if which == "mu":
         lhs = abs(drift_gap(params))
-        rhs = (cached_upper_quantile(delta / 2.0) + z_eps) * params.spread_norm / sqrt_t
+        rhs = (upper_quantile(delta / 2.0) + z_eps) * params.spread_norm / sqrt_t
     elif which == "mu_bis":
         lhs = abs(drift_gap(params))
         rhs = (z_delta + z_eps) * params.spread_norm / sqrt_t

@@ -1,12 +1,15 @@
 """Digital claim pricing, thresholds, and hedge ratios."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
-from eihlab import rng
+from eihlab import quadrature, rng
 from eihlab.analytic import (
     DigitalSpec,
     Direction,
@@ -16,9 +19,9 @@ from eihlab.analytic import (
     hedge_ratios,
     log_thresholds,
     thresholds,
-    upper_quantile,
 )
 from eihlab.market import Measure, reduce_dimension, simulate_paths, simulate_terminal
+from eihlab.normal import upper_quantile
 from eihlab.quadrature import halfspace_quadrature
 
 
@@ -73,6 +76,28 @@ class TestHalfspaceExpectation:
             assert 0.0 < value < bound
 
 
+class TestQuadratureRules:
+    @pytest.mark.parametrize("build", [hermgauss, leggauss])
+    def test_cached_rule_is_read_only(self, build):
+        for array in quadrature._rule(build, 64):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi),
+        st.floats(0.05, 2.0), st.floats(0.0, 2.0 * math.pi),
+        st.floats(-3.0, 3.0), st.sampled_from([16, 64]),
+    )
+    def test_equals_evaluation_on_fresh_nodes(self, r_u, angle_u, r_v, angle_v, c, n_nodes):
+        u = r_u * np.array([math.cos(angle_u), math.sin(angle_u)])
+        v = r_v * np.array([math.cos(angle_v), math.sin(angle_v)])
+        cached = halfspace_quadrature(u, v, c, n_nodes=n_nodes)
+        with mock.patch.object(quadrature, "_rule", lambda build, n: build(n)):
+            fresh = halfspace_quadrature(u, v, c, n_nodes=n_nodes)
+        assert cached == fresh
+
+
 class TestThresholds:
     def test_reference_values(self, set_a):
         red = reduce_dimension(set_a)
@@ -110,7 +135,7 @@ class TestThresholds:
 class TestDigitalPrice:
     def test_tiny_threshold_pays_index_always(self, set_a):
         red = reduce_dimension(set_a)
-        spec = DigitalSpec.at_log_level(Direction.AT_LEAST, -600.0)
+        spec = DigitalSpec(Direction.AT_LEAST, -600.0)
         assert digital_price(red, spec, set_a.t) == pytest.approx(1.0, abs=1e-12)
 
     def test_band_components_price_half_delta(self, set_a):

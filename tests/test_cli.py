@@ -112,7 +112,7 @@ class TestThresholds:
         payload = json.loads(out)
         for key, direction, log_edge in (("price_at_most_a", Direction.AT_MOST, log_a),
                                           ("price_at_least_b", Direction.AT_LEAST, log_b)):
-            spec = DigitalSpec.at_log_level(direction, log_edge)
+            spec = DigitalSpec(direction, log_edge)
             assert payload[key] == digital_price(reduced, spec, SET_A_PARAMS.t)
 
     def test_bad_delta_is_usage_error(self, capsys, config_path):
@@ -300,6 +300,33 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "underflows" in err
+
+
+class TestUnderflowingBandEdge:
+    """A market whose band edge ``a`` underflows (``ln a`` near -990)
+    still verifies and hedges: the claims are kept in log space."""
+
+    CONFIG = (SET_A_CONFIG.replace("0.15, 0.05", "3.0, 0.0")
+              .replace("0.25, -0.10", "-3.0, 0.5")
+              .replace("market.t       = 10.0", "market.t = 50"))
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--prop", "two_sided", "--paths", "1000"),
+        ("verify", "--prop", "mu_bis", "--paths", "1000"),
+        ("hedge", "--paths", "1000"),
+    ])
+    def test_runs_to_a_verdict(self, capsys, tmp_path, argv):
+        path = tmp_path / "c.cfg"
+        path.write_text(self.CONFIG)
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code in (0, 1, 3)
+        assert "Traceback" not in err and "error:" not in err
+        if argv[-3] == "two_sided":
+            # no path escapes a band of mass 1 - 3.4e-82
+            report = json.loads(out)
+            assert report["empirical_probability"] == 0.0
+            assert report["wilson_ci_95"][0] == 0.0
+            assert (report["verdict"], code) == ("pass", 0)
 
 
 # the run flags each command accepts besides --config and --out, and the

@@ -49,6 +49,12 @@ class TestWilsonCI:
     def test_empty_sample(self):
         assert wilson_ci(0, 0) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("trials", [1, 100, 1000, 10**6])
+    def test_endpoints_are_exact_at_no_and_all_successes(self, trials):
+        # center - margin cancels here: 2.2e-19 at 1000 trials, not 0
+        assert wilson_ci(0, trials)[0] == 0.0
+        assert wilson_ci(trials, trials)[1] == 1.0
+
     def test_coverage_on_synthetic_bernoulli(self):
         # 1000 repetitions of n=1000 draws at known p; the 95% interval
         # must cover p in at least 93% of them

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eihlab.normal import std_normal_cdf, std_normal_quantile, upper_quantile
 
@@ -99,3 +99,51 @@ def test_upper_quantile_mixed_array():
     assert out[0] == 0.0
     assert out[1] == -np.inf and out[2] == -np.inf
     assert abs(out[3] - 1.9599639845400545) < 1e-9
+
+
+def test_quantiles_reject_nan():
+    nan = float("nan")
+    for quantile in (std_normal_quantile, upper_quantile):
+        for bad in (nan, np.float64(nan), np.array(nan), np.array([0.3, nan])):
+            with pytest.raises(ValueError):
+                quantile(bad)
+
+
+def outcome(function, x):
+    """What ``function(x)`` gives, as comparable bits or the error raised."""
+    try:
+        value = function(x)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return np.asarray(value, dtype=float).reshape(-1).tobytes()
+
+
+def assert_scalar_path_matches_arrays(function, x):
+    """A float, an np.float64, a 0-d and a 1-element array give the same
+    bits or the same error; the first three give a Python float."""
+    forms = (float(x), np.float64(x), np.array(x), np.array([x]))
+    outcomes = [outcome(function, form) for form in forms]
+    assert outcomes[1:] == outcomes[:-1]
+    if not isinstance(outcomes[0], tuple):
+        assert all(type(function(form)) is float for form in forms[:3])
+
+
+@given(st.floats())
+@example(5e-324)
+@example(0.5)
+@example(1.0 - 2.0**-53)
+@example(1.0)
+@example(float("nan"))
+def test_quantile_scalar_path_matches_array_path(p):
+    assert_scalar_path_matches_arrays(std_normal_quantile, p)
+    assert_scalar_path_matches_arrays(upper_quantile, p)
+
+
+def test_upper_quantile_median_is_negative_zero_on_every_path():
+    for form in (0.5, np.float64(0.5), np.array(0.5), np.array([0.5])):
+        assert np.signbit(upper_quantile(form))
+
+
+@given(st.floats(min_value=-40.0, max_value=40.0))
+def test_cdf_scalar_path_matches_array_path(x):
+    assert_scalar_path_matches_arrays(std_normal_cdf, x)

@@ -380,9 +380,9 @@ class TestEvents:
         assert log_b == pytest.approx(0.9548513846259783, abs=1e-12)
 
     def test_indicator_closed_at_threshold(self):
-        spec = DigitalSpec.at_log_level(Direction.AT_LEAST, 0.3)
+        spec = DigitalSpec(Direction.AT_LEAST, 0.3)
         assert bool(spec.payoff_indicator(0.3))
-        spec = DigitalSpec.at_log_level(Direction.AT_MOST, 0.3)
+        spec = DigitalSpec(Direction.AT_MOST, 0.3)
         assert bool(spec.payoff_indicator(0.3))
 
     def test_complement_exactness_on_random_markets(self):
