@@ -29,7 +29,12 @@ from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
-from .normal import std_normal_cdf, std_normal_pdf, upper_quantile
+from .normal import (
+    std_normal_cdf,
+    std_normal_pdf,
+    std_normal_quantile,
+    upper_quantile,
+)
 
 if TYPE_CHECKING:
     from .market import ReducedParams
@@ -43,7 +48,11 @@ __all__ = [
     "gaussian_halfspace_expectation",
     "hedge_ratios",
     "log_thresholds",
+    "std_normal_cdf",
+    "std_normal_pdf",
+    "std_normal_quantile",
     "thresholds",
+    "upper_quantile",
 ]
 
 

@@ -14,8 +14,9 @@ Threshold levels enter prices exponentially, which is why the quantile
 must be accurate to machine precision rather than to a rational
 approximation's 1e-9.
 
-A Python or numpy float takes a scalar path through the CDF and the
-quantiles: the same ``erfc``/``ndtri`` ufunc on the float, with no array
+A Python or numpy float takes a scalar path through ``std_normal_cdf``
+and ``upper_quantile``, the calls the scalar bound, threshold and price
+API makes: the same ``erfc``/``ndtri`` ufunc on the float, with no array
 set-up (under a microsecond a call), giving the bits and the errors of a
 0-d array.  NaN is outside every quantile's domain.
 """
@@ -29,7 +30,6 @@ from scipy.special import erfc, ndtri
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = 1.0 / float(np.sqrt(2.0 * np.pi))
-_OPEN_UNIT = "quantile argument must lie strictly inside (0, 1)"
 _POSITIVE = "upper_quantile requires p > 0"
 
 
@@ -59,13 +59,9 @@ def std_normal_quantile(p) -> np.ndarray | float:
 
     Raises ``ValueError`` outside the open unit interval and at NaN.
     """
-    if isinstance(p, float):
-        if not 0.0 < p < 1.0:
-            raise ValueError(_OPEN_UNIT)
-        return float(ndtri(p))
     arr = np.asarray(p, dtype=float)
     if not ((arr > 0.0).all() and (arr < 1.0).all()):
-        raise ValueError(_OPEN_UNIT)
+        raise ValueError("quantile argument must lie strictly inside (0, 1)")
     return _maybe_scalar(ndtri(arr), arr.ndim == 0)
 
 
