@@ -9,10 +9,7 @@ probability.  All valuation here flows through one private kernel,
 ``_valuation``, which computes the standardized distance ``d`` once and
 returns the claim value and, when asked, the replicating units;
 ``digital_price``, ``claim_value``, ``hedge_ratios`` and the wealth loop
-in :mod:`eihlab.strategies` all call it.  An ``at_most`` claim is priced
-as ``1 - F(d)`` but hedged with ``F(-d)``.  The two are algebraically
-equal and differ only in rounding; both forms are kept on purpose, so
-that values and hedge ratios keep the exact floats they always had.
+in :mod:`eihlab.strategies` all call it.
 
 Thresholds are computed and stored in log space.  Strategy payoffs and
 event predicates compare ``ln(S_T / I_T)`` against the same stored
@@ -149,41 +146,47 @@ def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_rati
     ``ratio`` is the numerator over the index (``S_t / I_t``, or the
     bond's over the index for bond-ratio claims) and ``log_ratio`` its
     ``np.log``; callers that value several claims on one ratio compute
-    both once.  Returns ``(value, units_s, units_i)``: the value is
-    ``i_t`` times the index-measure probability that the claim pays, and
-    without ``hedge`` the units are None.  The index units start from
-    ``F(sign * d)``, which for an ``at_most`` claim is a second CDF
-    evaluation (see the module docstring).
+    both once.  With ``sign`` +1 for ``at_least`` and -1 for ``at_most``,
+    ``scale = delta_norm sqrt(tau)``, ``d = (log_ratio - log_threshold -
+    delta_norm^2 tau / 2) / scale`` and ``z = sign * d``, returns
+    ``(value, units_s, units_i) = (i_t F(z), sign f(z) / (ratio scale),
+    F(z) - sign f(z) / scale)`` elementwise, without ``hedge`` the units
+    None.  One CDF serves value and hedge, and ``F(z)`` keeps its
+    relative accuracy deep in either tail, where ``1 - F(d)`` rounds to 0.
+    Dividing by ``sign * scale`` negates exactly, so each result has the
+    bits of these expressions; arrays are worked on in place.
     """
-    scale = delta_norm * np.sqrt(tau)
-    d = (log_ratio - spec.log_threshold - 0.5 * delta_norm * delta_norm * tau) / scale
-    p = std_normal_cdf(d)
-    at_least = spec.direction is Direction.AT_LEAST
-    value = i_t * (p if at_least else 1.0 - p)
+    signed_scale = delta_norm * np.sqrt(tau)
+    if spec.direction is Direction.AT_MOST:
+        signed_scale = -signed_scale
+    z = log_ratio - spec.log_threshold
+    z -= 0.5 * delta_norm * delta_norm * tau
+    z /= signed_scale
+    prob = std_normal_cdf(z)
+    value = i_t * prob
     if not hedge:
         return value, None, None
-    sign = 1.0 if at_least else -1.0
-    prob = p if at_least else std_normal_cdf(-d)
-    density = std_normal_pdf(d)
-    units_s = sign * density / (ratio * scale)
-    units_i = prob - sign * density / scale
-    return value, units_s, units_i
+    density = std_normal_pdf(z)
+    units_s = density / (ratio * signed_scale)
+    density /= signed_scale
+    prob -= density
+    return value, units_s, prob
 
 
 def _check_valuation(t: float, horizon: float, s_t, i_t) -> tuple[np.ndarray, np.ndarray]:
-    if not 0.0 <= t < horizon:
-        raise ValueError("valuation time must satisfy 0 <= t < horizon")
+    if not 0.0 <= t < horizon < math.inf:
+        raise ValueError("valuation time must satisfy 0 <= t < horizon < inf")
     s_t = np.asarray(s_t, dtype=float)
     i_t = np.asarray(i_t, dtype=float)
-    if np.any(s_t <= 0.0) or np.any(i_t <= 0.0):
+    if not ((s_t > 0.0).all() and (i_t > 0.0).all()):
         raise ValueError("prices must be strictly positive")
     return s_t, i_t
 
 
 def digital_price(reduced: "ReducedParams", spec: DigitalSpec, tau: float) -> float:
     """Time-(T - tau) claim value per unit index when S/I currently equals 1."""
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     delta_norm = reduced.delta_norm
     if delta_norm == 0.0:
         raise ValueError("reduced volatility pair must differ")

@@ -45,13 +45,20 @@ def std_normal_cdf(x) -> np.ndarray | float:
     if isinstance(x, float):
         return float(0.5 * erfc(-x / _SQRT2))
     arr = np.asarray(x, dtype=float)
-    return _maybe_scalar(0.5 * erfc(-arr / _SQRT2), arr.ndim == 0)
+    out = np.divide(arr, -_SQRT2, out=np.empty(arr.shape))
+    erfc(out, out=out)
+    out *= 0.5
+    return _maybe_scalar(out, arr.ndim == 0)
 
 
 def std_normal_pdf(x) -> np.ndarray | float:
     """Density of N(0, 1), elementwise."""
     arr = np.asarray(x, dtype=float)
-    return _maybe_scalar(_INV_SQRT_2PI * np.exp(-0.5 * arr * arr), arr.ndim == 0)
+    out = np.multiply(arr, -0.5, out=np.empty(arr.shape))
+    out *= arr
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    return _maybe_scalar(out, arr.ndim == 0)
 
 
 def std_normal_quantile(p) -> np.ndarray | float:

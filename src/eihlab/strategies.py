@@ -366,9 +366,9 @@ def _wealth_step(
     index_t, stock_t = prices
     underlyings = {comp.underlying for comp in strategy.components}
     bond_level = math.exp(params.r * t)
-    if (np.any(index_t <= 0.0)
-            or (Underlying.STOCK in underlyings and np.any(stock_t <= 0.0))
-            or (Underlying.BOND in underlyings and bond_level <= 0.0)):
+    if not ((index_t > 0.0).all()
+            and (Underlying.STOCK not in underlyings or (stock_t > 0.0).all())
+            and (Underlying.BOND not in underlyings or bond_level > 0.0)):
         raise ValueError("prices must be strictly positive")
     tau = params.t - t
     rebalance = t <= rebalance_cutoff
@@ -386,17 +386,28 @@ def _wealth_step(
         value, units_s, units_i = _valuation(
             comp.spec, comp.reduced.delta_norm, tau, ratio, log_ratio, index_t, rebalance
         )
-        analytic += comp.units * value
+        value *= comp.units
+        analytic += value
         if rebalance:
-            h_index += comp.units * units_i
+            units_i *= comp.units
+            h_index += units_i
             if comp.underlying is Underlying.STOCK:
-                h_stock += comp.units * units_s
+                units_s *= comp.units
+                h_stock += units_s
     if hedged is None:
         hedged = analytic
-    cash = hedged - h_stock * stock_t - h_index * index_t
-    growth = math.exp(params.r * (t_next - t))
+    # in place, in the order of cash = hedged - h_stock s - h_index i and
+    # hedged_next = h_stock s_next + h_index i_next + cash * growth
+    cash = h_stock * stock_t
+    np.subtract(hedged, cash, out=cash)
+    term = h_index * index_t
+    cash -= term
+    cash *= math.exp(params.r * (t_next - t))
     index_next, stock_next = prices_next
-    hedged_next = h_stock * stock_next + h_index * index_next + cash * growth
+    hedged_next = h_stock * stock_next
+    np.multiply(h_index, index_next, out=term)
+    hedged_next += term
+    hedged_next += cash
     return analytic, hedged_next, held
 
 

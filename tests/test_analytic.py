@@ -21,7 +21,7 @@ from eihlab.analytic import (
     thresholds,
 )
 from eihlab.market import Measure, reduce_dimension, simulate_paths, simulate_terminal
-from eihlab.normal import upper_quantile
+from eihlab.normal import std_normal_cdf, upper_quantile
 from eihlab.quadrature import halfspace_quadrature
 
 
@@ -178,8 +178,9 @@ class TestDigitalPrice:
     def test_rejects_bad_tau(self, set_a):
         red = reduce_dimension(set_a)
         spec = DigitalSpec.at_level(Direction.AT_LEAST, 1.0)
-        with pytest.raises(ValueError):
-            digital_price(red, spec, 0.0)
+        for tau in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau"):
+                digital_price(red, spec, tau)
 
 
 class TestClaimValue:
@@ -239,6 +240,36 @@ class TestClaimValue:
         spec = DigitalSpec.at_level(Direction.AT_LEAST, 1.0)
         with pytest.raises(ValueError):
             claim_value(red, spec, set_a.t, 1.0, 1.0, set_a.t)
+
+    def test_rejects_infinite_horizon(self, set_a):
+        red = reduce_dimension(set_a)
+        spec = DigitalSpec.at_level(Direction.AT_MOST, 0.8)
+        for valuation in (claim_value, hedge_ratios):
+            with pytest.raises(ValueError, match="horizon"):
+                valuation(red, spec, 0.0, 1.0, 1.0, math.inf)
+
+    @pytest.mark.parametrize("d", [8.3, 9.0])
+    def test_at_most_value_keeps_its_far_tail(self, set_a, d):
+        # at t = 9, S = I = 1, the threshold puts the standardized
+        # distance at d, where 1 - F(d) rounds to 0 but F(-d) does not
+        red = reduce_dimension(set_a)
+        t, tau = 9.0, 1.0
+        delta_norm = red.delta_norm
+        spec = DigitalSpec(Direction.AT_MOST, -0.5 * delta_norm**2 * tau - d * delta_norm)
+        value = claim_value(red, spec, t, 1.0, 1.0, set_a.t)
+        d_kernel = (0.0 - spec.log_threshold - 0.5 * delta_norm**2 * tau) / delta_norm
+        assert d_kernel == pytest.approx(d, rel=1e-14)
+        assert value > 0.0
+        assert value == pytest.approx(std_normal_cdf(-d_kernel), rel=1e-14)
+
+    def test_nan_prices_are_rejected(self, set_a):
+        red = reduce_dimension(set_a)
+        spec = DigitalSpec.at_level(Direction.AT_MOST, 0.8)
+        for s_t, i_t in ((math.nan, 1.0), (1.0, np.array([1.0, math.nan]))):
+            with pytest.raises(ValueError, match="strictly positive"):
+                claim_value(red, spec, 1.0, s_t, i_t, set_a.t)
+            with pytest.raises(ValueError, match="strictly positive"):
+                hedge_ratios(red, spec, 1.0, s_t, i_t, set_a.t)
 
 
 class TestHedgeRatios:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eihlab import experiments, rng
+from eihlab import analytic, experiments, rng
 from eihlab.experiments import (
     CHUNK_PATHS,
     INCONCLUSIVE,
@@ -288,6 +288,22 @@ class TestHedgingStudy:
             assert rows == runs[0][0]
             for m in step_counts:
                 assert np.array_equal(errors[m], runs[0][1][m])
+
+    def test_one_cdf_per_claim_per_path_step(self, set_a, monkeypatch):
+        # the band strategy holds two claims, each valued and hedged from
+        # one CDF of n values per step: 2 n (sum of step counts) in all
+        counted = []
+
+        def counting(x):
+            out = std_normal_cdf(x)
+            counted.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(analytic, "std_normal_cdf", counting)
+        n_paths, step_counts = 1000, (16, 5, 8)
+        config = ExperimentConfig(params=set_a, delta=0.05, n_paths=n_paths, seed=61)
+        hedging_fidelity_study(config, step_counts)
+        assert sum(counted) == 2 * n_paths * sum(step_counts)
 
     @pytest.mark.parametrize("step_counts", [(), (64, 0), (-8,)])
     def test_rejects_bad_step_counts(self, set_a, step_counts):

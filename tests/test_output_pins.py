@@ -3,8 +3,8 @@
 Each case runs the CLI at a fixed seed and compares the SHA-256 of its
 stdout, and its exit code, with a frozen value.  A refactor that should
 change no number must leave every digest as it is.  A deliberate change
-of the random stream (or of a report format) changes them, like
-``test_normal_stream_is_frozen``, and needs a CHANGES.md note.
+of the random stream or of the valuation (or of a report format)
+changes them, like ``test_normal_stream_is_frozen``, and needs a CHANGES.md note.
 """
 
 import hashlib
@@ -41,9 +41,10 @@ CASES = {
     # 5,000 paths over two workers; named when the study ran chunks of
     # 4,096 paths, where 5,000 made two of them
     "hedge_two_chunks": ("holds", "hedge", "--paths", "5000", "--workers", "2", "--seed", "21"),
-    # one path past 4,096: in chunks of 4,096 the last chunk holds one
-    # path, whose per-step products round unlike a batch's
-    # (test_rows_equal_one_simulation_per_step_count runs it that way)
+    # one path past 4,096, named when the study ran chunks of 4,096 paths;
+    # with CHUNK_PATHS = 65,536 its 4,097 paths are one chunk, and
+    # test_rows_equal_one_simulation_per_step_count covers a one-path
+    # last chunk by shrinking the chunk size
     "hedge_one_path_chunk": ("holds", "hedge", "--paths", "4097", "--seed", "3"),
     "price": ("holds", "price"),
     "thresholds": ("holds", "thresholds"),
@@ -56,12 +57,12 @@ CASES = {
                        "--seed", "20"),
 }
 
-# (exit code, SHA-256 of stdout) on random stream "v3"
+# (exit code, SHA-256 of stdout) on random stream "v3", valuation "v2"
 PINS = {
-    "hedge": (0, "c1639d1fb4d4ebadbabc4bf5b61bf02e3690524db270c663acc99c054712e30e"),
-    "hedge_one_path_chunk": (0, "a38aa2a34e08fe256bf60e00e7a0e58d7e75822873fbd8f43fe0ee04a5b8311d"),
-    "hedge_two_chunks": (0, "6223e65aba2bbc7de09e10860399751769a5bbbf64f92e189cbf4c39cd37c155"),
-    "price": (0, "2f2e488949e2021799a65bba06c9a15c25a06d8ea1d8edf10dab78eb4d1873a4"),
+    "hedge": (0, "ae2fb15fc26dfeab4fb91b4f3a9f3f6e9ab2952b04326aa2ce2e53fbf8ddb5ca"),
+    "hedge_one_path_chunk": (0, "ddd8b26808033b9781a8c2bfba5c62f9a924bdf8880f567543c0b1407c01ca91"),
+    "hedge_two_chunks": (0, "8f91ed4db7edb544719c07d6dde658151f48823913293a4fdbfe3956b2240f77"),
+    "price": (0, "0fff58482eb3a3ba2e241bb2ad82c0f1e5c133949b60772304003ea863fd3796"),
     "simulate_steps": (0, "3377787d0363c26e8772bcbf5c243f973a0d4524dadfa4109850f807e7395348"),
     "simulate_terminal": (0, "d1037f2e729e26d5d000ba55d757f14ac8d5e1508065492b81c43943902e0dc4"),
     "table_convergence": (0, "c072526f494b99ba6917f58fbbbf46834aa6b0a9a9ebac4fe62cd4d29da863f1"),

@@ -352,6 +352,18 @@ class TestWealthLoop:
         with pytest.raises(ValueError, match="strictly positive"):
             wealth_tracks(strat, set_a, batch, _cutoff(set_a, 4))
 
+    def test_nan_prices_are_rejected(self, set_a):
+        # a NaN increment makes every later price of its path NaN, which
+        # a "<= 0" test would let through into NaN wealth
+        increments = np.zeros((3, 4, 2))
+        increments[1, 1, 0] = math.nan
+        batch = paths_from_increments(set_a, Measure.PHYSICAL,
+                                      np.linspace(0.0, set_a.t, 5), increments)
+        assert math.isnan(batch.index_values[1, 2])
+        strat = build_two_sided(set_a, 0.05)
+        with pytest.raises(ValueError, match="strictly positive"):
+            wealth_tracks(strat, set_a, batch, _cutoff(set_a, 4))
+
     def test_peak_memory_is_the_two_tracks(self, set_a):
         strat = build_two_sided(set_a, 0.05)
         batch = simulate_paths(set_a, Measure.PHYSICAL, 512, 4096, 30)
