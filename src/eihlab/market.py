@@ -15,13 +15,12 @@ instance and read by the bounds, builders, events and samplers.
 
 Paths have one type, :class:`PathBatch`; a single path is a one-path
 batch, and because draws depend only on (seed, path, step) it equals
-the matching row of any larger batch.  Price grids are column-major,
-and their log levels are summed one contiguous column (one time) at a
-time.  A caller that needs only the current prices of each path steps
-them with :func:`step_prices`, one time at a time, and keeps no grid:
-its floats are those of the matching column of
-:func:`paths_from_increments`.  Draws depend on the step, not on the
-grid, so one draw of a step's normals can drive several grids at once.
+the matching row of any larger batch.  A batch moves through time by
+one function, :func:`step_prices`: :func:`paths_from_increments`
+records its steps as the columns of column-major price grids, and a
+caller that needs only the current prices streams them and keeps no
+grid.  Draws depend on the step, not on the grid, so one draw of a
+step's normals can drive several grids at once.
 """
 
 from __future__ import annotations
@@ -250,49 +249,6 @@ def simulate_terminal(
     return TerminalSample(index=np.exp(log_i), stock=np.exp(log_s))
 
 
-def paths_from_increments(
-    params: MarketParams,
-    measure: Measure,
-    times: np.ndarray,
-    increments: np.ndarray,
-) -> PathBatch:
-    """Build paths by exact lognormal stepping from given 2-d increments.
-
-    ``increments[p, k]`` is path ``p``'s driver increment over
-    ``(times[k], times[k+1])``.  Zeros yield the deterministic drift-only
-    path.
-    """
-    times = np.asarray(times, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must increase strictly from 0")
-    reduced = params.reduced
-    mu_i, mu_s = drift_pair(params, measure)
-    dt = np.diff(times)
-    n = increments.shape[0]
-
-    def levels(mu: float, sigma_bar: np.ndarray) -> np.ndarray:
-        drift = (mu - 0.5 * float(sigma_bar @ sigma_bar)) * dt
-        out = np.empty((n, times.size), order="F")
-        out[:, 0] = 0.0
-        np.copyto(out[:, 1:], increments @ sigma_bar)
-        # log levels, stepped one contiguous column at a time: each step
-        # is drift plus diffusion, added to the level before it in the
-        # order of ``cumsum`` along a row, so the floats are the same
-        for k in range(1, times.size):
-            level = out[:, k]
-            level += drift[k - 1]
-            level += out[:, k - 1]
-        return np.exp(out, out=out)
-
-    return PathBatch(
-        times=times,
-        index_values=levels(mu_i, reduced.sigma_i_bar),
-        stock_values=levels(mu_s, reduced.sigma_s_bar),
-        driver_increments=increments,
-    )
-
-
 class PricePoint(NamedTuple):
     """A path batch at one time: prices and their log levels, shape (n,)."""
 
@@ -318,10 +274,12 @@ def step_prices(
     """Exact lognormal step of a path batch over ``dt``.
 
     ``increments`` holds each path's ``(n, 2)`` driver increment over the
-    step.  Each log level is the increment's diffusion plus the step's
-    drift plus the level at ``start``, added in the order
-    :func:`paths_from_increments` adds them, so the floats are those of
-    the matching column of its grids.
+    step.  Each new log level is the diffusion ``increments @ sigma_bar``
+    plus the step's drift ``(mu - |sigma_bar|^2 / 2) dt`` plus the level
+    at ``start``, added in that order; the price is its exponential.  A
+    lone path is multiplied as a two-row stack, so a path's floats do not
+    depend on the size of its batch.  This is the package's one price
+    step: the path grids record it and the hedging study streams it.
     """
     reduced = params.reduced
     mu_i, mu_s = drift_pair(params, measure)
@@ -342,21 +300,34 @@ def step_prices(
     return PricePoint(np.exp(log_index), np.exp(log_stock), log_index, log_stock)
 
 
-def path_normals(n_steps: int, n_paths: int, seed: int, *, first_path: int = 0) -> np.ndarray:
-    """Standard normal pairs of a batch of paths, shape (n_paths, n_steps, 2).
+def paths_from_increments(
+    params: MarketParams,
+    measure: Measure,
+    times: np.ndarray,
+    increments: np.ndarray,
+) -> PathBatch:
+    """Build paths by exact lognormal stepping from given 2-d increments.
 
-    Entry ``[k, step]`` is the pair at counter ``(seed, first_path + k,
-    step)``, so the normals of a grid with fewer steps are the leading
-    steps of this array.
+    ``increments`` has shape ``(n, len(times) - 1, 2)``: ``increments[p,
+    k]`` is path ``p``'s driver increment over ``(times[k], times[k+1])``.
+    Zeros yield the deterministic drift-only path.  Column ``k + 1`` of
+    each grid is :func:`step_prices` of column ``k``.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    normals = np.empty((n_paths, n_steps, 2))
-    for step in range(n_steps):
-        normals[:, step] = rng.normal_pairs(seed, first_path, n_paths, step)
-    return normals
+    times = np.asarray(times, dtype=float)
+    increments = np.asarray(increments, dtype=float)
+    if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must increase strictly from 0")
+    if increments.ndim != 3 or increments.shape[1:] != (times.size - 1, 2):
+        raise ValueError(f"increments must have shape (n_paths, {times.size - 1}, 2), "
+                         f"got {increments.shape}")
+    n = increments.shape[0]
+    index, stock = np.empty((n, times.size), order="F"), np.empty((n, times.size), order="F")
+    point = PricePoint.at_start(n)
+    index[:, 0], stock[:, 0] = point.index, point.stock
+    for k in range(times.size - 1):
+        point = step_prices(params, measure, times[k + 1] - times[k], increments[:, k], point)
+        index[:, k + 1], stock[:, k + 1] = point.index, point.stock
+    return PathBatch(times, index, stock, increments)
 
 
 def simulate_paths(
@@ -371,10 +342,17 @@ def simulate_paths(
     """Exact stepping of a batch of paths on the uniform grid.
 
     Path ``k`` uses the normal pairs at counters ``(seed, first_path + k,
-    step)``, so a one-path call with ``first_path=k`` equals row ``k`` of
-    any batch that holds it.
+    step)``, scaled by ``sqrt(t / n_steps)``, so a one-path call with
+    ``first_path=k`` equals row ``k`` of any batch that holds it.  The
+    grids are those of :func:`paths_from_increments`.
     """
-    increments = path_normals(n_steps, n_paths, seed, first_path=first_path)
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    increments = np.empty((n_paths, n_steps, 2))
+    for step in range(n_steps):
+        increments[:, step] = rng.normal_pairs(seed, first_path, n_paths, step)
     increments *= np.sqrt(params.t / n_steps)
     return paths_from_increments(params, measure, np.linspace(0.0, params.t, n_steps + 1),
                                  increments)

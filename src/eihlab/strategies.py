@@ -242,7 +242,6 @@ def build_capm_composite(
 ) -> PrudentStrategy:
     """Strategies behind the drift-bound guarantees.
 
-    ``prop_mu``      band strategy on the stock ratio (wealth delta).
     ``prop_mu_bis``  one-sided stock strategy, tail picked by the sign
                      of the drift gap (wealth delta).
     ``cor_2delta``   prop_mu_bis and a one-sided bond strategy, each
@@ -254,8 +253,6 @@ def build_capm_composite(
     _check_delta(delta)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if variant == "prop_mu":
-        return PrudentStrategy(build_two_sided(params, delta).components, label="prop_mu")
     if variant == "prop_mu_bis":
         side = Side.UPPER if drift_gap(params) >= 0.0 else Side.LOWER
         strat = build_one_sided(params, delta, side)

@@ -12,12 +12,10 @@ from eihlab.market import (
     Measure,
     drift_pair,
     log_ratio_law,
-    PricePoint,
     paths_from_increments,
     reduce_dimension,
     simulate_paths,
     simulate_terminal,
-    step_prices,
 )
 
 from conftest import make_degenerate_equal_sigmas, random_market
@@ -220,26 +218,43 @@ class TestSimulatePath:
     @pytest.mark.parametrize("measure", list(Measure))
     def test_grids_are_column_major_row_major_bits(self, set_a, measure):
         # the column-major grids hold exactly the floats of the row-major
-        # cumsum-then-exp on random increments and an uneven time grid
+        # cumsum-then-exp on random increments and an uneven time grid;
+        # one path, whose lone product rounds unlike a batch row's, included
         rng = np.random.default_rng(808)
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, size=40))])
-        increments = rng.standard_normal((300, 40, 2)) * np.sqrt(np.diff(times))[:, None]
-        batch = paths_from_increments(set_a, measure, times, increments)
         mu_i, mu_s = drift_pair(set_a, measure)
         reduced = set_a.reduced
-        for values, mu, sigma_bar in ((batch.index_values, mu_i, reduced.sigma_i_bar),
-                                      (batch.stock_values, mu_s, reduced.sigma_s_bar)):
-            steps = ((mu - 0.5 * float(sigma_bar @ sigma_bar)) * np.diff(times)
-                     + increments @ sigma_bar)
-            assert values.shape == (300, 41)
-            assert values.flags.f_contiguous
-            assert np.all(values[:, 0] == 1.0)
-            assert np.array_equal(values[:, 1:], np.exp(np.cumsum(steps, axis=1)))
+        for n_paths in (1, 2, 3, 65, 300):
+            increments = rng.standard_normal((n_paths, 40, 2)) * np.sqrt(np.diff(times))[:, None]
+            batch = paths_from_increments(set_a, measure, times, increments)
+            for values, mu, sigma_bar in ((batch.index_values, mu_i, reduced.sigma_i_bar),
+                                          (batch.stock_values, mu_s, reduced.sigma_s_bar)):
+                steps = ((mu - 0.5 * float(sigma_bar @ sigma_bar)) * np.diff(times)
+                         + increments @ sigma_bar)
+                assert values.shape == (n_paths, 41)
+                assert values.flags.f_contiguous
+                assert np.all(values[:, 0] == 1.0)
+                assert np.array_equal(values[:, 1:], np.exp(np.cumsum(steps, axis=1))), n_paths
 
     @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
     def test_rejects_times_not_increasing_from_zero(self, set_a, times):
         with pytest.raises(ValueError, match="increase strictly from 0"):
             paths_from_increments(set_a, Measure.PHYSICAL, times, np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (2, 6, 2), (2, 4, 3)])
+    def test_rejects_increments_off_the_time_grid(self, set_a, shape):
+        # one increment per path, step and driver: none broadcast, none dropped
+        times = np.linspace(0.0, set_a.t, 5)
+        with pytest.raises(ValueError, match=r"must have shape \(n_paths, 4, 2\)"):
+            paths_from_increments(set_a, Measure.PHYSICAL, times, np.zeros(shape))
+
+    @pytest.mark.parametrize("n_steps, n_paths, message", [
+        (0, 3, "n_steps must be at least 1"),
+        (4, 0, "n_paths must be at least 1"),
+    ])
+    def test_rejects_empty_grids(self, set_a, n_steps, n_paths, message):
+        with pytest.raises(ValueError, match=message):
+            simulate_paths(set_a, Measure.PHYSICAL, n_steps, n_paths, 1)
 
     def test_terminal_law_against_analytic_ks(self, set_a):
         n = 10**5
@@ -264,22 +279,6 @@ class TestSimulatePath:
             assert np.array_equal(one.times, batch.times)
             for name in ("index_values", "stock_values", "driver_increments"):
                 assert np.array_equal(getattr(one, name)[0], getattr(batch, name)[k])
-
-
-    @pytest.mark.parametrize("n_paths", [1, 2, 3, 65])
-    @pytest.mark.parametrize("measure", list(Measure))
-    def test_stepped_prices_equal_the_grid(self, set_a, n_paths, measure):
-        # one step at a time gives the grid's floats; one path, whose
-        # lone product rounds unlike a batch row's, included
-        times = np.linspace(0.0, set_a.t, 65)
-        increments = np.random.default_rng(n_paths).normal(size=(n_paths, 64, 2)) * 0.4
-        batch = paths_from_increments(set_a, measure, times, increments)
-        point = PricePoint.at_start(n_paths)
-        for k in range(64):
-            point = step_prices(set_a, measure, times[k + 1] - times[k],
-                                np.ascontiguousarray(increments[:, k]), point)
-            assert np.array_equal(point.index, batch.index_values[:, k + 1])
-            assert np.array_equal(point.stock, batch.stock_values[:, k + 1])
 
 
 class TestPathRange:

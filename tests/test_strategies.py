@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eihlab import analytic, strategies
 from eihlab.analytic import DigitalSpec, Direction, claim_value, digital_price, hedge_ratios
 from eihlab.market import (
     MarketParams,
@@ -164,14 +165,6 @@ class TestComposites:
         strat = build_capm_composite(set_a, 0.05, 0.05, "cor_3delta")
         assert strat.total_initial_wealth == pytest.approx(3.0, rel=1e-12)
         assert len(strat.components) == 3
-
-    def test_prop_mu_wraps_band_strategy(self, set_a):
-        band = build_two_sided(set_a, 0.05)
-        wrapped = build_capm_composite(set_a, 0.05, 0.05, "prop_mu")
-        assert wrapped.label == "prop_mu"
-        assert [c.spec.log_threshold for c in wrapped.components] == [
-            c.spec.log_threshold for c in band.components]
-        assert wrapped.total_initial_wealth == band.total_initial_wealth
 
     def test_unknown_variant_rejected(self, set_a):
         with pytest.raises(ValueError):
@@ -460,3 +453,9 @@ class TestBoundCheck:
     def test_unknown_bound_rejected(self, set_a):
         with pytest.raises(ValueError):
             bound_check(set_a, 0.05, 0.05, "nope")
+
+
+@pytest.mark.parametrize("module", [analytic, strategies], ids=lambda m: m.__name__)
+def test_exports_resolve(module):
+    # a deleted name must leave no entry behind in ``__all__``
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
