@@ -199,12 +199,6 @@ def _measure(values: dict[str, str]) -> Measure:
         raise UsageError(f"unknown measure: {values['run.measure']!r}") from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, int, np.integer)):
-        return str(value)
-    return format(float(value), ".17g")
-
-
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
     """Write text pieces to stdout and, with ``--out``, to that file.
 
@@ -227,12 +221,6 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _table_csv(header: list[str], rows: list[dict]) -> Iterator[str]:
-    yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(_fmt(row[name]) for name in header) + "\n"
-
-
 def _columns_csv(header: str, row_format: str, chunks: Iterable[tuple]) -> Iterator[str]:
     """Each chunk of equal-length columns as one ``%``-format call over
     its rows (``%.17g`` is ``format(x, ".17g")``); the header goes out
@@ -245,6 +233,13 @@ def _columns_csv(header: str, row_format: str, chunks: Iterable[tuple]) -> Itera
             flat[j::width] = column
         yield prefix + (row_format * rows) % tuple(flat)
         prefix = ""
+
+
+def _rows_csv(header: list[str], rows: list[dict], ints: tuple[str, ...] = ()) -> Iterator[str]:
+    """Table rows as one chunk of columns, the ``ints`` columns ``%d``."""
+    row_format = ",".join("%d" if name in ints else "%.17g" for name in header) + "\n"
+    columns = [[row[name] for row in rows] for name in header]
+    return _columns_csv(",".join(header), row_format, [columns])
 
 
 def _terminal_chunks(params: MarketParams, measure: Measure, n_paths: int,
@@ -363,7 +358,7 @@ def cmd_hedge(args, values: dict[str, str]) -> int:
     rows = experiments.hedging_fidelity_study(config)
     header = ["n_steps", "median_abs_error", "rms_error", "max_abs_error",
               "analytic_negative_count", "hedged_negative_fraction", "hedged_min_wealth"]
-    _emit(_table_csv(header, rows), args.out)
+    _emit(_rows_csv(header, rows, ints=("n_steps", "analytic_negative_count")), args.out)
     return EXIT_PASS
 
 
@@ -379,7 +374,7 @@ def cmd_table(args, values: dict[str, str]) -> int:
             raise UsageError(str(exc)) from exc
         header = ["u1", "u2", "v1", "v2", "c", "closed_form", "quadrature",
                   "abs_gap", "mc_mean", "mc_se"]
-        _emit(_table_csv(header, rows), args.out)
+        _emit(_rows_csv(header, rows), args.out)
         return EXIT_PASS
     params = market_from_config(values)
     delta = _real(values, "run.delta")
@@ -400,7 +395,7 @@ def cmd_table(args, values: dict[str, str]) -> int:
               "width_capm_final", "tpd_mc_mean", "tpd_target", "tpd_se"]
     for name, slope in study.slopes.items():
         print(f"log-log slope {name}: {slope:.12f}", file=sys.stderr)
-    _emit(_table_csv(header, study.rows), args.out)
+    _emit(_rows_csv(header, study.rows), args.out)
     return EXIT_PASS
 
 

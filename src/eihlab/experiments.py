@@ -18,8 +18,9 @@ Work is split into fixed-size path chunks whose draws depend only on
 (seed, path index); chunk results are combined in chunk order, so a
 report is bit-identical whether computed by one worker or eight.  The
 hedging study also shares draws across step counts: a path chunk draws
-each step's normals once and moves every grid on by that step, keeping
-no path or wealth grid.
+each step's normals once and moves every grid on by that step, through
+the public steps :func:`eihlab.market.step_prices` and
+:class:`eihlab.strategies.Replication`, keeping no path or wealth grid.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -201,7 +202,7 @@ def _mu_bis_counts(config: ExperimentConfig) -> Callable:
     """Beat frequency of the one-sided stock strategy, tail picked by the
     sign of the drift gap, against the complementary one-sided event."""
     params, delta = config.params, config.delta
-    strategy = strategies.build_capm_composite(params, delta, config.eps, "prop_mu_bis")
+    strategy = strategies.build_capm_composite(params, delta, "prop_mu_bis")
     side = Side.UPPER if drift_gap(params) >= 0.0 else Side.LOWER
 
     def counts(terminal: TerminalSample) -> tuple[int, int]:
@@ -476,9 +477,10 @@ def hedging_fidelity_study(
     Every grid is driven by common normals: step ``k`` of path ``p`` uses
     the pair at counter ``(seed, p, k)`` on each grid.  A path chunk
     draws each step's pairs once and moves every grid with more than
-    ``k`` steps one step on (:func:`eihlab.market.step_prices`, then the
-    wealth step of :func:`eihlab.strategies.wealth_tracks`), keeping only
-    each grid's current prices and wealth and the per-path reductions
+    ``k`` steps one step on (:func:`eihlab.market.step_prices`, then
+    :meth:`eihlab.strategies.Replication.step`, the step that
+    :func:`eihlab.strategies.wealth_tracks` records), keeping only each
+    grid's current prices, its replication and the per-path reductions
     its row reads.  Rows come out in ``step_counts`` order and equal
     those of :func:`eihlab.market.simulate_paths` plus ``wealth_tracks``
     run per step count, whatever the chunk size.
@@ -496,10 +498,9 @@ def hedging_fidelity_study(
             self.n_steps = n_steps
             self.times = np.linspace(0.0, params.t, n_steps + 1)
             self.scale = np.sqrt(params.t / n_steps)
-            self.cutoff = params.t * (1.0 - 1.0 / n_steps)
             self.prices = PricePoint.at_start(count)
-            self.hedged = None
-            self.held = np.zeros(count), np.zeros(count)
+            self.replication = strategies.Replication(
+                strategy, params, params.t * (1.0 - 1.0 / n_steps), count)
             self.low = None
             self.negative = 0
 
@@ -508,19 +509,17 @@ def hedging_fidelity_study(
             now = self.prices
             self.prices = step_prices(params, Measure.PHYSICAL, t_next - t, pairs * self.scale,
                                       now)
-            analytic, self.hedged, self.held = strategies._wealth_step(
-                strategy, params, self.cutoff, float(t), float(t_next),
-                (now.index, now.stock), (self.prices.index, self.prices.stock),
-                self.hedged, self.held,
-            )
+            analytic = self.replication.step(float(t), float(t_next), (now.index, now.stock),
+                                             (self.prices.index, self.prices.stock))
             self.negative += int((analytic < 0.0).sum())
-            self.low = np.minimum(analytic if self.low is None else self.low, self.hedged)
+            hedged = self.replication.hedged
+            self.low = np.minimum(analytic if self.low is None else self.low, hedged)
 
         def summary(self) -> tuple:
             terminal = strategies.terminal_wealth(strategy, params, self.prices.index,
                                                   self.prices.stock)
             return (
-                np.abs(self.hedged - terminal),
+                np.abs(self.replication.hedged - terminal),
                 self.negative + int((terminal < 0.0).sum()),
                 int((self.low < 0.0).sum()),
                 float(self.low.min()),
@@ -556,17 +555,6 @@ def hedging_fidelity_study(
 # Serialization
 
 
-def _bound_dict(bound: BoundReport | None) -> dict | None:
-    if bound is None:
-        return None
-    return {
-        "proposition": bound.proposition,
-        "lhs": bound.lhs,
-        "rhs": bound.rhs,
-        "holds": bound.holds,
-    }
-
-
 def report_to_dict(config: ExperimentConfig, report: ExperimentReport) -> dict:
     """JSON-ready report; stable across reruns (no timing fields)."""
     params = config.params
@@ -590,7 +578,7 @@ def report_to_dict(config: ExperimentConfig, report: ExperimentReport) -> dict:
         "theoretical_target": report.theoretical_target,
         "target_kind": report.target_kind,
         "dichotomy_violations": report.dichotomy_violations,
-        "bound": _bound_dict(report.bound),
+        "bound": None if report.bound is None else asdict(report.bound),
         "verdict": report.verdict,
         **({"extras": report.extras} if report.extras else {}),
     }

@@ -86,12 +86,14 @@ class MarketParams:
             raise ValueError("sigma_i and sigma_s must have equal length")
         if self.d < 2:
             raise ValueError("at least two Brownian drivers are required (d >= 2)")
-        if not self.sigma_i.any():
-            raise ValueError("sigma_i must be nonzero")
-        if not self.sigma_s.any():
-            raise ValueError("sigma_s must be nonzero")
-        if (self.sigma_i == self.sigma_s).all():
-            raise ValueError("sigma_i and sigma_s must differ")
+        # the norms that pricing, bounds and samplers divide by; a norm
+        # that overflows or underflows is rejected here, without a warning
+        with np.errstate(all="ignore"):
+            norms = (("sigma_i", self.norm_i), ("sigma_s", self.norm_s),
+                     ("sigma_s - sigma_i", self.reduced.delta_norm))
+        for name, norm in norms:
+            if not 0.0 < norm < math.inf:
+                raise ValueError(f"the norm of {name} must be finite and positive, got {norm!r}")
 
     @property
     def d(self) -> int:
@@ -140,10 +142,10 @@ class MarketParams:
         if rem_norm <= _COLLINEAR_TOL * max(1.0, self.norm_s):
             # collinear: use the signed norm so that bitwise-equal sigma
             # vectors reduce to bitwise-equal coordinates
-            s_bar = np.array([math.copysign(self.norm_s, proj), 0.0])
+            s_bar = [math.copysign(self.norm_s, proj), 0.0]
         else:
-            s_bar = np.array([proj, rem_norm])
-        return ReducedParams(sigma_i_bar=np.array([self.norm_i, 0.0]), sigma_s_bar=s_bar)
+            s_bar = [proj, rem_norm]
+        return _reduced([self.norm_i, 0.0], s_bar)
 
     @cached_property
     def reduced_vs_bond(self) -> ReducedParams:
@@ -152,8 +154,7 @@ class MarketParams:
         The bond has no Brownian exposure, so the pair is (sigma_i, 0)
         and the ratio volatility equals the index volatility norm.
         """
-        return ReducedParams(sigma_i_bar=np.array([self.norm_i, 0.0]),
-                             sigma_s_bar=np.array([0.0, 0.0]))
+        return _reduced([self.norm_i, 0.0], [0.0, 0.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +163,6 @@ class ReducedParams:
 
     sigma_i_bar: np.ndarray
     sigma_s_bar: np.ndarray
-
-    def __post_init__(self):
-        for name in ("sigma_i_bar", "sigma_s_bar"):
-            object.__setattr__(self, name, _as_vector(getattr(self, name), name))
 
     @cached_property
     def delta_norm(self) -> float:
@@ -179,6 +176,13 @@ class ReducedParams:
     @cached_property
     def norm_s(self) -> float:
         return _norm(self.sigma_s_bar)
+
+
+def _reduced(sigma_i_bar: list, sigma_s_bar: list) -> ReducedParams:
+    """The pair of coordinate lists as read-only rows of one array."""
+    bars = np.array([sigma_i_bar, sigma_s_bar])
+    bars.flags.writeable = False
+    return ReducedParams(sigma_i_bar=bars[0], sigma_s_bar=bars[1])
 
 
 def reduce_dimension(params: MarketParams) -> ReducedParams:
@@ -315,11 +319,14 @@ def paths_from_increments(
     """
     times = np.asarray(times, dtype=float)
     increments = np.asarray(increments, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
+    if (times.ndim != 1 or not times.size or times[0] != 0.0 or not np.isfinite(times).all()
+            or not (np.diff(times) > 0.0).all()):
         raise ValueError("times must increase strictly from 0")
     if increments.ndim != 3 or increments.shape[1:] != (times.size - 1, 2):
         raise ValueError(f"increments must have shape (n_paths, {times.size - 1}, 2), "
                          f"got {increments.shape}")
+    if not np.isfinite(increments).all():
+        raise ValueError("increments must be finite")
     n = increments.shape[0]
     index, stock = np.empty((n, times.size), order="F"), np.empty((n, times.size), order="F")
     point = PricePoint.at_start(n)

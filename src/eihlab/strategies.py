@@ -9,12 +9,13 @@ lean on: "the band event failed" and "the strategy collected the 1/delta
 multiple of the index" are complementary booleans computed from one
 comparison, never two formulas that agree only in exact arithmetic.
 
-``wealth_tracks`` follows a batch of paths two ways in one pass over
-the grid: the analytic track sums claim values (the ground truth used
-to verify the propositions), and the hedged track rebalances a discrete
-self-financing portfolio to the closed-form deltas, as a
-numerical-fidelity study.  Rebalancing stops before expiry because
-digital deltas diverge there.
+:class:`Replication` is the one step along a batch of paths that
+follows a strategy two ways: the analytic track sums claim values (the
+ground truth used to verify the propositions), and the hedged track
+rebalances a discrete self-financing portfolio to the closed-form
+deltas, as a numerical-fidelity study.  Rebalancing stops before expiry
+because digital deltas diverge there.  ``wealth_tracks`` records its
+steps into grids; the hedging study streams them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "BoundReport",
     "DigitalComponent",
     "PrudentStrategy",
+    "Replication",
     "Side",
     "Underlying",
     "WealthTrack",
@@ -234,12 +236,7 @@ def build_bond_one_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     return PrudentStrategy(components=(comp,), label=f"index_vs_bond_{side.value}")
 
 
-def build_capm_composite(
-    params: MarketParams,
-    delta: float,
-    eps: float,
-    variant: str,
-) -> PrudentStrategy:
+def build_capm_composite(params: MarketParams, delta: float, variant: str) -> PrudentStrategy:
     """Strategies behind the drift-bound guarantees.
 
     ``prop_mu_bis``  one-sided stock strategy, tail picked by the sign
@@ -251,19 +248,17 @@ def build_capm_composite(
                      cor_2delta basket (wealth 2); beats by 1/(3 delta).
     """
     _check_delta(delta)
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
     if variant == "prop_mu_bis":
         side = Side.UPPER if drift_gap(params) >= 0.0 else Side.LOWER
         strat = build_one_sided(params, delta, side)
         return PrudentStrategy(strat.components, label="prop_mu_bis")
     if variant == "cor_2delta":
-        stock = _scaled(build_capm_composite(params, delta, eps, "prop_mu_bis"), 1.0, "")
+        stock = _scaled(build_capm_composite(params, delta, "prop_mu_bis"), 1.0, "")
         bond = _scaled(build_bond_one_sided(params, delta), 1.0, "")
         return PrudentStrategy(stock.components + bond.components, label="cor_2delta")
     if variant == "cor_3delta":
         bond = _scaled(build_bond_one_sided(params, delta), 1.0, "")
-        inner = build_capm_composite(params, delta, eps, "cor_2delta")
+        inner = build_capm_composite(params, delta, "cor_2delta")
         return PrudentStrategy(bond.components + inner.components, label="cor_3delta")
     raise ValueError(f"unknown composite variant: {variant!r}")
 
@@ -341,71 +336,88 @@ def event_recover(params: MarketParams, delta: float, i_terminal):
 # Wealth tracking
 
 
-def _wealth_step(
-    strategy: PrudentStrategy,
-    params: MarketParams,
-    rebalance_cutoff: float,
-    t: float,
-    t_next: float,
-    prices: tuple[np.ndarray, np.ndarray],
-    prices_next: tuple[np.ndarray, np.ndarray],
-    hedged: np.ndarray | None,
-    held: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One step of both wealth tracks, from grid time ``t`` to ``t_next``.
+class Replication:
+    """Both wealth tracks of a strategy, stepped along a batch of paths.
 
-    ``prices`` and ``prices_next`` are (index, stock) at the two times,
-    ``hedged`` is the hedged wealth at ``t`` (None at the first step,
-    where it starts at the analytic value) and ``held`` the (stock,
-    index) units held into ``t``.  Returns the analytic wealth at ``t``,
-    the hedged wealth at ``t_next`` and the units held over the step.
+    The replication starts at the analytic value and, at every step
+    from a time up to ``rebalance_cutoff`` (which must precede the
+    horizon), resets its stock and index positions to the closed-form
+    deltas; the residual is cash accruing at ``r``, and after the cutoff
+    the last positions are held.  Bond-ratio components hedge with the
+    bond and the index; their bond position lands in the cash leg via
+    the self-financing residual, so only their index units are held.
+
+    ``hedged`` is the hedged wealth after the last step (None before
+    the first) and ``held`` the (stock, index) units held over it.
     """
-    index_t, stock_t = prices
-    underlyings = {comp.underlying for comp in strategy.components}
-    bond_level = math.exp(params.r * t)
-    if not ((index_t > 0.0).all()
-            and (Underlying.STOCK not in underlyings or (stock_t > 0.0).all())
-            and (Underlying.BOND not in underlyings or bond_level > 0.0)):
-        raise ValueError("prices must be strictly positive")
-    tau = params.t - t
-    rebalance = t <= rebalance_cutoff
-    if rebalance:
-        held = np.zeros(index_t.shape), np.zeros(index_t.shape)
-    h_stock, h_index = held
-    ratios = {}
-    for underlying in underlyings:
-        numer = stock_t if underlying is Underlying.STOCK else bond_level
-        ratio = numer / index_t
-        ratios[underlying] = ratio, np.log(ratio)
-    analytic = np.zeros(index_t.shape)
-    for comp in strategy.components:
-        ratio, log_ratio = ratios[comp.underlying]
-        value, units_s, units_i = _valuation(
-            comp.spec, comp.reduced.delta_norm, tau, ratio, log_ratio, index_t, rebalance
-        )
-        value *= comp.units
-        analytic += value
+
+    def __init__(self, strategy: PrudentStrategy, params: MarketParams,
+                 rebalance_cutoff: float, n_paths: int):
+        if not rebalance_cutoff < params.t:
+            raise ValueError("rebalance cutoff must precede the horizon")
+        self.strategy = strategy
+        self.params = params
+        self.rebalance_cutoff = rebalance_cutoff
+        self.underlyings = {comp.underlying for comp in strategy.components}
+        self.hedged = None
+        self.held = np.zeros(n_paths), np.zeros(n_paths)
+
+    def step(self, t: float, t_next: float, now: tuple[np.ndarray, np.ndarray],
+             after: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Step from time ``t`` to ``t_next``; returns the analytic wealth at ``t``.
+
+        ``now`` and ``after`` are the (index, stock) prices at the two
+        times.  Takes the ratio and its log once per underlying and makes
+        one valuation per component (values and, on rebalance steps,
+        units together), with the same floats as ``claim_value`` and
+        ``hedge_ratios``; leaves the hedged wealth at ``t_next`` in
+        ``hedged``.
+        """
+        params = self.params
+        if not 0.0 <= t < params.t:
+            raise ValueError("valuation time must satisfy 0 <= t < horizon")
+        index_t, stock_t = now
+        bond_level = math.exp(params.r * t)
+        if not ((index_t > 0.0).all()
+                and (Underlying.STOCK not in self.underlyings or (stock_t > 0.0).all())
+                and (Underlying.BOND not in self.underlyings or bond_level > 0.0)):
+            raise ValueError("prices must be strictly positive")
+        rebalance = t <= self.rebalance_cutoff
         if rebalance:
-            units_i *= comp.units
-            h_index += units_i
-            if comp.underlying is Underlying.STOCK:
-                units_s *= comp.units
-                h_stock += units_s
-    if hedged is None:
-        hedged = analytic
-    # in place, in the order of cash = hedged - h_stock s - h_index i and
-    # hedged_next = h_stock s_next + h_index i_next + cash * growth
-    cash = h_stock * stock_t
-    np.subtract(hedged, cash, out=cash)
-    term = h_index * index_t
-    cash -= term
-    cash *= math.exp(params.r * (t_next - t))
-    index_next, stock_next = prices_next
-    hedged_next = h_stock * stock_next
-    np.multiply(h_index, index_next, out=term)
-    hedged_next += term
-    hedged_next += cash
-    return analytic, hedged_next, held
+            self.held = np.zeros(index_t.shape), np.zeros(index_t.shape)
+        h_stock, h_index = self.held
+        ratios = {}
+        for underlying in self.underlyings:
+            ratio = (stock_t if underlying is Underlying.STOCK else bond_level) / index_t
+            ratios[underlying] = ratio, np.log(ratio)
+        analytic = np.zeros(index_t.shape)
+        for comp in self.strategy.components:
+            ratio, log_ratio = ratios[comp.underlying]
+            value, units_s, units_i = _valuation(
+                comp.spec, comp.reduced.delta_norm, params.t - t, ratio, log_ratio, index_t,
+                rebalance)
+            value *= comp.units
+            analytic += value
+            if rebalance:
+                units_i *= comp.units
+                h_index += units_i
+                if comp.underlying is Underlying.STOCK:
+                    units_s *= comp.units
+                    h_stock += units_s
+        hedged = analytic if self.hedged is None else self.hedged
+        # in place, in the order of cash = hedged - h_stock s - h_index i and
+        # hedged_next = h_stock s_next + h_index i_next + cash * growth
+        cash = h_stock * stock_t
+        np.subtract(hedged, cash, out=cash)
+        term = h_index * index_t
+        cash -= term
+        cash *= math.exp(params.r * (t_next - t))
+        index_next, stock_next = after
+        self.hedged = h_stock * stock_next
+        np.multiply(h_index, index_next, out=term)
+        self.hedged += term
+        self.hedged += cash
+        return analytic
 
 
 def wealth_tracks(
@@ -417,44 +429,24 @@ def wealth_tracks(
     """Analytic wealth and its discrete self-financing replication.
 
     The analytic track sums claim values at each grid time and is the
-    exact indicator payoff at the horizon.  The hedged track starts at
-    the analytic value and, at every grid time up to ``rebalance_cutoff``
-    (which must precede the horizon), resets its stock and index
-    positions to the closed-form deltas; the residual is cash accruing
-    at ``r``, and after the cutoff the last positions are held.
-    Bond-ratio components hedge with the bond and the index; their bond
-    position lands in the cash leg via the self-financing residual, so
-    only their index units are held.
-
-    Each step takes the ratio and its log once per underlying and makes
-    one valuation per component (values and, on rebalance steps, units
-    together), with the same floats as ``claim_value`` and
-    ``hedge_ratios``.  Both tracks are ``(n_paths, n_times)`` arrays in
-    column-major order, so that a time slice is contiguous.
+    exact indicator payoff at the horizon; the hedged track is a
+    :class:`Replication` rebalancing at the grid times up to
+    ``rebalance_cutoff``.  Both tracks record the replication's steps
+    as ``(n_paths, n_times)`` arrays in column-major order, so that a
+    time slice is contiguous.
     """
-    if not rebalance_cutoff < params.t:
-        raise ValueError("rebalance cutoff must precede the horizon")
     times = batch.times
-    index_values = batch.index_values
-    stock_values = batch.stock_values
-    n, m_plus_1 = index_values.shape
-    live = times[:-1]
-    if not np.all((live >= 0.0) & (live < params.t)):
-        raise ValueError("valuation time must satisfy 0 <= t < horizon")
+    index, stock = batch.index_values, batch.stock_values
+    n, m_plus_1 = index.shape
+    replication = Replication(strategy, params, rebalance_cutoff, n)
     analytic = np.empty((n, m_plus_1), order="F")
     hedged = np.empty((n, m_plus_1), order="F")
-    held = np.zeros(n), np.zeros(n)
-    wealth = None
     for k in range(m_plus_1 - 1):
-        analytic[:, k], wealth, held = _wealth_step(
-            strategy, params, rebalance_cutoff, float(times[k]), float(times[k + 1]),
-            (index_values[:, k], stock_values[:, k]),
-            (index_values[:, k + 1], stock_values[:, k + 1]), wealth, held,
-        )
-        hedged[:, k + 1] = wealth
-    analytic[:, -1] = terminal_wealth(
-        strategy, params, index_values[:, -1], stock_values[:, -1]
-    )
+        analytic[:, k] = replication.step(float(times[k]), float(times[k + 1]),
+                                          (index[:, k], stock[:, k]),
+                                          (index[:, k + 1], stock[:, k + 1]))
+        hedged[:, k + 1] = replication.hedged
+    analytic[:, -1] = terminal_wealth(strategy, params, index[:, -1], stock[:, -1])
     hedged[:, 0] = analytic[:, 0]
     return WealthTrack(times=times, analytic=analytic, hedged=hedged)
 

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -37,13 +39,18 @@ def set_a() -> MarketParams:
 
 def make_degenerate_equal_sigmas(params: MarketParams) -> MarketParams:
     """Test-only hook: force sigma_s = sigma_i, bypassing the constructor
-    guard (the public path rejects equal vectors)."""
+    guard (the public path rejects equal vectors).  The geometry that the
+    constructor cached for the old sigma_s is dropped, so that it is
+    recomputed from the equal pair."""
     clone = MarketParams(
         mu_i=params.mu_i, mu_s=params.mu_i,
         sigma_i=params.sigma_i, sigma_s=params.sigma_s,
         r=params.r, t=params.t,
     )
     object.__setattr__(clone, "sigma_s", params.sigma_i.copy())
+    for name, attr in vars(MarketParams).items():
+        if isinstance(attr, cached_property):
+            clone.__dict__.pop(name, None)
     return clone
 
 

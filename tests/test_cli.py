@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -327,6 +328,37 @@ class TestUnderflowingBandEdge:
             assert report["empirical_probability"] == 0.0
             assert report["wilson_ci_95"][0] == 0.0
             assert (report["verdict"], code) == ("pass", 0)
+
+
+class TestDegenerateVolatilityPairs:
+    """A pair whose norms vanish, overflow or underflow is bad input on
+    every command that reads the market: exit 2, one ``error:`` line, no
+    traceback and no warning, never NaN rows or a band with a = b = 1."""
+
+    @pytest.mark.parametrize("sigma_i, sigma_s", [
+        ("0.2, 0", "0.2, 1e-300"),
+        ("1e200, 0", "0, 1e200"),
+        ("1e-200, 0", "0.2, 0.1"),
+    ], ids=["zero-spread", "overflow", "underflow"])
+    @pytest.mark.parametrize("argv", [
+        ("price",), ("thresholds",), ("verify", "--prop", "two_sided"),
+        ("verify", "--prop", "mu_bis"), ("verify", "--prop", "index"),
+        ("hedge", "--paths", "1000"), ("simulate", "--paths", "5"),
+        ("simulate", "--steps", "4"),
+    ], ids=["price", "thresholds", "verify-two_sided", "verify-mu_bis", "verify-index",
+            "hedge", "simulate-paths", "simulate-steps"])
+    def test_is_one_error_line(self, capsys, tmp_path, sigma_i, sigma_s, argv):
+        path = tmp_path / "c.cfg"
+        path.write_text(SET_A_CONFIG.replace("0.15, 0.05", sigma_i)
+                        .replace("0.25, -0.10", sigma_s))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "must be finite and positive" in err
+        assert [str(w.message) for w in caught] == []
 
 
 # the run flags each command accepts besides --config and --out, and the

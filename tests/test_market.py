@@ -1,6 +1,7 @@
 """Market reduction and exact samplers."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,15 @@ class TestParamsValidation:
     def test_rejects_equal_sigmas(self):
         with pytest.raises(ValueError):
             MarketParams(0.0, 0.0, (0.2, 0.1), (0.2, 0.1), 0.0, 1.0)
+
+    @pytest.mark.parametrize("sigma_i, sigma_s", [
+        ((0.2, 0.0), (0.2, 1e-300)), ((1e200, 0.0), (0.0, 1e200)), ((1e-200, 0.0), (0.2, 0.1)),
+    ], ids=["zero-spread", "overflow", "underflow"])
+    def test_rejects_pairs_whose_norms_vanish_or_overflow(self, sigma_i, sigma_s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                MarketParams(0.0, 0.0, sigma_i, sigma_s, 0.0, 1.0)
 
     def test_rejects_single_driver(self):
         with pytest.raises(ValueError):
@@ -86,6 +96,12 @@ class TestReduceDimension:
         red = set_a.reduced_vs_bond
         assert red.delta_norm == pytest.approx(np.linalg.norm(set_a.sigma_i), rel=1e-15)
         assert np.all(red.sigma_s_bar == 0.0)
+
+    def test_bars_are_read_only(self, set_a):
+        for red in (set_a.reduced, set_a.reduced_vs_bond):
+            for bar in (red.sigma_i_bar, red.sigma_s_bar):
+                with pytest.raises(ValueError, match="read-only"):
+                    bar[0] = 1.0
 
 
 def _direct_geometry(p: MarketParams) -> dict:
@@ -236,10 +252,23 @@ class TestSimulatePath:
                 assert np.all(values[:, 0] == 1.0)
                 assert np.array_equal(values[:, 1:], np.exp(np.cumsum(steps, axis=1))), n_paths
 
-    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
+    # after the three ordering cases, times that are not a finite vector:
+    # one message, not a stray IndexError or a NaN that no comparison catches
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.5, 1.0, 2.0],
+                                       0.0, [[0.0, 1.0, 2.0]], [], [0.0, math.nan, 2.0],
+                                       [0.0, 1.0, math.inf]])
     def test_rejects_times_not_increasing_from_zero(self, set_a, times):
         with pytest.raises(ValueError, match="increase strictly from 0"):
             paths_from_increments(set_a, Measure.PHYSICAL, times, np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_increments(self, set_a, bad):
+        # a NaN increment would make its path's later prices NaN
+        increments = np.zeros((3, 4, 2))
+        increments[1, 1, 0] = bad
+        with pytest.raises(ValueError, match="increments must be finite"):
+            paths_from_increments(set_a, Measure.PHYSICAL, np.linspace(0.0, set_a.t, 5),
+                                  increments)
 
     @pytest.mark.parametrize("shape", [(2, 1, 2), (2, 6, 2), (2, 4, 3)])
     def test_rejects_increments_off_the_time_grid(self, set_a, shape):

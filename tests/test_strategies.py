@@ -17,6 +17,7 @@ from eihlab.market import (
     simulate_terminal,
 )
 from eihlab.strategies import (
+    Replication,
     Side,
     Underlying,
     bond_drift_gap,
@@ -139,20 +140,20 @@ class TestIndexVsBond:
 class TestComposites:
     def test_prop_mu_bis_side_selection(self, set_a):
         assert drift_gap(set_a) < 0.0
-        strat = build_capm_composite(set_a, 0.05, 0.05, "prop_mu_bis")
+        strat = build_capm_composite(set_a, 0.05, "prop_mu_bis")
         (comp,) = strat.components
         assert comp.spec.direction is Direction.AT_MOST  # lower side
 
         from dataclasses import replace
         lifted = replace(set_a, mu_s=set_a.mu_s + 0.1)
         assert drift_gap(lifted) > 0.0
-        strat = build_capm_composite(lifted, 0.05, 0.05, "prop_mu_bis")
+        strat = build_capm_composite(lifted, 0.05, "prop_mu_bis")
         (comp,) = strat.components
         assert comp.spec.direction is Direction.AT_LEAST  # upper side
 
     def test_cor_2delta_wealth_and_factor(self, set_a):
         delta = 0.05
-        strat = build_capm_composite(set_a, delta, 0.05, "cor_2delta")
+        strat = build_capm_composite(set_a, delta, "cor_2delta")
         assert strat.total_initial_wealth == pytest.approx(2.0, rel=1e-12)
         out = simulate_terminal(set_a, Measure.PHYSICAL, 100_000, 16)
         wealth = terminal_wealth(strat, set_a, out.index, out.stock)
@@ -162,13 +163,13 @@ class TestComposites:
         assert np.all(factor >= out.index[fires] / (2.0 * delta) * (1.0 - 1e-12))
 
     def test_cor_3delta_wealth(self, set_a):
-        strat = build_capm_composite(set_a, 0.05, 0.05, "cor_3delta")
+        strat = build_capm_composite(set_a, 0.05, "cor_3delta")
         assert strat.total_initial_wealth == pytest.approx(3.0, rel=1e-12)
         assert len(strat.components) == 3
 
     def test_unknown_variant_rejected(self, set_a):
         with pytest.raises(ValueError):
-            build_capm_composite(set_a, 0.05, 0.05, "nope")
+            build_capm_composite(set_a, 0.05, "nope")
 
 
 def _cutoff(params, n_steps):
@@ -190,7 +191,7 @@ class TestAnalyticWealth:
             assert track.analytic[k, -1] in (0.0, batch.index_values[k, -1])
 
     def test_nonnegative_on_many_paths(self, set_a):
-        strat = build_capm_composite(set_a, 0.05, 0.05, "cor_3delta")
+        strat = build_capm_composite(set_a, 0.05, "cor_3delta")
         batch = simulate_paths(set_a, Measure.PHYSICAL, 16, 10_000, 20)
         track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, 16))
         assert track.analytic.min() >= 0.0
@@ -254,7 +255,7 @@ class TestHedgedWealth:
             wealth_tracks(strat, set_a, batch, set_a.t)
 
     def test_one_path_equals_row_of_batch(self, set_a):
-        strat = build_capm_composite(set_a, 0.05, 0.05, "cor_3delta")
+        strat = build_capm_composite(set_a, 0.05, "cor_3delta")
         cutoff = _cutoff(set_a, 32)
         batch = simulate_paths(set_a, Measure.PHYSICAL, 32, 500, 27)
         full = wealth_tracks(strat, set_a, batch, cutoff)
@@ -316,7 +317,7 @@ class TestWealthLoop:
         if variant == "two_sided":
             strat = build_two_sided(params, 0.05)
         else:
-            strat = build_capm_composite(params, 0.05, 0.05, variant)
+            strat = build_capm_composite(params, 0.05, variant)
         batch = simulate_paths(params, Measure.PHYSICAL, 24, 300, 29)
         track = wealth_tracks(strat, params, batch, cutoff)
         analytic, hedged = _reference_tracks(strat, params, batch, cutoff)
@@ -327,7 +328,7 @@ class TestWealthLoop:
         kinds = set()
         for mu_i in (0.06, 0.0):
             strat = build_capm_composite(MarketParams(**{**SET_A, "mu_i": mu_i}),
-                                         0.05, 0.05, "cor_3delta")
+                                         0.05, "cor_3delta")
             kinds |= {(c.underlying, c.spec.direction) for c in strat.components}
         assert kinds == {(u, d) for u in Underlying for d in Direction}
 
@@ -346,16 +347,23 @@ class TestWealthLoop:
             wealth_tracks(strat, set_a, batch, _cutoff(set_a, 4))
 
     def test_nan_prices_are_rejected(self, set_a):
-        # a NaN increment makes every later price of its path NaN, which
-        # a "<= 0" test would let through into NaN wealth
-        increments = np.zeros((3, 4, 2))
-        increments[1, 1, 0] = math.nan
+        # NaN prices, which a "<= 0" test would let through into NaN
+        # wealth; ``paths_from_increments`` rejects NaN increments, so the
+        # NaN goes into the grid of a batch built from zeros
         batch = paths_from_increments(set_a, Measure.PHYSICAL,
-                                      np.linspace(0.0, set_a.t, 5), increments)
+                                      np.linspace(0.0, set_a.t, 5), np.zeros((3, 4, 2)))
+        batch.index_values[1, 2:] = math.nan
         assert math.isnan(batch.index_values[1, 2])
         strat = build_two_sided(set_a, 0.05)
         with pytest.raises(ValueError, match="strictly positive"):
             wealth_tracks(strat, set_a, batch, _cutoff(set_a, 4))
+
+    @pytest.mark.parametrize("t", [-1.0, 10.0, math.nan])
+    def test_step_rejects_times_outside_the_horizon(self, set_a, t):
+        replication = Replication(build_two_sided(set_a, 0.05), set_a, 4.6, 2)
+        prices = np.ones(2), np.ones(2)
+        with pytest.raises(ValueError, match="0 <= t < horizon"):
+            replication.step(t, 1.0, prices, prices)
 
     def test_peak_memory_is_the_two_tracks(self, set_a):
         strat = build_two_sided(set_a, 0.05)
