@@ -25,13 +25,11 @@ from .experiments import (
     wilson_ci,
 )
 from .market import (
-    LogRatioLaw,
     MarketParams,
     Measure,
     PathBatch,
     ReducedParams,
     TerminalSample,
-    log_ratio_law,
     reduce_dimension,
     simulate_paths,
     simulate_terminal,
@@ -43,7 +41,6 @@ from .strategies import (
     PrudentStrategy,
     Side,
     Underlying,
-    WealthTrack,
     bound_check,
     build_capm_composite,
     build_index_vs_bond,
@@ -52,7 +49,6 @@ from .strategies import (
     event_one_sided,
     event_recover,
     event_two_sided,
-    wealth_tracks,
 )
 
 __version__ = "0.1.0"

@@ -80,7 +80,8 @@ _FLAGS = {
     "--measure": {"choices": ["physical", "risk-neutral"]},
     "--workers": {"type": int, "metavar": "N"},
     "--t-grid": {"metavar": "T1,T2,..."},
-    "--prop": {"required": True, "metavar": "NAME", "help": "two_sided, mu_bis, or index"},
+    "--prop": {"required": True, "metavar": "NAME",
+               "help": "one of " + ", ".join(experiments.PROPOSITIONS)},
     "--study": {"required": True, "choices": ["convergence", "lemma"]},
 }
 
@@ -355,7 +356,10 @@ def cmd_verify(args, values: dict[str, str]) -> int:
 
 def cmd_hedge(args, values: dict[str, str]) -> int:
     config = _experiment_config(args, values, reads_eps=False)
-    rows = experiments.hedging_fidelity_study(config)
+    try:
+        rows = experiments.hedging_fidelity_study(config)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     header = ["n_steps", "median_abs_error", "rms_error", "max_abs_error",
               "analytic_negative_count", "hedged_negative_fraction", "hedged_min_wealth"]
     _emit(_rows_csv(header, rows, ints=("n_steps", "analytic_negative_count")), args.out)

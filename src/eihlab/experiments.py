@@ -108,15 +108,15 @@ class ExperimentReport:
     extras: dict = field(default_factory=dict)
 
 
-def wilson_ci(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     if trials <= 0:
         return (0.0, 1.0)
     p_hat = successes / trials
-    z_sq = z * z
+    z_sq = _Z95 * _Z95
     denom = 1.0 + z_sq / trials
     center = (p_hat + z_sq / (2.0 * trials)) / denom
-    margin = (z / denom) * math.sqrt(
+    margin = (_Z95 / denom) * math.sqrt(
         p_hat * (1.0 - p_hat) / trials + z_sq / (4.0 * trials * trials)
     )
     # exactly 0 (1) at no (all) successes, where center -/+ margin cancels
@@ -202,8 +202,8 @@ def _mu_bis_counts(config: ExperimentConfig) -> Callable:
     """Beat frequency of the one-sided stock strategy, tail picked by the
     sign of the drift gap, against the complementary one-sided event."""
     params, delta = config.params, config.delta
-    strategy = strategies.build_capm_composite(params, delta, "prop_mu_bis")
-    side = Side.UPPER if drift_gap(params) >= 0.0 else Side.LOWER
+    side = Side.of_gap(drift_gap(params))
+    strategy = strategies.build_one_sided(params, delta, side)
 
     def counts(terminal: TerminalSample) -> tuple[int, int]:
         fires = strategy_fires(strategy, params, terminal.index, terminal.stock)
@@ -478,12 +478,14 @@ def hedging_fidelity_study(
     the pair at counter ``(seed, p, k)`` on each grid.  A path chunk
     draws each step's pairs once and moves every grid with more than
     ``k`` steps one step on (:func:`eihlab.market.step_prices`, then
-    :meth:`eihlab.strategies.Replication.step`, the step that
-    :func:`eihlab.strategies.wealth_tracks` records), keeping only each
+    :meth:`eihlab.strategies.Replication.step`), keeping only each
     grid's current prices, its replication and the per-path reductions
     its row reads.  Rows come out in ``step_counts`` order and equal
-    those of :func:`eihlab.market.simulate_paths` plus ``wealth_tracks``
-    run per step count, whatever the chunk size.
+    those of :func:`eihlab.market.simulate_paths` with ``Replication``
+    stepped along each grid, per step count and whatever the chunk size.
+    A price or price ratio that leaves the float range (0.0 or inf) is a
+    ``ValueError`` of the replication step or, at expiry, of
+    :func:`eihlab.strategies.terminal_wealth`.
     """
     grids = sorted({int(m) for m in step_counts})
     if not grids or grids[0] < 1:
@@ -507,8 +509,10 @@ def hedging_fidelity_study(
         def step(self, k: int, pairs: np.ndarray) -> None:
             t, t_next = self.times[k], self.times[k + 1]
             now = self.prices
-            self.prices = step_prices(params, Measure.PHYSICAL, t_next - t, pairs * self.scale,
-                                      now)
+            # an overflowing price is inf, which the replication step rejects
+            with np.errstate(over="ignore"):
+                self.prices = step_prices(params, Measure.PHYSICAL, t_next - t,
+                                          pairs * self.scale, now)
             analytic = self.replication.step(float(t), float(t_next), (now.index, now.stock),
                                              (self.prices.index, self.prices.stock))
             self.negative += int((analytic < 0.0).sum())

@@ -13,10 +13,11 @@ normal pair per (path, step) through the counter-based generator in
 norms, inner products and both reductions are computed once per
 instance and read by the bounds, builders, events and samplers.
 
-Paths have one type, :class:`PathBatch`; a single path is a one-path
-batch, and because draws depend only on (seed, path, step) it equals
-the matching row of any larger batch.  A batch moves through time by
-one function, :func:`step_prices`: :func:`paths_from_increments`
+Paths have one type, :class:`PathBatch`: the times and the price
+grids, not the increments that drove them.  A single path is a
+one-path batch, and because draws depend only on (seed, path, step) it
+equals the matching row of any larger batch.  A batch moves through
+time by one function, :func:`step_prices`: :func:`paths_from_increments`
 records its steps as the columns of column-major price grids, and a
 caller that needs only the current prices streams them and keeps no
 grid.  Draws depend on the step, not on the grid, so one draw of a
@@ -204,15 +205,8 @@ class TerminalSample(NamedTuple):
     stock: np.ndarray
 
 
-class LogRatioLaw(NamedTuple):
-    """Normal law of ln(S_T / I_T)."""
-
-    mean: float
-    std: float
-
-
 class PathBatch(NamedTuple):
-    """Vectorized paths: times (m+1,), prices (n, m+1), increments (n, m, 2).
+    """Vectorized paths: times (m+1,) and prices (n, m+1).
 
     The price grids are column-major (Fortran order): the same shapes and
     values as row-major grids, laid out so that the prices of all paths
@@ -222,7 +216,6 @@ class PathBatch(NamedTuple):
     times: np.ndarray
     index_values: np.ndarray
     stock_values: np.ndarray
-    driver_increments: np.ndarray
 
 
 def simulate_terminal(
@@ -334,7 +327,7 @@ def paths_from_increments(
     for k in range(times.size - 1):
         point = step_prices(params, measure, times[k + 1] - times[k], increments[:, k], point)
         index[:, k + 1], stock[:, k + 1] = point.index, point.stock
-    return PathBatch(times, index, stock, increments)
+    return PathBatch(times, index, stock)
 
 
 def simulate_paths(
@@ -364,11 +357,3 @@ def simulate_paths(
     return paths_from_increments(params, measure, np.linspace(0.0, params.t, n_steps + 1),
                                  increments)
 
-
-def log_ratio_law(params: MarketParams, measure: Measure = Measure.PHYSICAL) -> LogRatioLaw:
-    """Exact normal law of ln(S_T / I_T) under the given measure."""
-    reduced = params.reduced
-    mu_i, mu_s = drift_pair(params, measure)
-    mean = (mu_s - mu_i) * params.t + 0.5 * (reduced.norm_i**2 - reduced.norm_s**2) * params.t
-    std = reduced.delta_norm * np.sqrt(params.t)
-    return LogRatioLaw(mean=float(mean), std=float(std))

@@ -14,8 +14,8 @@ follows a strategy two ways: the analytic track sums claim values (the
 ground truth used to verify the propositions), and the hedged track
 rebalances a discrete self-financing portfolio to the closed-form
 deltas, as a numerical-fidelity study.  Rebalancing stops before expiry
-because digital deltas diverge there.  ``wealth_tracks`` records its
-steps into grids; the hedging study streams them.
+because digital deltas diverge there.  The hedging study streams its
+steps and keeps no wealth grid.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import DigitalSpec, Direction, _valuation, log_thresholds
-from .market import MarketParams, PathBatch, ReducedParams
+from .market import MarketParams, ReducedParams
 from .normal import upper_quantile
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "Replication",
     "Side",
     "Underlying",
-    "WealthTrack",
     "bond_drift_gap",
     "bound_check",
     "build_bond_one_sided",
@@ -51,7 +50,6 @@ __all__ = [
     "event_two_sided",
     "strategy_fires",
     "terminal_wealth",
-    "wealth_tracks",
 ]
 
 
@@ -67,6 +65,11 @@ class Side(enum.Enum):
 
     UPPER = "upper"
     LOWER = "lower"
+
+    @classmethod
+    def of_gap(cls, gap: float) -> "Side":
+        """The profitable tail for a drift gap: upper when it is >= 0."""
+        return cls.UPPER if gap >= 0.0 else cls.LOWER
 
 
 @dataclass(frozen=True)
@@ -94,23 +97,13 @@ class DigitalComponent:
 
 @dataclass(frozen=True)
 class PrudentStrategy:
-    """A basket of digital components with a label naming its purpose."""
+    """A basket of digital components."""
 
     components: tuple[DigitalComponent, ...]
-    label: str
 
     @property
     def total_initial_wealth(self) -> float:
         return sum(c.wealth0 for c in self.components)
-
-
-@dataclass(frozen=True)
-class WealthTrack:
-    """Strategy wealth on a path batch: (n_paths, n_times) analytic and hedged."""
-
-    times: np.ndarray
-    analytic: np.ndarray
-    hedged: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,11 +116,11 @@ class BoundReport:
     proposition: str
 
 
-def _scaled(strategy: PrudentStrategy, target_wealth: float, label: str) -> PrudentStrategy:
+def _scaled(strategy: PrudentStrategy, target_wealth: float) -> PrudentStrategy:
     """Linearly rescale the basket to a target initial wealth."""
     factor = target_wealth / strategy.total_initial_wealth
-    comps = tuple(replace(c, units=c.units * factor) for c in strategy.components)
-    return PrudentStrategy(components=comps, label=label)
+    return PrudentStrategy(tuple(replace(c, units=c.units * factor)
+                                 for c in strategy.components))
 
 
 def drift_gap(params: MarketParams) -> float:
@@ -205,7 +198,7 @@ def build_two_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     """
     _check_delta(delta)
     comps = _band_components(params.reduced, Underlying.STOCK, params.t, delta)
-    return PrudentStrategy(components=comps, label="two_sided")
+    return PrudentStrategy(comps)
 
 
 def build_one_sided(params: MarketParams, delta: float, side: Side | str) -> PrudentStrategy:
@@ -213,7 +206,7 @@ def build_one_sided(params: MarketParams, delta: float, side: Side | str) -> Pru
     _check_delta(delta)
     side = Side(side)
     comp = _one_sided_component(params.reduced, Underlying.STOCK, params.t, delta, side)
-    return PrudentStrategy(components=(comp,), label=f"one_sided_{side.value}")
+    return PrudentStrategy((comp,))
 
 
 def build_index_vs_bond(params: MarketParams, delta: float) -> PrudentStrategy:
@@ -225,41 +218,36 @@ def build_index_vs_bond(params: MarketParams, delta: float) -> PrudentStrategy:
     """
     _check_delta(delta)
     comps = _band_components(params.reduced_vs_bond, Underlying.BOND, params.t, delta)
-    return PrudentStrategy(components=comps, label="index_vs_bond")
+    return PrudentStrategy(comps)
 
 
 def build_bond_one_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     """One-sided bond/index strategy, tail picked by the sign of the bond drift gap."""
     _check_delta(delta)
-    side = Side.UPPER if bond_drift_gap(params) >= 0.0 else Side.LOWER
-    comp = _one_sided_component(params.reduced_vs_bond, Underlying.BOND, params.t, delta, side)
-    return PrudentStrategy(components=(comp,), label=f"index_vs_bond_{side.value}")
+    comp = _one_sided_component(params.reduced_vs_bond, Underlying.BOND, params.t, delta,
+                                Side.of_gap(bond_drift_gap(params)))
+    return PrudentStrategy((comp,))
 
 
 def build_capm_composite(params: MarketParams, delta: float, variant: str) -> PrudentStrategy:
     """Strategies behind the drift-bound guarantees.
 
-    ``prop_mu_bis``  one-sided stock strategy, tail picked by the sign
-                     of the drift gap (wealth delta).
-    ``cor_2delta``   prop_mu_bis and a one-sided bond strategy, each
-                     rescaled to wealth 1; beats by 1/(2 delta) when
+    ``cor_2delta``   the one-sided stock strategy, tail picked by the sign
+                     of the drift gap, and the one-sided bond strategy,
+                     each rescaled to wealth 1; beats by 1/(2 delta) when
                      either fires.
     ``cor_3delta``   one-sided bond strategy (wealth 1) plus the
                      cor_2delta basket (wealth 2); beats by 1/(3 delta).
     """
     _check_delta(delta)
-    if variant == "prop_mu_bis":
-        side = Side.UPPER if drift_gap(params) >= 0.0 else Side.LOWER
-        strat = build_one_sided(params, delta, side)
-        return PrudentStrategy(strat.components, label="prop_mu_bis")
     if variant == "cor_2delta":
-        stock = _scaled(build_capm_composite(params, delta, "prop_mu_bis"), 1.0, "")
-        bond = _scaled(build_bond_one_sided(params, delta), 1.0, "")
-        return PrudentStrategy(stock.components + bond.components, label="cor_2delta")
+        stock = _scaled(build_one_sided(params, delta, Side.of_gap(drift_gap(params))), 1.0)
+        bond = _scaled(build_bond_one_sided(params, delta), 1.0)
+        return PrudentStrategy(stock.components + bond.components)
     if variant == "cor_3delta":
-        bond = _scaled(build_bond_one_sided(params, delta), 1.0, "")
+        bond = _scaled(build_bond_one_sided(params, delta), 1.0)
         inner = build_capm_composite(params, delta, "cor_2delta")
-        return PrudentStrategy(bond.components + inner.components, label="cor_3delta")
+        return PrudentStrategy(bond.components + inner.components)
     raise ValueError(f"unknown composite variant: {variant!r}")
 
 
@@ -278,9 +266,18 @@ def _terminal_log_ratio(
     return params.r * params.t - np.log(i_terminal)
 
 
+def _finite_positive(x: np.ndarray) -> bool:
+    # a NaN is the minimum, and fails the first comparison
+    return 0.0 < x.min() and x.max() < math.inf
+
+
 def terminal_wealth(strategy: PrudentStrategy, params: MarketParams, i_terminal, s_terminal):
-    """Exact terminal wealth of the basket on given terminal prices."""
+    """Exact terminal wealth of the basket on given terminal prices, which
+    must be finite and positive."""
     i_terminal = np.asarray(i_terminal, dtype=float)
+    if not (_finite_positive(i_terminal)
+            and _finite_positive(np.asarray(s_terminal, dtype=float))):
+        raise ValueError("terminal prices must be finite and strictly positive")
     total = np.zeros(i_terminal.shape)
     for comp in strategy.components:
         log_ratio = _terminal_log_ratio(comp.underlying, params, i_terminal, s_terminal)
@@ -367,29 +364,34 @@ class Replication:
         """Step from time ``t`` to ``t_next``; returns the analytic wealth at ``t``.
 
         ``now`` and ``after`` are the (index, stock) prices at the two
-        times.  Takes the ratio and its log once per underlying and makes
-        one valuation per component (values and, on rebalance steps,
-        units together), with the same floats as ``claim_value`` and
-        ``hedge_ratios``; leaves the hedged wealth at ``t_next`` in
-        ``hedged``.
+        times; after the first step, ``now`` is the last step's
+        ``after``.  Prices, and the ratios valued at ``t``, must be finite
+        and positive (two finite prices can have an overflowing ratio).
+        Each price is checked finite once, before it is read: ``now`` on
+        the first step and ``after`` on every step; a price of 0.0 makes
+        a ratio 0.0 or inf.  Takes the ratio and its log once per
+        underlying and makes one valuation per component (values and, on
+        rebalance steps, units together), with the same floats as
+        ``claim_value`` and ``hedge_ratios``; leaves the hedged wealth at
+        ``t_next`` in ``hedged``.
         """
         params = self.params
         if not 0.0 <= t < params.t:
             raise ValueError("valuation time must satisfy 0 <= t < horizon")
         index_t, stock_t = now
         bond_level = math.exp(params.r * t)
-        if not ((index_t > 0.0).all()
-                and (Underlying.STOCK not in self.underlyings or (stock_t > 0.0).all())
-                and (Underlying.BOND not in self.underlyings or bond_level > 0.0)):
-            raise ValueError("prices must be strictly positive")
+        with np.errstate(all="ignore"):
+            ratios = {underlying: (stock_t if underlying is Underlying.STOCK else bond_level)
+                      / index_t for underlying in self.underlyings}
+        # a NaN is the maximum, and fails the comparison
+        if not (all(x.max() < math.inf for x in (now + after if self.hedged is None else after))
+                and all(map(_finite_positive, ratios.values()))):
+            raise ValueError("prices and their ratios must be finite and strictly positive")
         rebalance = t <= self.rebalance_cutoff
         if rebalance:
             self.held = np.zeros(index_t.shape), np.zeros(index_t.shape)
         h_stock, h_index = self.held
-        ratios = {}
-        for underlying in self.underlyings:
-            ratio = (stock_t if underlying is Underlying.STOCK else bond_level) / index_t
-            ratios[underlying] = ratio, np.log(ratio)
+        ratios = {underlying: (ratio, np.log(ratio)) for underlying, ratio in ratios.items()}
         analytic = np.zeros(index_t.shape)
         for comp in self.strategy.components:
             ratio, log_ratio = ratios[comp.underlying]
@@ -418,37 +420,6 @@ class Replication:
         self.hedged += term
         self.hedged += cash
         return analytic
-
-
-def wealth_tracks(
-    strategy: PrudentStrategy,
-    params: MarketParams,
-    batch: PathBatch,
-    rebalance_cutoff: float,
-) -> WealthTrack:
-    """Analytic wealth and its discrete self-financing replication.
-
-    The analytic track sums claim values at each grid time and is the
-    exact indicator payoff at the horizon; the hedged track is a
-    :class:`Replication` rebalancing at the grid times up to
-    ``rebalance_cutoff``.  Both tracks record the replication's steps
-    as ``(n_paths, n_times)`` arrays in column-major order, so that a
-    time slice is contiguous.
-    """
-    times = batch.times
-    index, stock = batch.index_values, batch.stock_values
-    n, m_plus_1 = index.shape
-    replication = Replication(strategy, params, rebalance_cutoff, n)
-    analytic = np.empty((n, m_plus_1), order="F")
-    hedged = np.empty((n, m_plus_1), order="F")
-    for k in range(m_plus_1 - 1):
-        analytic[:, k] = replication.step(float(times[k]), float(times[k + 1]),
-                                          (index[:, k], stock[:, k]),
-                                          (index[:, k + 1], stock[:, k + 1]))
-        hedged[:, k + 1] = replication.hedged
-    analytic[:, -1] = terminal_wealth(strategy, params, index[:, -1], stock[:, -1])
-    hedged[:, 0] = analytic[:, 0]
-    return WealthTrack(times=times, analytic=analytic, hedged=hedged)
 
 
 # ---------------------------------------------------------------------------

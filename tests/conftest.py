@@ -1,10 +1,12 @@
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from eihlab.market import MarketParams
+from eihlab.market import MarketParams, Measure, PathBatch, drift_pair
+from eihlab.strategies import PrudentStrategy, Replication, terminal_wealth
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -71,3 +73,56 @@ def random_market(rng: np.random.Generator, d: int | None = None) -> MarketParam
         r=rng.uniform(0.0, 0.1),
         t=rng.uniform(0.5, 100.0),
     )
+
+
+def log_ratio_law(params: MarketParams, measure: Measure = Measure.PHYSICAL) -> tuple[float, float]:
+    """Mean and standard deviation of the exact normal law of ln(S_T / I_T)."""
+    reduced = params.reduced
+    mu_i, mu_s = drift_pair(params, measure)
+    mean = (mu_s - mu_i) * params.t + 0.5 * (reduced.norm_i**2 - reduced.norm_s**2) * params.t
+    std = reduced.delta_norm * np.sqrt(params.t)
+    return float(mean), float(std)
+
+
+# The wealth recorder: the ``==`` oracle that the streamed hedging study
+# and the replication tests are checked against.
+
+
+@dataclass(frozen=True)
+class WealthTrack:
+    """Strategy wealth on a path batch: (n_paths, n_times) analytic and hedged."""
+
+    times: np.ndarray
+    analytic: np.ndarray
+    hedged: np.ndarray
+
+
+def wealth_tracks(
+    strategy: PrudentStrategy,
+    params: MarketParams,
+    batch: PathBatch,
+    rebalance_cutoff: float,
+) -> WealthTrack:
+    """Analytic wealth and its discrete self-financing replication.
+
+    The analytic track sums claim values at each grid time and is the
+    exact indicator payoff at the horizon; the hedged track is a
+    :class:`Replication` rebalancing at the grid times up to
+    ``rebalance_cutoff``.  Both tracks record the replication's steps
+    as ``(n_paths, n_times)`` arrays in column-major order, so that a
+    time slice is contiguous.
+    """
+    times = batch.times
+    index, stock = batch.index_values, batch.stock_values
+    n, m_plus_1 = index.shape
+    replication = Replication(strategy, params, rebalance_cutoff, n)
+    analytic = np.empty((n, m_plus_1), order="F")
+    hedged = np.empty((n, m_plus_1), order="F")
+    for k in range(m_plus_1 - 1):
+        analytic[:, k] = replication.step(float(times[k]), float(times[k + 1]),
+                                          (index[:, k], stock[:, k]),
+                                          (index[:, k + 1], stock[:, k + 1]))
+        hedged[:, k + 1] = replication.hedged
+    analytic[:, -1] = terminal_wealth(strategy, params, index[:, -1], stock[:, -1])
+    hedged[:, 0] = analytic[:, 0]
+    return WealthTrack(times=times, analytic=analytic, hedged=hedged)

@@ -361,6 +361,33 @@ class TestDegenerateVolatilityPairs:
         assert [str(w.message) for w in caught] == []
 
 
+class TestPricesOutOfFloatRange:
+    """A market whose index underflows (its stock/index ratio overflows
+    first) or overflows within the horizon cannot be hedged: exit 2, one
+    ``error:`` line, no traceback and no warning, never NaN rows."""
+
+    @pytest.mark.parametrize("mu_i", ["-80", "200"])
+    def test_hedge_is_one_error_line(self, capsys, tmp_path, mu_i):
+        path = tmp_path / "c.cfg"
+        path.write_text(SET_A_CONFIG.replace("market.mu_i    = 0.06", f"market.mu_i = {mu_i}"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "hedge", "--paths", "1000", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "must be finite and strictly positive" in err
+        assert [str(w.message) for w in caught] == []
+
+
+def test_verify_help_names_every_proposition(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--prop NAME one of " + ", ".join(experiments.PROPOSITIONS) in text
+
+
 # the run flags each command accepts besides --config and --out, and the
 # arguments it cannot run without
 ACCEPTED_FLAGS = {

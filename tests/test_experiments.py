@@ -31,8 +31,9 @@ from eihlab.strategies import (
     build_two_sided,
     event_two_sided,
     strategy_fires,
-    wealth_tracks,
 )
+
+from conftest import wealth_tracks
 
 
 class TestWilsonCI:

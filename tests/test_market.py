@@ -11,15 +11,16 @@ from scipy import stats
 from eihlab.market import (
     MarketParams,
     Measure,
+    PricePoint,
     drift_pair,
-    log_ratio_law,
     paths_from_increments,
     reduce_dimension,
     simulate_paths,
     simulate_terminal,
+    step_prices,
 )
 
-from conftest import make_degenerate_equal_sigmas, random_market
+from conftest import log_ratio_law, make_degenerate_equal_sigmas, random_market
 
 
 class TestParamsValidation:
@@ -185,12 +186,12 @@ class TestSimulateTerminal:
 
     def test_moments_match_law(self, set_a):
         n = 10**6
-        law = log_ratio_law(set_a)
+        mean, std = log_ratio_law(set_a)
         out = simulate_terminal(set_a, Measure.PHYSICAL, n, 11)
         log_ratio = np.log(out.stock / out.index)
         se = log_ratio.std(ddof=1) / math.sqrt(n)
-        assert abs(log_ratio.mean() - law.mean) <= 4.0 * se
-        assert log_ratio.std(ddof=1) == pytest.approx(law.std, rel=0.05)
+        assert abs(log_ratio.mean() - mean) <= 4.0 * se
+        assert log_ratio.std(ddof=1) == pytest.approx(std, rel=0.05)
 
     def test_deterministic_and_chunkable(self, set_a):
         full = simulate_terminal(set_a, Measure.PHYSICAL, 1000, 5)
@@ -287,18 +288,17 @@ class TestSimulatePath:
 
     def test_terminal_law_against_analytic_ks(self, set_a):
         n = 10**5
-        law = log_ratio_law(set_a)
         batch = simulate_paths(set_a, Measure.PHYSICAL, 256, n, 33)
         log_ratio = np.log(batch.stock_values[:, -1] / batch.index_values[:, -1])
-        result = stats.kstest(log_ratio, "norm", args=(law.mean, law.std))
+        result = stats.kstest(log_ratio, "norm", args=log_ratio_law(set_a))
         assert result.pvalue > 0.01
 
     def test_path_sample_fields(self, set_a):
         path = simulate_paths(set_a, Measure.PHYSICAL, 16, 1, 4, first_path=123)
-        assert path.times.shape == (17,)
+        assert path._fields == ("times", "index_values", "stock_values")
+        assert np.array_equal(path.times, np.linspace(0.0, set_a.t, 17))
         assert path.index_values.shape == path.stock_values.shape == (1, 17)
         assert path.index_values[0, 0] == 1.0 and path.stock_values[0, 0] == 1.0
-        assert path.driver_increments.shape == (1, 16, 2)
         assert np.all(path.index_values > 0.0) and np.all(path.stock_values > 0.0)
 
     def test_one_path_equals_row_of_batch(self, set_a):
@@ -306,7 +306,7 @@ class TestSimulatePath:
         for k in (0, 1, 123, 499):
             one = simulate_paths(set_a, Measure.PHYSICAL, 64, 1, 4, first_path=k)
             assert np.array_equal(one.times, batch.times)
-            for name in ("index_values", "stock_values", "driver_increments"):
+            for name in ("index_values", "stock_values"):
                 assert np.array_equal(getattr(one, name)[0], getattr(batch, name)[k])
 
 
@@ -331,20 +331,34 @@ class TestPathRange:
         assert np.all(np.isfinite(path.stock_values))
 
 
+def _drift_only_log_ratio(params, measure):
+    """ln(S_T / I_T) on the path with zero driver increments, one step long."""
+    end = step_prices(params, measure, params.t, np.zeros((2, 2)), PricePoint.at_start(2))
+    return float(end.log_stock[0] - end.log_index[0])
+
+
 class TestLogRatioLaw:
+    # the law's mean is the drift-only log ratio; its std is the reduced
+    # spread norm over the horizon
+
     def test_reference_values(self, set_a):
-        law = log_ratio_law(set_a)
-        assert law.mean == pytest.approx(-0.3375, abs=1e-15)
-        assert law.std == pytest.approx(0.570087712549569, abs=1e-15)
+        mean, std = log_ratio_law(set_a)
+        assert mean == pytest.approx(-0.3375, abs=1e-15)
+        assert std == pytest.approx(0.570087712549569, abs=1e-15)
+        assert _drift_only_log_ratio(set_a, Measure.PHYSICAL) == pytest.approx(-0.3375, abs=1e-15)
+        assert (set_a.reduced.delta_norm * math.sqrt(set_a.t)
+                == pytest.approx(0.570087712549569, abs=1e-15))
 
     def test_symmetric_cancellation(self):
         p = MarketParams(0.05, 0.05, (0.2, 0.0), (0.0, 0.2), 0.0, 4.0)
-        assert log_ratio_law(p).mean == 0.0
+        assert log_ratio_law(p)[0] == 0.0
+        assert _drift_only_log_ratio(p, Measure.PHYSICAL) == 0.0
 
     def test_risk_neutral_substitutes_rate(self, set_a):
-        law = log_ratio_law(set_a, Measure.RISK_NEUTRAL)
         expected = 0.5 * (0.025 - 0.0725) * set_a.t
-        assert law.mean == pytest.approx(expected, abs=1e-15)
+        assert log_ratio_law(set_a, Measure.RISK_NEUTRAL)[0] == pytest.approx(expected, abs=1e-15)
+        assert (_drift_only_log_ratio(set_a, Measure.RISK_NEUTRAL)
+                == pytest.approx(expected, abs=1e-15))
 
     def test_index_measure_mean_by_reweighted_mc(self, set_a):
         # change of numeraire: E_index[X] = E_rn[e^{-rT} I_T X] when I_0 = 1
@@ -353,6 +367,5 @@ class TestLogRatioLaw:
         weight = math.exp(-set_a.r * set_a.t) * out.index
         values = weight * np.log(out.stock / out.index)
         se = values.std(ddof=1) / math.sqrt(n)
-        law = log_ratio_law(set_a)
-        expected = -0.5 * law.std**2
+        expected = -0.5 * log_ratio_law(set_a)[1] ** 2
         assert abs(values.mean() - expected) <= 4.0 * se

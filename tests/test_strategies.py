@@ -22,6 +22,7 @@ from eihlab.strategies import (
     Underlying,
     bond_drift_gap,
     bound_check,
+    build_bond_one_sided,
     build_capm_composite,
     build_index_vs_bond,
     build_one_sided,
@@ -32,10 +33,9 @@ from eihlab.strategies import (
     event_two_sided,
     strategy_fires,
     terminal_wealth,
-    wealth_tracks,
 )
 
-from conftest import SET_A, random_market
+from conftest import SET_A, random_market, wealth_tracks
 
 
 class TestTwoSided:
@@ -139,17 +139,24 @@ class TestIndexVsBond:
 
 class TestComposites:
     def test_prop_mu_bis_side_selection(self, set_a):
-        assert drift_gap(set_a) < 0.0
-        strat = build_capm_composite(set_a, 0.05, "prop_mu_bis")
-        (comp,) = strat.components
-        assert comp.spec.direction is Direction.AT_MOST  # lower side
-
-        from dataclasses import replace
-        lifted = replace(set_a, mu_s=set_a.mu_s + 0.1)
-        assert drift_gap(lifted) > 0.0
-        strat = build_capm_composite(lifted, 0.05, "prop_mu_bis")
-        (comp,) = strat.components
-        assert comp.spec.direction is Direction.AT_LEAST  # upper side
+        # a gap >= 0 picks the upper tail and a gap < 0 the lower one, for
+        # the stock and for the bond; the zero gaps of ``flat`` are exact,
+        # its floats being dyadic
+        flat = MarketParams(0.09375, 0.15625, (0.25, 0.0), (0.5, 0.5), 0.03125, 4.0)
+        signs = set()
+        for params in (set_a, MarketParams(**{**SET_A, "mu_s": 0.15}),
+                       MarketParams(**{**SET_A, "mu_i": 0.0}), flat):
+            stock_gap, bond_gap = drift_gap(params), bond_drift_gap(params)
+            signs.add((np.sign(stock_gap), np.sign(bond_gap)))
+            assert Side.of_gap(stock_gap) is (Side.UPPER if stock_gap >= 0.0 else Side.LOWER)
+            (mu_bis,) = build_one_sided(params, 0.05, Side.of_gap(stock_gap)).components
+            (index,) = build_bond_one_sided(params, 0.05).components
+            stock, bond = build_capm_composite(params, 0.05, "cor_2delta").components
+            for comp, gap in ((mu_bis, stock_gap), (stock, stock_gap), (index, bond_gap),
+                              (bond, bond_gap)):
+                assert comp.spec.direction is (Direction.AT_LEAST if gap >= 0.0
+                                               else Direction.AT_MOST)
+        assert signs == {(-1, -1), (1, -1), (1, 1), (0, 0)}
 
     def test_cor_2delta_wealth_and_factor(self, set_a):
         delta = 0.05
@@ -357,6 +364,24 @@ class TestWealthLoop:
         strat = build_two_sided(set_a, 0.05)
         with pytest.raises(ValueError, match="strictly positive"):
             wealth_tracks(strat, set_a, batch, _cutoff(set_a, 4))
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, math.inf])
+    def test_terminal_prices_are_checked(self, set_a, bad):
+        # the last column, which only the last step's hedged update and
+        # ``terminal_wealth`` read, is checked like the others
+        batch = paths_from_increments(set_a, Measure.PHYSICAL,
+                                      np.linspace(0.0, set_a.t, 5), np.zeros((3, 4, 2)))
+        batch.index_values[1, -1] = bad
+        strat = build_two_sided(set_a, 0.05)
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            wealth_tracks(strat, set_a, batch, _cutoff(set_a, 4))
+
+    def test_overflowing_ratio_is_rejected(self, set_a):
+        # two finite positive prices whose ratio overflows, without a warning
+        replication = Replication(build_two_sided(set_a, 0.05), set_a, 4.6, 2)
+        now = np.array([1.0, 1e-300]), np.array([1.0, 1e10])
+        with pytest.raises(ValueError, match="their ratios must be finite"):
+            replication.step(0.0, 1.0, now, now)
 
     @pytest.mark.parametrize("t", [-1.0, 10.0, math.nan])
     def test_step_rejects_times_outside_the_horizon(self, set_a, t):
