@@ -249,7 +249,10 @@ def _terminal_chunks(params: MarketParams, measure: Measure, n_paths: int,
     path ``k`` uses counter ``(seed, k)``, so chunking changes no bit."""
     for lo in range(0, n_paths, SIMULATE_CHUNK_ROWS):
         hi = min(lo + SIMULATE_CHUNK_ROWS, n_paths)
-        terminal = simulate_terminal(params, measure, hi - lo, seed, first_path=lo)
+        try:
+            terminal = simulate_terminal(params, measure, hi - lo, seed, first_path=lo)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         yield range(lo, hi), terminal.index.tolist(), terminal.stock.tolist()
 
 
@@ -344,7 +347,10 @@ def cmd_verify(args, values: dict[str, str]) -> int:
         raise UsageError(f"unknown proposition {args.prop!r}; "
                          f"expected one of {sorted(experiments.PROPOSITIONS)}")
     config = _experiment_config(args, values)
-    report = experiments.verify(config, args.prop)
+    try:
+        report = experiments.verify(config, args.prop)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _emit([_json_text(experiments.report_to_dict(config, report))], args.out)
     print(f"runtime: {report.runtime_seconds:.2f}s", file=sys.stderr)
     if report.verdict == experiments.PASS:

@@ -16,7 +16,11 @@ they are implementation-side oracles, not quoted results.
 
 Work is split into fixed-size path chunks whose draws depend only on
 (seed, path index); chunk results are combined in chunk order, so a
-report is bit-identical whether computed by one worker or eight.  The
+report is bit-identical whether computed by one worker or eight.  Each
+chunk task is a module-level function of plain data and the chunk
+bounds, so that it and its arguments pickle: ``_verify_chunk`` (a
+proposition's counts, by name), ``_log_ratio_sums`` (the convergence
+study's float sums) and ``_hedge_chunk`` (the hedging study).  The
 hedging study also shares draws across step counts: a path chunk draws
 each step's normals once and moves every grid on by that step, through
 the public steps :func:`eihlab.market.step_prices` and
@@ -125,18 +129,20 @@ def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
     return (low, high)
 
 
-def _map_chunks(n_paths: int, n_workers: int, chunk_fn: Callable) -> list:
-    """Apply ``chunk_fn(first_path, count)`` over chunks of CHUNK_PATHS paths.
+def _map_chunks(n_paths: int, n_workers: int, task: Callable, *args) -> list:
+    """Apply ``task(*args, first_path, count)`` over chunks of CHUNK_PATHS paths.
 
     Chunk boundaries do not depend on the worker count and results are
     returned in chunk order, which keeps every reduction bit-identical
-    for any ``n_workers``.
+    for any ``n_workers``.  A run of one chunk starts no pool, and a pool
+    has no more threads than chunks.
     """
-    tasks = [(s, min(CHUNK_PATHS, n_paths - s)) for s in range(0, n_paths, CHUNK_PATHS)]
-    if n_workers <= 1:
-        return [chunk_fn(first, count) for first, count in tasks]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(lambda task: chunk_fn(*task), tasks))
+    chunks = [(s, min(CHUNK_PATHS, n_paths - s)) for s in range(0, n_paths, CHUNK_PATHS)]
+    n_threads = min(n_workers, len(chunks))
+    if n_threads <= 1:
+        return [task(*args, *chunk) for chunk in chunks]
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        return list(pool.map(lambda chunk: task(*args, *chunk), chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -184,49 +190,37 @@ def mu_bis_boundary_params(
 # Proposition experiments
 
 
-def _two_sided_counts(config: ExperimentConfig) -> Callable:
+def _two_sided_counts(config: ExperimentConfig, terminal: TerminalSample) -> tuple[int, int]:
     """Band event frequency; on every path either the band event holds
     or the band strategy collects 1/delta times the index."""
     params, delta = config.params, config.delta
     strategy = strategies.build_two_sided(params, delta)
-
-    def counts(terminal: TerminalSample) -> tuple[int, int]:
-        event = event_two_sided(params, delta, terminal.stock, terminal.index)
-        fires = strategy_fires(strategy, params, terminal.index, terminal.stock)
-        return int(event.sum()), int((event == fires).sum())
-
-    return counts
+    event = event_two_sided(params, delta, terminal.stock, terminal.index)
+    fires = strategy_fires(strategy, params, terminal.index, terminal.stock)
+    return int(event.sum()), int((event == fires).sum())
 
 
-def _mu_bis_counts(config: ExperimentConfig) -> Callable:
+def _mu_bis_counts(config: ExperimentConfig, terminal: TerminalSample) -> tuple[int, int]:
     """Beat frequency of the one-sided stock strategy, tail picked by the
     sign of the drift gap, against the complementary one-sided event."""
     params, delta = config.params, config.delta
     side = Side.of_gap(drift_gap(params))
     strategy = strategies.build_one_sided(params, delta, side)
-
-    def counts(terminal: TerminalSample) -> tuple[int, int]:
-        fires = strategy_fires(strategy, params, terminal.index, terminal.stock)
-        event = event_one_sided(params, delta, terminal.stock, terminal.index, side)
-        return int(fires.sum()), int((event == fires).sum())
-
-    return counts
+    fires = strategy_fires(strategy, params, terminal.index, terminal.stock)
+    event = event_one_sided(params, delta, terminal.stock, terminal.index, side)
+    return int(fires.sum()), int((event == fires).sum())
 
 
-def _index_counts(config: ExperimentConfig) -> Callable:
+def _index_counts(config: ExperimentConfig, terminal: TerminalSample) -> tuple[int, int, int]:
     """Beat frequency of the one-sided bond strategy; the dichotomy and
     the extra count are those of the bond/index band (recover) event."""
     params, delta = config.params, config.delta
     band = strategies.build_index_vs_bond(params, delta)
     one_sided = strategies.build_bond_one_sided(params, delta)
-
-    def counts(terminal: TerminalSample) -> tuple[int, int, int]:
-        recover = event_recover(params, delta, terminal.index)
-        band_fires = strategy_fires(band, params, terminal.index, terminal.stock)
-        beat = strategy_fires(one_sided, params, terminal.index, terminal.stock)
-        return int(beat.sum()), int((recover == band_fires).sum()), int(recover.sum())
-
-    return counts
+    recover = event_recover(params, delta, terminal.index)
+    band_fires = strategy_fires(band, params, terminal.index, terminal.stock)
+    beat = strategy_fires(one_sided, params, terminal.index, terminal.stock)
+    return int(beat.sum()), int((recover == band_fires).sum()), int(recover.sum())
 
 
 def _index_extras(config: ExperimentConfig, counts: tuple[int, ...]) -> dict:
@@ -248,15 +242,15 @@ class Proposition(NamedTuple):
 
     ``bound``: the drift bound whose failure makes the guarantee bite, or
     None; while it holds the verdict is inconclusive, and paths are
-    simulated only for ``extras``.  ``counts(config)`` builds the
-    strategies once and returns chunk -> (headline successes, dichotomy
+    simulated only for ``extras``.  ``counts(config, terminal)`` builds
+    the strategies and returns a chunk's (headline successes, dichotomy
     violations, counts read by ``extras``).  ``target_kind`` "equals"
     passes when the Wilson interval covers ``target(config)``,
     "at_least" when it clears the 1 - eps guarantee.
     """
 
     bound: str | None
-    counts: Callable[[ExperimentConfig], Callable[[TerminalSample], tuple[int, ...]]]
+    counts: Callable[[ExperimentConfig, TerminalSample], tuple[int, ...]]
     target: Callable[[ExperimentConfig], float]
     target_kind: str
     extras: Callable[[ExperimentConfig, tuple[int, ...]], dict] | None = None
@@ -294,6 +288,14 @@ def _beat_verdict(ci: tuple[float, float], guarantee: float) -> str:
     return INCONCLUSIVE
 
 
+def _verify_chunk(config: ExperimentConfig, proposition: str, first: int,
+                  count: int) -> tuple[int, ...]:
+    """One chunk's counts of a proposition of :data:`PROPOSITIONS`."""
+    terminal = simulate_terminal(config.params, Measure.PHYSICAL, count, config.seed,
+                                 first_path=first)
+    return PROPOSITIONS[proposition].counts(config, terminal)
+
+
 def verify(config: ExperimentConfig, proposition: str) -> ExperimentReport:
     """Certify one proposition of :data:`PROPOSITIONS` by Monte Carlo.
 
@@ -311,13 +313,8 @@ def verify(config: ExperimentConfig, proposition: str) -> ExperimentReport:
     gated = bound is not None and bound.holds
     totals: tuple[int, ...] = (0, 0)
     if not gated or spec.extras is not None:
-        counts = spec.counts(config)
-
-        def chunk(first: int, count: int) -> tuple[int, ...]:
-            return counts(simulate_terminal(
-                params, Measure.PHYSICAL, count, config.seed, first_path=first))
-
-        totals = tuple(map(sum, zip(*_map_chunks(config.n_paths, config.n_workers, chunk))))
+        chunks = _map_chunks(config.n_paths, config.n_workers, _verify_chunk, config, proposition)
+        totals = tuple(map(sum, zip(*chunks)))
     hits, violations = totals[:2]
 
     empirical = ci = target = None
@@ -351,6 +348,14 @@ def verify(config: ExperimentConfig, proposition: str) -> ExperimentReport:
 # Studies
 
 
+def _log_ratio_sums(params: MarketParams, seed: int, first: int,
+                    count: int) -> tuple[float, float, int]:
+    """A chunk's sum and sum of squares of ln(S_T / I_T), and its size."""
+    terminal = simulate_terminal(params, Measure.PHYSICAL, count, seed, first_path=first)
+    log_ratio = np.log(terminal.stock / terminal.index)
+    return float(log_ratio.sum()), float((log_ratio * log_ratio).sum()), count
+
+
 def capm_convergence_study(
     params: MarketParams,
     delta: float,
@@ -381,13 +386,7 @@ def capm_convergence_study(
     rows = []
     for horizon in t_grid:
         p_t = replace(exact_capm_params(params), t=horizon)
-
-        def chunk(first: int, count: int) -> tuple[float, float, int]:
-            terminal = simulate_terminal(p_t, Measure.PHYSICAL, count, seed, first_path=first)
-            log_ratio = np.log(terminal.stock / terminal.index)
-            return float(log_ratio.sum()), float((log_ratio * log_ratio).sum()), count
-
-        results = _map_chunks(n_paths, n_workers, chunk)
+        results = _map_chunks(n_paths, n_workers, _log_ratio_sums, p_t, seed)
         total = sum(r[0] for r in results)
         total_sq = sum(r[1] for r in results)
         mean = total / n_paths
@@ -464,6 +463,58 @@ def lemma_crosscheck(
     return rows
 
 
+class _Grid:
+    """One step count's prices, wealth and reductions on a chunk."""
+
+    def __init__(self, params: MarketParams, strategy: strategies.PrudentStrategy,
+                 n_steps: int, count: int):
+        self.n_steps = n_steps
+        self.times = np.linspace(0.0, params.t, n_steps + 1)
+        self.scale = np.sqrt(params.t / n_steps)
+        self.prices = PricePoint.at_start(count)
+        self.replication = strategies.Replication(
+            strategy, params, params.t * (1.0 - 1.0 / n_steps), count)
+        self.low = None
+        self.negative = 0
+
+    def step(self, k: int, pairs: np.ndarray) -> None:
+        t, t_next = self.times[k], self.times[k + 1]
+        now = self.prices
+        # an overflowing price is inf, which the replication step rejects;
+        # overflowing wealth is inf, which the study rejects
+        with np.errstate(over="ignore"):
+            self.prices = step_prices(self.replication.params, Measure.PHYSICAL, t_next - t,
+                                      pairs * self.scale, now)
+            analytic = self.replication.step(float(t), float(t_next), (now.index, now.stock),
+                                             (self.prices.index, self.prices.stock))
+        self.negative += int((analytic < 0.0).sum())
+        hedged = self.replication.hedged
+        self.low = np.minimum(analytic if self.low is None else self.low, hedged)
+
+    def summary(self) -> tuple:
+        replication = self.replication
+        terminal = strategies.terminal_wealth(replication.strategy, replication.params,
+                                              self.prices.index, self.prices.stock)
+        return (
+            np.abs(replication.hedged - terminal),
+            self.negative + int((terminal < 0.0).sum()),
+            int((self.low < 0.0).sum()),
+            float(self.low.min()),
+        )
+
+
+def _hedge_chunk(config: ExperimentConfig, grids: list[int], first: int, count: int) -> dict:
+    """Each step count's :meth:`_Grid.summary` on one chunk of paths."""
+    strategy = strategies.build_two_sided(config.params, config.delta)
+    runs = [_Grid(config.params, strategy, m, count) for m in grids]
+    for k in range(grids[-1]):
+        pairs = normal_pairs(config.seed, first, count, k)
+        for run in runs:
+            if k < run.n_steps:
+                run.step(k, pairs)
+    return {run.n_steps: run.summary() for run in runs}
+
+
 def hedging_fidelity_study(
     config: ExperimentConfig,
     step_counts: Sequence[int] = (64, 128, 256, 512),
@@ -485,73 +536,31 @@ def hedging_fidelity_study(
     stepped along each grid, per step count and whatever the chunk size.
     A price or price ratio that leaves the float range (0.0 or inf) is a
     ``ValueError`` of the replication step or, at expiry, of
-    :func:`eihlab.strategies.terminal_wealth`.
+    :func:`eihlab.strategies.terminal_wealth`; hedged wealth or a row
+    value that does (a large ``r``) is a ``ValueError`` of the study.
     """
     grids = sorted({int(m) for m in step_counts})
     if not grids or grids[0] < 1:
         raise ValueError("step_counts must be positive and nonempty")
-    params = config.params
-    strategy = strategies.build_two_sided(params, config.delta)
-
-    class Grid:
-        """One step count's prices, wealth and reductions on a chunk."""
-
-        def __init__(self, n_steps: int, count: int):
-            self.n_steps = n_steps
-            self.times = np.linspace(0.0, params.t, n_steps + 1)
-            self.scale = np.sqrt(params.t / n_steps)
-            self.prices = PricePoint.at_start(count)
-            self.replication = strategies.Replication(
-                strategy, params, params.t * (1.0 - 1.0 / n_steps), count)
-            self.low = None
-            self.negative = 0
-
-        def step(self, k: int, pairs: np.ndarray) -> None:
-            t, t_next = self.times[k], self.times[k + 1]
-            now = self.prices
-            # an overflowing price is inf, which the replication step rejects
-            with np.errstate(over="ignore"):
-                self.prices = step_prices(params, Measure.PHYSICAL, t_next - t,
-                                          pairs * self.scale, now)
-            analytic = self.replication.step(float(t), float(t_next), (now.index, now.stock),
-                                             (self.prices.index, self.prices.stock))
-            self.negative += int((analytic < 0.0).sum())
-            hedged = self.replication.hedged
-            self.low = np.minimum(analytic if self.low is None else self.low, hedged)
-
-        def summary(self) -> tuple:
-            terminal = strategies.terminal_wealth(strategy, params, self.prices.index,
-                                                  self.prices.stock)
-            return (
-                np.abs(self.replication.hedged - terminal),
-                self.negative + int((terminal < 0.0).sum()),
-                int((self.low < 0.0).sum()),
-                float(self.low.min()),
-            )
-
-    def chunk(first: int, count: int) -> dict:
-        runs = [Grid(m, count) for m in grids]
-        for k in range(grids[-1]):
-            pairs = normal_pairs(config.seed, first, count, k)
-            for run in runs:
-                if k < run.n_steps:
-                    run.step(k, pairs)
-        return {run.n_steps: run.summary() for run in runs}
-
-    results = _map_chunks(config.n_paths, config.n_workers, chunk)
+    results = _map_chunks(config.n_paths, config.n_workers, _hedge_chunk, config, grids)
     rows = []
     for n_steps in step_counts:
         parts = [r[int(n_steps)] for r in results]
         errors = np.concatenate([p[0] for p in parts])
+        with np.errstate(over="ignore"):
+            rms_error = float(np.sqrt(np.mean(errors * errors)))
         rows.append({
             "n_steps": int(n_steps),
             "median_abs_error": float(np.median(errors)),
-            "rms_error": float(np.sqrt(np.mean(errors * errors))),
+            "rms_error": rms_error,
             "max_abs_error": float(errors.max()),
             "analytic_negative_count": sum(p[1] for p in parts),
             "hedged_negative_fraction": sum(p[2] for p in parts) / config.n_paths,
             "hedged_min_wealth": min(p[3] for p in parts),
         })
+    if not all(math.isfinite(value) for row in rows for value in row.values()):
+        raise ValueError("hedged wealth and its errors must be finite; "
+                         "the market leaves the float range")
     return rows
 
 

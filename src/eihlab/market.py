@@ -229,7 +229,8 @@ def simulate_terminal(
     """Draw (I_T, S_T) pairs exactly from their joint lognormal law.
 
     Path ``k`` uses the normal pair at counter ``(seed, first_path + k)``,
-    so results are reproducible regardless of batching.
+    so results are reproducible regardless of batching.  A price that
+    leaves the float range (0.0 or inf) is a ``ValueError``.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -243,7 +244,17 @@ def simulate_terminal(
     w_s = xi[:, 0] * reduced.sigma_s_bar[0] + xi[:, 1] * reduced.sigma_s_bar[1]
     log_i = (mu_i - 0.5 * reduced.norm_i**2) * params.t + sqrt_t * w_i
     log_s = (mu_s - 0.5 * reduced.norm_s**2) * params.t + sqrt_t * w_s
-    return TerminalSample(index=np.exp(log_i), stock=np.exp(log_s))
+    with np.errstate(all="ignore"):
+        return TerminalSample(*_in_float_range(np.exp(log_i), np.exp(log_s)))
+
+
+def _in_float_range(*prices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The price arrays, if every price is finite and positive."""
+    # a NaN is the minimum, and fails the first comparison
+    if not all(0.0 < x.min() and x.max() < math.inf for x in prices):
+        raise ValueError("sampled prices must be finite and strictly positive; "
+                         "the market leaves the float range")
+    return prices
 
 
 class PricePoint(NamedTuple):
@@ -308,7 +319,8 @@ def paths_from_increments(
     ``increments`` has shape ``(n, len(times) - 1, 2)``: ``increments[p,
     k]`` is path ``p``'s driver increment over ``(times[k], times[k+1])``.
     Zeros yield the deterministic drift-only path.  Column ``k + 1`` of
-    each grid is :func:`step_prices` of column ``k``.
+    each grid is :func:`step_prices` of column ``k``.  A price that
+    leaves the float range (0.0 or inf) is a ``ValueError``.
     """
     times = np.asarray(times, dtype=float)
     increments = np.asarray(increments, dtype=float)
@@ -324,10 +336,11 @@ def paths_from_increments(
     index, stock = np.empty((n, times.size), order="F"), np.empty((n, times.size), order="F")
     point = PricePoint.at_start(n)
     index[:, 0], stock[:, 0] = point.index, point.stock
-    for k in range(times.size - 1):
-        point = step_prices(params, measure, times[k + 1] - times[k], increments[:, k], point)
-        index[:, k + 1], stock[:, k + 1] = point.index, point.stock
-    return PathBatch(times, index, stock)
+    with np.errstate(all="ignore"):
+        for k in range(times.size - 1):
+            point = step_prices(params, measure, times[k + 1] - times[k], increments[:, k], point)
+            index[:, k + 1], stock[:, k + 1] = point.index, point.stock
+    return PathBatch(times, *_in_float_range(index, stock))
 
 
 def simulate_paths(

@@ -333,6 +333,14 @@ def event_recover(params: MarketParams, delta: float, i_terminal):
 # Wealth tracking
 
 
+def _exp(x: float) -> float:
+    """``math.exp(x)``, or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 class Replication:
     """Both wealth tracks of a strategy, stepped along a batch of paths.
 
@@ -366,7 +374,8 @@ class Replication:
         ``now`` and ``after`` are the (index, stock) prices at the two
         times; after the first step, ``now`` is the last step's
         ``after``.  Prices, and the ratios valued at ``t``, must be finite
-        and positive (two finite prices can have an overflowing ratio).
+        and positive (two finite prices can have an overflowing ratio, and
+        the bond level ``exp(r t)``, taken only for a bond ratio, can overflow).
         Each price is checked finite once, before it is read: ``now`` on
         the first step and ``after`` on every step; a price of 0.0 makes
         a ratio 0.0 or inf.  Takes the ratio and its log once per
@@ -379,10 +388,10 @@ class Replication:
         if not 0.0 <= t < params.t:
             raise ValueError("valuation time must satisfy 0 <= t < horizon")
         index_t, stock_t = now
-        bond_level = math.exp(params.r * t)
         with np.errstate(all="ignore"):
-            ratios = {underlying: (stock_t if underlying is Underlying.STOCK else bond_level)
-                      / index_t for underlying in self.underlyings}
+            ratios = {underlying: (stock_t if underlying is Underlying.STOCK
+                                   else _exp(params.r * t)) / index_t
+                      for underlying in self.underlyings}
         # a NaN is the maximum, and fails the comparison
         if not (all(x.max() < math.inf for x in (now + after if self.hedged is None else after))
                 and all(map(_finite_positive, ratios.values()))):
@@ -413,7 +422,7 @@ class Replication:
         np.subtract(hedged, cash, out=cash)
         term = h_index * index_t
         cash -= term
-        cash *= math.exp(params.r * (t_next - t))
+        cash *= _exp(params.r * (t_next - t))
         index_next, stock_next = after
         self.hedged = h_stock * stock_next
         np.multiply(h_index, index_next, out=term)

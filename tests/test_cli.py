@@ -363,21 +363,45 @@ class TestDegenerateVolatilityPairs:
 
 class TestPricesOutOfFloatRange:
     """A market whose index underflows (its stock/index ratio overflows
-    first) or overflows within the horizon cannot be hedged: exit 2, one
-    ``error:`` line, no traceback and no warning, never NaN rows."""
+    first) or overflows within the horizon, or whose rate overflows the
+    hedged wealth, cannot be sampled or hedged: exit 2, one ``error:``
+    line, no traceback and no warning, never NaN or inf rows."""
 
     @pytest.mark.parametrize("mu_i", ["-80", "200"])
     def test_hedge_is_one_error_line(self, capsys, tmp_path, mu_i):
+        err = self._one_error_line(capsys, tmp_path, f"market.mu_i = {mu_i}",
+                                   "hedge", "--paths", "1000")
+        assert "must be finite and strictly positive" in err
+
+    @pytest.mark.parametrize("setting, args", [
+        *((f"market.mu_i = {mu_i}", args) for mu_i in ("-80", "200") for args in (
+            ("verify", "--prop", "two_sided", "--paths", "1000"),
+            ("verify", "--prop", "mu_bis", "--paths", "1000"),
+            ("verify", "--prop", "index", "--paths", "1000"),
+            ("table", "--study", "convergence", "--t-grid", "10", "--paths", "1000"),
+            ("simulate", "--paths", "3"),
+            ("simulate", "--steps", "4"),
+        )),
+        ("market.r = 70", ("hedge", "--paths", "1000")),
+        ("market.r = 100", ("hedge", "--paths", "1000")),
+    ], ids=lambda value: value.replace(" ", "") if isinstance(value, str) else " ".join(value))
+    def test_run_is_one_error_line(self, capsys, tmp_path, setting, args):
+        err = self._one_error_line(capsys, tmp_path, setting, *args)
+        assert "the market leaves the float range" in err
+
+    @staticmethod
+    def _one_error_line(capsys, tmp_path, setting: str, *argv) -> str:
         path = tmp_path / "c.cfg"
-        path.write_text(SET_A_CONFIG.replace("market.mu_i    = 0.06", f"market.mu_i = {mu_i}"))
+        # a later line of the config overrides an earlier one
+        path.write_text(SET_A_CONFIG + setting + "\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, "hedge", "--paths", "1000", "--config", str(path))
+            code, out, err = run_cli(capsys, *argv, "--config", str(path))
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "must be finite and strictly positive" in err
         assert [str(w.message) for w in caught] == []
+        return err
 
 
 def test_verify_help_names_every_proposition(capsys):

@@ -1,6 +1,7 @@
 """Verification experiments: verdicts, targets, determinism."""
 
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -381,3 +382,65 @@ class TestDeterminism:
         a = report_to_dict(config, verify(config, "two_sided"))
         b = report_to_dict(config, verify(config, "two_sided"))
         assert a == b
+
+
+class TestChunkTasks:
+    def test_every_chunk_task_is_a_module_function_that_pickles(self, set_a, monkeypatch):
+        # each task and its arguments could be sent to a worker process
+        calls = []
+
+        def recording(n_paths, n_workers, task, *args):
+            calls.append((task, args))
+            return _MAP_CHUNKS(n_paths, n_workers, task, *args)
+
+        monkeypatch.setattr(experiments, "_map_chunks", recording)
+        # mu_bis is violated, so no proposition is gated out of sampling
+        params = mu_bis_boundary_params(set_a, 0.05, 0.05, 2.0)
+        config = ExperimentConfig(params=params, delta=0.05, n_paths=1000, seed=3)
+        for proposition in experiments.PROPOSITIONS:
+            verify(config, proposition)
+        capm_convergence_study(params, 0.05, 0.05, (2.5, 10.0), n_paths=1000)
+        hedging_fidelity_study(config, step_counts=(4, 8))
+        assert [(task.__name__, args[-1]) for task, args in calls[:3]] == [
+            ("_verify_chunk", proposition) for proposition in experiments.PROPOSITIONS]
+        assert [task.__name__ for task, _ in calls[3:]] == [
+            "_log_ratio_sums", "_log_ratio_sums", "_hedge_chunk"]
+        for task, args in calls:
+            assert getattr(experiments, task.__name__) is task
+            loaded_task, _ = pickle.loads(pickle.dumps((task, args)))
+            assert loaded_task is task
+
+    @pytest.mark.parametrize("n_paths, n_workers, threads", [
+        (CHUNK_PATHS, 8, None),
+        (3 * CHUNK_PATHS, 1, None),
+        (3 * CHUNK_PATHS, 10**6, 3),
+        (3 * CHUNK_PATHS - 1, 2, 2),
+    ])
+    def test_pool_has_no_more_threads_than_chunks(self, monkeypatch, n_paths, n_workers,
+                                                  threads):
+        # a fake executor records its size and runs the chunks in this
+        # thread; a run of one chunk, or of one worker, builds none
+        built = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", FakeExecutor)
+        chunks = experiments._map_chunks(n_paths, n_workers, _bounds, "tag")
+        assert built == ([] if threads is None else [threads])
+        assert chunks == [("tag", first, min(CHUNK_PATHS, n_paths - first))
+                          for first in range(0, n_paths, CHUNK_PATHS)]
+
+
+def _bounds(tag: str, first: int, count: int) -> tuple[str, int, int]:
+    return tag, first, count

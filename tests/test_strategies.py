@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -342,13 +343,18 @@ class TestWealthLoop:
     @pytest.mark.parametrize("driver", [0, 1])
     def test_underflowed_prices_are_rejected(self, set_a, driver):
         # a huge negative increment on driver 0 sends both prices to 0.0,
-        # on driver 1 only the stock (the index does not load on it)
+        # on driver 1 only the stock (the index does not load on it); the
+        # sampler rejects that grid, so the zeros go into a grid built from
+        # zero increments, which the replication must reject as well
+        times = np.linspace(0.0, set_a.t, 5)
         increments = np.zeros((3, 4, 2))
         increments[1, 1, driver] = -1e4
-        batch = paths_from_increments(set_a, Measure.PHYSICAL,
-                                      np.linspace(0.0, set_a.t, 5), increments)
-        assert batch.stock_values[1, 2] == 0.0
-        assert (batch.index_values[1, 2] == 0.0) == (driver == 0)
+        with pytest.raises(ValueError, match="strictly positive"):
+            paths_from_increments(set_a, Measure.PHYSICAL, times, increments)
+        batch = paths_from_increments(set_a, Measure.PHYSICAL, times, np.zeros((3, 4, 2)))
+        batch.stock_values[1, 2:] = 0.0
+        if driver == 0:
+            batch.index_values[1, 2:] = 0.0
         strat = build_two_sided(set_a, 0.05)
         with pytest.raises(ValueError, match="strictly positive"):
             wealth_tracks(strat, set_a, batch, _cutoff(set_a, 4))
@@ -382,6 +388,17 @@ class TestWealthLoop:
         now = np.array([1.0, 1e-300]), np.array([1.0, 1e10])
         with pytest.raises(ValueError, match="their ratios must be finite"):
             replication.step(0.0, 1.0, now, now)
+
+    def test_overflowing_bond_level_is_rejected(self):
+        # exp(r t) = exp(800) overflows; the bond/index ratio check rejects
+        # it, without an OverflowError or a warning
+        params = MarketParams(**{**SET_A, "r": 100.0})
+        replication = Replication(build_index_vs_bond(params, 0.05), params, 4.6, 2)
+        prices = np.ones(2), np.ones(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="their ratios must be finite"):
+                replication.step(8.0, 9.0, prices, prices)
 
     @pytest.mark.parametrize("t", [-1.0, 10.0, math.nan])
     def test_step_rejects_times_outside_the_horizon(self, set_a, t):
