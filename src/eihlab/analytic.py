@@ -174,13 +174,17 @@ def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_rati
 
 
 def _check_valuation(t: float, horizon: float, s_t, i_t) -> tuple[np.ndarray, np.ndarray]:
+    """``(i_t, s_t / i_t)`` as arrays.  Prices and their ratio must be
+    finite and positive (two finite prices can have a ratio of 0.0 or
+    inf); a positive index and a finite positive ratio imply both."""
     if not 0.0 <= t < horizon < math.inf:
         raise ValueError("valuation time must satisfy 0 <= t < horizon < inf")
-    s_t = np.asarray(s_t, dtype=float)
     i_t = np.asarray(i_t, dtype=float)
-    if not ((s_t > 0.0).all() and (i_t > 0.0).all()):
-        raise ValueError("prices must be strictly positive")
-    return s_t, i_t
+    with np.errstate(all="ignore"):
+        ratio = np.asarray(s_t, dtype=float) / i_t
+    if not ((i_t > 0.0).all() and ((ratio > 0.0) & (ratio < math.inf)).all()):
+        raise ValueError("prices and their ratios must be finite and strictly positive")
+    return i_t, ratio
 
 
 def digital_price(reduced: "ReducedParams", spec: DigitalSpec, tau: float) -> float:
@@ -206,8 +210,7 @@ def claim_value(
     Scalar prices give a float; arrays broadcast elementwise.  The value
     is degree-1 homogeneous in ``(s_t, i_t)`` and nonnegative.
     """
-    s_t, i_t = _check_valuation(t, horizon, s_t, i_t)
-    ratio = s_t / i_t
+    i_t, ratio = _check_valuation(t, horizon, s_t, i_t)
     value = _valuation(spec, reduced.delta_norm, horizon - t, ratio, np.log(ratio), i_t,
                        hedge=False)[0]
     return float(value) if value.ndim == 0 else value
@@ -228,8 +231,7 @@ def hedge_ratios(
     bond: ``units_s * s_t + units_i * i_t`` equals the claim value up to
     rounding.
     """
-    s_t, i_t = _check_valuation(t, horizon, s_t, i_t)
-    ratio = s_t / i_t
+    i_t, ratio = _check_valuation(t, horizon, s_t, i_t)
     _, units_s, units_i = _valuation(spec, reduced.delta_norm, horizon - t, ratio,
                                      np.log(ratio), i_t, hedge=True)
     if np.asarray(units_s).ndim == 0:

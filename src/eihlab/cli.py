@@ -6,8 +6,10 @@ precedence flag > EIHLAB_SEED (seed only) > config > default.  Each
 command accepts ``--config``, ``--out`` and only the run flags it reads
 (``_COMMANDS``); any other flag is a usage error.  Reports
 are a single JSON object on stdout, tables are CSV with 17-significant-
-digit floats; diagnostics go to stderr.  Exit codes: 0 pass, 1 fail,
-2 usage error, 3 inconclusive.
+digit floats whose columns are the rows' keys; diagnostics go to stderr.
+Exit codes: 0 pass, 1 fail, 2 usage error, 3 inconclusive.  A
+``ValueError`` from the config or the library is a usage error: ``main``
+prints it as one ``error:`` line and exits 2.
 
 Config schema::
 
@@ -91,10 +93,6 @@ _OVERRIDES = {"paths": "run.n_paths", "delta": "run.delta", "eps": "run.eps",
               "measure": "run.measure", "workers": "run.workers", "t_grid": "run.t_grid"}
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_config_text(text: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -102,7 +100,7 @@ def _parse_config_text(text: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected 'key = value'")
+            raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
@@ -114,27 +112,27 @@ def load_config(path: str | None) -> dict[str, str]:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 values.update(_parse_config_text(fh.read()))
-        except OSError as exc:
-            raise UsageError(f"cannot read config {path}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read config {path}: {exc}") from exc
     return values
 
 
 def _vector(values: dict[str, str], key: str) -> np.ndarray:
     if key not in values:
-        raise UsageError(f"missing required config field: {key}")
+        raise ValueError(f"missing required config field: {key}")
     try:
         return np.array([float(x) for x in values[key].split(",")])
     except ValueError as exc:
-        raise UsageError(f"bad vector for {key}: {values[key]!r}") from exc
+        raise ValueError(f"bad vector for {key}: {values[key]!r}") from exc
 
 
 def _real(values: dict[str, str], key: str) -> float:
     try:
         out = float(values[key])
     except ValueError as exc:
-        raise UsageError(f"bad number for {key}: {values[key]!r}") from exc
+        raise ValueError(f"bad number for {key}: {values[key]!r}") from exc
     if not math.isfinite(out):
-        raise UsageError(f"{key} must be finite")
+        raise ValueError(f"{key} must be finite")
     return out
 
 
@@ -151,22 +149,19 @@ def _integer(values: dict[str, str], key: str) -> int:
     except ValueError:
         out = math.nan
     if not (out.is_integer() and abs(out) <= 2**53):
-        raise UsageError(f"{key} must be an integer, got {values[key]!r}")
+        raise ValueError(f"{key} must be an integer, got {values[key]!r}")
     return int(out)
 
 
 def market_from_config(values: dict[str, str]) -> MarketParams:
-    try:
-        return MarketParams(
-            mu_i=_real(values, "market.mu_i"),
-            mu_s=_real(values, "market.mu_s"),
-            sigma_i=_vector(values, "market.sigma_i"),
-            sigma_s=_vector(values, "market.sigma_s"),
-            r=_real(values, "market.r"),
-            t=_real(values, "market.t"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return MarketParams(
+        mu_i=_real(values, "market.mu_i"),
+        mu_s=_real(values, "market.mu_s"),
+        sigma_i=_vector(values, "market.sigma_i"),
+        sigma_s=_vector(values, "market.sigma_s"),
+        r=_real(values, "market.r"),
+        t=_real(values, "market.t"),
+    )
 
 
 def _resolve_seed(args, values: dict[str, str]) -> int:
@@ -177,11 +172,11 @@ def _resolve_seed(args, values: dict[str, str]) -> int:
         try:
             seed, source = int(env), "EIHLAB_SEED"
         except ValueError as exc:
-            raise UsageError(f"EIHLAB_SEED must be an integer, got {env!r}") from exc
+            raise ValueError(f"EIHLAB_SEED must be an integer, got {env!r}") from exc
     else:
         seed, source = _integer(values, "run.seed"), "run.seed"
     if not 0 <= seed < 2**64:
-        raise UsageError(f"{source} must lie in [0, 2^64), got {seed}")
+        raise ValueError(f"{source} must lie in [0, 2^64), got {seed}")
     return seed
 
 
@@ -197,7 +192,7 @@ def _measure(values: dict[str, str]) -> Measure:
     try:
         return Measure(tag)
     except ValueError as exc:
-        raise UsageError(f"unknown measure: {values['run.measure']!r}") from exc
+        raise ValueError(f"unknown measure: {values['run.measure']!r}") from exc
 
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
@@ -215,7 +210,7 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> None:
                 sys.stdout.write(piece)
                 sink.write(piece)
     except OSError as exc:
-        raise UsageError(f"cannot write {out_path}: {exc}") from exc
+        raise ValueError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _json_text(payload: dict) -> str:
@@ -236,9 +231,12 @@ def _columns_csv(header: str, row_format: str, chunks: Iterable[tuple]) -> Itera
         prefix = ""
 
 
-def _rows_csv(header: list[str], rows: list[dict], ints: tuple[str, ...] = ()) -> Iterator[str]:
-    """Table rows as one chunk of columns, the ``ints`` columns ``%d``."""
-    row_format = ",".join("%d" if name in ints else "%.17g" for name in header) + "\n"
+def _rows_csv(rows: list[dict]) -> Iterator[str]:
+    """Table rows as one chunk of columns, headed by the first row's keys;
+    a column whose first value is an ``int`` prints as ``%d``."""
+    header = list(rows[0])
+    row_format = ",".join("%d" if isinstance(value, int) else "%.17g"
+                          for value in rows[0].values()) + "\n"
     columns = [[row[name] for row in rows] for name in header]
     return _columns_csv(",".join(header), row_format, [columns])
 
@@ -249,10 +247,7 @@ def _terminal_chunks(params: MarketParams, measure: Measure, n_paths: int,
     path ``k`` uses counter ``(seed, k)``, so chunking changes no bit."""
     for lo in range(0, n_paths, SIMULATE_CHUNK_ROWS):
         hi = min(lo + SIMULATE_CHUNK_ROWS, n_paths)
-        try:
-            terminal = simulate_terminal(params, measure, hi - lo, seed, first_path=lo)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        terminal = simulate_terminal(params, measure, hi - lo, seed, first_path=lo)
         yield range(lo, hi), terminal.index.tolist(), terminal.stock.tolist()
 
 
@@ -263,10 +258,7 @@ def _terminal_chunks(params: MarketParams, measure: Measure, n_paths: int,
 def _band_edges(params: MarketParams, delta: float) -> tuple[float, float, float, float]:
     """(a, b, ln a, ln b); the logs are the stored values that payoffs and
     events compare against, not logs of the rounded exponentials."""
-    try:
-        a, b = thresholds(params.reduced, params.t, delta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    a, b = thresholds(params.reduced, params.t, delta)
     return (a, b, *log_thresholds(params.reduced.delta_norm, params.t, delta))
 
 
@@ -306,17 +298,14 @@ def cmd_simulate(args, values: dict[str, str]) -> int:
     seed = _resolve_seed(args, values)
     measure = _measure(values)
     if args.steps is not None:
-        try:
-            batch = simulate_paths(params, measure, args.steps, 1, seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        batch = simulate_paths(params, measure, args.steps, 1, seed)
         chunks = [(batch.times.tolist(), batch.index_values[0].tolist(),
                    batch.stock_values[0].tolist())]
         _emit(_columns_csv("time,index,stock", "%.17g,%.17g,%.17g\n", chunks), args.out)
     else:
         n_paths = _integer(values, "run.n_paths")
         if n_paths < 1:
-            raise UsageError("n_paths must be at least 1")
+            raise ValueError("n_paths must be at least 1")
         chunks = _terminal_chunks(params, measure, n_paths, seed)
         _emit(_columns_csv("path,index_terminal,stock_terminal", "%d,%.17g,%.17g\n", chunks),
               args.out)
@@ -328,29 +317,23 @@ def _experiment_config(args, values: dict[str, str], *,
     """The experiment inputs of a run.  With ``reads_eps=False`` (the
     hedging study reads no eps) ``run.eps`` is not parsed and the config
     keeps its default eps."""
-    try:
-        fields = {"params": market_from_config(values), "delta": _real(values, "run.delta")}
-        if reads_eps:
-            fields["eps"] = _real(values, "run.eps")
-        return experiments.ExperimentConfig(
-            **fields,
-            n_paths=_integer(values, "run.n_paths"),
-            seed=_resolve_seed(args, values),
-            n_workers=_integer(values, "run.workers"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    fields = {"params": market_from_config(values), "delta": _real(values, "run.delta")}
+    if reads_eps:
+        fields["eps"] = _real(values, "run.eps")
+    return experiments.ExperimentConfig(
+        **fields,
+        n_paths=_integer(values, "run.n_paths"),
+        seed=_resolve_seed(args, values),
+        n_workers=_integer(values, "run.workers"),
+    )
 
 
 def cmd_verify(args, values: dict[str, str]) -> int:
     if args.prop not in experiments.PROPOSITIONS:
-        raise UsageError(f"unknown proposition {args.prop!r}; "
+        raise ValueError(f"unknown proposition {args.prop!r}; "
                          f"expected one of {sorted(experiments.PROPOSITIONS)}")
     config = _experiment_config(args, values)
-    try:
-        report = experiments.verify(config, args.prop)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = experiments.verify(config, args.prop)
     _emit([_json_text(experiments.report_to_dict(config, report))], args.out)
     print(f"runtime: {report.runtime_seconds:.2f}s", file=sys.stderr)
     if report.verdict == experiments.PASS:
@@ -362,29 +345,16 @@ def cmd_verify(args, values: dict[str, str]) -> int:
 
 def cmd_hedge(args, values: dict[str, str]) -> int:
     config = _experiment_config(args, values, reads_eps=False)
-    try:
-        rows = experiments.hedging_fidelity_study(config)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    header = ["n_steps", "median_abs_error", "rms_error", "max_abs_error",
-              "analytic_negative_count", "hedged_negative_fraction", "hedged_min_wealth"]
-    _emit(_rows_csv(header, rows, ints=("n_steps", "analytic_negative_count")), args.out)
+    _emit(_rows_csv(experiments.hedging_fidelity_study(config)), args.out)
     return EXIT_PASS
 
 
 def cmd_table(args, values: dict[str, str]) -> int:
     seed = _resolve_seed(args, values)
     if args.study == "lemma":
-        try:
-            rows = experiments.lemma_crosscheck(
-                _integer(values, "run.trials"), seed,
-                n_mc=_integer(values, "run.n_paths"),
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        header = ["u1", "u2", "v1", "v2", "c", "closed_form", "quadrature",
-                  "abs_gap", "mc_mean", "mc_se"]
-        _emit(_rows_csv(header, rows), args.out)
+        rows = experiments.lemma_crosscheck(_integer(values, "run.trials"), seed,
+                                            n_mc=_integer(values, "run.n_paths"))
+        _emit(_rows_csv(rows), args.out)
         return EXIT_PASS
     params = market_from_config(values)
     delta = _real(values, "run.delta")
@@ -392,20 +362,14 @@ def cmd_table(args, values: dict[str, str]) -> int:
     n_workers = _integer(values, "run.workers")
     grid_text = values["run.t_grid"].strip()
     if not grid_text:
-        raise UsageError("convergence table needs run.t_grid (or --t-grid)")
-    try:
-        t_grid = [float(x) for x in grid_text.split(",")]
-        study = experiments.capm_convergence_study(
-            params, delta, eps, t_grid,
-            n_paths=_integer(values, "run.n_paths"), seed=seed, n_workers=n_workers,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    header = ["horizon", "width_mu_bis", "width_index", "width_capm1",
-              "width_capm_final", "tpd_mc_mean", "tpd_target", "tpd_se"]
+        raise ValueError("convergence table needs run.t_grid (or --t-grid)")
+    study = experiments.capm_convergence_study(
+        params, delta, eps, [float(x) for x in grid_text.split(",")],
+        n_paths=_integer(values, "run.n_paths"), seed=seed, n_workers=n_workers,
+    )
     for name, slope in study.slopes.items():
         print(f"log-log slope {name}: {slope:.12f}", file=sys.stderr)
-    _emit(_rows_csv(header, study.rows), args.out)
+    _emit(_rows_csv(study.rows), args.out)
     return EXIT_PASS
 
 
@@ -452,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         values = load_config(args.config)
         _apply_overrides(args, values)
         return args.func(args, values)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

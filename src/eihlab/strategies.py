@@ -170,18 +170,9 @@ def _one_sided_component(
     delta: float,
     side: Side,
 ) -> DigitalComponent:
-    # a band of tail mass 2 delta has one tail of mass delta on each side
-    log_a, log_b = log_thresholds(reduced.delta_norm, horizon, 2.0 * delta)
-    if side is Side.UPPER:
-        spec = DigitalSpec(Direction.AT_LEAST, log_b)
-    else:
-        spec = DigitalSpec(Direction.AT_MOST, log_a)
-    return DigitalComponent(
-        spec=spec,
-        reduced=reduced,
-        underlying=underlying,
-        initial_wealth=delta,
-    )
+    # a band of tail mass 2 delta has one tail of mass delta on each side,
+    # each claim worth (2 delta) / 2 = delta
+    return _band_components(reduced, underlying, horizon, 2.0 * delta)[side is Side.UPPER]
 
 
 def _check_delta(delta: float) -> None:
@@ -259,10 +250,17 @@ def _terminal_log_ratio(
     comp_underlying: Underlying, params: MarketParams, i_terminal, s_terminal
 ) -> np.ndarray:
     """ln(numerator/index) at expiry; the one expression both payoff
-    indicators and event predicates are built from."""
+    indicators and event predicates are built from.  A stock/index ratio
+    that is not finite and positive (two finite prices can have an
+    overflowing ratio) is a ``ValueError``."""
     i_terminal = np.asarray(i_terminal, dtype=float)
     if comp_underlying is Underlying.STOCK:
-        return np.log(np.asarray(s_terminal, dtype=float) / i_terminal)
+        with np.errstate(all="ignore"):
+            ratio = np.asarray(s_terminal, dtype=float) / i_terminal
+        if not _finite_positive(ratio):
+            raise ValueError("prices and their ratios must be finite and strictly positive; "
+                             "the market leaves the float range")
+        return np.log(ratio)
     return params.r * params.t - np.log(i_terminal)
 
 

@@ -263,9 +263,13 @@ class TestClaimValue:
         assert value == pytest.approx(std_normal_cdf(-d_kernel), rel=1e-14)
 
     def test_nan_prices_are_rejected(self, set_a):
+        # also an infinite price, and finite prices whose ratio underflows
+        # to 0.0 (its log would be -inf); no warning
         red = reduce_dimension(set_a)
         spec = DigitalSpec.at_level(Direction.AT_MOST, 0.8)
-        for s_t, i_t in ((math.nan, 1.0), (1.0, np.array([1.0, math.nan]))):
+        for s_t, i_t in ((math.nan, 1.0), (1.0, np.array([1.0, math.nan])),
+                         (math.inf, 10.0), (1.0, np.array([1.0, math.inf])),
+                         (1e-320, 1e10)):
             with pytest.raises(ValueError, match="strictly positive"):
                 claim_value(red, spec, 1.0, s_t, i_t, set_a.t)
             with pytest.raises(ValueError, match="strictly positive"):

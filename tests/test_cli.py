@@ -302,6 +302,27 @@ class TestUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and "underflows" in err
 
+    @pytest.mark.parametrize("argv, module, name", [
+        (("price",), cli, "digital_price"),
+        (("thresholds",), cli, "thresholds"),
+        (("simulate", "--paths", "5"), cli, "simulate_terminal"),
+        (("simulate", "--steps", "5"), cli, "simulate_paths"),
+        (("verify", "--prop", "two_sided"), experiments, "verify"),
+        (("hedge", "--paths", "1000"), experiments, "hedging_fidelity_study"),
+        (("table", "--study", "convergence", "--t-grid", "10"), experiments,
+         "capm_convergence_study"),
+        (("table", "--study", "lemma"), experiments, "lemma_crosscheck"),
+    ], ids=["price", "thresholds", "simulate-paths", "simulate-steps", "verify", "hedge",
+            "table-convergence", "table-lemma"])
+    def test_library_value_error_is_one_error_line(self, capsys, monkeypatch, config_path,
+                                                   argv, module, name):
+        # every command maps a ValueError from the library it calls to exit 2
+        def rejects(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(module, name, rejects)
+        assert run_cli(capsys, *argv, "--config", config_path) == (2, "", "error: injected\n")
+
 
 class TestUnderflowingBandEdge:
     """A market whose band edge ``a`` underflows (``ln a`` near -990)
@@ -384,10 +405,27 @@ class TestPricesOutOfFloatRange:
         )),
         ("market.r = 70", ("hedge", "--paths", "1000")),
         ("market.r = 100", ("hedge", "--paths", "1000")),
+        # a subnormal index, which the sampler accepts, overflows S/I
+        *((f"market.mu_i = {mu_i}", ("verify", "--prop", prop, "--paths", "1000"))
+          for mu_i in ("-72", "-71.5") for prop in ("two_sided", "mu_bis")),
     ], ids=lambda value: value.replace(" ", "") if isinstance(value, str) else " ".join(value))
     def test_run_is_one_error_line(self, capsys, tmp_path, setting, args):
         err = self._one_error_line(capsys, tmp_path, setting, *args)
         assert "the market leaves the float range" in err
+
+    @pytest.mark.parametrize("mu_i", ["-72", "-71.5"])
+    def test_index_premium_reads_a_subnormal_index(self, capsys, tmp_path, mu_i):
+        # the bond/index log ratio is r T - ln I, finite on a subnormal index
+        path = tmp_path / "c.cfg"
+        path.write_text(SET_A_CONFIG + f"market.mu_i = {mu_i}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "verify", "--prop", "index", "--paths", "1000",
+                                     "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+        assert err.startswith("runtime: ") and len(err.splitlines()) == 1
+        assert [str(w.message) for w in caught] == []
 
     @staticmethod
     def _one_error_line(capsys, tmp_path, setting: str, *argv) -> str:
@@ -542,6 +580,13 @@ class TestConfigParsing:
         code, _, err = run_cli(capsys, "price", "--config", "/nonexistent.cfg")
         assert code == 2
         assert "cannot read" in err
+
+    def test_undecodable_config_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(SET_A_CONFIG.encode() + b"# \xff\n")
+        code, out, err = run_cli(capsys, "price", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read config {path}")
 
     def test_unwritable_output_is_usage_error(self, capsys, config_path):
         code, _, err = run_cli(capsys, "price", "--config", config_path,

@@ -451,6 +451,20 @@ class TestEvents:
             fires = strategy_fires(strat, params, out.index, out.stock)
             assert int((event == fires).sum()) == 0
 
+    @pytest.mark.parametrize("stock, index", [
+        ((1.0, 1.0), (1.0, 1e-320)),  # a subnormal index overflows the ratio
+        ((1.0, 1e-320), (1.0, 1e10)),  # a ratio that underflows to 0.0
+    ], ids=["overflow", "underflow"])
+    def test_ratio_out_of_float_range_is_rejected(self, set_a, stock, index):
+        # finite positive prices whose stock/index ratio is 0.0 or inf, which
+        # would be counted on an infinite log ratio (pytest makes a
+        # RuntimeWarning an error, so none is raised either)
+        stock, index = np.array(stock), np.array(index)
+        with pytest.raises(ValueError, match="the market leaves the float range"):
+            strategy_fires(build_two_sided(set_a, 0.05), set_a, index, stock)
+        with pytest.raises(ValueError, match="the market leaves the float range"):
+            event_two_sided(set_a, 0.05, stock, index)
+
 
 class TestBoundCheck:
     def test_reference_values(self, set_a):
