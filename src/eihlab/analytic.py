@@ -12,7 +12,8 @@ returns the claim value and, when asked, the replicating units;
 in :mod:`eihlab.strategies` all call it.
 
 Thresholds are computed and stored in log space.  Strategy payoffs and
-event predicates compare ``ln(S_T / I_T)`` against the same stored
+event predicates compare one float of ``ln(S_T / I_T)``, taken once by
+:func:`eihlab.strategies.terminal_log_ratios`, against the same stored
 float, which is what makes "payoff fired" and "event failed" exact
 complements path by path instead of agreeing only up to rounding.
 """
@@ -22,19 +23,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
+from .market import ReducedParams, _finite_positive
 from .normal import (
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
     upper_quantile,
 )
-
-if TYPE_CHECKING:
-    from .market import ReducedParams
 
 __all__ = [
     "Direction",
@@ -126,7 +125,7 @@ def log_thresholds(delta_norm: float, horizon: float, delta: float) -> tuple[flo
     return center - half_width, center + half_width
 
 
-def thresholds(reduced: "ReducedParams", horizon: float, delta: float) -> tuple[float, float]:
+def thresholds(reduced: ReducedParams, horizon: float, delta: float) -> tuple[float, float]:
     """Band edges (a, b) in ratio space for a given escape mass ``delta``."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -176,18 +175,18 @@ def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_rati
 def _check_valuation(t: float, horizon: float, s_t, i_t) -> tuple[np.ndarray, np.ndarray]:
     """``(i_t, s_t / i_t)`` as arrays.  Prices and their ratio must be
     finite and positive (two finite prices can have a ratio of 0.0 or
-    inf); a positive index and a finite positive ratio imply both."""
+    inf); a finite positive index and ratio imply both."""
     if not 0.0 <= t < horizon < math.inf:
         raise ValueError("valuation time must satisfy 0 <= t < horizon < inf")
     i_t = np.asarray(i_t, dtype=float)
     with np.errstate(all="ignore"):
         ratio = np.asarray(s_t, dtype=float) / i_t
-    if not ((i_t > 0.0).all() and ((ratio > 0.0) & (ratio < math.inf)).all()):
+    if not (_finite_positive(i_t) and _finite_positive(ratio)):
         raise ValueError("prices and their ratios must be finite and strictly positive")
     return i_t, ratio
 
 
-def digital_price(reduced: "ReducedParams", spec: DigitalSpec, tau: float) -> float:
+def digital_price(reduced: ReducedParams, spec: DigitalSpec, tau: float) -> float:
     """Time-(T - tau) claim value per unit index when S/I currently equals 1."""
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
@@ -198,7 +197,7 @@ def digital_price(reduced: "ReducedParams", spec: DigitalSpec, tau: float) -> fl
 
 
 def claim_value(
-    reduced: "ReducedParams",
+    reduced: ReducedParams,
     spec: DigitalSpec,
     t: float,
     s_t,
@@ -217,7 +216,7 @@ def claim_value(
 
 
 def hedge_ratios(
-    reduced: "ReducedParams",
+    reduced: ReducedParams,
     spec: DigitalSpec,
     t: float,
     s_t,

@@ -1,13 +1,14 @@
 """Monte Carlo experiments that certify the strategy guarantees.
 
 Each proposition becomes a statistical experiment: simulate terminal
-prices, evaluate the band event and the strategy payoff path by path,
-and report the empirical frequency with a Wilson 95% interval next to
-its closed-form target.  The payoff/event dichotomy is an algebraic
-identity of the construction, so its violation count is asserted to be
-exactly zero rather than small.  One runner, :func:`verify`, does this
-for every proposition; what differs between them (drift bound, counts,
-target) is an entry of :data:`PROPOSITIONS`, keyed by the CLI name.
+prices, take their log ratios once per chunk, evaluate the band event
+and the strategy payoff path by path on them, and report the empirical
+frequency with a Wilson 95% interval next to its closed-form target.
+The payoff/event dichotomy is an algebraic identity of the
+construction, so its violation count is asserted to be exactly zero
+rather than small.  One runner, :func:`verify`, does this for every
+proposition; what differs between them (drift bound, counts, target)
+is an entry of :data:`PROPOSITIONS`, keyed by the CLI name.
 
 Closed-form targets sharper than the stated guarantees (the exact beat
 probability when a bound is violated with a given margin) are derived
@@ -52,6 +53,7 @@ from .rng import normal_pairs, uniform_pairs
 from .strategies import (
     BoundReport,
     Side,
+    Underlying,
     bond_drift_gap,
     bound_check,
     drift_gap,
@@ -59,6 +61,7 @@ from .strategies import (
     event_recover,
     event_two_sided,
     strategy_fires,
+    terminal_log_ratios,
 )
 
 CHUNK_PATHS = 1 << 16
@@ -195,8 +198,9 @@ def _two_sided_counts(config: ExperimentConfig, terminal: TerminalSample) -> tup
     or the band strategy collects 1/delta times the index."""
     params, delta = config.params, config.delta
     strategy = strategies.build_two_sided(params, delta)
-    event = event_two_sided(params, delta, terminal.stock, terminal.index)
-    fires = strategy_fires(strategy, params, terminal.index, terminal.stock)
+    log_ratios = terminal_log_ratios(params, terminal, Underlying.STOCK)
+    event = event_two_sided(params, delta, log_ratios[Underlying.STOCK])
+    fires = strategy_fires(strategy, log_ratios)
     return int(event.sum()), int((event == fires).sum())
 
 
@@ -206,8 +210,9 @@ def _mu_bis_counts(config: ExperimentConfig, terminal: TerminalSample) -> tuple[
     params, delta = config.params, config.delta
     side = Side.of_gap(drift_gap(params))
     strategy = strategies.build_one_sided(params, delta, side)
-    fires = strategy_fires(strategy, params, terminal.index, terminal.stock)
-    event = event_one_sided(params, delta, terminal.stock, terminal.index, side)
+    log_ratios = terminal_log_ratios(params, terminal, Underlying.STOCK)
+    fires = strategy_fires(strategy, log_ratios)
+    event = event_one_sided(params, delta, log_ratios[Underlying.STOCK], side)
     return int(fires.sum()), int((event == fires).sum())
 
 
@@ -217,9 +222,10 @@ def _index_counts(config: ExperimentConfig, terminal: TerminalSample) -> tuple[i
     params, delta = config.params, config.delta
     band = strategies.build_index_vs_bond(params, delta)
     one_sided = strategies.build_bond_one_sided(params, delta)
-    recover = event_recover(params, delta, terminal.index)
-    band_fires = strategy_fires(band, params, terminal.index, terminal.stock)
-    beat = strategy_fires(one_sided, params, terminal.index, terminal.stock)
+    log_ratios = terminal_log_ratios(params, terminal, Underlying.BOND)
+    recover = event_recover(params, delta, log_ratios[Underlying.BOND])
+    band_fires = strategy_fires(band, log_ratios)
+    beat = strategy_fires(one_sided, log_ratios)
     return int(beat.sum()), int((recover == band_fires).sum()), int(recover.sum())
 
 
@@ -352,7 +358,7 @@ def _log_ratio_sums(params: MarketParams, seed: int, first: int,
                     count: int) -> tuple[float, float, int]:
     """A chunk's sum and sum of squares of ln(S_T / I_T), and its size."""
     terminal = simulate_terminal(params, Measure.PHYSICAL, count, seed, first_path=first)
-    log_ratio = np.log(terminal.stock / terminal.index)
+    log_ratio = terminal_log_ratios(params, terminal, Underlying.STOCK)[Underlying.STOCK]
     return float(log_ratio.sum()), float((log_ratio * log_ratio).sum()), count
 
 
@@ -382,7 +388,7 @@ def capm_convergence_study(
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])) or t_grid[0] <= 0.0:
         raise ValueError("t_grid must be positive and strictly increasing")
 
-    width_names = ("width_mu_bis", "width_index", "width_capm1", "width_capm_final")
+    bounds = ("mu_bis", "index", "capm1", "capm_final")
     rows = []
     for horizon in t_grid:
         p_t = replace(exact_capm_params(params), t=horizon)
@@ -391,27 +397,19 @@ def capm_convergence_study(
         total_sq = sum(r[1] for r in results)
         mean = total / n_paths
         var = max(total_sq / n_paths - mean * mean, 0.0)
-        row = {
+        rows.append({
             "horizon": horizon,
-            "width_mu_bis": bound_check(p_t, delta, eps, "mu_bis").rhs,
-            "width_index": bound_check(p_t, delta, eps, "index").rhs,
-            "width_capm1": bound_check(p_t, delta, eps, "capm1").rhs,
-            "width_capm_final": bound_check(p_t, delta, eps, "capm_final").rhs,
+            **{f"width_{name}": bound_check(p_t, delta, eps, name).rhs for name in bounds},
             "tpd_mc_mean": mean,
             "tpd_target": -0.5 * p_t.reduced.delta_norm**2 * horizon,
             "tpd_se": math.sqrt(var / n_paths),
-        }
-        rows.append(row)
+        })
 
     log_t = np.log(t_grid)
     slopes = {}
-    for name in width_names:
-        log_w = np.log([row[name] for row in rows])
-        if len(t_grid) > 1:
-            slope, _ = np.polyfit(log_t, log_w, 1)
-        else:
-            slope = float("nan")
-        slopes[name] = float(slope)
+    for key in (f"width_{name}" for name in bounds):
+        log_w = np.log([row[key] for row in rows])
+        slopes[key] = float(np.polyfit(log_t, log_w, 1)[0]) if len(t_grid) > 1 else math.nan
     return ConvergenceStudy(rows=rows, slopes=slopes)
 
 
@@ -493,8 +491,9 @@ class _Grid:
 
     def summary(self) -> tuple:
         replication = self.replication
-        terminal = strategies.terminal_wealth(replication.strategy, replication.params,
-                                              self.prices.index, self.prices.stock)
+        prices = TerminalSample(self.prices.index, self.prices.stock)
+        log_ratios = terminal_log_ratios(replication.params, prices, *replication.underlyings)
+        terminal = strategies.terminal_wealth(replication.strategy, prices.index, log_ratios)
         return (
             np.abs(replication.hedged - terminal),
             self.negative + int((terminal < 0.0).sum()),
@@ -536,7 +535,7 @@ def hedging_fidelity_study(
     stepped along each grid, per step count and whatever the chunk size.
     A price or price ratio that leaves the float range (0.0 or inf) is a
     ``ValueError`` of the replication step or, at expiry, of
-    :func:`eihlab.strategies.terminal_wealth`; hedged wealth or a row
+    :func:`eihlab.strategies.terminal_log_ratios`; hedged wealth or a row
     value that does (a large ``r``) is a ``ValueError`` of the study.
     """
     grids = sorted({int(m) for m in step_counts})

@@ -248,10 +248,16 @@ def simulate_terminal(
         return TerminalSample(*_in_float_range(np.exp(log_i), np.exp(log_s)))
 
 
+def _finite_positive(x: np.ndarray) -> bool:
+    """The one float-range rule of prices and their ratios: every element
+    is finite and positive (true of an empty array)."""
+    # a NaN is the minimum, and fails the first comparison
+    return x.size == 0 or (0.0 < x.min() and x.max() < math.inf)
+
+
 def _in_float_range(*prices: np.ndarray) -> tuple[np.ndarray, ...]:
     """The price arrays, if every price is finite and positive."""
-    # a NaN is the minimum, and fails the first comparison
-    if not all(0.0 < x.min() and x.max() < math.inf for x in prices):
+    if not all(map(_finite_positive, prices)):
         raise ValueError("sampled prices must be finite and strictly positive; "
                          "the market leaves the float range")
     return prices

@@ -8,6 +8,8 @@ indicator payoff.  That exactness is what the verification experiments
 lean on: "the band event failed" and "the strategy collected the 1/delta
 multiple of the index" are complementary booleans computed from one
 comparison, never two formulas that agree only in exact arithmetic.
+Payoffs and events both read the floats of :func:`terminal_log_ratios`,
+which a caller takes once per batch of terminal prices.
 
 :class:`Replication` is the one step along a batch of paths that
 follows a strategy two ways: the analytic track sums claim values (the
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import DigitalSpec, Direction, _valuation, log_thresholds
-from .market import MarketParams, ReducedParams
+from .market import MarketParams, ReducedParams, TerminalSample, _finite_positive
 from .normal import upper_quantile
 
 __all__ = [
@@ -49,6 +51,7 @@ __all__ = [
     "event_recover",
     "event_two_sided",
     "strategy_fires",
+    "terminal_log_ratios",
     "terminal_wealth",
 ]
 
@@ -243,52 +246,44 @@ def build_capm_composite(params: MarketParams, delta: float, variant: str) -> Pr
 
 
 # ---------------------------------------------------------------------------
-# Ratio plumbing shared by payoffs, events, and valuation
+# Ratio plumbing shared by payoffs and events
 
 
-def _terminal_log_ratio(
-    comp_underlying: Underlying, params: MarketParams, i_terminal, s_terminal
-) -> np.ndarray:
-    """ln(numerator/index) at expiry; the one expression both payoff
-    indicators and event predicates are built from.  A stock/index ratio
-    that is not finite and positive (two finite prices can have an
-    overflowing ratio) is a ``ValueError``."""
-    i_terminal = np.asarray(i_terminal, dtype=float)
-    if comp_underlying is Underlying.STOCK:
-        with np.errstate(all="ignore"):
-            ratio = np.asarray(s_terminal, dtype=float) / i_terminal
-        if not _finite_positive(ratio):
-            raise ValueError("prices and their ratios must be finite and strictly positive; "
-                             "the market leaves the float range")
-        return np.log(ratio)
-    return params.r * params.t - np.log(i_terminal)
-
-
-def _finite_positive(x: np.ndarray) -> bool:
-    # a NaN is the minimum, and fails the first comparison
-    return 0.0 < x.min() and x.max() < math.inf
-
-
-def terminal_wealth(strategy: PrudentStrategy, params: MarketParams, i_terminal, s_terminal):
-    """Exact terminal wealth of the basket on given terminal prices, which
-    must be finite and positive."""
-    i_terminal = np.asarray(i_terminal, dtype=float)
-    if not (_finite_positive(i_terminal)
-            and _finite_positive(np.asarray(s_terminal, dtype=float))):
+def terminal_log_ratios(params: MarketParams, terminal: TerminalSample,
+                        *underlyings: Underlying) -> dict[Underlying, np.ndarray]:
+    """ln(numerator/index) at expiry, by underlying, for those asked for:
+    ``ln(S_T/I_T)`` and ``r T - ln I_T``.  Terminal prices and a stock/index
+    ratio (two finite prices can have an overflowing ratio) that are not
+    finite and positive are a ``ValueError``."""
+    if not all(map(_finite_positive, terminal)):
         raise ValueError("terminal prices must be finite and strictly positive")
+    log_ratios = {}
+    for underlying in underlyings:
+        if underlying is Underlying.STOCK:
+            with np.errstate(all="ignore"):
+                ratio = terminal.stock / terminal.index
+            if not _finite_positive(ratio):
+                raise ValueError("prices and their ratios must be finite and strictly positive; "
+                                 "the market leaves the float range")
+            log_ratios[underlying] = np.log(ratio)
+        else:
+            log_ratios[underlying] = params.r * params.t - np.log(terminal.index)
+    return log_ratios
+
+
+def terminal_wealth(strategy: PrudentStrategy, i_terminal, log_ratios: dict):
+    """Exact terminal wealth of the basket, from :func:`terminal_log_ratios`."""
     total = np.zeros(i_terminal.shape)
     for comp in strategy.components:
-        log_ratio = _terminal_log_ratio(comp.underlying, params, i_terminal, s_terminal)
-        total += comp.units * i_terminal * comp.spec.payoff_indicator(log_ratio)
+        total += comp.units * i_terminal * comp.spec.payoff_indicator(log_ratios[comp.underlying])
     return total
 
 
-def strategy_fires(strategy: PrudentStrategy, params: MarketParams, i_terminal, s_terminal):
+def strategy_fires(strategy: PrudentStrategy, log_ratios: dict):
     """Whether any component pays off (boolean, elementwise)."""
     fired = None
     for comp in strategy.components:
-        log_ratio = _terminal_log_ratio(comp.underlying, params, i_terminal, s_terminal)
-        ind = comp.spec.payoff_indicator(log_ratio)
+        ind = comp.spec.payoff_indicator(log_ratios[comp.underlying])
         fired = ind if fired is None else (fired | ind)
     return fired
 
@@ -297,34 +292,34 @@ def strategy_fires(strategy: PrudentStrategy, params: MarketParams, i_terminal, 
 # Event predicates, stated as in the propositions
 
 
-def event_two_sided(params: MarketParams, delta: float, s_terminal, i_terminal):
+def _in_band(reduced: ReducedParams, horizon: float, delta: float, log_ratio):
+    """Whether the log ratio lies strictly inside the band of tail mass delta."""
+    _check_delta(delta)
+    log_a, log_b = log_thresholds(reduced.delta_norm, horizon, delta)
+    return (log_ratio > log_a) & (log_ratio < log_b)
+
+
+def event_two_sided(params: MarketParams, delta: float, log_ratio):
     """|ln(S_T/I_T) + delta_norm^2 T/2| < z_{delta/2} delta_norm sqrt(T).
 
     Exact complement of the two-sided strategy's payoff: both compare
     the same log ratio against the same stored band edges.
     """
-    _check_delta(delta)
-    log_a, log_b = log_thresholds(params.reduced.delta_norm, params.t, delta)
-    x = _terminal_log_ratio(Underlying.STOCK, params, i_terminal, s_terminal)
-    return (x > log_a) & (x < log_b)
+    return _in_band(params.reduced, params.t, delta, log_ratio)
 
 
-def event_one_sided(params: MarketParams, delta: float, s_terminal, i_terminal, side: Side | str):
+def event_one_sided(params: MarketParams, delta: float, log_ratio, side: Side | str):
     """One-tail band event; upper: centered log ratio stays below the
     z_delta width, lower: stays above its negative."""
     _check_delta(delta)
-    side = Side(side)
-    comp = _one_sided_component(params.reduced, Underlying.STOCK, params.t, delta, side)
-    x = _terminal_log_ratio(Underlying.STOCK, params, i_terminal, s_terminal)
-    return ~comp.spec.payoff_indicator(x)
+    comp = _one_sided_component(params.reduced, Underlying.STOCK, params.t, delta, Side(side))
+    return ~comp.spec.payoff_indicator(log_ratio)
 
 
-def event_recover(params: MarketParams, delta: float, i_terminal):
-    """|ln(I_T e^{-rT}) - ||sigma_i||^2 T/2| < z_{delta/2} ||sigma_i|| sqrt(T)."""
-    _check_delta(delta)
-    log_a, log_b = log_thresholds(params.reduced_vs_bond.delta_norm, params.t, delta)
-    x = _terminal_log_ratio(Underlying.BOND, params, i_terminal, None)
-    return (x > log_a) & (x < log_b)
+def event_recover(params: MarketParams, delta: float, log_ratio):
+    """|ln(I_T e^{-rT}) - ||sigma_i||^2 T/2| < z_{delta/2} ||sigma_i|| sqrt(T),
+    from the bond/index log ratio ``r T - ln I_T``."""
+    return _in_band(params.reduced_vs_bond, params.t, delta, log_ratio)
 
 
 # ---------------------------------------------------------------------------

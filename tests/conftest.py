@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from eihlab.market import MarketParams, Measure, PathBatch, drift_pair
-from eihlab.strategies import PrudentStrategy, Replication, terminal_wealth
+from eihlab.market import MarketParams, Measure, PathBatch, TerminalSample, drift_pair
+from eihlab.strategies import PrudentStrategy, Replication, terminal_log_ratios, terminal_wealth
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -123,6 +123,8 @@ def wealth_tracks(
                                           (index[:, k], stock[:, k]),
                                           (index[:, k + 1], stock[:, k + 1]))
         hedged[:, k + 1] = replication.hedged
-    analytic[:, -1] = terminal_wealth(strategy, params, index[:, -1], stock[:, -1])
+    log_ratios = terminal_log_ratios(params, TerminalSample(index[:, -1], stock[:, -1]),
+                                     *replication.underlyings)
+    analytic[:, -1] = terminal_wealth(strategy, index[:, -1], log_ratios)
     hedged[:, 0] = analytic[:, 0]
     return WealthTrack(times=times, analytic=analytic, hedged=hedged)

@@ -274,6 +274,10 @@ class TestClaimValue:
                 claim_value(red, spec, 1.0, s_t, i_t, set_a.t)
             with pytest.raises(ValueError, match="strictly positive"):
                 hedge_ratios(red, spec, 1.0, s_t, i_t, set_a.t)
+        # no price is out of range in an empty batch, whose values are empty
+        empty = np.empty(0)
+        assert claim_value(red, spec, 1.0, empty, empty, set_a.t).shape == (0,)
+        assert [x.shape for x in hedge_ratios(red, spec, 1.0, empty, empty, set_a.t)] == [(0,)] * 2
 
 
 class TestHedgeRatios:

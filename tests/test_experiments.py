@@ -28,10 +28,12 @@ from eihlab.experiments import (
 from eihlab.market import Measure, reduce_dimension, simulate_paths, simulate_terminal
 from eihlab.normal import std_normal_cdf, upper_quantile
 from eihlab.strategies import (
+    Underlying,
     bound_check,
     build_two_sided,
     event_two_sided,
     strategy_fires,
+    terminal_log_ratios,
 )
 
 from conftest import wealth_tracks
@@ -99,8 +101,9 @@ class TestVerifyTwoSided:
         # physical measure, but the payoff/event identity is measure-free
         strat = build_two_sided(set_a, 0.05)
         out = simulate_terminal(set_a, Measure.RISK_NEUTRAL, 50_000, 44)
-        event = event_two_sided(set_a, 0.05, out.stock, out.index)
-        fires = strategy_fires(strat, set_a, out.index, out.stock)
+        log_ratios = terminal_log_ratios(set_a, out, Underlying.STOCK)
+        event = event_two_sided(set_a, 0.05, log_ratios[Underlying.STOCK])
+        fires = strategy_fires(strat, log_ratios)
         assert int((event == fires).sum()) == 0
 
     def test_config_validation(self, set_a):
@@ -409,6 +412,31 @@ class TestChunkTasks:
             assert getattr(experiments, task.__name__) is task
             loaded_task, _ = pickle.loads(pickle.dumps((task, args)))
             assert loaded_task is task
+
+    def test_each_chunk_takes_its_log_ratios_once(self, set_a, monkeypatch):
+        # a proposition's payoffs and events read one mapping of terminal
+        # log ratios per chunk, holding only the underlying they state; the
+        # convergence study's sums and each hedged grid's payoff read one too
+        calls = []
+
+        def recording(params, terminal, *underlyings):
+            calls.append(underlyings)
+            return terminal_log_ratios(params, terminal, *underlyings)
+
+        monkeypatch.setattr(experiments, "terminal_log_ratios", recording)
+        config = ExperimentConfig(params=set_a, delta=0.05, n_paths=1000, seed=3)
+        for proposition, underlying in (("two_sided", Underlying.STOCK),
+                                        ("mu_bis", Underlying.STOCK),
+                                        ("index", Underlying.BOND)):
+            calls.clear()
+            experiments._verify_chunk(config, proposition, 0, 1000)
+            assert calls == [(underlying,)], proposition
+        calls.clear()
+        experiments._log_ratio_sums(set_a, 3, 0, 1000)
+        assert calls == [(Underlying.STOCK,)]
+        calls.clear()
+        hedging_fidelity_study(config, step_counts=(4, 8))
+        assert calls == [(Underlying.STOCK,)] * 2
 
     @pytest.mark.parametrize("n_paths, n_workers, threads", [
         (CHUNK_PATHS, 8, None),

@@ -241,7 +241,8 @@ class TestSimulatePath:
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, size=40))])
         mu_i, mu_s = drift_pair(set_a, measure)
         reduced = set_a.reduced
-        for n_paths in (1, 2, 3, 65, 300):
+        # zero paths give an empty batch
+        for n_paths in (1, 2, 3, 65, 300, 0):
             increments = rng.standard_normal((n_paths, 40, 2)) * np.sqrt(np.diff(times))[:, None]
             batch = paths_from_increments(set_a, measure, times, increments)
             for values, mu, sigma_bar in ((batch.index_values, mu_i, reduced.sigma_i_bar),

@@ -12,6 +12,7 @@ from eihlab.analytic import DigitalSpec, Direction, claim_value, digital_price, 
 from eihlab.market import (
     MarketParams,
     Measure,
+    TerminalSample,
     paths_from_increments,
     reduce_dimension,
     simulate_paths,
@@ -33,6 +34,7 @@ from eihlab.strategies import (
     event_recover,
     event_two_sided,
     strategy_fires,
+    terminal_log_ratios,
     terminal_wealth,
 )
 
@@ -57,8 +59,9 @@ class TestTwoSided:
         delta = 0.05
         strat = build_two_sided(set_a, delta)
         out = simulate_terminal(set_a, Measure.PHYSICAL, 100_000, 9)
-        wealth = terminal_wealth(strat, set_a, out.index, out.stock)
-        event = event_two_sided(set_a, delta, out.stock, out.index)
+        log_ratios = terminal_log_ratios(set_a, out, Underlying.STOCK)
+        wealth = terminal_wealth(strat, out.index, log_ratios)
+        event = event_two_sided(set_a, delta, log_ratios[Underlying.STOCK])
         # escape paths: K_T / K_0 equals I_T / delta bitwise
         np.testing.assert_array_equal(
             wealth[~event] / strat.total_initial_wealth, out.index[~event] / delta)
@@ -67,7 +70,8 @@ class TestTwoSided:
     def test_terminal_wealth_values(self, set_a):
         strat = build_two_sided(set_a, 0.05)
         out = simulate_terminal(set_a, Measure.PHYSICAL, 50_000, 10)
-        wealth = terminal_wealth(strat, set_a, out.index, out.stock)
+        wealth = terminal_wealth(strat, out.index,
+                                 terminal_log_ratios(set_a, out, Underlying.STOCK))
         fired = wealth > 0.0
         np.testing.assert_array_equal(wealth[fired], out.index[fired])
 
@@ -92,8 +96,9 @@ class TestOneSided:
         delta = 0.05
         strat = build_one_sided(set_a, delta, Side.UPPER)
         out = simulate_terminal(set_a, Measure.PHYSICAL, 100_000, 12)
-        fires = strategy_fires(strat, set_a, out.index, out.stock)
-        event = event_one_sided(set_a, delta, out.stock, out.index, Side.UPPER)
+        log_ratios = terminal_log_ratios(set_a, out, Underlying.STOCK)
+        fires = strategy_fires(strat, log_ratios)
+        event = event_one_sided(set_a, delta, log_ratios[Underlying.STOCK], Side.UPPER)
         np.testing.assert_array_equal(fires, ~event)
         (comp,) = strat.components
         red = reduce_dimension(set_a)
@@ -116,8 +121,9 @@ class TestIndexVsBond:
         delta = 0.05
         strat = build_index_vs_bond(set_a, delta)
         out = simulate_terminal(set_a, Measure.PHYSICAL, 100_000, 14)
-        fires = strategy_fires(strat, set_a, out.index, out.stock)
-        recover = event_recover(set_a, delta, out.index)
+        log_ratios = terminal_log_ratios(set_a, out, Underlying.BOND)
+        fires = strategy_fires(strat, log_ratios)
+        recover = event_recover(set_a, delta, log_ratios[Underlying.BOND])
         np.testing.assert_array_equal(fires, ~recover)
 
     def test_recover_halfwidth_reference(self, set_a):
@@ -131,8 +137,9 @@ class TestIndexVsBond:
         delta = 0.05
         strat = build_index_vs_bond(set_a, delta)
         out = simulate_terminal(set_a, Measure.PHYSICAL, 100_000, 15)
-        wealth = terminal_wealth(strat, set_a, out.index, out.stock)
-        recover = event_recover(set_a, delta, out.index)
+        log_ratios = terminal_log_ratios(set_a, out, Underlying.BOND)
+        wealth = terminal_wealth(strat, out.index, log_ratios)
+        recover = event_recover(set_a, delta, log_ratios[Underlying.BOND])
         np.testing.assert_array_equal(
             wealth[~recover] / strat.total_initial_wealth,
             out.index[~recover] / delta)
@@ -164,8 +171,9 @@ class TestComposites:
         strat = build_capm_composite(set_a, delta, "cor_2delta")
         assert strat.total_initial_wealth == pytest.approx(2.0, rel=1e-12)
         out = simulate_terminal(set_a, Measure.PHYSICAL, 100_000, 16)
-        wealth = terminal_wealth(strat, set_a, out.index, out.stock)
-        fires = strategy_fires(strat, set_a, out.index, out.stock)
+        log_ratios = terminal_log_ratios(set_a, out, *Underlying)
+        wealth = terminal_wealth(strat, out.index, log_ratios)
+        fires = strategy_fires(strat, log_ratios)
         k0 = strat.total_initial_wealth
         factor = wealth[fires] / k0
         assert np.all(factor >= out.index[fires] / (2.0 * delta) * (1.0 - 1e-12))
@@ -309,8 +317,9 @@ def _reference_tracks(strategy, params, batch, cutoff):
         growth = math.exp(params.r * float(times[k + 1] - times[k]))
         hedged[:, k + 1] = (h_stock * batch.stock_values[:, k + 1]
                             + h_index * batch.index_values[:, k + 1] + cash * growth)
-    analytic[:, -1] = terminal_wealth(
-        strategy, params, batch.index_values[:, -1], batch.stock_values[:, -1])
+    terminal = TerminalSample(batch.index_values[:, -1], batch.stock_values[:, -1])
+    analytic[:, -1] = terminal_wealth(strategy, terminal.index,
+                                      terminal_log_ratios(params, terminal, *Underlying))
     return analytic, hedged
 
 
@@ -374,7 +383,7 @@ class TestWealthLoop:
     @pytest.mark.parametrize("bad", [math.nan, 0.0, math.inf])
     def test_terminal_prices_are_checked(self, set_a, bad):
         # the last column, which only the last step's hedged update and
-        # ``terminal_wealth`` read, is checked like the others
+        # the terminal payoff read, is checked like the others
         batch = paths_from_increments(set_a, Measure.PHYSICAL,
                                       np.linspace(0.0, set_a.t, 5), np.zeros((3, 4, 2)))
         batch.index_values[1, -1] = bad
@@ -423,8 +432,10 @@ class TestEvents:
     def test_centered_ratio_inside_band(self, set_a):
         red = reduce_dimension(set_a)
         ratio = math.exp(-0.5 * red.delta_norm**2 * set_a.t)
+        terminal = TerminalSample(np.array([1.0]), np.array([ratio]))
+        log_ratio = terminal_log_ratios(set_a, terminal, Underlying.STOCK)[Underlying.STOCK]
         for delta in (0.9, 0.5, 0.05):
-            assert event_two_sided(set_a, delta, np.array([ratio]), np.array([1.0]))[0]
+            assert event_two_sided(set_a, delta, log_ratio)[0]
 
     def test_boundary_levels_reference(self, set_a):
         # band edges in log space; frozen from 40-digit arithmetic
@@ -447,8 +458,9 @@ class TestEvents:
             delta = float(gen.uniform(0.01, 0.9))
             strat = build_two_sided(params, delta)
             out = simulate_terminal(params, Measure.PHYSICAL, 20_000, 1000 + trial)
-            event = event_two_sided(params, delta, out.stock, out.index)
-            fires = strategy_fires(strat, params, out.index, out.stock)
+            log_ratios = terminal_log_ratios(params, out, Underlying.STOCK)
+            event = event_two_sided(params, delta, log_ratios[Underlying.STOCK])
+            fires = strategy_fires(strat, log_ratios)
             assert int((event == fires).sum()) == 0
 
     @pytest.mark.parametrize("stock, index", [
@@ -458,12 +470,34 @@ class TestEvents:
     def test_ratio_out_of_float_range_is_rejected(self, set_a, stock, index):
         # finite positive prices whose stock/index ratio is 0.0 or inf, which
         # would be counted on an infinite log ratio (pytest makes a
-        # RuntimeWarning an error, so none is raised either)
-        stock, index = np.array(stock), np.array(index)
+        # RuntimeWarning an error, so none is raised either); payoffs and
+        # events read the log ratios that ``terminal_log_ratios`` checks
+        terminal = TerminalSample(np.array(index), np.array(stock))
+        for underlyings in ((Underlying.STOCK,), (Underlying.BOND, Underlying.STOCK)):
+            with pytest.raises(ValueError, match="the market leaves the float range"):
+                terminal_log_ratios(set_a, terminal, *underlyings)
+        strat, stock_only = build_two_sided(set_a, 0.05), (set_a, terminal, Underlying.STOCK)
         with pytest.raises(ValueError, match="the market leaves the float range"):
-            strategy_fires(build_two_sided(set_a, 0.05), set_a, index, stock)
+            strategy_fires(strat, terminal_log_ratios(*stock_only))
         with pytest.raises(ValueError, match="the market leaves the float range"):
-            event_two_sided(set_a, 0.05, stock, index)
+            event_two_sided(set_a, 0.05, terminal_log_ratios(*stock_only)[Underlying.STOCK])
+        # the bond/index log ratio r T - ln I forms no S/I, and is finite here
+        bond = terminal_log_ratios(set_a, terminal, Underlying.BOND)[Underlying.BOND]
+        assert np.isfinite(bond).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, math.inf])
+    def test_terminal_log_ratios_check_prices_and_read_what_is_asked(self, set_a, bad):
+        out = simulate_terminal(set_a, Measure.PHYSICAL, 1000, 32)
+        both = terminal_log_ratios(set_a, out, *Underlying)
+        assert np.array_equal(both[Underlying.STOCK], np.log(out.stock / out.index))
+        assert np.array_equal(both[Underlying.BOND], set_a.r * set_a.t - np.log(out.index))
+        for underlying in Underlying:
+            assert terminal_log_ratios(set_a, out, underlying).keys() == {underlying}
+        for k in range(2):
+            prices = [out.index.copy(), out.stock.copy()]
+            prices[k][7] = bad
+            with pytest.raises(ValueError, match="terminal prices must be finite and strictly"):
+                terminal_log_ratios(set_a, TerminalSample(*prices), Underlying.BOND)
 
 
 class TestBoundCheck:
