@@ -65,11 +65,19 @@ class DigitalSpec:
 
     ``log_threshold`` is the one comparison level, kept in log space
     only: a band edge whose exponential underflows (``ln a`` near -1000)
-    is still a valid claim.  :meth:`at_level` takes a price-space level.
+    is still a valid claim, but a level that is not finite is a
+    ``ValueError``.  :meth:`at_level` takes a price-space level.  A
+    direction may be given by its value, ``"at_least"`` or ``"at_most"``.
     """
 
     direction: Direction
     log_threshold: float
+
+    def __post_init__(self):
+        if not isinstance(self.direction, Direction):
+            object.__setattr__(self, "direction", Direction(self.direction))
+        if not math.isfinite(self.log_threshold):
+            raise ValueError(f"log_threshold must be finite, got {self.log_threshold!r}")
 
     @classmethod
     def at_level(cls, direction: Direction, threshold: float) -> "DigitalSpec":
@@ -190,10 +198,7 @@ def digital_price(reduced: ReducedParams, spec: DigitalSpec, tau: float) -> floa
     """Time-(T - tau) claim value per unit index when S/I currently equals 1."""
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
-    delta_norm = reduced.delta_norm
-    if delta_norm == 0.0:
-        raise ValueError("reduced volatility pair must differ")
-    return float(_valuation(spec, delta_norm, tau, 1.0, 0.0, 1.0, hedge=False)[0])
+    return float(_valuation(spec, reduced.delta_norm, tau, 1.0, 0.0, 1.0, hedge=False)[0])
 
 
 def claim_value(

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -590,7 +590,7 @@ def report_to_dict(config: ExperimentConfig, report: ExperimentReport) -> dict:
         "theoretical_target": report.theoretical_target,
         "target_kind": report.target_kind,
         "dichotomy_violations": report.dichotomy_violations,
-        "bound": None if report.bound is None else asdict(report.bound),
+        "bound": None if report.bound is None else report.bound._asdict(),
         "verdict": report.verdict,
         **({"extras": report.extras} if report.extras else {}),
     }

@@ -10,8 +10,10 @@ normal pair per (path, step) through the counter-based generator in
 :mod:`eihlab.rng`.
 
 :class:`MarketParams` is the one home of the pair's geometry: its
-norms, inner products and both reductions are computed once per
-instance and read by the bounds, builders, events and samplers.
+norms, inner products and 2-d reduction are computed at construction,
+in one pass, and stored as plain attributes; the bond reduction is
+computed on first use.  The bounds, builders, events and samplers read
+them.
 
 Paths have one type, :class:`PathBatch`: the times and the price
 grids, not the increments that drove them.  A single path is a
@@ -48,7 +50,7 @@ class Measure(enum.Enum):
 
 def _as_vector(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float, copy=True).reshape(-1)
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
@@ -59,9 +61,25 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
+def _check_norm(name: str, norm: float) -> None:
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"the norm of {name} must be finite and positive, got {norm!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class MarketParams:
-    """Model parameters. Initial prices are pinned to I0 = S0 = 1."""
+    """Model parameters. Initial prices are pinned to I0 = S0 = 1.
+
+    The constructor also stores the pair's geometry as plain attributes:
+    ``norm_i``, ``norm_s``, ``norm_i_sq`` = sigma_i . sigma_i, ``cross``
+    = sigma_s . sigma_i, ``spread_norm`` = ||sigma_s - sigma_i|| and
+    ``reduced``, the pair in coordinates of an orthonormal basis of its
+    span.  ``e1`` points along ``sigma_i``; ``e2`` along the remainder
+    of ``sigma_s`` after removing its ``e1`` component.  When the two
+    vectors are (numerically) collinear the remainder vanishes and the
+    stock sits on the first axis.  Norms and the inner product of the
+    pair are preserved up to rounding.
+    """
 
     mu_i: float
     mu_s: float
@@ -74,8 +92,9 @@ class MarketParams:
     S0 = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_i", _as_vector(self.sigma_i, "sigma_i"))
-        object.__setattr__(self, "sigma_s", _as_vector(self.sigma_s, "sigma_s"))
+        sigma_i, sigma_s = _as_vector(self.sigma_i, "sigma_i"), _as_vector(self.sigma_s, "sigma_s")
+        object.__setattr__(self, "sigma_i", sigma_i)
+        object.__setattr__(self, "sigma_s", sigma_s)
         for name in ("mu_i", "mu_s", "r", "t"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
@@ -83,70 +102,40 @@ class MarketParams:
             object.__setattr__(self, name, value)
         if self.t <= 0.0:
             raise ValueError("horizon t must be positive")
-        if self.sigma_i.shape != self.sigma_s.shape:
+        if sigma_i.shape != sigma_s.shape:
             raise ValueError("sigma_i and sigma_s must have equal length")
         if self.d < 2:
             raise ValueError("at least two Brownian drivers are required (d >= 2)")
-        # the norms that pricing, bounds and samplers divide by; a norm
-        # that overflows or underflows is rejected here, without a warning
+        # The geometry, in one pass.  Two look-alike pairs differ in the
+        # last bit on many markets and are kept apart, each the exact float
+        # its readers always used: the driver-space ``spread_norm`` (drift
+        # bounds) against ``reduced.delta_norm`` (pricing, events,
+        # samplers), and ``norm_i_sq`` (drift gaps) against ``norm_i**2``
+        # (bounds).  A norm that overflows or underflows is rejected here,
+        # without a warning: sigma_i's, then sigma_s's, then the spread's,
+        # which the reduced pair checks.
         with np.errstate(all="ignore"):
-            norms = (("sigma_i", self.norm_i), ("sigma_s", self.norm_s),
-                     ("sigma_s - sigma_i", self.reduced.delta_norm))
-        for name, norm in norms:
-            if not 0.0 < norm < math.inf:
-                raise ValueError(f"the norm of {name} must be finite and positive, got {norm!r}")
+            norm_i_sq = float(sigma_i.dot(sigma_i))
+            norm_i, norm_s = math.sqrt(norm_i_sq), _norm(sigma_s)
+            _check_norm("sigma_i", norm_i)
+            _check_norm("sigma_s", norm_s)
+            e1 = sigma_i / norm_i
+            proj = float(sigma_s.dot(e1))
+            rem_norm = _norm(sigma_s - proj * e1)
+            spread_norm = _norm(sigma_s - sigma_i)
+            cross = float(sigma_s.dot(sigma_i))
+        if rem_norm <= _COLLINEAR_TOL * max(1.0, norm_s):
+            # collinear: use the signed norm so that bitwise-equal sigma
+            # vectors reduce to bitwise-equal coordinates
+            s_bar = [math.copysign(norm_s, proj), 0.0]
+        else:
+            s_bar = [proj, rem_norm]
+        vars(self).update(norm_i=norm_i, norm_s=norm_s, norm_i_sq=norm_i_sq, cross=cross,
+                          spread_norm=spread_norm, reduced=_reduced([norm_i, 0.0], s_bar))
 
     @property
     def d(self) -> int:
         return self.sigma_i.size
-
-    # The pair's geometry, computed on first use.  Two look-alike pairs
-    # differ in the last bit on many markets and are kept apart, each the
-    # exact float its readers always used: the driver-space ``spread_norm``
-    # (drift bounds) against ``reduced.delta_norm`` (pricing, events,
-    # samplers), and ``norm_i_sq`` = sigma_i . sigma_i (drift gaps) against
-    # ``norm_i**2`` (bounds).  ``cross`` is sigma_s . sigma_i.
-
-    @cached_property
-    def norm_i(self) -> float:
-        return _norm(self.sigma_i)
-
-    @cached_property
-    def norm_s(self) -> float:
-        return _norm(self.sigma_s)
-
-    @cached_property
-    def spread_norm(self) -> float:
-        return _norm(self.sigma_s - self.sigma_i)
-
-    @cached_property
-    def norm_i_sq(self) -> float:
-        return float(self.sigma_i @ self.sigma_i)
-
-    @cached_property
-    def cross(self) -> float:
-        return float(self.sigma_s @ self.sigma_i)
-
-    @cached_property
-    def reduced(self) -> ReducedParams:
-        """The pair in coordinates of an orthonormal basis of its span.
-
-        ``e1`` points along ``sigma_i``; ``e2`` along the remainder of
-        ``sigma_s`` after removing its ``e1`` component.  When the two
-        vectors are (numerically) collinear the remainder vanishes and
-        the stock sits on the first axis.  Norms and the inner product
-        of the pair are preserved up to rounding.
-        """
-        e1 = self.sigma_i / self.norm_i
-        proj = float(self.sigma_s @ e1)
-        rem_norm = _norm(self.sigma_s - proj * e1)
-        if rem_norm <= _COLLINEAR_TOL * max(1.0, self.norm_s):
-            # collinear: use the signed norm so that bitwise-equal sigma
-            # vectors reduce to bitwise-equal coordinates
-            s_bar = [math.copysign(self.norm_s, proj), 0.0]
-        else:
-            s_bar = [proj, rem_norm]
-        return _reduced([self.norm_i, 0.0], s_bar)
 
     @cached_property
     def reduced_vs_bond(self) -> ReducedParams:
@@ -160,15 +149,21 @@ class MarketParams:
 
 @dataclass(frozen=True, eq=False)
 class ReducedParams:
-    """Volatility pair expressed in an orthonormal basis of its span."""
+    """Volatility pair expressed in an orthonormal basis of its span.
+
+    The constructor stores ``delta_norm``, the norm of the volatility
+    spread and the lognormal ratio volatility, and rejects a pair whose
+    spread norm is not finite and positive (equal or NaN bars).
+    """
 
     sigma_i_bar: np.ndarray
     sigma_s_bar: np.ndarray
 
-    @cached_property
-    def delta_norm(self) -> float:
-        """Norm of the volatility spread, the lognormal ratio volatility."""
-        return _norm(self.sigma_s_bar - self.sigma_i_bar)
+    def __post_init__(self):
+        with np.errstate(all="ignore"):
+            delta_norm = _norm(self.sigma_s_bar - self.sigma_i_bar)
+        _check_norm("sigma_s - sigma_i", delta_norm)
+        object.__setattr__(self, "delta_norm", delta_norm)
 
     @cached_property
     def norm_i(self) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +110,7 @@ class PrudentStrategy:
         return sum(c.wealth0 for c in self.components)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One side-by-side evaluation of a drift bound."""
 
     lhs: float

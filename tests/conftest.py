@@ -1,11 +1,12 @@
+import copy
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from eihlab.market import MarketParams, Measure, PathBatch, TerminalSample, drift_pair
+from eihlab.market import (MarketParams, Measure, PathBatch, ReducedParams, TerminalSample,
+                           drift_pair)
 from eihlab.strategies import PrudentStrategy, Replication, terminal_log_ratios, terminal_wealth
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=60)
@@ -40,19 +41,15 @@ def set_a() -> MarketParams:
 
 
 def make_degenerate_equal_sigmas(params: MarketParams) -> MarketParams:
-    """Test-only hook: force sigma_s = sigma_i, bypassing the constructor
-    guard (the public path rejects equal vectors).  The geometry that the
-    constructor cached for the old sigma_s is dropped, so that it is
-    recomputed from the equal pair."""
-    clone = MarketParams(
-        mu_i=params.mu_i, mu_s=params.mu_i,
-        sigma_i=params.sigma_i, sigma_s=params.sigma_s,
-        r=params.r, t=params.t,
-    )
-    object.__setattr__(clone, "sigma_s", params.sigma_i.copy())
-    for name, attr in vars(MarketParams).items():
-        if isinstance(attr, cached_property):
-            clone.__dict__.pop(name, None)
+    """Test-only hook: force sigma_s = sigma_i, bypassing the guards of
+    both constructors (the public path rejects equal vectors and equal
+    reduced bars).  The copy gets the equal pair's geometry, the floats
+    the constructor computes for it, set directly."""
+    clone, reduced = copy.copy(params), object.__new__(ReducedParams)
+    bar = params.reduced.sigma_i_bar
+    vars(reduced).update(sigma_i_bar=bar, sigma_s_bar=bar, delta_norm=0.0)
+    vars(clone).update(mu_s=params.mu_i, sigma_s=params.sigma_i.copy(), norm_s=params.norm_i,
+                       cross=params.norm_i_sq, spread_norm=0.0, reduced=reduced)
     return clone
 
 

@@ -183,6 +183,32 @@ class TestDigitalPrice:
                 digital_price(red, spec, tau)
 
 
+class TestDigitalSpec:
+    @pytest.mark.parametrize("direction", ["at_least", "at_most"])
+    def test_string_direction_pays_and_prices_as_its_enum(self, set_a, direction):
+        # the value names the enum member; payoff and price both read it
+        spec, enum_spec = DigitalSpec(direction, 0.5), DigitalSpec(Direction(direction), 0.5)
+        assert spec.direction is Direction(direction)
+        assert spec == enum_spec
+        for log_ratio in (0.2, 0.5, 1.0):
+            assert spec.payoff_indicator(log_ratio) == enum_spec.payoff_indicator(log_ratio)
+        red = reduce_dimension(set_a)
+        assert digital_price(red, spec, set_a.t) == digital_price(red, enum_spec, set_a.t)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_threshold(self, direction, bad):
+        with pytest.raises(ValueError, match="log_threshold must be finite"):
+            DigitalSpec(direction, bad)
+        if bad > 0.0:
+            with pytest.raises(ValueError, match="log_threshold must be finite"):
+                DigitalSpec.at_level(direction, bad)
+
+    def test_rejects_unknown_direction(self):
+        with pytest.raises(ValueError, match="not a valid Direction"):
+            DigitalSpec("sideways", 0.5)
+
+
 class TestClaimValue:
     def test_inception_consistency(self, set_a):
         red = reduce_dimension(set_a)

@@ -360,7 +360,10 @@ class TestDegenerateVolatilityPairs:
         ("0.2, 0", "0.2, 1e-300"),
         ("1e200, 0", "0, 1e200"),
         ("1e-200, 0", "0.2, 0.1"),
-    ], ids=["zero-spread", "overflow", "underflow"])
+        ("1e154, 0", "-1e154, 0"),
+        ("1e154, 0", "0, 1.3e154"),
+    ], ids=["zero-spread", "overflow", "underflow", "spread-overflow-opposite",
+            "spread-overflow-orthogonal"])
     @pytest.mark.parametrize("argv", [
         ("price",), ("thresholds",), ("verify", "--prop", "two_sided"),
         ("verify", "--prop", "mu_bis"), ("verify", "--prop", "index"),

@@ -1,8 +1,10 @@
 """Market reduction and exact samplers."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from eihlab.market import (
     MarketParams,
     Measure,
     PricePoint,
+    ReducedParams,
     drift_pair,
     paths_from_increments,
     reduce_dimension,
@@ -20,7 +23,7 @@ from eihlab.market import (
     step_prices,
 )
 
-from conftest import log_ratio_law, make_degenerate_equal_sigmas, random_market
+from conftest import SET_A, log_ratio_law, make_degenerate_equal_sigmas, random_market
 
 
 class TestParamsValidation:
@@ -34,13 +37,24 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             MarketParams(0.0, 0.0, (0.2, 0.1), (0.2, 0.1), 0.0, 1.0)
 
-    @pytest.mark.parametrize("sigma_i, sigma_s", [
-        ((0.2, 0.0), (0.2, 1e-300)), ((1e200, 0.0), (0.0, 1e200)), ((1e-200, 0.0), (0.2, 0.1)),
-    ], ids=["zero-spread", "overflow", "underflow"])
-    def test_rejects_pairs_whose_norms_vanish_or_overflow(self, sigma_i, sigma_s):
+    @pytest.mark.parametrize("sigma_i, sigma_s, name", [
+        ((0.2, 0.0), (0.2, 1e-300), "sigma_s - sigma_i"),
+        ((1e200, 0.0), (0.0, 1e200), "sigma_i"),
+        ((1e-200, 0.0), (0.2, 0.1), "sigma_i"),
+        # finite norms whose spread overflows, collinear and not
+        ((1e154, 0.0), (-1e154, 0.0), "sigma_s - sigma_i"),
+        ((1e154, 0.0), (0.0, 1.3e154), "sigma_s - sigma_i"),
+        # the messages keep their order: sigma_i's, sigma_s's, the spread's
+        ((0.0, 0.0), (0.0, 0.0), "sigma_i"),
+        ((0.2, 0.0), (0.0, 0.0), "sigma_s"),
+        ((0.2, 0.0), (1e200, 0.0), "sigma_s"),
+    ], ids=["zero-spread", "overflow", "underflow", "spread-overflow-opposite",
+            "spread-overflow-orthogonal", "both-zero", "zero-stock", "stock-overflow"])
+    def test_rejects_pairs_whose_norms_vanish_or_overflow(self, sigma_i, sigma_s, name):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="must be finite and positive"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the norm of {name} must be finite and positive")):
                 MarketParams(0.0, 0.0, sigma_i, sigma_s, 0.0, 1.0)
 
     def test_rejects_single_driver(self):
@@ -98,6 +112,17 @@ class TestReduceDimension:
         assert red.delta_norm == pytest.approx(np.linalg.norm(set_a.sigma_i), rel=1e-15)
         assert np.all(red.sigma_s_bar == 0.0)
 
+    @pytest.mark.parametrize("sigma_i_bar, sigma_s_bar", [
+        ((0.2, 0.0), (0.2, 0.0)), ((0.2, 0.0), (math.nan, 0.1)), ((0.2, 0.0), (math.inf, 0.0)),
+        ((1e154, 0.0), (-1e154, 0.0)),
+    ], ids=["equal", "nan", "inf", "spread-overflow"])
+    def test_constructor_rejects_pairs_without_a_spread(self, sigma_i_bar, sigma_s_bar):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "the norm of sigma_s - sigma_i must be finite and positive")):
+                ReducedParams(np.array(sigma_i_bar), np.array(sigma_s_bar))
+
     def test_bars_are_read_only(self, set_a):
         for red in (set_a.reduced, set_a.reduced_vs_bond):
             for bar in (red.sigma_i_bar, red.sigma_s_bar):
@@ -106,7 +131,7 @@ class TestReduceDimension:
 
 
 def _direct_geometry(p: MarketParams) -> dict:
-    """Each cached quantity as the expression its readers used inline."""
+    """Each stored quantity as the expression its readers used inline."""
     return {
         "norm_i": float(np.linalg.norm(p.sigma_i)),
         "norm_s": float(np.linalg.norm(p.sigma_s)),
@@ -160,6 +185,74 @@ class TestCachedGeometry:
             math.copysign(p.norm_s, factor), 0.0)
         assert p.reduced.sigma_s_bar.tolist() == [math.copysign(p.norm_s, factor), 0.0]
         assert p.reduced.sigma_i_bar.tolist() == [p.norm_i, 0.0]
+
+
+_EAGER_GEOMETRY = ("norm_i", "norm_s", "norm_i_sq", "cross", "spread_norm", "reduced")
+
+
+def _pinned_geometry(sigma_i: np.ndarray, sigma_s: np.ndarray) -> dict:
+    """The pair's geometry as the package computed it, one float per
+    expression, before the constructor stored it."""
+    def norm(v):
+        return math.sqrt(float(v.dot(v)))
+
+    norm_i, norm_s = norm(sigma_i), norm(sigma_s)
+    e1 = sigma_i / norm_i
+    proj = float(sigma_s @ e1)
+    rem_norm = norm(sigma_s - proj * e1)
+    if rem_norm <= 1e-12 * max(1.0, norm_s):
+        s_bar = [math.copysign(norm_s, proj), 0.0]
+    else:
+        s_bar = [proj, rem_norm]
+    return {
+        "norm_i": norm_i, "norm_s": norm_s, "spread_norm": norm(sigma_s - sigma_i),
+        "norm_i_sq": float(sigma_i @ sigma_i), "cross": float(sigma_s @ sigma_i),
+        "sigma_i_bar": [norm_i, 0.0], "sigma_s_bar": s_bar,
+        "delta_norm": norm(np.array(s_bar) - np.array([norm_i, 0.0])),
+    }
+
+
+def _stored_geometry(p: MarketParams) -> dict:
+    return {
+        **{name: getattr(p, name) for name in _EAGER_GEOMETRY if name != "reduced"},
+        "sigma_i_bar": p.reduced.sigma_i_bar.tolist(),
+        "sigma_s_bar": p.reduced.sigma_s_bar.tolist(),
+        "delta_norm": p.reduced.delta_norm,
+    }
+
+
+def _pin_markets() -> list[MarketParams]:
+    gen = np.random.default_rng(20)
+    markets = [MarketParams(**SET_A)] + [random_market(gen) for _ in range(200)]
+    for sigma_i, factor in [((0.1, 0.2, 0.3), -2.0), ((0.15, 0.05), 0.7), ((0.3, -0.1), 3.0),
+                            ((0.2, 0.1, -0.05, 0.4), -1.0), ((1e-3, 0.5), 1.5)]:
+        markets.append(MarketParams(0.05, 0.06, sigma_i, factor * np.array(sigma_i), 0.02, 5.0))
+    return markets
+
+
+class TestGeometryPin:
+    """The constructor's geometry keeps every bit of the expressions the
+    package has always used, and is stored on the instance, not behind a
+    descriptor."""
+
+    def test_equals_the_pinned_expressions(self):
+        for p in _pin_markets():
+            assert _stored_geometry(p) == _pinned_geometry(p.sigma_i, p.sigma_s)
+
+    def test_replace_keeps_the_geometry(self):
+        for p in _pin_markets()[:20]:
+            moved = replace(p, mu_s=p.mu_s + 0.01)
+            assert moved.mu_s == p.mu_s + 0.01
+            assert _stored_geometry(moved) == _stored_geometry(p)
+
+    def test_geometry_is_stored_at_construction(self, set_a):
+        assert set(_EAGER_GEOMETRY) <= set(vars(set_a))
+        assert "delta_norm" in vars(set_a.reduced)
+        for name in _EAGER_GEOMETRY:
+            assert not hasattr(MarketParams, name)
+        # read only by the bond constructions and the samplers, so left lazy
+        assert isinstance(vars(MarketParams)["reduced_vs_bond"], cached_property)
+        assert "reduced_vs_bond" not in vars(set_a)
 
 
 class TestSimulateTerminal:
