@@ -22,10 +22,10 @@ chunk task is a module-level function of plain data and the chunk
 bounds, so that it and its arguments pickle: ``_verify_chunk`` (a
 proposition's counts, by name), ``_log_ratio_sums`` (the convergence
 study's float sums) and ``_hedge_chunk`` (the hedging study).  The
-hedging study also shares draws across step counts: a path chunk draws
-each step's normals once and moves every grid on by that step, through
-the public steps :func:`eihlab.market.step_prices` and
-:class:`eihlab.strategies.Replication`, keeping no path or wealth grid.
+hedging study hedges every step count on one fine path: a path chunk
+streams the finest grid's prices (:func:`eihlab.market.step_prices`) and
+one :class:`eihlab.strategies.Replication`, and each step count, which
+must divide the finest, reads them at its own times, keeping no grid.
 """
 
 from __future__ import annotations
@@ -461,57 +461,50 @@ def lemma_crosscheck(
     return rows
 
 
-class _Grid:
-    """One step count's prices, wealth and reductions on a chunk."""
-
-    def __init__(self, params: MarketParams, strategy: strategies.PrudentStrategy,
-                 n_steps: int, count: int):
-        self.n_steps = n_steps
-        self.times = np.linspace(0.0, params.t, n_steps + 1)
-        self.scale = np.sqrt(params.t / n_steps)
-        self.prices = PricePoint.at_start(count)
-        self.replication = strategies.Replication(
-            strategy, params, params.t * (1.0 - 1.0 / n_steps), count)
-        self.low = None
-        self.negative = 0
-
-    def step(self, k: int, pairs: np.ndarray) -> None:
-        t, t_next = self.times[k], self.times[k + 1]
-        now = self.prices
-        # an overflowing price is inf, which the replication step rejects;
-        # overflowing wealth is inf, which the study rejects
-        with np.errstate(over="ignore"):
-            self.prices = step_prices(self.replication.params, Measure.PHYSICAL, t_next - t,
-                                      pairs * self.scale, now)
-            analytic = self.replication.step(float(t), float(t_next), (now.index, now.stock),
-                                             (self.prices.index, self.prices.stock))
-        self.negative += int((analytic < 0.0).sum())
-        hedged = self.replication.hedged
-        self.low = np.minimum(analytic if self.low is None else self.low, hedged)
-
-    def summary(self) -> tuple:
-        replication = self.replication
-        prices = TerminalSample(self.prices.index, self.prices.stock)
-        log_ratios = terminal_log_ratios(replication.params, prices, *replication.underlyings)
-        terminal = strategies.terminal_wealth(replication.strategy, prices.index, log_ratios)
-        return (
-            np.abs(replication.hedged - terminal),
-            self.negative + int((terminal < 0.0).sum()),
-            int((self.low < 0.0).sum()),
-            float(self.low.min()),
-        )
-
-
 def _hedge_chunk(config: ExperimentConfig, grids: list[int], first: int, count: int) -> dict:
-    """Each step count's :meth:`_Grid.summary` on one chunk of paths."""
-    strategy = strategies.build_two_sided(config.params, config.delta)
-    runs = [_Grid(config.params, strategy, m, count) for m in grids]
-    for k in range(grids[-1]):
-        pairs = normal_pairs(config.seed, first, count, k)
-        for run in runs:
-            if k < run.n_steps:
-                run.step(k, pairs)
-    return {run.n_steps: run.summary() for run in runs}
+    """Each step count's (per-path terminal errors, analytic negative count,
+    hedged negative count, hedged minimum) on one chunk of paths.  A grid of
+    ``m`` steps rebalances every ``M / m`` fine steps, up to its last step
+    start, to the fine replication's units, and carries its own wealth."""
+    params, fine = config.params, grids[-1]
+    times, scale = np.linspace(0.0, params.t, fine + 1), np.sqrt(params.t / fine)
+    strategy = strategies.build_two_sided(params, config.delta)
+    replication = strategies.Replication(strategy, params, times[-2], count)
+    prices = PricePoint.at_start(count)
+    negative, starts = dict.fromkeys(grids, 0), {}
+    # an overflowing price is inf, which the replication step rejects;
+    # overflowing wealth is inf, which the study rejects
+    with np.errstate(over="ignore"):
+        for k in range(fine):
+            now = prices
+            prices = step_prices(params, Measure.PHYSICAL, times[k + 1] - times[k],
+                                 normal_pairs(config.seed, first, count, k) * scale, now)
+            before, after = (now.index, now.stock), (prices.index, prices.stock)
+            analytic = replication.step(float(times[k]), float(times[k + 1]), before, after)
+            if k == 0:
+                hedged, low = dict.fromkeys(grids, analytic), dict.fromkeys(grids, analytic)
+            negative_now = int((analytic < 0.0).sum())
+            for m in grids:
+                every = fine // m
+                if k % every == 0:
+                    negative[m] += negative_now
+                    starts[m] = float(times[k]), before, replication.held
+                if (k + 1) % every:
+                    continue
+                if every == 1:
+                    hedged[m] = replication.hedged
+                else:
+                    t, start, held = starts[m]
+                    hedged[m] = strategies.self_financing(hedged[m], held, start, after,
+                                                          params.r * (float(times[k + 1]) - t))
+                low[m] = np.minimum(low[m], hedged[m])
+    log_ratios = terminal_log_ratios(params, TerminalSample(prices.index, prices.stock),
+                                     *replication.underlyings)
+    terminal = strategies.terminal_wealth(strategy, prices.index, log_ratios)
+    terminal_negative = int((terminal < 0.0).sum())
+    return {m: (np.abs(hedged[m] - terminal), negative[m] + terminal_negative,
+                int((low[m] < 0.0).sum()), float(low[m].min()))
+            for m in grids}
 
 
 def hedging_fidelity_study(
@@ -524,15 +517,18 @@ def hedging_fidelity_study(
     reports terminal replication error statistics plus negative-wealth
     excursions of both tracks (the analytic track must never dip).
 
-    Every grid is driven by common normals: step ``k`` of path ``p`` uses
-    the pair at counter ``(seed, p, k)`` on each grid.  A path chunk
-    draws each step's pairs once and moves every grid with more than
-    ``k`` steps one step on (:func:`eihlab.market.step_prices`, then
-    :meth:`eihlab.strategies.Replication.step`), keeping only each
-    grid's current prices, its replication and the per-path reductions
-    its row reads.  Rows come out in ``step_counts`` order and equal
-    those of :func:`eihlab.market.simulate_paths` with ``Replication``
-    stepped along each grid, per step count and whatever the chunk size.
+    Every step count hedges the same path: the finest grid of ``M`` steps
+    moves path ``p`` at step ``k`` by the pair at counter ``(seed, p, k)``,
+    scaled by ``sqrt(T / M)``, and a grid of ``m`` steps, which must divide
+    ``M``, reads that path at every ``M / m``-th time.  A path chunk streams
+    the fine prices (:func:`eihlab.market.step_prices`) and one
+    :class:`eihlab.strategies.Replication`, valued once per fine step; each
+    grid rebalances at every one of its step starts to the replication's
+    units and carries its own hedged wealth
+    (:func:`eihlab.strategies.self_financing`), keeping no path or wealth
+    grid.  Rows come out in ``step_counts`` order and equal those of
+    :func:`eihlab.market.simulate_paths` at ``M`` steps, read every ``M / m``
+    columns, with ``Replication`` stepped along them, whatever the chunk size.
     A price or price ratio that leaves the float range (0.0 or inf) is a
     ``ValueError`` of the replication step or, at expiry, of
     :func:`eihlab.strategies.terminal_log_ratios`; hedged wealth or a row
@@ -541,6 +537,8 @@ def hedging_fidelity_study(
     grids = sorted({int(m) for m in step_counts})
     if not grids or grids[0] < 1:
         raise ValueError("step_counts must be positive and nonempty")
+    if any(grids[-1] % m for m in grids):
+        raise ValueError("step_counts must each divide the largest one")
     results = _map_chunks(config.n_paths, config.n_workers, _hedge_chunk, config, grids)
     rows = []
     for n_steps in step_counts:

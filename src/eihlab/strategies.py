@@ -16,8 +16,8 @@ follows a strategy two ways: the analytic track sums claim values (the
 ground truth used to verify the propositions), and the hedged track
 rebalances a discrete self-financing portfolio to the closed-form
 deltas, as a numerical-fidelity study.  Rebalancing stops before expiry
-because digital deltas diverge there.  The hedging study streams its
-steps and keeps no wealth grid.
+because digital deltas diverge there; :func:`self_financing` is its
+hedged step alone, which the hedging study's coarser grids take.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "event_one_sided",
     "event_recover",
     "event_two_sided",
+    "self_financing",
     "strategy_fires",
     "terminal_log_ratios",
     "terminal_wealth",
@@ -409,19 +410,20 @@ class Replication:
                     units_s *= comp.units
                     h_stock += units_s
         hedged = analytic if self.hedged is None else self.hedged
-        # in place, in the order of cash = hedged - h_stock s - h_index i and
-        # hedged_next = h_stock s_next + h_index i_next + cash * growth
-        cash = h_stock * stock_t
-        np.subtract(hedged, cash, out=cash)
-        term = h_index * index_t
-        cash -= term
-        cash *= _exp(params.r * (t_next - t))
-        index_next, stock_next = after
-        self.hedged = h_stock * stock_next
-        np.multiply(h_index, index_next, out=term)
-        self.hedged += term
-        self.hedged += cash
+        self.hedged = self_financing(hedged, self.held, now, after, params.r * (t_next - t))
         return analytic
+
+
+def self_financing(hedged: np.ndarray, held: tuple[np.ndarray, np.ndarray],
+                   now: tuple[np.ndarray, np.ndarray], after: tuple[np.ndarray, np.ndarray],
+                   r_dt: float) -> np.ndarray:
+    """Hedged wealth after one step that holds the (stock, index) units
+    ``held`` between the (index, stock) prices ``now`` and ``after``: the
+    cash ``hedged - h_s s - h_i i`` grows by ``exp(r_dt)`` (inf where that
+    overflows) and adds to ``h_s s' + h_i i'``, in that order."""
+    (h_stock, h_index), (index_t, stock_t), (index_next, stock_next) = held, now, after
+    cash = (hedged - h_stock * stock_t - h_index * index_t) * _exp(r_dt)
+    return h_stock * stock_next + h_index * index_next + cash
 
 
 # ---------------------------------------------------------------------------

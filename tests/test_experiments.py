@@ -25,7 +25,8 @@ from eihlab.experiments import (
     verify,
     wilson_ci,
 )
-from eihlab.market import Measure, reduce_dimension, simulate_paths, simulate_terminal
+from eihlab.market import (Measure, PathBatch, reduce_dimension, simulate_paths,
+                           simulate_terminal)
 from eihlab.normal import std_normal_cdf, upper_quantile
 from eihlab.strategies import (
     Underlying,
@@ -275,7 +276,7 @@ class TestHedgingStudy:
             config = ExperimentConfig(params=set_a, delta=0.05, n_paths=n_paths, seed=seed,
                                       n_workers=workers)
             rows, errors = _study(monkeypatch, config, step_counts, chunk_size=4096)
-            reference = {m: _reference(config, m) for m in set(step_counts)}
+            reference = _reference(config, step_counts)
             assert rows == [reference[m][0] for m in step_counts]
             for m in step_counts:
                 assert np.array_equal(errors[m], reference[m][1])
@@ -286,7 +287,7 @@ class TestHedgingStudy:
         # 16,384 (one and a partial one) and one chunk of CHUNK_PATHS
         config = ExperimentConfig(params=set_a, delta=0.05, n_paths=20_000, seed=60,
                                   n_workers=workers)
-        step_counts = (16, 5)
+        step_counts = (16, 4)
         runs = [_study(monkeypatch, config, step_counts, chunk_size)
                 for chunk_size in (4096, 16384, CHUNK_PATHS)]
         for rows, errors in runs[1:]:
@@ -296,7 +297,8 @@ class TestHedgingStudy:
 
     def test_one_cdf_per_claim_per_path_step(self, set_a, monkeypatch):
         # the band strategy holds two claims, each valued and hedged from
-        # one CDF of n values per step: 2 n (sum of step counts) in all
+        # one CDF of n values per fine step, which every step count reads:
+        # 2 n (largest step count) in all
         counted = []
 
         def counting(x):
@@ -305,21 +307,39 @@ class TestHedgingStudy:
             return out
 
         monkeypatch.setattr(analytic, "std_normal_cdf", counting)
-        n_paths, step_counts = 1000, (16, 5, 8)
+        n_paths, step_counts = 1000, (16, 4, 8)
         config = ExperimentConfig(params=set_a, delta=0.05, n_paths=n_paths, seed=61)
         hedging_fidelity_study(config, step_counts)
-        assert sum(counted) == 2 * n_paths * sum(step_counts)
+        assert sum(counted) == 2 * n_paths * max(step_counts)
 
-    @pytest.mark.parametrize("step_counts", [(), (64, 0), (-8,)])
+    def test_a_row_depends_only_on_its_step_count_and_the_finest(self, set_a):
+        config = ExperimentConfig(params=set_a, delta=0.05, n_paths=1000, seed=62)
+        rows = hedging_fidelity_study(config, (64, 128, 256, 512))
+        assert hedging_fidelity_study(config, (512,)) == rows[-1:]
+        assert hedging_fidelity_study(config, (64, 512))[0] == rows[0]
+
+    def test_last_step_rebalances_when_the_step_count_is_no_power_of_two(self, set_a,
+                                                                        monkeypatch):
+        # here linspace(0, T, 101)[99] lies one ulp above T (1 - 1/100), so a
+        # cutoff of T (1 - 1/100) held the previous units over the last step
+        params = replace(set_a, t=54.40813664739575)
+        config = ExperimentConfig(params=params, delta=0.05, n_paths=1000, seed=63)
+        assert np.linspace(0.0, params.t, 101)[99] > params.t * (1.0 - 1.0 / 100)
+        rows, errors = _study(monkeypatch, config, (100,), chunk_size=CHUNK_PATHS)
+        row, reference_errors = _reference(config, (100,))[100]
+        assert rows == [row]
+        assert np.array_equal(errors[100], reference_errors)
+
+    @pytest.mark.parametrize("step_counts", [(), (64, 0), (-8,), (64, 48)])
     def test_rejects_bad_step_counts(self, set_a, step_counts):
         config = ExperimentConfig(params=set_a, delta=0.05, n_paths=1000, seed=1)
         with pytest.raises(ValueError, match="step_counts"):
             hedging_fidelity_study(config, step_counts)
 
     def test_peak_memory_holds_no_grid(self, set_a):
-        # a chunk keeps each grid's current prices and wealth, never a
-        # path or wealth grid: the 4,096 x 512 grids of one chunk took
-        # 96.8 MiB, the streamed chunk 1.7 MiB
+        # a chunk keeps the fine grid's current prices and each grid's
+        # step start and wealth, never a path or wealth grid: the 4,096 x
+        # 512 grids of one chunk took 96.8 MiB, the streamed chunk 1.5 MiB
         config = ExperimentConfig(params=set_a, delta=0.05, n_paths=4096, seed=59)
         assert _traced_peak(lambda: hedging_fidelity_study(config)) <= 2 * 2**20
 
@@ -339,23 +359,33 @@ def _study(monkeypatch, config: ExperimentConfig, step_counts, chunk_size: int):
     return rows, {m: np.concatenate([r[m][0] for r in results]) for m in set(step_counts)}
 
 
-def _reference(config: ExperimentConfig, n_steps: int) -> tuple[dict, np.ndarray]:
-    """A study row and its per-path terminal errors from one
-    ``simulate_paths`` + ``wealth_tracks`` run over all paths."""
+def _reference(config: ExperimentConfig, step_counts) -> dict[int, tuple[dict, np.ndarray]]:
+    """Each step count's study row and per-path terminal errors from one
+    ``simulate_paths`` over all paths at the largest step count ``M``:
+    step count ``m`` reads its every ``M / m``-th column and runs
+    ``wealth_tracks`` along them, rebalancing up to its last step start."""
     params = config.params
-    batch = simulate_paths(params, Measure.PHYSICAL, n_steps, config.n_paths, config.seed)
-    track = wealth_tracks(build_two_sided(params, config.delta), params, batch,
-                          params.t * (1.0 - 1.0 / n_steps))
-    errors = np.abs(track.hedged[:, -1] - track.analytic[:, -1])
-    return {
-        "n_steps": n_steps,
-        "median_abs_error": float(np.median(errors)),
-        "rms_error": float(np.sqrt(np.mean(errors * errors))),
-        "max_abs_error": float(errors.max()),
-        "analytic_negative_count": int((track.analytic < 0.0).sum()),
-        "hedged_negative_fraction": int((track.hedged.min(axis=1) < 0.0).sum()) / config.n_paths,
-        "hedged_min_wealth": float(track.hedged.min()),
-    }, errors
+    finest = max(step_counts)
+    batch = simulate_paths(params, Measure.PHYSICAL, finest, config.n_paths, config.seed)
+    reference = {}
+    for n_steps in set(step_counts):
+        every = finest // n_steps
+        grid = PathBatch(batch.times[::every], batch.index_values[:, ::every],
+                         batch.stock_values[:, ::every])
+        track = wealth_tracks(build_two_sided(params, config.delta), params, grid,
+                              grid.times[-2])
+        errors = np.abs(track.hedged[:, -1] - track.analytic[:, -1])
+        reference[n_steps] = {
+            "n_steps": n_steps,
+            "median_abs_error": float(np.median(errors)),
+            "rms_error": float(np.sqrt(np.mean(errors * errors))),
+            "max_abs_error": float(errors.max()),
+            "analytic_negative_count": int((track.analytic < 0.0).sum()),
+            "hedged_negative_fraction": (int((track.hedged.min(axis=1) < 0.0).sum())
+                                         / config.n_paths),
+            "hedged_min_wealth": float(track.hedged.min()),
+        }, errors
+    return reference
 
 
 _MAP_CHUNKS = experiments._map_chunks
@@ -416,7 +446,8 @@ class TestChunkTasks:
     def test_each_chunk_takes_its_log_ratios_once(self, set_a, monkeypatch):
         # a proposition's payoffs and events read one mapping of terminal
         # log ratios per chunk, holding only the underlying they state; the
-        # convergence study's sums and each hedged grid's payoff read one too
+        # convergence study's sums and the hedging study's payoffs, which
+        # every step count shares, read one too
         calls = []
 
         def recording(params, terminal, *underlyings):
@@ -436,7 +467,7 @@ class TestChunkTasks:
         assert calls == [(Underlying.STOCK,)]
         calls.clear()
         hedging_fidelity_study(config, step_counts=(4, 8))
-        assert calls == [(Underlying.STOCK,)] * 2
+        assert calls == [(Underlying.STOCK,)]
 
     @pytest.mark.parametrize("n_paths, n_workers, threads", [
         (CHUNK_PATHS, 8, None),

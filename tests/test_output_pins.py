@@ -57,11 +57,12 @@ CASES = {
                        "--seed", "20"),
 }
 
-# (exit code, SHA-256 of stdout) on random stream "v3", valuation "v2"
+# (exit code, SHA-256 of stdout) on random stream "v3", valuation "v2";
+# the hedge digests on "hedge v2", every step count read off the finest grid
 PINS = {
-    "hedge": (0, "ae2fb15fc26dfeab4fb91b4f3a9f3f6e9ab2952b04326aa2ce2e53fbf8ddb5ca"),
-    "hedge_one_path_chunk": (0, "ddd8b26808033b9781a8c2bfba5c62f9a924bdf8880f567543c0b1407c01ca91"),
-    "hedge_two_chunks": (0, "8f91ed4db7edb544719c07d6dde658151f48823913293a4fdbfe3956b2240f77"),
+    "hedge": (0, "5466f0ddccb60f9ec5465503a00fd9957021c9894bb76e6fdc5a66a86772ebb8"),
+    "hedge_one_path_chunk": (0, "434fab34a39f966e23bf54d68dc3bb295ba55dca330f4e443c42f6483c72d1cb"),
+    "hedge_two_chunks": (0, "03ab05d57980db96047e0018ff428cb13fdb140a094817d93703e3e438ee609e"),
     "price": (0, "0fff58482eb3a3ba2e241bb2ad82c0f1e5c133949b60772304003ea863fd3796"),
     "simulate_steps": (0, "3377787d0363c26e8772bcbf5c243f973a0d4524dadfa4109850f807e7395348"),
     "simulate_terminal": (0, "d1037f2e729e26d5d000ba55d757f14ac8d5e1508065492b81c43943902e0dc4"),
