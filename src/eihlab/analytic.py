@@ -13,9 +13,10 @@ in :mod:`eihlab.strategies` all call it.
 
 Thresholds are computed and stored in log space.  Strategy payoffs and
 event predicates compare one float of ``ln(S_T / I_T)``, taken once by
-:func:`eihlab.strategies.terminal_log_ratios`, against the same stored
-float, which is what makes "payoff fired" and "event failed" exact
-complements path by path instead of agreeing only up to rounding.
+:func:`eihlab.strategies.terminal_log_ratios` as ``ln S_T - ln I_T`` from
+the sampled log levels, against the same stored float, which is what
+makes "payoff fired" and "event failed" exact complements path by path
+instead of agreeing only up to rounding.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .market import ReducedParams, _finite_positive
-from .normal import (
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-    upper_quantile,
-)
+from .normal import std_normal_cdf, std_normal_pdf, upper_quantile
 
 __all__ = [
     "Direction",
@@ -44,11 +40,7 @@ __all__ = [
     "gaussian_halfspace_expectation",
     "hedge_ratios",
     "log_thresholds",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "std_normal_quantile",
     "thresholds",
-    "upper_quantile",
 ]
 
 

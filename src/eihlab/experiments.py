@@ -1,12 +1,12 @@
 """Monte Carlo experiments that certify the strategy guarantees.
 
 Each proposition becomes a statistical experiment: simulate terminal
-prices, take their log ratios once per chunk, evaluate the band event
-and the strategy payoff path by path on them, and report the empirical
-frequency with a Wilson 95% interval next to its closed-form target.
-The payoff/event dichotomy is an algebraic identity of the
-construction, so its violation count is asserted to be exactly zero
-rather than small.  One runner, :func:`verify`, does this for every
+log levels, take their log ratios once per chunk (no price is formed),
+evaluate the band event and the strategy payoff path by path on them,
+and report the empirical frequency with a Wilson 95% interval next to
+its closed-form target.  The payoff/event dichotomy is an algebraic
+identity of the construction, so its violation count is asserted to be
+exactly zero rather than small.  One runner, :func:`verify`, does this for every
 proposition; what differs between them (drift bound, counts, target)
 is an entry of :data:`PROPOSITIONS`, keyed by the CLI name.
 
@@ -25,7 +25,9 @@ study's float sums) and ``_hedge_chunk`` (the hedging study).  The
 hedging study hedges every step count on one fine path: a path chunk
 streams the finest grid's prices (:func:`eihlab.market.step_prices`) and
 one :class:`eihlab.strategies.Replication`, and each step count, which
-must divide the finest, reads them at its own times, keeping no grid.
+must divide the finest, reads them at its own times, keeping no grid;
+its terminal log ratios come from the last step's log levels, while the
+replication's steps still value price ratios.
 """
 
 from __future__ import annotations
@@ -498,7 +500,7 @@ def _hedge_chunk(config: ExperimentConfig, grids: list[int], first: int, count: 
                     hedged[m] = strategies.self_financing(hedged[m], held, start, after,
                                                           params.r * (float(times[k + 1]) - t))
                 low[m] = np.minimum(low[m], hedged[m])
-    log_ratios = terminal_log_ratios(params, TerminalSample(prices.index, prices.stock),
+    log_ratios = terminal_log_ratios(params, TerminalSample(prices.log_index, prices.log_stock),
                                      *replication.underlyings)
     terminal = strategies.terminal_wealth(strategy, prices.index, log_ratios)
     terminal_negative = int((terminal < 0.0).sum())

@@ -7,7 +7,11 @@ driving motions: the pair is written in coordinates of an orthonormal
 basis of that span (the basis itself is not kept, nothing reads it).
 Samplers then draw the exact lognormal solution (no Euler bias), one
 normal pair per (path, step) through the counter-based generator in
-:mod:`eihlab.rng`.
+:mod:`eihlab.rng`.  The terminal sampler returns the log levels
+``ln I_T`` and ``ln S_T``, checked against the exact limits of
+``np.exp`` (found once, by bisection against ``np.exp`` itself), so
+that log ratios are taken from the levels; its prices are formed only
+where they are read, with the bits ``np.exp`` gives them.
 
 :class:`MarketParams` is the one home of the pair's geometry: its
 norms, inner products and 2-d reduction are computed at construction,
@@ -194,10 +198,23 @@ def drift_pair(params: MarketParams, measure: Measure) -> tuple[float, float]:
 
 
 class TerminalSample(NamedTuple):
-    """Terminal prices for a batch of paths."""
+    """Terminal log levels ``ln I_T`` and ``ln S_T`` for a batch of paths.
 
-    index: np.ndarray
-    stock: np.ndarray
+    The prices ``index`` and ``stock`` are ``np.exp`` of the levels,
+    formed on each read; the log ratios that payoffs and events compare
+    are taken from the levels and never from the prices.
+    """
+
+    log_index: np.ndarray
+    log_stock: np.ndarray
+
+    @property
+    def index(self) -> np.ndarray:
+        return np.exp(self.log_index)
+
+    @property
+    def stock(self) -> np.ndarray:
+        return np.exp(self.log_stock)
 
 
 class PathBatch(NamedTuple):
@@ -221,11 +238,13 @@ def simulate_terminal(
     *,
     first_path: int = 0,
 ) -> TerminalSample:
-    """Draw (I_T, S_T) pairs exactly from their joint lognormal law.
+    """Draw (ln I_T, ln S_T) pairs exactly from their joint normal law.
 
     Path ``k`` uses the normal pair at counter ``(seed, first_path + k)``,
-    so results are reproducible regardless of batching.  A price that
-    leaves the float range (0.0 or inf) is a ``ValueError``.
+    so results are reproducible regardless of batching.  A log level
+    whose price leaves the float range (0.0 or inf) is a ``ValueError``;
+    the levels are checked against the limits of ``np.exp``, so no price
+    is formed here.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -239,8 +258,7 @@ def simulate_terminal(
     w_s = xi[:, 0] * reduced.sigma_s_bar[0] + xi[:, 1] * reduced.sigma_s_bar[1]
     log_i = (mu_i - 0.5 * reduced.norm_i**2) * params.t + sqrt_t * w_i
     log_s = (mu_s - 0.5 * reduced.norm_s**2) * params.t + sqrt_t * w_s
-    with np.errstate(all="ignore"):
-        return TerminalSample(*_in_float_range(np.exp(log_i), np.exp(log_s)))
+    return TerminalSample(*_in_float_range(log_i, log_s, rule=_in_exp_range))
 
 
 def _finite_positive(x: np.ndarray) -> bool:
@@ -250,12 +268,36 @@ def _finite_positive(x: np.ndarray) -> bool:
     return x.size == 0 or (0.0 < x.min() and x.max() < math.inf)
 
 
-def _in_float_range(*prices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The price arrays, if every price is finite and positive."""
-    if not all(map(_finite_positive, prices)):
+def _exp_limit(outside: float, in_range) -> float:
+    """The float farthest from 0.0 towards ``outside`` whose ``np.exp`` is
+    ``in_range``, by bisection against ``np.exp`` itself."""
+    inside = 0.0
+    with np.errstate(all="ignore"):
+        while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+            inside, outside = (mid, outside) if in_range(np.exp([mid])[0]) else (inside, mid)
+    return inside
+
+
+# the log levels whose ``np.exp`` is a finite positive float, found once:
+# about -745.13 (the least subnormal) and 709.78 (the largest float)
+_LOG_MIN = _exp_limit(-1000.0, lambda price: price > 0.0)
+_LOG_MAX = _exp_limit(1000.0, lambda price: price < math.inf)
+
+
+def _in_exp_range(x: np.ndarray) -> bool:
+    """The float-range rule of log levels and log ratios: every element's
+    ``np.exp`` is finite and positive (true of an empty array)."""
+    # a NaN is the minimum, and fails the first comparison
+    return x.size == 0 or (_LOG_MIN <= x.min() and x.max() <= _LOG_MAX)
+
+
+def _in_float_range(*arrays: np.ndarray, rule=_finite_positive) -> tuple[np.ndarray, ...]:
+    """The arrays, if each follows ``rule``: prices finite and positive, or
+    with :func:`_in_exp_range`, log levels whose prices are."""
+    if not all(map(rule, arrays)):
         raise ValueError("sampled prices must be finite and strictly positive; "
                          "the market leaves the float range")
-    return prices
+    return arrays
 
 
 class PricePoint(NamedTuple):

@@ -9,7 +9,8 @@ lean on: "the band event failed" and "the strategy collected the 1/delta
 multiple of the index" are complementary booleans computed from one
 comparison, never two formulas that agree only in exact arithmetic.
 Payoffs and events both read the floats of :func:`terminal_log_ratios`,
-which a caller takes once per batch of terminal prices.
+which a caller takes once per batch of terminal log levels, by
+subtraction: no terminal price or price ratio is formed.
 
 :class:`Replication` is the one step along a batch of paths that
 follows a strategy two ways: the analytic track sums claim values (the
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import DigitalSpec, Direction, _valuation, log_thresholds
-from .market import MarketParams, ReducedParams, TerminalSample, _finite_positive
+from .market import MarketParams, ReducedParams, TerminalSample, _finite_positive, _in_exp_range
 from .normal import upper_quantile
 
 __all__ = [
@@ -252,23 +253,23 @@ def build_capm_composite(params: MarketParams, delta: float, variant: str) -> Pr
 
 def terminal_log_ratios(params: MarketParams, terminal: TerminalSample,
                         *underlyings: Underlying) -> dict[Underlying, np.ndarray]:
-    """ln(numerator/index) at expiry, by underlying, for those asked for:
-    ``ln(S_T/I_T)`` and ``r T - ln I_T``.  Terminal prices and a stock/index
-    ratio (two finite prices can have an overflowing ratio) that are not
-    finite and positive are a ``ValueError``."""
-    if not all(map(_finite_positive, terminal)):
+    """ln(numerator/index) at expiry, by underlying, for those asked for,
+    from the terminal log levels: ``ln S_T - ln I_T`` and ``r T - ln I_T``.
+    A log level or a stock log ratio (two prices in the float range can
+    have an overflowing ratio) whose price or ratio ``np.exp`` would make
+    0.0 or inf is a ``ValueError``; no price or ratio is formed."""
+    if not all(map(_in_exp_range, terminal)):
         raise ValueError("terminal prices must be finite and strictly positive")
     log_ratios = {}
     for underlying in underlyings:
         if underlying is Underlying.STOCK:
-            with np.errstate(all="ignore"):
-                ratio = terminal.stock / terminal.index
-            if not _finite_positive(ratio):
+            log_ratio = terminal.log_stock - terminal.log_index
+            if not _in_exp_range(log_ratio):
                 raise ValueError("prices and their ratios must be finite and strictly positive; "
                                  "the market leaves the float range")
-            log_ratios[underlying] = np.log(ratio)
+            log_ratios[underlying] = log_ratio
         else:
-            log_ratios[underlying] = params.r * params.t - np.log(terminal.index)
+            log_ratios[underlying] = params.r * params.t - terminal.log_index
     return log_ratios
 
 

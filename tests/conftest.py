@@ -120,8 +120,11 @@ def wealth_tracks(
                                           (index[:, k], stock[:, k]),
                                           (index[:, k + 1], stock[:, k + 1]))
         hedged[:, k + 1] = replication.hedged
-    log_ratios = terminal_log_ratios(params, TerminalSample(index[:, -1], stock[:, -1]),
-                                     *replication.underlyings)
+    # a grid keeps prices only; the terminal sample is their log levels
+    # (a price of 0.0 is a level of -inf, which the log ratios reject)
+    with np.errstate(divide="ignore"):
+        terminal = TerminalSample(np.log(index[:, -1]), np.log(stock[:, -1]))
+    log_ratios = terminal_log_ratios(params, terminal, *replication.underlyings)
     analytic[:, -1] = terminal_wealth(strategy, index[:, -1], log_ratios)
     hedged[:, 0] = analytic[:, 0]
     return WealthTrack(times=times, analytic=analytic, hedged=hedged)

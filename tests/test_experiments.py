@@ -219,6 +219,20 @@ class TestConvergenceStudy:
         assert row["tpd_target"] == pytest.approx(-0.1625, abs=1e-12)
         assert abs(row["tpd_mc_mean"] - row["tpd_target"]) <= 4.0 * row["tpd_se"]
 
+    @pytest.mark.parametrize("mu_i", [-72.0, -73.0, -74.0])
+    def test_subnormal_prices_keep_the_mean_log_ratio(self, set_a, mu_i):
+        # exact_capm_params makes the log ratio independent of mu_i; at
+        # mu_i -74 both terminal prices are near 4e-322 and keep about six
+        # significant bits, but the log ratios are taken from the log levels
+        def tpd_mc_mean(params):
+            study = capm_convergence_study(params, 0.05, 0.05, [2.5, 10.0], n_paths=2000,
+                                           seed=42)
+            return study.rows[-1]["tpd_mc_mean"]
+
+        reference = tpd_mc_mean(set_a)
+        assert reference == pytest.approx(-0.172236671515464, abs=1e-12)
+        assert tpd_mc_mean(replace(set_a, mu_i=mu_i)) == pytest.approx(reference, abs=1e-12)
+
     def test_rejects_bad_grids(self, set_a):
         with pytest.raises(ValueError):
             capm_convergence_study(set_a, 0.05, 0.05, [])

@@ -1,5 +1,6 @@
 """Market reduction and exact samplers."""
 
+import hashlib
 import math
 import re
 import warnings
@@ -10,7 +11,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from eihlab import rng
 from eihlab.market import (
+    _LOG_MAX,
+    _LOG_MIN,
+    _in_exp_range,
     MarketParams,
     Measure,
     PricePoint,
@@ -305,6 +310,70 @@ class TestSimulateTerminal:
         for k in np.random.default_rng(0).choice(n, 200, replace=False):
             one = simulate_terminal(set_a, Measure.PHYSICAL, 1, 7, first_path=int(k))
             assert one.index[0] == batch.index[k] and one.stock[0] == batch.stock[k]
+
+    # SHA-256 of the (index, stock) price bytes on SET_A at 10^5 paths,
+    # frozen when the sampler still formed the prices itself: ``simulate``
+    # prints these bits, and its pins and the benchmark's export check
+    # read them
+    PRICE_DIGESTS = {
+        11: ("53a48e9800bfd6a2097375371124df3b64d619e55c3e7e4c631992ee06b477c4",
+             "bf5c0d1ad8e3739437d1e58e59936e4732bf822f7ebf273b68594deb1883e40f"),
+        12: ("de43fb663d8a74194bbdcbdedfb351ae1ac1e0d42f87ada5b8dfa7659a7a92e9",
+             "5b85d81dc71c4ffd38cfe91ecdb7dfc7ec084537c9960e07d63a08b8273ad95f"),
+        42: ("32f80c25de2717246cc9abb0f9f0efc6808163c3f97f6fc035476cdbf10ae6f8",
+             "1319a5b6b053d6b2910759d9b6dc95a8902439b450cd441bd0b66074ed914ffc"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PRICE_DIGESTS))
+    def test_prices_keep_their_bits(self, set_a, seed):
+        out = simulate_terminal(set_a, Measure.PHYSICAL, 10**5, seed)
+        index, stock = out.index, out.stock
+        assert np.array_equal(index, np.exp(out.log_index))
+        assert np.array_equal(stock, np.exp(out.log_stock))
+        digests = tuple(hashlib.sha256(x.tobytes()).hexdigest() for x in (index, stock))
+        assert digests == self.PRICE_DIGESTS[seed]
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_rejects_a_nan_log_level(self, set_a, monkeypatch, column):
+        draw = rng.normal_pairs
+
+        def with_nan(*args):
+            pairs = draw(*args)
+            pairs[3, column] = math.nan
+            return pairs
+
+        monkeypatch.setattr(rng, "normal_pairs", with_nan)
+        with pytest.raises(ValueError, match="the market leaves the float range"):
+            simulate_terminal(set_a, Measure.PHYSICAL, 10, 1)
+
+
+class TestExpRange:
+    """Log levels and log ratios are checked against the limits of
+    ``np.exp``, found once: the price of each limit is a finite positive
+    float, and the price one float beyond it is inf or 0.0."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 65_536])
+    def test_limits_are_exact_against_np_exp(self, n):
+        for limit, outward, price_beyond in ((_LOG_MIN, -math.inf, 0.0),
+                                             (_LOG_MAX, math.inf, math.inf)):
+            price = np.exp(np.full(n, limit))
+            assert ((0.0 < price) & (price < math.inf)).all()
+            with np.errstate(over="ignore", under="ignore"):
+                beyond = np.exp(np.full(n, np.nextafter(limit, outward)))
+            assert beyond.tobytes() == np.full(n, price_beyond).tobytes()
+
+    def test_limits_are_the_ends_of_the_float_range(self):
+        # the least subnormal, and the largest float to within one step of
+        # the level (an ulp of 709.78 moves its price by 1.1e-13 relative)
+        assert np.exp(_LOG_MIN) == 5e-324
+        assert np.exp(_LOG_MAX) == pytest.approx(np.finfo(float).max, rel=2e-13)
+
+    def test_rule_takes_the_limits_and_rejects_what_lies_beyond(self):
+        inside = np.array([_LOG_MIN, 0.0, _LOG_MAX])
+        assert _in_exp_range(inside) and _in_exp_range(np.array([]))
+        for bad in (np.nextafter(_LOG_MIN, -math.inf), np.nextafter(_LOG_MAX, math.inf),
+                    -math.inf, math.inf, math.nan):
+            assert not _in_exp_range(np.append(inside, bad))
 
 
 class TestSimulatePath:

@@ -189,7 +189,8 @@ class TestComposites:
 
 
 def _cutoff(params, n_steps):
-    return params.t * (1.0 - 1.0 / n_steps)
+    # the last step start of the grid, as the hedging study takes it
+    return float(np.linspace(0.0, params.t, n_steps + 1)[n_steps - 1])
 
 
 class TestAnalyticWealth:
@@ -317,8 +318,9 @@ def _reference_tracks(strategy, params, batch, cutoff):
         growth = math.exp(params.r * float(times[k + 1] - times[k]))
         hedged[:, k + 1] = (h_stock * batch.stock_values[:, k + 1]
                             + h_index * batch.index_values[:, k + 1] + cash * growth)
-    terminal = TerminalSample(batch.index_values[:, -1], batch.stock_values[:, -1])
-    analytic[:, -1] = terminal_wealth(strategy, terminal.index,
+    index_t, stock_t = batch.index_values[:, -1], batch.stock_values[:, -1]
+    terminal = TerminalSample(np.log(index_t), np.log(stock_t))
+    analytic[:, -1] = terminal_wealth(strategy, index_t,
                                       terminal_log_ratios(params, terminal, *Underlying))
     return analytic, hedged
 
@@ -431,8 +433,8 @@ class TestWealthLoop:
 class TestEvents:
     def test_centered_ratio_inside_band(self, set_a):
         red = reduce_dimension(set_a)
-        ratio = math.exp(-0.5 * red.delta_norm**2 * set_a.t)
-        terminal = TerminalSample(np.array([1.0]), np.array([ratio]))
+        # index and stock log levels whose log ratio is the band's center
+        terminal = TerminalSample(np.array([0.0]), np.array([-0.5 * red.delta_norm**2 * set_a.t]))
         log_ratio = terminal_log_ratios(set_a, terminal, Underlying.STOCK)[Underlying.STOCK]
         for delta in (0.9, 0.5, 0.05):
             assert event_two_sided(set_a, delta, log_ratio)[0]
@@ -471,8 +473,9 @@ class TestEvents:
         # finite positive prices whose stock/index ratio is 0.0 or inf, which
         # would be counted on an infinite log ratio (pytest makes a
         # RuntimeWarning an error, so none is raised either); payoffs and
-        # events read the log ratios that ``terminal_log_ratios`` checks
-        terminal = TerminalSample(np.array(index), np.array(stock))
+        # events read the log ratios that ``terminal_log_ratios`` checks;
+        # the sample holds the prices' log levels
+        terminal = TerminalSample(np.log(index), np.log(stock))
         for underlyings in ((Underlying.STOCK,), (Underlying.BOND, Underlying.STOCK)):
             with pytest.raises(ValueError, match="the market leaves the float range"):
                 terminal_log_ratios(set_a, terminal, *underlyings)
@@ -489,15 +492,17 @@ class TestEvents:
     def test_terminal_log_ratios_check_prices_and_read_what_is_asked(self, set_a, bad):
         out = simulate_terminal(set_a, Measure.PHYSICAL, 1000, 32)
         both = terminal_log_ratios(set_a, out, *Underlying)
-        assert np.array_equal(both[Underlying.STOCK], np.log(out.stock / out.index))
-        assert np.array_equal(both[Underlying.BOND], set_a.r * set_a.t - np.log(out.index))
+        assert np.array_equal(both[Underlying.STOCK], out.log_stock - out.log_index)
+        assert np.array_equal(both[Underlying.BOND], set_a.r * set_a.t - out.log_index)
         for underlying in Underlying:
             assert terminal_log_ratios(set_a, out, underlying).keys() == {underlying}
+        with np.errstate(divide="ignore"):
+            bad_level = np.log(bad)  # the log level of a NaN, 0.0 or inf price
         for k in range(2):
-            prices = [out.index.copy(), out.stock.copy()]
-            prices[k][7] = bad
+            levels = [out.log_index.copy(), out.log_stock.copy()]
+            levels[k][7] = bad_level
             with pytest.raises(ValueError, match="terminal prices must be finite and strictly"):
-                terminal_log_ratios(set_a, TerminalSample(*prices), Underlying.BOND)
+                terminal_log_ratios(set_a, TerminalSample(*levels), Underlying.BOND)
 
 
 class TestBoundCheck:
