@@ -19,14 +19,48 @@ and ``upper_quantile``, the calls the scalar bound, threshold and price
 API makes: the same ``erfc``/``ndtri`` ufunc on the float, with no array
 set-up (under a microsecond a call), giving the bits and the errors of a
 0-d array.  NaN is outside every quantile's domain.
+
+``erfc`` and ``ndtri`` are imported from ``scipy.special._ufuncs`` under
+an unexecuted placeholder for the ``scipy.special`` package, because the
+package's own init loads an array-API layer (``numpy.f2py``,
+``numpy.testing``, ``unittest``) that takes more than half of
+``import eihlab`` and that nothing here uses; they are the very objects
+``scipy.special`` exports (unless scipy's array-API mode wraps them),
+and an already loaded ``scipy.special`` is used as it is.  The
+placeholder, and every ``scipy.special`` submodule loaded under it,
+exist only while ``eihlab.normal`` itself is being imported, and if
+that load fails the public ``from scipy.special import erfc, ndtri``
+runs instead.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 
 import numpy as np
-from scipy.special import erfc, ndtri
+
+
+def _scipy_ufuncs():
+    """``(erfc, ndtri)``, the ufuncs that ``scipy.special`` exports."""
+    if "scipy.special" not in sys.modules:
+        spec = importlib.util.find_spec("scipy.special")
+        sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+        try:
+            from scipy.special._ufuncs import erfc, ndtri
+            return erfc, ndtri
+        except ImportError:
+            pass
+        finally:
+            for name in [n for n in sys.modules
+                         if n == "scipy.special" or n.startswith("scipy.special.")]:
+                del sys.modules[name]
+    from scipy.special import erfc, ndtri
+    return erfc, ndtri
+
+
+erfc, ndtri = _scipy_ufuncs()
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = 1.0 / float(np.sqrt(2.0 * np.pi))

@@ -1,9 +1,17 @@
 """CDF and quantile accuracy contracts."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import eihlab
 from eihlab.normal import std_normal_cdf, std_normal_quantile, upper_quantile
 
 
@@ -147,3 +155,82 @@ def test_upper_quantile_median_is_negative_zero_on_every_path():
 @given(st.floats(min_value=-40.0, max_value=40.0))
 def test_cdf_scalar_path_matches_array_path(x):
     assert_scalar_path_matches_arrays(std_normal_cdf, x)
+
+
+def run_fresh_interpreter(code: str):
+    """Run ``code`` in a new interpreter that imports this ``eihlab`` and
+    return the JSON value it prints."""
+    src = str(Path(eihlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("SCIPY_ARRAY_API", None)  # array-API mode exports wrappers, not the ufuncs
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_skips_the_scipy_special_package_init():
+    loaded = run_fresh_interpreter("""
+        import json, sys
+        import eihlab, eihlab.cli
+        heavy = ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+        print(json.dumps(sorted(name for name in sys.modules
+                                if name in heavy or name.startswith(tuple(h + "." for h in heavy)))))
+    """)
+    assert loaded == []
+
+
+@pytest.mark.parametrize("first", ["import eihlab", "import scipy.special"])
+def test_ufuncs_are_scipy_special_exports_in_either_import_order(first):
+    report = run_fresh_interpreter(f"""
+        import json, pickle
+        {first}
+        import eihlab, eihlab.cli
+        from eihlab import normal
+        pickled = [pickle.loads(pickle.dumps(f)) is f for f in (normal.erfc, normal.ndtri)]
+        import numpy as np, scipy.special, scipy.stats
+        from scipy.special import _ufuncs_cxx
+        print(json.dumps(dict(
+            same=[normal.erfc is scipy.special.erfc, normal.ndtri is scipy.special.ndtri],
+            pickled=pickled,
+            ks=scipy.stats.kstest(normal.ndtri((np.arange(1000) + 0.5) / 1000), "norm").statistic,
+            ellip_harm=scipy.special.ellip_harm(5.0, 8.0, 1, 1, 2.5),
+            legendre_p=float(np.squeeze(scipy.special.legendre_p(2, 0.5))),
+            cxx=_ufuncs_cxx.__name__,
+        )))
+    """)
+    assert report["same"] == [True, True]
+    assert report["pickled"] == [True, True]
+    assert report["ks"] < 1e-3
+    assert report["ellip_harm"] == 2.5
+    assert report["legendre_p"] == -0.125
+    assert report["cxx"] == "scipy.special._ufuncs_cxx"
+
+
+def test_failed_private_load_falls_back_to_the_public_import():
+    report = run_fresh_interpreter("""
+        import json, sys
+
+        def unexecuted(module):
+            return module is not None and "__builtins__" not in vars(module)
+
+        class RefusePrivateLoad:
+            refused = 0
+
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy.special._ufuncs" and unexecuted(sys.modules.get("scipy.special")):
+                    RefusePrivateLoad.refused += 1
+                    raise ImportError("refused under the placeholder")
+                return None
+
+        sys.meta_path.insert(0, RefusePrivateLoad())
+        import eihlab
+        from eihlab import normal
+        special = sys.modules["scipy.special"]
+        print(json.dumps(dict(
+            refused=RefusePrivateLoad.refused,
+            real=not unexecuted(special) and hasattr(special, "ellip_harm"),
+            same=[normal.erfc is special.erfc, normal.ndtri is special.ndtri],
+        )))
+    """)
+    assert report == dict(refused=1, real=True, same=[True, True])
