@@ -8,8 +8,8 @@ so the claim value is the current index level times a normal tail
 probability.  All valuation here flows through one private kernel,
 ``_valuation``, which computes the standardized distance ``d`` once and
 returns the claim value and, when asked, the replicating units;
-``digital_price``, ``claim_value``, ``hedge_ratios`` and the wealth loop
-in :mod:`eihlab.strategies` all call it.
+``digital_price``, ``claim_value``, ``hedge_ratios`` and
+:func:`eihlab.strategies.replicate` all call it.
 
 Thresholds are computed and stored in log space.  Strategy payoffs and
 event predicates compare one float of ``ln(S_T / I_T)``, taken once by

@@ -23,16 +23,19 @@ bounds, so that it and its arguments pickle: ``_verify_chunk`` (a
 proposition's counts, by name), ``_log_ratio_sums`` (the convergence
 study's float sums) and ``_hedge_chunk`` (the hedging study).  The
 hedging study hedges every step count on one fine path: a path chunk
-streams the finest grid's prices (:func:`eihlab.market.step_prices`) and
-one :class:`eihlab.strategies.Replication`, and each step count, which
-must divide the finest, reads them at its own times, keeping no grid;
-its terminal log ratios come from the last step's log levels, while the
-replication's steps still value price ratios.
+reads the finest grid's price stream (:func:`eihlab.market.price_steps`)
+and values the strategy once per fine step
+(:func:`eihlab.strategies.replicate`); each step count, which must
+divide the finest, reads them at its own times and carries its own
+hedged wealth (:func:`eihlab.strategies.self_financing`), keeping no
+grid.  Its terminal log ratios come from the last step's log levels,
+while ``replicate`` still values price ratios.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -46,12 +49,12 @@ from .market import (
     Measure,
     PricePoint,
     TerminalSample,
+    price_steps,
     simulate_terminal,
-    step_prices,
 )
 from .normal import std_normal_cdf, upper_quantile
 from .quadrature import halfspace_monte_carlo, halfspace_quadrature
-from .rng import normal_pairs, uniform_pairs
+from .rng import uniform_pairs
 from .strategies import (
     BoundReport,
     Side,
@@ -310,9 +313,13 @@ def verify(config: ExperimentConfig, proposition: str) -> ExperimentReport:
     Simulates terminal prices under the physical measure in fixed
     chunks, sums the proposition's counts, and compares the headline
     frequency's Wilson interval with its target.  Any dichotomy
-    violation fails the run, whatever its bound says.
+    violation fails the run, whatever its bound says.  An unknown name
+    is a ``ValueError``.
     """
     start = time.perf_counter()
+    if proposition not in PROPOSITIONS:
+        raise ValueError(f"unknown proposition {proposition!r}; "
+                         f"expected one of {sorted(PROPOSITIONS)}")
     spec = PROPOSITIONS[proposition]
     params = config.params
     bound = None
@@ -466,23 +473,21 @@ def lemma_crosscheck(
 def _hedge_chunk(config: ExperimentConfig, grids: list[int], first: int, count: int) -> dict:
     """Each step count's (per-path terminal errors, analytic negative count,
     hedged negative count, hedged minimum) on one chunk of paths.  A grid of
-    ``m`` steps rebalances every ``M / m`` fine steps, up to its last step
-    start, to the fine replication's units, and carries its own wealth."""
+    ``m`` steps rebalances every ``M / m`` fine steps to the units of
+    :func:`eihlab.strategies.replicate` there, and carries its own wealth."""
     params, fine = config.params, grids[-1]
-    times, scale = np.linspace(0.0, params.t, fine + 1), np.sqrt(params.t / fine)
     strategy = strategies.build_two_sided(params, config.delta)
-    replication = strategies.Replication(strategy, params, times[-2], count)
-    prices = PricePoint.at_start(count)
+    steps = price_steps(params, Measure.PHYSICAL, fine, count, config.seed, first_path=first)
+    now = PricePoint.at_start(count)
     negative, starts = dict.fromkeys(grids, 0), {}
-    # an overflowing price is inf, which the replication step rejects;
-    # overflowing wealth is inf, which the study rejects
-    with np.errstate(over="ignore"):
-        for k in range(fine):
-            now = prices
-            prices = step_prices(params, Measure.PHYSICAL, times[k + 1] - times[k],
-                                 normal_pairs(config.seed, first, count, k) * scale, now)
-            before, after = (now.index, now.stock), (prices.index, prices.stock)
-            analytic = replication.step(float(times[k]), float(times[k + 1]), before, after)
+    # a price out of the float range is rejected by the next valuation
+    # or, at expiry, by the log ratios; wealth that overflows, or turns
+    # NaN (an inf price times zero units, before that rejection, or the
+    # units of a subnormal ratio), is rejected by the study
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (t, t_next, point) in enumerate(steps):
+            before, after = (now.index, now.stock), (point.index, point.stock)
+            analytic, held = strategies.replicate(strategy, params, t, before)
             if k == 0:
                 hedged, low = dict.fromkeys(grids, analytic), dict.fromkeys(grids, analytic)
             negative_now = int((analytic < 0.0).sum())
@@ -490,19 +495,16 @@ def _hedge_chunk(config: ExperimentConfig, grids: list[int], first: int, count: 
                 every = fine // m
                 if k % every == 0:
                     negative[m] += negative_now
-                    starts[m] = float(times[k]), before, replication.held
-                if (k + 1) % every:
-                    continue
-                if every == 1:
-                    hedged[m] = replication.hedged
-                else:
-                    t, start, held = starts[m]
-                    hedged[m] = strategies.self_financing(hedged[m], held, start, after,
-                                                          params.r * (float(times[k + 1]) - t))
-                low[m] = np.minimum(low[m], hedged[m])
-    log_ratios = terminal_log_ratios(params, TerminalSample(prices.log_index, prices.log_stock),
-                                     *replication.underlyings)
-    terminal = strategies.terminal_wealth(strategy, prices.index, log_ratios)
+                    starts[m] = t, before, held
+                if (k + 1) % every == 0:
+                    start_t, start, start_held = starts[m]
+                    hedged[m] = strategies.self_financing(hedged[m], start_held, start, after,
+                                                          params.r * (t_next - start_t))
+                    low[m] = np.minimum(low[m], hedged[m])
+            now = point
+    log_ratios = terminal_log_ratios(params, TerminalSample(now.log_index, now.log_stock),
+                                     *{comp.underlying for comp in strategy.components})
+    terminal = strategies.terminal_wealth(strategy, now.index, log_ratios)
     terminal_negative = int((terminal < 0.0).sum())
     return {m: (np.abs(hedged[m] - terminal), negative[m] + terminal_negative,
                 int((low[m] < 0.0).sum()), float(low[m].min()))
@@ -520,36 +522,40 @@ def hedging_fidelity_study(
     excursions of both tracks (the analytic track must never dip).
 
     Every step count hedges the same path: the finest grid of ``M`` steps
-    moves path ``p`` at step ``k`` by the pair at counter ``(seed, p, k)``,
-    scaled by ``sqrt(T / M)``, and a grid of ``m`` steps, which must divide
-    ``M``, reads that path at every ``M / m``-th time.  A path chunk streams
-    the fine prices (:func:`eihlab.market.step_prices`) and one
-    :class:`eihlab.strategies.Replication`, valued once per fine step; each
-    grid rebalances at every one of its step starts to the replication's
-    units and carries its own hedged wealth
+    is the :func:`eihlab.market.price_steps` stream at ``M`` steps, and a
+    grid of ``m`` steps, which must divide ``M``, reads that path at every
+    ``M / m``-th time.  A path chunk reads the stream once and values the
+    strategy once per fine step (:func:`eihlab.strategies.replicate`);
+    each grid rebalances at every one of its step starts to those units
+    and carries its own hedged wealth
     (:func:`eihlab.strategies.self_financing`), keeping no path or wealth
     grid.  Rows come out in ``step_counts`` order and equal those of
     :func:`eihlab.market.simulate_paths` at ``M`` steps, read every ``M / m``
-    columns, with ``Replication`` stepped along them, whatever the chunk size.
-    A price or price ratio that leaves the float range (0.0 or inf) is a
-    ``ValueError`` of the replication step or, at expiry, of
+    columns, with ``replicate`` and ``self_financing`` stepped along them,
+    whatever the chunk size.  A step count that is not an integer is a
+    ``ValueError``.  A price or price ratio that leaves the float range
+    (0.0 or inf) is a ``ValueError`` of ``replicate`` or, at expiry, of
     :func:`eihlab.strategies.terminal_log_ratios`; hedged wealth or a row
     value that does (a large ``r``) is a ``ValueError`` of the study.
     """
-    grids = sorted({int(m) for m in step_counts})
+    try:
+        counts = [operator.index(m) for m in step_counts]
+    except TypeError:
+        raise ValueError(f"step_counts must be integers, got {step_counts!r}") from None
+    grids = sorted(set(counts))
     if not grids or grids[0] < 1:
         raise ValueError("step_counts must be positive and nonempty")
     if any(grids[-1] % m for m in grids):
         raise ValueError("step_counts must each divide the largest one")
     results = _map_chunks(config.n_paths, config.n_workers, _hedge_chunk, config, grids)
     rows = []
-    for n_steps in step_counts:
-        parts = [r[int(n_steps)] for r in results]
+    for n_steps in counts:
+        parts = [r[n_steps] for r in results]
         errors = np.concatenate([p[0] for p in parts])
         with np.errstate(over="ignore"):
             rms_error = float(np.sqrt(np.mean(errors * errors)))
         rows.append({
-            "n_steps": int(n_steps),
+            "n_steps": n_steps,
             "median_abs_error": float(np.median(errors)),
             "rms_error": rms_error,
             "max_abs_error": float(errors.max()),

@@ -23,11 +23,12 @@ Paths have one type, :class:`PathBatch`: the times and the price
 grids, not the increments that drove them.  A single path is a
 one-path batch, and because draws depend only on (seed, path, step) it
 equals the matching row of any larger batch.  A batch moves through
-time by one function, :func:`step_prices`: :func:`paths_from_increments`
-records its steps as the columns of column-major price grids, and a
-caller that needs only the current prices streams them and keeps no
-grid.  Draws depend on the step, not on the grid, so one draw of a
-step's normals can drive several grids at once.
+time by one function, :func:`step_prices`, which :func:`price_steps`
+drives from the counter draws on the uniform grid: that stream is the
+one rule from draws to steps.  :func:`simulate_paths` records it as the
+columns of column-major price grids, and a caller that needs only the
+current prices reads it and keeps no grid.  Draws depend on the step,
+not on the grid, so one stream can drive several grids at once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -330,7 +331,7 @@ def step_prices(
     at ``start``, added in that order; the price is its exponential.  A
     lone path is multiplied as a two-row stack, so a path's floats do not
     depend on the size of its batch.  This is the package's one price
-    step: the path grids record it and the hedging study streams it.
+    step, which :func:`price_steps` takes.
     """
     reduced = params.reduced
     mu_i, mu_s = drift_pair(params, measure)
@@ -351,39 +352,47 @@ def step_prices(
     return PricePoint(np.exp(log_index), np.exp(log_stock), log_index, log_stock)
 
 
-def paths_from_increments(
+def price_steps(
     params: MarketParams,
     measure: Measure,
-    times: np.ndarray,
-    increments: np.ndarray,
-) -> PathBatch:
-    """Build paths by exact lognormal stepping from given 2-d increments.
+    n_steps: int,
+    n_paths: int,
+    seed: int,
+    *,
+    first_path: int = 0,
+) -> Iterator[tuple[float, float, PricePoint]]:
+    """The price stream of a batch of paths on the uniform grid.
 
-    ``increments`` has shape ``(n, len(times) - 1, 2)``: ``increments[p,
-    k]`` is path ``p``'s driver increment over ``(times[k], times[k+1])``.
-    Zeros yield the deterministic drift-only path.  Column ``k + 1`` of
-    each grid is :func:`step_prices` of column ``k``.  A price that
-    leaves the float range (0.0 or inf) is a ``ValueError``.
+    Yields ``(t, t_next, point)`` for each step of ``linspace(0, t,
+    n_steps + 1)``: ``point`` is :func:`step_prices` of the last point
+    (time 0's prices at first), driven by the normal pairs at counters
+    ``(seed, first_path + k, step)`` scaled by ``sqrt(t / n_steps)``, so
+    a one-path stream with ``first_path=k`` equals path ``k`` of any
+    batch that holds it.  This is the package's one rule from draws to
+    steps.
+    ``n_steps`` and ``n_paths`` are checked on the call, the seed and the
+    lanes by the first step's draw.  A price that leaves the float range
+    is yielded as 0.0 or inf, without a warning, for the reader to reject.
     """
-    times = np.asarray(times, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    if (times.ndim != 1 or not times.size or times[0] != 0.0 or not np.isfinite(times).all()
-            or not (np.diff(times) > 0.0).all()):
-        raise ValueError("times must increase strictly from 0")
-    if increments.ndim != 3 or increments.shape[1:] != (times.size - 1, 2):
-        raise ValueError(f"increments must have shape (n_paths, {times.size - 1}, 2), "
-                         f"got {increments.shape}")
-    if not np.isfinite(increments).all():
-        raise ValueError("increments must be finite")
-    n = increments.shape[0]
-    index, stock = np.empty((n, times.size), order="F"), np.empty((n, times.size), order="F")
-    point = PricePoint.at_start(n)
-    index[:, 0], stock[:, 0] = point.index, point.stock
-    with np.errstate(all="ignore"):
-        for k in range(times.size - 1):
-            point = step_prices(params, measure, times[k + 1] - times[k], increments[:, k], point)
-            index[:, k + 1], stock[:, k + 1] = point.index, point.stock
-    return PathBatch(times, *_in_float_range(index, stock))
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    times, scale = np.linspace(0.0, params.t, n_steps + 1), np.sqrt(params.t / n_steps)
+
+    def steps() -> Iterator[tuple[float, float, PricePoint]]:
+        point = PricePoint.at_start(n_paths)
+        for step in range(n_steps):
+            # the error state covers the step only (one that spanned the
+            # yield would hold in the reader's code); the unnamed draws are
+            # freed before the yield
+            with np.errstate(all="ignore"):
+                point = step_prices(params, measure, times[step + 1] - times[step],
+                                    rng.normal_pairs(seed, first_path, n_paths, step) * scale,
+                                    point)
+            yield float(times[step]), float(times[step + 1]), point
+
+    return steps()
 
 
 def simulate_paths(
@@ -395,21 +404,17 @@ def simulate_paths(
     *,
     first_path: int = 0,
 ) -> PathBatch:
-    """Exact stepping of a batch of paths on the uniform grid.
+    """The :func:`price_steps` stream recorded as a batch of paths.
 
-    Path ``k`` uses the normal pairs at counters ``(seed, first_path + k,
-    step)``, scaled by ``sqrt(t / n_steps)``, so a one-path call with
-    ``first_path=k`` equals row ``k`` of any batch that holds it.  The
-    grids are those of :func:`paths_from_increments`.
+    Column ``k + 1`` of each column-major grid holds the prices at the
+    end of step ``k``.  A price that leaves the float range (0.0 or inf)
+    is a ``ValueError``.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    increments = np.empty((n_paths, n_steps, 2))
-    for step in range(n_steps):
-        increments[:, step] = rng.normal_pairs(seed, first_path, n_paths, step)
-    increments *= np.sqrt(params.t / n_steps)
-    return paths_from_increments(params, measure, np.linspace(0.0, params.t, n_steps + 1),
-                                 increments)
-
+    steps = price_steps(params, measure, n_steps, n_paths, seed, first_path=first_path)
+    times = np.zeros(n_steps + 1)
+    shape = (n_paths, n_steps + 1)
+    index, stock = np.empty(shape, order="F"), np.empty(shape, order="F")
+    index[:, 0] = stock[:, 0] = 1.0
+    for k, (_, t_next, point) in enumerate(steps, 1):
+        times[k], index[:, k], stock[:, k] = t_next, point.index, point.stock
+    return PathBatch(times, *_in_float_range(index, stock))

@@ -12,13 +12,13 @@ Payoffs and events both read the floats of :func:`terminal_log_ratios`,
 which a caller takes once per batch of terminal log levels, by
 subtraction: no terminal price or price ratio is formed.
 
-:class:`Replication` is the one step along a batch of paths that
-follows a strategy two ways: the analytic track sums claim values (the
-ground truth used to verify the propositions), and the hedged track
-rebalances a discrete self-financing portfolio to the closed-form
-deltas, as a numerical-fidelity study.  Rebalancing stops before expiry
-because digital deltas diverge there; :func:`self_financing` is its
-hedged step alone, which the hedging study's coarser grids take.
+:func:`replicate` values a strategy on a batch of prices at one time,
+two ways: the analytic wealth sums claim values (the ground truth used
+to verify the propositions), and the units are the closed-form deltas
+that a discrete self-financing replication holds, as a
+numerical-fidelity study.  It keeps no state: :func:`self_financing`
+carries hedged wealth over a step that holds the units, and the caller
+keeps that wealth.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "BoundReport",
     "DigitalComponent",
     "PrudentStrategy",
-    "Replication",
     "Side",
     "Underlying",
     "bond_drift_gap",
@@ -52,6 +51,7 @@ __all__ = [
     "event_one_sided",
     "event_recover",
     "event_two_sided",
+    "replicate",
     "self_financing",
     "strategy_fires",
     "terminal_log_ratios",
@@ -336,83 +336,49 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-class Replication:
-    """Both wealth tracks of a strategy, stepped along a batch of paths.
+def replicate(
+    strategy: PrudentStrategy, params: MarketParams, t: float, now: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The strategy's analytic wealth at time ``t`` and the (stock, index)
+    units that replicate it, at the (index, stock) prices ``now``.
 
-    The replication starts at the analytic value and, at every step
-    from a time up to ``rebalance_cutoff`` (which must precede the
-    horizon), resets its stock and index positions to the closed-form
-    deltas; the residual is cash accruing at ``r``, and after the cutoff
-    the last positions are held.  Bond-ratio components hedge with the
-    bond and the index; their bond position lands in the cash leg via
-    the self-financing residual, so only their index units are held.
-
-    ``hedged`` is the hedged wealth after the last step (None before
-    the first) and ``held`` the (stock, index) units held over it.
+    The units are the closed-form deltas; ``t`` must precede the
+    horizon, where digital deltas diverge.  Bond-ratio components hedge
+    with the bond and the index; their bond position lands in the cash
+    leg via the self-financing residual, so only their index units are
+    held.  Prices, and the ratios valued at ``t``, must be finite and
+    positive (two finite prices can have an overflowing ratio, and the
+    bond level ``exp(r t)``, taken only for a bond ratio, can overflow);
+    a price of 0.0 makes a ratio 0.0 or inf.  Takes the ratio and its log
+    once per underlying and makes one valuation per component (value and
+    units together), with the same floats as ``claim_value`` and
+    ``hedge_ratios``.
     """
-
-    def __init__(self, strategy: PrudentStrategy, params: MarketParams,
-                 rebalance_cutoff: float, n_paths: int):
-        if not rebalance_cutoff < params.t:
-            raise ValueError("rebalance cutoff must precede the horizon")
-        self.strategy = strategy
-        self.params = params
-        self.rebalance_cutoff = rebalance_cutoff
-        self.underlyings = {comp.underlying for comp in strategy.components}
-        self.hedged = None
-        self.held = np.zeros(n_paths), np.zeros(n_paths)
-
-    def step(self, t: float, t_next: float, now: tuple[np.ndarray, np.ndarray],
-             after: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Step from time ``t`` to ``t_next``; returns the analytic wealth at ``t``.
-
-        ``now`` and ``after`` are the (index, stock) prices at the two
-        times; after the first step, ``now`` is the last step's
-        ``after``.  Prices, and the ratios valued at ``t``, must be finite
-        and positive (two finite prices can have an overflowing ratio, and
-        the bond level ``exp(r t)``, taken only for a bond ratio, can overflow).
-        Each price is checked finite once, before it is read: ``now`` on
-        the first step and ``after`` on every step; a price of 0.0 makes
-        a ratio 0.0 or inf.  Takes the ratio and its log once per
-        underlying and makes one valuation per component (values and, on
-        rebalance steps, units together), with the same floats as
-        ``claim_value`` and ``hedge_ratios``; leaves the hedged wealth at
-        ``t_next`` in ``hedged``.
-        """
-        params = self.params
-        if not 0.0 <= t < params.t:
-            raise ValueError("valuation time must satisfy 0 <= t < horizon")
-        index_t, stock_t = now
-        with np.errstate(all="ignore"):
-            ratios = {underlying: (stock_t if underlying is Underlying.STOCK
-                                   else _exp(params.r * t)) / index_t
-                      for underlying in self.underlyings}
-        # a NaN is the maximum, and fails the comparison
-        if not (all(x.max() < math.inf for x in (now + after if self.hedged is None else after))
-                and all(map(_finite_positive, ratios.values()))):
-            raise ValueError("prices and their ratios must be finite and strictly positive")
-        rebalance = t <= self.rebalance_cutoff
-        if rebalance:
-            self.held = np.zeros(index_t.shape), np.zeros(index_t.shape)
-        h_stock, h_index = self.held
-        ratios = {underlying: (ratio, np.log(ratio)) for underlying, ratio in ratios.items()}
-        analytic = np.zeros(index_t.shape)
-        for comp in self.strategy.components:
-            ratio, log_ratio = ratios[comp.underlying]
-            value, units_s, units_i = _valuation(
-                comp.spec, comp.reduced.delta_norm, params.t - t, ratio, log_ratio, index_t,
-                rebalance)
-            value *= comp.units
-            analytic += value
-            if rebalance:
-                units_i *= comp.units
-                h_index += units_i
-                if comp.underlying is Underlying.STOCK:
-                    units_s *= comp.units
-                    h_stock += units_s
-        hedged = analytic if self.hedged is None else self.hedged
-        self.hedged = self_financing(hedged, self.held, now, after, params.r * (t_next - t))
-        return analytic
+    if not 0.0 <= t < params.t:
+        raise ValueError("valuation time must satisfy 0 <= t < horizon")
+    index_t, stock_t = now
+    with np.errstate(all="ignore"):
+        ratios = {underlying: (stock_t if underlying is Underlying.STOCK
+                               else _exp(params.r * t)) / index_t
+                  for underlying in {comp.underlying for comp in strategy.components}}
+    # a NaN is the maximum, and fails the comparison
+    if not (all(x.max() < math.inf for x in now)
+            and all(map(_finite_positive, ratios.values()))):
+        raise ValueError("prices and their ratios must be finite and strictly positive")
+    ratios = {underlying: (ratio, np.log(ratio)) for underlying, ratio in ratios.items()}
+    analytic, h_stock, h_index = (np.zeros(index_t.shape) for _ in range(3))
+    for comp in strategy.components:
+        ratio, log_ratio = ratios[comp.underlying]
+        value, units_s, units_i = _valuation(
+            comp.spec, comp.reduced.delta_norm, params.t - t, ratio, log_ratio, index_t, True)
+        value *= comp.units
+        analytic += value
+        units_i *= comp.units
+        h_index += units_i
+        if comp.underlying is Underlying.STOCK:
+            units_s *= comp.units
+            h_stock += units_s
+    return analytic, (h_stock, h_index)
 
 
 def self_financing(hedged: np.ndarray, held: tuple[np.ndarray, np.ndarray],

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from eihlab.market import (MarketParams, Measure, PathBatch, ReducedParams, TerminalSample,
-                           drift_pair)
-from eihlab.strategies import PrudentStrategy, Replication, terminal_log_ratios, terminal_wealth
+from eihlab.market import (MarketParams, Measure, PathBatch, PricePoint, ReducedParams,
+                           TerminalSample, _in_float_range, drift_pair, step_prices)
+from eihlab.strategies import (PrudentStrategy, replicate, self_financing, terminal_log_ratios,
+                               terminal_wealth)
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -81,6 +82,41 @@ def log_ratio_law(params: MarketParams, measure: Measure = Measure.PHYSICAL) -> 
     return float(mean), float(std)
 
 
+def paths_from_increments(
+    params: MarketParams,
+    measure: Measure,
+    times: np.ndarray,
+    increments: np.ndarray,
+) -> PathBatch:
+    """Build paths by exact lognormal stepping from given 2-d increments.
+
+    ``increments`` has shape ``(n, len(times) - 1, 2)``: ``increments[p,
+    k]`` is path ``p``'s driver increment over ``(times[k], times[k+1])``.
+    Zeros yield the deterministic drift-only path.  Column ``k + 1`` of
+    each grid is :func:`step_prices` of column ``k``.  A price that
+    leaves the float range (0.0 or inf) is a ``ValueError``.
+    """
+    times = np.asarray(times, dtype=float)
+    increments = np.asarray(increments, dtype=float)
+    if (times.ndim != 1 or not times.size or times[0] != 0.0 or not np.isfinite(times).all()
+            or not (np.diff(times) > 0.0).all()):
+        raise ValueError("times must increase strictly from 0")
+    if increments.ndim != 3 or increments.shape[1:] != (times.size - 1, 2):
+        raise ValueError(f"increments must have shape (n_paths, {times.size - 1}, 2), "
+                         f"got {increments.shape}")
+    if not np.isfinite(increments).all():
+        raise ValueError("increments must be finite")
+    n = increments.shape[0]
+    index, stock = np.empty((n, times.size), order="F"), np.empty((n, times.size), order="F")
+    point = PricePoint.at_start(n)
+    index[:, 0], stock[:, 0] = point.index, point.stock
+    with np.errstate(all="ignore"):
+        for k in range(times.size - 1):
+            point = step_prices(params, measure, times[k + 1] - times[k], increments[:, k], point)
+            index[:, k + 1], stock[:, k + 1] = point.index, point.stock
+    return PathBatch(times, *_in_float_range(index, stock))
+
+
 # The wealth recorder: the ``==`` oracle that the streamed hedging study
 # and the replication tests are checked against.
 
@@ -94,37 +130,33 @@ class WealthTrack:
     hedged: np.ndarray
 
 
-def wealth_tracks(
-    strategy: PrudentStrategy,
-    params: MarketParams,
-    batch: PathBatch,
-    rebalance_cutoff: float,
-) -> WealthTrack:
+def wealth_tracks(strategy: PrudentStrategy, params: MarketParams, batch: PathBatch) -> WealthTrack:
     """Analytic wealth and its discrete self-financing replication.
 
     The analytic track sums claim values at each grid time and is the
-    exact indicator payoff at the horizon; the hedged track is a
-    :class:`Replication` rebalancing at the grid times up to
-    ``rebalance_cutoff``.  Both tracks record the replication's steps
-    as ``(n_paths, n_times)`` arrays in column-major order, so that a
-    time slice is contiguous.
+    exact indicator payoff at the horizon; the hedged track rebalances
+    to the units of :func:`replicate` at every grid time before the
+    horizon and steps with :func:`self_financing`.  Both tracks are
+    ``(n_paths, n_times)`` arrays in column-major order, so that a time
+    slice is contiguous.
     """
     times = batch.times
     index, stock = batch.index_values, batch.stock_values
     n, m_plus_1 = index.shape
-    replication = Replication(strategy, params, rebalance_cutoff, n)
     analytic = np.empty((n, m_plus_1), order="F")
     hedged = np.empty((n, m_plus_1), order="F")
     for k in range(m_plus_1 - 1):
-        analytic[:, k] = replication.step(float(times[k]), float(times[k + 1]),
-                                          (index[:, k], stock[:, k]),
-                                          (index[:, k + 1], stock[:, k + 1]))
-        hedged[:, k + 1] = replication.hedged
+        t, t_next = float(times[k]), float(times[k + 1])
+        now, after = (index[:, k], stock[:, k]), (index[:, k + 1], stock[:, k + 1])
+        analytic[:, k], held = replicate(strategy, params, t, now)
+        if k == 0:
+            hedged[:, 0] = analytic[:, 0]
+        hedged[:, k + 1] = self_financing(hedged[:, k], held, now, after, params.r * (t_next - t))
     # a grid keeps prices only; the terminal sample is their log levels
     # (a price of 0.0 is a level of -inf, which the log ratios reject)
     with np.errstate(divide="ignore"):
         terminal = TerminalSample(np.log(index[:, -1]), np.log(stock[:, -1]))
-    log_ratios = terminal_log_ratios(params, terminal, *replication.underlyings)
+    log_ratios = terminal_log_ratios(params, terminal,
+                                     *{comp.underlying for comp in strategy.components})
     analytic[:, -1] = terminal_wealth(strategy, index[:, -1], log_ratios)
-    hedged[:, 0] = analytic[:, 0]
     return WealthTrack(times=times, analytic=analytic, hedged=hedged)

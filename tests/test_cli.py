@@ -397,6 +397,15 @@ class TestPricesOutOfFloatRange:
                                    "hedge", "--paths", "1000")
         assert "must be finite and strictly positive" in err
 
+    @pytest.mark.parametrize("mu_s", ["-90", "80"])
+    def test_hedge_on_a_stock_out_of_range_is_one_error_line(self, capsys, tmp_path, mu_s):
+        # the stock underflows through subnormal ratios, whose units are
+        # NaN, or overflows while the wealth steps on before the next
+        # valuation rejects it; neither may print a warning
+        err = self._one_error_line(capsys, tmp_path, f"market.mu_s = {mu_s}",
+                                   "hedge", "--paths", "1000")
+        assert "must be finite and strictly positive" in err
+
     @pytest.mark.parametrize("setting, args", [
         *((f"market.mu_i = {mu_i}", args) for mu_i in ("-80", "200") for args in (
             ("verify", "--prop", "two_sided", "--paths", "1000"),

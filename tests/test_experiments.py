@@ -115,6 +115,13 @@ class TestVerifyTwoSided:
         with pytest.raises(ValueError):
             ExperimentConfig(params=set_a, delta=0.05, eps=0.0)
 
+    def test_unknown_proposition_is_a_value_error(self, set_a):
+        config = ExperimentConfig(params=set_a, delta=0.05, n_paths=1000)
+        message = (r"unknown proposition 'nope'; "
+                   r"expected one of \['index', 'mu_bis', 'two_sided'\]")
+        with pytest.raises(ValueError, match=message):
+            verify(config, "nope")
+
 
 class TestVerifyCapm:
     def test_bound_holding_is_inconclusive(self, set_a):
@@ -334,8 +341,9 @@ class TestHedgingStudy:
 
     def test_last_step_rebalances_when_the_step_count_is_no_power_of_two(self, set_a,
                                                                         monkeypatch):
-        # here linspace(0, T, 101)[99] lies one ulp above T (1 - 1/100), so a
-        # cutoff of T (1 - 1/100) held the previous units over the last step
+        # here linspace(0, T, 101)[99] lies one ulp above T (1 - 1/100), so
+        # the rebalance cutoff of T (1 - 1/100) that the study once took
+        # held the previous units over the last step
         params = replace(set_a, t=54.40813664739575)
         config = ExperimentConfig(params=params, delta=0.05, n_paths=1000, seed=63)
         assert np.linspace(0.0, params.t, 101)[99] > params.t * (1.0 - 1.0 / 100)
@@ -344,7 +352,8 @@ class TestHedgingStudy:
         assert rows == [row]
         assert np.array_equal(errors[100], reference_errors)
 
-    @pytest.mark.parametrize("step_counts", [(), (64, 0), (-8,), (64, 48)])
+    # (4.9, 8) once hedged 4 steps and reported them as n_steps 4
+    @pytest.mark.parametrize("step_counts", [(), (64, 0), (-8,), (64, 48), (4.9, 8)])
     def test_rejects_bad_step_counts(self, set_a, step_counts):
         config = ExperimentConfig(params=set_a, delta=0.05, n_paths=1000, seed=1)
         with pytest.raises(ValueError, match="step_counts"):
@@ -377,7 +386,7 @@ def _reference(config: ExperimentConfig, step_counts) -> dict[int, tuple[dict, n
     """Each step count's study row and per-path terminal errors from one
     ``simulate_paths`` over all paths at the largest step count ``M``:
     step count ``m`` reads its every ``M / m``-th column and runs
-    ``wealth_tracks`` along them, rebalancing up to its last step start."""
+    ``wealth_tracks`` along them, rebalancing at every step start."""
     params = config.params
     finest = max(step_counts)
     batch = simulate_paths(params, Measure.PHYSICAL, finest, config.n_paths, config.seed)
@@ -386,8 +395,7 @@ def _reference(config: ExperimentConfig, step_counts) -> dict[int, tuple[dict, n
         every = finest // n_steps
         grid = PathBatch(batch.times[::every], batch.index_values[:, ::every],
                          batch.stock_values[:, ::every])
-        track = wealth_tracks(build_two_sided(params, config.delta), params, grid,
-                              grid.times[-2])
+        track = wealth_tracks(build_two_sided(params, config.delta), params, grid)
         errors = np.abs(track.hedged[:, -1] - track.analytic[:, -1])
         reference[n_steps] = {
             "n_steps": n_steps,

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import cached_property
@@ -21,14 +22,15 @@ from eihlab.market import (
     PricePoint,
     ReducedParams,
     drift_pair,
-    paths_from_increments,
+    price_steps,
     reduce_dimension,
     simulate_paths,
     simulate_terminal,
     step_prices,
 )
 
-from conftest import SET_A, log_ratio_law, make_degenerate_equal_sigmas, random_market
+from conftest import (SET_A, log_ratio_law, make_degenerate_equal_sigmas, paths_from_increments,
+                      random_market)
 
 
 class TestParamsValidation:
@@ -397,24 +399,54 @@ class TestSimulatePath:
     @pytest.mark.parametrize("measure", list(Measure))
     def test_grids_are_column_major_row_major_bits(self, set_a, measure):
         # the column-major grids hold exactly the floats of the row-major
-        # cumsum-then-exp on random increments and an uneven time grid;
-        # one path, whose lone product rounds unlike a batch row's, included
-        rng = np.random.default_rng(808)
-        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, size=40))])
+        # cumsum-then-exp of the counter increments; one path, whose lone
+        # product rounds unlike a batch row's, included
+        n_steps = 40
+        times = np.linspace(0.0, set_a.t, n_steps + 1)
         mu_i, mu_s = drift_pair(set_a, measure)
         reduced = set_a.reduced
-        # zero paths give an empty batch
-        for n_paths in (1, 2, 3, 65, 300, 0):
-            increments = rng.standard_normal((n_paths, 40, 2)) * np.sqrt(np.diff(times))[:, None]
-            batch = paths_from_increments(set_a, measure, times, increments)
+        for n_paths in (1, 2, 3, 65, 300):
+            batch = simulate_paths(set_a, measure, n_steps, n_paths, 808)
+            increments = np.stack([rng.normal_pairs(808, 0, n_paths, step)
+                                   for step in range(n_steps)], axis=1)
+            increments *= np.sqrt(set_a.t / n_steps)
             for values, mu, sigma_bar in ((batch.index_values, mu_i, reduced.sigma_i_bar),
                                           (batch.stock_values, mu_s, reduced.sigma_s_bar)):
                 steps = ((mu - 0.5 * float(sigma_bar @ sigma_bar)) * np.diff(times)
                          + increments @ sigma_bar)
-                assert values.shape == (n_paths, 41)
+                assert values.shape == (n_paths, n_steps + 1)
                 assert values.flags.f_contiguous
                 assert np.all(values[:, 0] == 1.0)
                 assert np.array_equal(values[:, 1:], np.exp(np.cumsum(steps, axis=1))), n_paths
+
+    def test_grids_are_the_stream(self, set_a):
+        batch = simulate_paths(set_a, Measure.PHYSICAL, 16, 5, 9, first_path=7)
+        steps = list(price_steps(set_a, Measure.PHYSICAL, 16, 5, 9, first_path=7))
+        assert [t for t, _, _ in steps] == batch.times[:-1].tolist()
+        assert [t_next for _, t_next, _ in steps] == batch.times[1:].tolist()
+        for k, (_, _, point) in enumerate(steps, 1):
+            assert np.array_equal(point.index, batch.index_values[:, k])
+            assert np.array_equal(point.stock, batch.stock_values[:, k])
+
+    def test_stream_leaves_the_error_state_to_its_reader(self, set_a):
+        # prices that overflow are yielded as inf without a warning, and
+        # the reader's code runs under its own error state
+        params = replace(set_a, mu_i=200.0)
+        with np.errstate(over="raise"):
+            points = [point for _, _, point in price_steps(params, Measure.PHYSICAL, 8, 3, 1)
+                      if np.geterr()["over"] == "raise"]
+        assert len(points) == 8 and np.isinf(points[-1].index).all()
+
+    def test_peak_memory_is_the_two_grids(self, set_a):
+        # the stream holds one step's draws and prices; a buffer of every
+        # step's increments took the peak to twice the grids
+        tracemalloc.start()
+        try:
+            batch = simulate_paths(set_a, Measure.PHYSICAL, 512, 4096, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= batch.index_values.nbytes + batch.stock_values.nbytes + 2 * 2**20
 
     # after the three ordering cases, times that are not a finite vector:
     # one message, not a stray IndexError or a NaN that no comparison catches
@@ -448,6 +480,9 @@ class TestSimulatePath:
     def test_rejects_empty_grids(self, set_a, n_steps, n_paths, message):
         with pytest.raises(ValueError, match=message):
             simulate_paths(set_a, Measure.PHYSICAL, n_steps, n_paths, 1)
+        # the stream checks its arguments on the call, before any step
+        with pytest.raises(ValueError, match=message):
+            price_steps(set_a, Measure.PHYSICAL, n_steps, n_paths, 1)
 
     def test_terminal_law_against_analytic_ks(self, set_a):
         n = 10**5

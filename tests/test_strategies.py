@@ -13,13 +13,11 @@ from eihlab.market import (
     MarketParams,
     Measure,
     TerminalSample,
-    paths_from_increments,
     reduce_dimension,
     simulate_paths,
     simulate_terminal,
 )
 from eihlab.strategies import (
-    Replication,
     Side,
     Underlying,
     bond_drift_gap,
@@ -33,12 +31,13 @@ from eihlab.strategies import (
     event_one_sided,
     event_recover,
     event_two_sided,
+    replicate,
     strategy_fires,
     terminal_log_ratios,
     terminal_wealth,
 )
 
-from conftest import SET_A, random_market, wealth_tracks
+from conftest import SET_A, paths_from_increments, random_market, wealth_tracks
 
 
 class TestTwoSided:
@@ -188,29 +187,24 @@ class TestComposites:
             build_capm_composite(set_a, 0.05, "nope")
 
 
-def _cutoff(params, n_steps):
-    # the last step start of the grid, as the hedging study takes it
-    return float(np.linspace(0.0, params.t, n_steps + 1)[n_steps - 1])
-
-
 class TestAnalyticWealth:
     def test_inception_value_matches_total(self, set_a):
         strat = build_two_sided(set_a, 0.05)
         batch = simulate_paths(set_a, Measure.PHYSICAL, 32, 1, 18)
-        track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, 32))
+        track = wealth_tracks(strat, set_a, batch)
         assert track.analytic[0, 0] == pytest.approx(strat.total_initial_wealth, abs=1e-12)
 
     def test_terminal_is_indicator_payoff(self, set_a):
         strat = build_two_sided(set_a, 0.05)
         batch = simulate_paths(set_a, Measure.PHYSICAL, 8, 20, 19)
-        track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, 8))
+        track = wealth_tracks(strat, set_a, batch)
         for k in range(20):
             assert track.analytic[k, -1] in (0.0, batch.index_values[k, -1])
 
     def test_nonnegative_on_many_paths(self, set_a):
         strat = build_capm_composite(set_a, 0.05, "cor_3delta")
         batch = simulate_paths(set_a, Measure.PHYSICAL, 16, 10_000, 20)
-        track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, 16))
+        track = wealth_tracks(strat, set_a, batch)
         assert track.analytic.min() >= 0.0
 
 
@@ -218,38 +212,26 @@ class TestHedgedWealth:
     def test_starts_at_analytic_value(self, set_a):
         strat = build_two_sided(set_a, 0.05)
         batch = simulate_paths(set_a, Measure.PHYSICAL, 64, 1, 23, first_path=1)
-        track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, 64))
+        track = wealth_tracks(strat, set_a, batch)
         assert track.hedged[0, 0] == track.analytic[0, 0]
-
-    def test_pure_bond_track_grows_at_rate(self, set_a):
-        # a cutoff before the first grid time never rebalances, so the
-        # whole initial wealth sits in cash
-        strat = build_two_sided(set_a, 0.05)
-        batch = simulate_paths(set_a, Measure.PHYSICAL, 256, 1, 23)
-        track = wealth_tracks(strat, set_a, batch, -1.0)
-        expected = track.analytic[0, 0] * math.exp(set_a.r * set_a.t)
-        assert track.hedged[0, -1] == pytest.approx(expected, rel=1e-12)
 
     def test_self_financing_identity(self, set_a):
         strat = build_two_sided(set_a, 0.05)
         path = simulate_paths(set_a, Measure.PHYSICAL, 32, 1, 24, first_path=2)
-        cutoff = _cutoff(set_a, 32)
-        hedged = wealth_tracks(strat, set_a, path, cutoff).hedged[0]
+        hedged = wealth_tracks(strat, set_a, path).hedged[0]
         stock, index = path.stock_values[0], path.index_values[0]
         # replay the rebalances and check each step reprices exactly
         dt = path.times[1] - path.times[0]
-        h_s = h_i = 0.0
         for k in range(32):
             t = float(path.times[k])
-            if t <= cutoff:
-                hs_arr, hi_arr = np.zeros(1), np.zeros(1)
-                for comp in strat.components:
-                    assert comp.underlying is Underlying.STOCK
-                    ratios = hedge_ratios(comp.reduced, comp.spec, t, stock[k:k + 1],
-                                          index[k:k + 1], set_a.t)
-                    hs_arr += comp.units * ratios.units_s
-                    hi_arr += comp.units * ratios.units_i
-                h_s, h_i = float(hs_arr[0]), float(hi_arr[0])
+            hs_arr, hi_arr = np.zeros(1), np.zeros(1)
+            for comp in strat.components:
+                assert comp.underlying is Underlying.STOCK
+                ratios = hedge_ratios(comp.reduced, comp.spec, t, stock[k:k + 1],
+                                      index[k:k + 1], set_a.t)
+                hs_arr += comp.units * ratios.units_s
+                hi_arr += comp.units * ratios.units_i
+            h_s, h_i = float(hs_arr[0]), float(hi_arr[0])
             cash = hedged[k] - h_s * stock[k] - h_i * index[k]
             recomputed = (h_s * stock[k + 1]
                           + h_i * index[k + 1]
@@ -261,45 +243,35 @@ class TestHedgedWealth:
         medians = []
         for n_steps in (64, 256):
             batch = simulate_paths(set_a, Measure.PHYSICAL, n_steps, 2_000, 25)
-            track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, n_steps))
+            track = wealth_tracks(strat, set_a, batch)
             medians.append(float(np.median(np.abs(track.hedged[:, -1] - track.analytic[:, -1]))))
         assert medians[1] < medians[0]
 
-    def test_rejects_cutoff_at_horizon(self, set_a):
-        strat = build_two_sided(set_a, 0.05)
-        batch = simulate_paths(set_a, Measure.PHYSICAL, 8, 1, 26, first_path=3)
-        with pytest.raises(ValueError):
-            wealth_tracks(strat, set_a, batch, set_a.t)
-
     def test_one_path_equals_row_of_batch(self, set_a):
         strat = build_capm_composite(set_a, 0.05, "cor_3delta")
-        cutoff = _cutoff(set_a, 32)
         batch = simulate_paths(set_a, Measure.PHYSICAL, 32, 500, 27)
-        full = wealth_tracks(strat, set_a, batch, cutoff)
+        full = wealth_tracks(strat, set_a, batch)
         for k in (0, 1, 137, 499):
             one = simulate_paths(set_a, Measure.PHYSICAL, 32, 1, 27, first_path=k)
-            track = wealth_tracks(strat, set_a, one, cutoff)
+            track = wealth_tracks(strat, set_a, one)
             assert np.array_equal(track.analytic[0], full.analytic[k])
             assert np.array_equal(track.hedged[0], full.hedged[k])
 
 
-def _reference_tracks(strategy, params, batch, cutoff):
+def _reference_tracks(strategy, params, batch):
     """The wealth loop written over the public valuation functions: per
     component, ``claim_value`` then ``hedge_ratios``, each on its own
-    ratio, in row-major arrays."""
+    ratio, in row-major arrays, rebalancing at every step."""
     times = batch.times
     n, m_plus_1 = batch.index_values.shape
     analytic = np.zeros((n, m_plus_1))
     hedged = np.empty((n, m_plus_1))
-    h_stock = np.zeros(n)
-    h_index = np.zeros(n)
     for k in range(m_plus_1 - 1):
         t = float(times[k])
         stock_t = batch.stock_values[:, k]
         index_t = batch.index_values[:, k]
-        if t <= cutoff:
-            h_stock = np.zeros(n)
-            h_index = np.zeros(n)
+        h_stock = np.zeros(n)
+        h_index = np.zeros(n)
         for comp in strategy.components:
             if comp.underlying is Underlying.STOCK:
                 numer = stock_t
@@ -307,11 +279,10 @@ def _reference_tracks(strategy, params, batch, cutoff):
                 numer = np.asarray(math.exp(params.r * t))
             analytic[:, k] += comp.units * claim_value(
                 comp.reduced, comp.spec, t, numer, index_t, params.t)
-            if t <= cutoff:
-                ratios = hedge_ratios(comp.reduced, comp.spec, t, numer, index_t, params.t)
-                h_index += comp.units * ratios.units_i
-                if comp.underlying is Underlying.STOCK:
-                    h_stock += comp.units * ratios.units_s
+            ratios = hedge_ratios(comp.reduced, comp.spec, t, numer, index_t, params.t)
+            h_index += comp.units * ratios.units_i
+            if comp.underlying is Underlying.STOCK:
+                h_stock += comp.units * ratios.units_s
         if k == 0:
             hedged[:, 0] = analytic[:, 0]
         cash = hedged[:, k] - h_stock * stock_t - h_index * index_t
@@ -330,16 +301,15 @@ class TestWealthLoop:
     # have stock and bond components
     @pytest.mark.parametrize("mu_i,variant", [(0.06, "two_sided"), (0.06, "cor_3delta"),
                                               (0.0, "cor_3delta")])
-    @pytest.mark.parametrize("cutoff", [4.6, -1.0])
-    def test_equals_public_function_loop(self, mu_i, variant, cutoff):
+    def test_equals_public_function_loop(self, mu_i, variant):
         params = MarketParams(**{**SET_A, "mu_i": mu_i})
         if variant == "two_sided":
             strat = build_two_sided(params, 0.05)
         else:
             strat = build_capm_composite(params, 0.05, variant)
         batch = simulate_paths(params, Measure.PHYSICAL, 24, 300, 29)
-        track = wealth_tracks(strat, params, batch, cutoff)
-        analytic, hedged = _reference_tracks(strat, params, batch, cutoff)
+        track = wealth_tracks(strat, params, batch)
+        analytic, hedged = _reference_tracks(strat, params, batch)
         assert np.array_equal(track.analytic, analytic)
         assert np.array_equal(track.hedged, hedged)
 
@@ -368,7 +338,7 @@ class TestWealthLoop:
             batch.index_values[1, 2:] = 0.0
         strat = build_two_sided(set_a, 0.05)
         with pytest.raises(ValueError, match="strictly positive"):
-            wealth_tracks(strat, set_a, batch, _cutoff(set_a, 4))
+            wealth_tracks(strat, set_a, batch)
 
     def test_nan_prices_are_rejected(self, set_a):
         # NaN prices, which a "<= 0" test would let through into NaN
@@ -380,7 +350,7 @@ class TestWealthLoop:
         assert math.isnan(batch.index_values[1, 2])
         strat = build_two_sided(set_a, 0.05)
         with pytest.raises(ValueError, match="strictly positive"):
-            wealth_tracks(strat, set_a, batch, _cutoff(set_a, 4))
+            wealth_tracks(strat, set_a, batch)
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0, math.inf])
     def test_terminal_prices_are_checked(self, set_a, bad):
@@ -391,39 +361,36 @@ class TestWealthLoop:
         batch.index_values[1, -1] = bad
         strat = build_two_sided(set_a, 0.05)
         with pytest.raises(ValueError, match="finite and strictly positive"):
-            wealth_tracks(strat, set_a, batch, _cutoff(set_a, 4))
+            wealth_tracks(strat, set_a, batch)
 
     def test_overflowing_ratio_is_rejected(self, set_a):
         # two finite positive prices whose ratio overflows, without a warning
-        replication = Replication(build_two_sided(set_a, 0.05), set_a, 4.6, 2)
         now = np.array([1.0, 1e-300]), np.array([1.0, 1e10])
         with pytest.raises(ValueError, match="their ratios must be finite"):
-            replication.step(0.0, 1.0, now, now)
+            replicate(build_two_sided(set_a, 0.05), set_a, 0.0, now)
 
     def test_overflowing_bond_level_is_rejected(self):
         # exp(r t) = exp(800) overflows; the bond/index ratio check rejects
         # it, without an OverflowError or a warning
         params = MarketParams(**{**SET_A, "r": 100.0})
-        replication = Replication(build_index_vs_bond(params, 0.05), params, 4.6, 2)
         prices = np.ones(2), np.ones(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="their ratios must be finite"):
-                replication.step(8.0, 9.0, prices, prices)
+                replicate(build_index_vs_bond(params, 0.05), params, 8.0, prices)
 
     @pytest.mark.parametrize("t", [-1.0, 10.0, math.nan])
     def test_step_rejects_times_outside_the_horizon(self, set_a, t):
-        replication = Replication(build_two_sided(set_a, 0.05), set_a, 4.6, 2)
         prices = np.ones(2), np.ones(2)
         with pytest.raises(ValueError, match="0 <= t < horizon"):
-            replication.step(t, 1.0, prices, prices)
+            replicate(build_two_sided(set_a, 0.05), set_a, t, prices)
 
     def test_peak_memory_is_the_two_tracks(self, set_a):
         strat = build_two_sided(set_a, 0.05)
         batch = simulate_paths(set_a, Measure.PHYSICAL, 512, 4096, 30)
         tracemalloc.start()
         try:
-            track = wealth_tracks(strat, set_a, batch, _cutoff(set_a, 512))
+            track = wealth_tracks(strat, set_a, batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
