@@ -32,6 +32,7 @@ from eihlab.strategies import (
     event_recover,
     event_two_sided,
     replicate,
+    self_financing,
     strategy_fires,
     terminal_log_ratios,
     terminal_wealth,
@@ -258,20 +259,24 @@ class TestHedgedWealth:
             assert np.array_equal(track.hedged[0], full.hedged[k])
 
 
-def _reference_tracks(strategy, params, batch):
+def _reference_tracks(strategy, params, batch, cutoff):
     """The wealth loop written over the public valuation functions: per
     component, ``claim_value`` then ``hedge_ratios``, each on its own
-    ratio, in row-major arrays, rebalancing at every step."""
+    ratio, in row-major arrays, rebalancing at every step up to
+    ``cutoff`` and holding the last units after it."""
     times = batch.times
     n, m_plus_1 = batch.index_values.shape
     analytic = np.zeros((n, m_plus_1))
     hedged = np.empty((n, m_plus_1))
+    h_stock = np.zeros(n)
+    h_index = np.zeros(n)
     for k in range(m_plus_1 - 1):
         t = float(times[k])
         stock_t = batch.stock_values[:, k]
         index_t = batch.index_values[:, k]
-        h_stock = np.zeros(n)
-        h_index = np.zeros(n)
+        if t <= cutoff:
+            h_stock = np.zeros(n)
+            h_index = np.zeros(n)
         for comp in strategy.components:
             if comp.underlying is Underlying.STOCK:
                 numer = stock_t
@@ -279,10 +284,11 @@ def _reference_tracks(strategy, params, batch):
                 numer = np.asarray(math.exp(params.r * t))
             analytic[:, k] += comp.units * claim_value(
                 comp.reduced, comp.spec, t, numer, index_t, params.t)
-            ratios = hedge_ratios(comp.reduced, comp.spec, t, numer, index_t, params.t)
-            h_index += comp.units * ratios.units_i
-            if comp.underlying is Underlying.STOCK:
-                h_stock += comp.units * ratios.units_s
+            if t <= cutoff:
+                ratios = hedge_ratios(comp.reduced, comp.spec, t, numer, index_t, params.t)
+                h_index += comp.units * ratios.units_i
+                if comp.underlying is Underlying.STOCK:
+                    h_stock += comp.units * ratios.units_s
         if k == 0:
             hedged[:, 0] = analytic[:, 0]
         cash = hedged[:, k] - h_stock * stock_t - h_index * index_t
@@ -296,22 +302,44 @@ def _reference_tracks(strategy, params, batch):
     return analytic, hedged
 
 
+def _holding_tracks(strategy, params, batch, cutoff):
+    """``wealth_tracks``, with its hedged track redone from the units of
+    ``replicate`` at every grid time up to ``cutoff`` (none before the
+    first), held after it and stepped with ``self_financing``."""
+    times, index, stock = batch.times, batch.index_values, batch.stock_values
+    track = wealth_tracks(strategy, params, batch)
+    hedged = track.hedged.copy()
+    held = (np.zeros(index.shape[0]), np.zeros(index.shape[0]))
+    for k in range(len(times) - 1):
+        t, t_next = float(times[k]), float(times[k + 1])
+        now, after = (index[:, k], stock[:, k]), (index[:, k + 1], stock[:, k + 1])
+        if t <= cutoff:
+            _, held = replicate(strategy, params, t, now)
+        hedged[:, k + 1] = self_financing(hedged[:, k], held, now, after, params.r * (t_next - t))
+    return track, hedged
+
+
 class TestWealthLoop:
     # SET_A holds its cor_3delta tails at_most, mu_i = 0 at_least; both
     # have stock and bond components
     @pytest.mark.parametrize("mu_i,variant", [(0.06, "two_sided"), (0.06, "cor_3delta"),
                                               (0.0, "cor_3delta")])
-    def test_equals_public_function_loop(self, mu_i, variant):
+    # inf rebalances at every step, as the replication does; 4.6 holds the
+    # units from mid-horizon on, -1.0 never holds any
+    @pytest.mark.parametrize("cutoff", [math.inf, 4.6, -1.0])
+    def test_equals_public_function_loop(self, mu_i, variant, cutoff):
         params = MarketParams(**{**SET_A, "mu_i": mu_i})
         if variant == "two_sided":
             strat = build_two_sided(params, 0.05)
         else:
             strat = build_capm_composite(params, 0.05, variant)
         batch = simulate_paths(params, Measure.PHYSICAL, 24, 300, 29)
-        track = wealth_tracks(strat, params, batch)
-        analytic, hedged = _reference_tracks(strat, params, batch)
-        assert np.array_equal(track.analytic, analytic)
-        assert np.array_equal(track.hedged, hedged)
+        track, hedged = _holding_tracks(strat, params, batch, cutoff)
+        if cutoff == math.inf:
+            assert np.array_equal(hedged, track.hedged)
+        ref_analytic, ref_hedged = _reference_tracks(strat, params, batch, cutoff)
+        assert np.array_equal(track.analytic, ref_analytic)
+        assert np.array_equal(hedged, ref_hedged)
 
     def test_both_directions_on_both_underlyings(self):
         kinds = set()
