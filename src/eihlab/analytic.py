@@ -132,10 +132,13 @@ def thresholds(reduced: ReducedParams, horizon: float, delta: float) -> tuple[fl
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     log_a, log_b = log_thresholds(reduced.delta_norm, horizon, delta)
-    a, b = math.exp(log_a), math.exp(log_b)
+    a = math.exp(log_a)
     if a == 0.0:
         raise ValueError(f"band edge a = exp({log_a!r}) underflows; shorten the horizon")
-    return a, b
+    # b overflows only where a underflows: ln a + ln b = -delta_norm^2 T,
+    # so ln a >= -745.2 and ln b > 709.78 would need delta_norm sqrt(T)
+    # < 5.95 and then z_{delta/2} > 119, past the quantile of any float
+    return a, math.exp(log_b)
 
 
 def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_ratio, i_t,

@@ -242,8 +242,7 @@ def _index_extras(config: ExperimentConfig, counts: tuple[int, ...]) -> dict:
         "recover_ci_low": recover_ci[0],
         "recover_ci_high": recover_ci[1],
         "recover_target": band_probability(
-            bond_drift_gap(params), params.reduced_vs_bond.delta_norm, params.t,
-            upper_quantile(config.delta / 2.0),
+            bond_drift_gap(params), params.norm_i, params.t, upper_quantile(config.delta / 2.0),
         ),
     }
 
@@ -282,8 +281,7 @@ PROPOSITIONS = {
     ),
     "index": Proposition(
         "index", _index_counts,
-        lambda c: one_sided_beat_probability(bond_drift_gap(c.params),
-                                             c.params.reduced_vs_bond.delta_norm,
+        lambda c: one_sided_beat_probability(bond_drift_gap(c.params), c.params.norm_i,
                                              c.params.t, c.delta),
         "at_least", _index_extras,
     ),
@@ -442,8 +440,6 @@ def lemma_crosscheck(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    if n_mc < 2:
-        raise ValueError("n_mc must be at least 2 for a standard error")
     from .analytic import gaussian_halfspace_expectation
 
     draws = zip(*(uniform_pairs(seed, 0, n_trials, block) for block in range(3)))

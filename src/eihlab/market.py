@@ -8,16 +8,17 @@ basis of that span (the basis itself is not kept, nothing reads it).
 Samplers then draw the exact lognormal solution (no Euler bias), one
 normal pair per (path, step) through the counter-based generator in
 :mod:`eihlab.rng`.  The terminal sampler returns the log levels
-``ln I_T`` and ``ln S_T``, checked against the exact limits of
-``np.exp`` (found once, by bisection against ``np.exp`` itself), so
-that log ratios are taken from the levels; its prices are formed only
-where they are read, with the bits ``np.exp`` gives them.
+``ln I_T`` and ``ln S_T``, checked by asking ``np.exp`` for the prices
+of their extremes, so that log ratios are taken from the levels; its
+prices are formed only where they are read, with the bits ``np.exp``
+gives them.
 
 :class:`MarketParams` is the one home of the pair's geometry: its
 norms, inner products and 2-d reduction are computed at construction,
-in one pass, and stored as plain attributes; the bond reduction is
-computed on first use.  The bounds, builders, events and samplers read
-them.
+in one pass, and stored as plain attributes.  The bond is the stock of
+zero volatility, so its spread against the index is ``norm_i`` and it
+needs no reduction of its own.  The bounds, builders, events and
+samplers read them; nothing is computed lazily or at import.
 
 Paths have one type, :class:`PathBatch`: the times and the price
 grids, not the increments that drove them.  A single path is a
@@ -36,7 +37,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -83,7 +83,9 @@ class MarketParams:
     of ``sigma_s`` after removing its ``e1`` component.  When the two
     vectors are (numerically) collinear the remainder vanishes and the
     stock sits on the first axis.  Norms and the inner product of the
-    pair are preserved up to rounding.
+    pair are preserved up to rounding.  The bond is the stock of zero
+    volatility: its spread norm against the index is ``norm_i``, the
+    float the reduced pair ``([norm_i, 0], [0, 0])`` would give.
     """
 
     mu_i: float
@@ -142,15 +144,6 @@ class MarketParams:
     def d(self) -> int:
         return self.sigma_i.size
 
-    @cached_property
-    def reduced_vs_bond(self) -> ReducedParams:
-        """Reduced pair for comparing the index with the zero-coupon bond.
-
-        The bond has no Brownian exposure, so the pair is (sigma_i, 0)
-        and the ratio volatility equals the index volatility norm.
-        """
-        return _reduced([self.norm_i, 0.0], [0.0, 0.0])
-
 
 @dataclass(frozen=True, eq=False)
 class ReducedParams:
@@ -169,14 +162,6 @@ class ReducedParams:
             delta_norm = _norm(self.sigma_s_bar - self.sigma_i_bar)
         _check_norm("sigma_s - sigma_i", delta_norm)
         object.__setattr__(self, "delta_norm", delta_norm)
-
-    @cached_property
-    def norm_i(self) -> float:
-        return _norm(self.sigma_i_bar)
-
-    @cached_property
-    def norm_s(self) -> float:
-        return _norm(self.sigma_s_bar)
 
 
 def _reduced(sigma_i_bar: list, sigma_s_bar: list) -> ReducedParams:
@@ -244,8 +229,8 @@ def simulate_terminal(
     Path ``k`` uses the normal pair at counter ``(seed, first_path + k)``,
     so results are reproducible regardless of batching.  A log level
     whose price leaves the float range (0.0 or inf) is a ``ValueError``;
-    the levels are checked against the limits of ``np.exp``, so no price
-    is formed here.
+    :func:`_in_exp_range` checks the levels from the prices of their
+    extremes alone, so no batch of prices is formed here.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -257,8 +242,8 @@ def simulate_terminal(
     # row differently depending on how many rows it is given
     w_i = xi[:, 0] * reduced.sigma_i_bar[0] + xi[:, 1] * reduced.sigma_i_bar[1]
     w_s = xi[:, 0] * reduced.sigma_s_bar[0] + xi[:, 1] * reduced.sigma_s_bar[1]
-    log_i = (mu_i - 0.5 * reduced.norm_i**2) * params.t + sqrt_t * w_i
-    log_s = (mu_s - 0.5 * reduced.norm_s**2) * params.t + sqrt_t * w_s
+    log_i = (mu_i - 0.5 * _norm(reduced.sigma_i_bar)**2) * params.t + sqrt_t * w_i
+    log_s = (mu_s - 0.5 * _norm(reduced.sigma_s_bar)**2) * params.t + sqrt_t * w_s
     return TerminalSample(*_in_float_range(log_i, log_s, rule=_in_exp_range))
 
 
@@ -269,27 +254,16 @@ def _finite_positive(x: np.ndarray) -> bool:
     return x.size == 0 or (0.0 < x.min() and x.max() < math.inf)
 
 
-def _exp_limit(outside: float, in_range) -> float:
-    """The float farthest from 0.0 towards ``outside`` whose ``np.exp`` is
-    ``in_range``, by bisection against ``np.exp`` itself."""
-    inside = 0.0
-    with np.errstate(all="ignore"):
-        while (mid := 0.5 * (inside + outside)) not in (inside, outside):
-            inside, outside = (mid, outside) if in_range(np.exp([mid])[0]) else (inside, mid)
-    return inside
-
-
-# the log levels whose ``np.exp`` is a finite positive float, found once:
-# about -745.13 (the least subnormal) and 709.78 (the largest float)
-_LOG_MIN = _exp_limit(-1000.0, lambda price: price > 0.0)
-_LOG_MAX = _exp_limit(1000.0, lambda price: price < math.inf)
-
-
 def _in_exp_range(x: np.ndarray) -> bool:
     """The float-range rule of log levels and log ratios: every element's
-    ``np.exp`` is finite and positive (true of an empty array)."""
-    # a NaN is the minimum, and fails the first comparison
-    return x.size == 0 or (_LOG_MIN <= x.min() and x.max() <= _LOG_MAX)
+    ``np.exp`` is finite and positive (true of an empty array).  ``np.exp``
+    is monotone, so its prices at the two extremes decide."""
+    if x.size == 0:
+        return True
+    with np.errstate(over="ignore", under="ignore"):
+        low, high = np.exp([x.min(), x.max()])
+    # a NaN is the minimum, and its price NaN fails the first comparison
+    return 0.0 < low and high < math.inf
 
 
 def _in_float_range(*arrays: np.ndarray, rule=_finite_positive) -> tuple[np.ndarray, ...]:

@@ -75,7 +75,10 @@ def halfspace_quadrature(u, v, c: float, n_nodes: int = 64) -> float:
 def halfspace_monte_carlo(
     u, v, c: float, n_draws: int, seed: int
 ) -> tuple[float, float]:
-    """Plain Monte Carlo estimate and its standard error."""
+    """Plain Monte Carlo estimate and its standard error (``n_draws`` at
+    least 2)."""
+    if n_draws < 2:
+        raise ValueError("n_draws must be at least 2 for a standard error")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if float(np.linalg.norm(v)) == 0.0:

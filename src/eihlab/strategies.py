@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import DigitalSpec, Direction, _valuation, log_thresholds
-from .market import MarketParams, ReducedParams, TerminalSample, _finite_positive, _in_exp_range
+from .analytic import DigitalSpec, Direction, _check_valuation, _valuation, log_thresholds
+from .market import MarketParams, TerminalSample, _in_exp_range
 from .normal import upper_quantile
 
 __all__ = [
@@ -82,12 +82,15 @@ class Side(enum.Enum):
 class DigitalComponent:
     """One digital claim plus how many units of it the strategy holds.
 
+    ``delta_norm`` is the spread norm of the claim's ratio, the one float
+    its valuation reads: the reduced pair's for a stock ratio, ``norm_i``
+    for a bond ratio (the bond is the stock of zero volatility).
     ``initial_wealth`` is the time-0 price of a single unit; replication
     of ``w`` units of wealth holds ``w / initial_wealth`` units.
     """
 
     spec: DigitalSpec
-    reduced: ReducedParams
+    delta_norm: float
     underlying: Underlying
     initial_wealth: float
     units: float = 1.0
@@ -147,21 +150,21 @@ def bond_drift_gap(params: MarketParams) -> float:
 
 
 def _band_components(
-    reduced: ReducedParams,
+    delta_norm: float,
     underlying: Underlying,
     horizon: float,
     delta: float,
 ) -> tuple[DigitalComponent, DigitalComponent]:
-    log_a, log_b = log_thresholds(reduced.delta_norm, horizon, delta)
+    log_a, log_b = log_thresholds(delta_norm, horizon, delta)
     lower = DigitalComponent(
         spec=DigitalSpec(Direction.AT_MOST, log_a),
-        reduced=reduced,
+        delta_norm=delta_norm,
         underlying=underlying,
         initial_wealth=delta / 2.0,
     )
     upper = DigitalComponent(
         spec=DigitalSpec(Direction.AT_LEAST, log_b),
-        reduced=reduced,
+        delta_norm=delta_norm,
         underlying=underlying,
         initial_wealth=delta / 2.0,
     )
@@ -169,7 +172,7 @@ def _band_components(
 
 
 def _one_sided_component(
-    reduced: ReducedParams,
+    delta_norm: float,
     underlying: Underlying,
     horizon: float,
     delta: float,
@@ -177,7 +180,7 @@ def _one_sided_component(
 ) -> DigitalComponent:
     # a band of tail mass 2 delta has one tail of mass delta on each side,
     # each claim worth (2 delta) / 2 = delta
-    return _band_components(reduced, underlying, horizon, 2.0 * delta)[side is Side.UPPER]
+    return _band_components(delta_norm, underlying, horizon, 2.0 * delta)[side is Side.UPPER]
 
 
 def _check_delta(delta: float) -> None:
@@ -193,7 +196,7 @@ def build_two_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     times the index.
     """
     _check_delta(delta)
-    comps = _band_components(params.reduced, Underlying.STOCK, params.t, delta)
+    comps = _band_components(params.reduced.delta_norm, Underlying.STOCK, params.t, delta)
     return PrudentStrategy(comps)
 
 
@@ -201,7 +204,8 @@ def build_one_sided(params: MarketParams, delta: float, side: Side | str) -> Pru
     """Single-tail variant with the delta-quantile replacing delta/2."""
     _check_delta(delta)
     side = Side(side)
-    comp = _one_sided_component(params.reduced, Underlying.STOCK, params.t, delta, side)
+    comp = _one_sided_component(params.reduced.delta_norm, Underlying.STOCK, params.t, delta,
+                                side)
     return PrudentStrategy((comp,))
 
 
@@ -213,14 +217,14 @@ def build_index_vs_bond(params: MarketParams, delta: float) -> PrudentStrategy:
     index volatility over the horizon.
     """
     _check_delta(delta)
-    comps = _band_components(params.reduced_vs_bond, Underlying.BOND, params.t, delta)
+    comps = _band_components(params.norm_i, Underlying.BOND, params.t, delta)
     return PrudentStrategy(comps)
 
 
 def build_bond_one_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     """One-sided bond/index strategy, tail picked by the sign of the bond drift gap."""
     _check_delta(delta)
-    comp = _one_sided_component(params.reduced_vs_bond, Underlying.BOND, params.t, delta,
+    comp = _one_sided_component(params.norm_i, Underlying.BOND, params.t, delta,
                                 Side.of_gap(bond_drift_gap(params)))
     return PrudentStrategy((comp,))
 
@@ -294,10 +298,10 @@ def strategy_fires(strategy: PrudentStrategy, log_ratios: dict):
 # Event predicates, stated as in the propositions
 
 
-def _in_band(reduced: ReducedParams, horizon: float, delta: float, log_ratio):
+def _in_band(delta_norm: float, horizon: float, delta: float, log_ratio):
     """Whether the log ratio lies strictly inside the band of tail mass delta."""
     _check_delta(delta)
-    log_a, log_b = log_thresholds(reduced.delta_norm, horizon, delta)
+    log_a, log_b = log_thresholds(delta_norm, horizon, delta)
     return (log_ratio > log_a) & (log_ratio < log_b)
 
 
@@ -307,21 +311,22 @@ def event_two_sided(params: MarketParams, delta: float, log_ratio):
     Exact complement of the two-sided strategy's payoff: both compare
     the same log ratio against the same stored band edges.
     """
-    return _in_band(params.reduced, params.t, delta, log_ratio)
+    return _in_band(params.reduced.delta_norm, params.t, delta, log_ratio)
 
 
 def event_one_sided(params: MarketParams, delta: float, log_ratio, side: Side | str):
     """One-tail band event; upper: centered log ratio stays below the
     z_delta width, lower: stays above its negative."""
     _check_delta(delta)
-    comp = _one_sided_component(params.reduced, Underlying.STOCK, params.t, delta, Side(side))
+    comp = _one_sided_component(params.reduced.delta_norm, Underlying.STOCK, params.t, delta,
+                                Side(side))
     return ~comp.spec.payoff_indicator(log_ratio)
 
 
 def event_recover(params: MarketParams, delta: float, log_ratio):
     """|ln(I_T e^{-rT}) - ||sigma_i||^2 T/2| < z_{delta/2} ||sigma_i|| sqrt(T),
     from the bond/index log ratio ``r T - ln I_T``."""
-    return _in_band(params.reduced_vs_bond, params.t, delta, log_ratio)
+    return _in_band(params.norm_i, params.t, delta, log_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -346,31 +351,26 @@ def replicate(
     horizon, where digital deltas diverge.  Bond-ratio components hedge
     with the bond and the index; their bond position lands in the cash
     leg via the self-financing residual, so only their index units are
-    held.  Prices, and the ratios valued at ``t``, must be finite and
+    held.  The index, and each ratio valued at ``t``, must be finite and
     positive (two finite prices can have an overflowing ratio, and the
     bond level ``exp(r t)``, taken only for a bond ratio, can overflow);
-    a price of 0.0 makes a ratio 0.0 or inf.  Takes the ratio and its log
-    once per underlying and makes one valuation per component (value and
-    units together), with the same floats as ``claim_value`` and
+    ``claim_value``'s check enforces that, once per underlying read, so
+    a bond-only strategy never reads the stock.  Takes the ratio and its
+    log once per underlying and makes one valuation per component (value
+    and units together), with the same floats as ``claim_value`` and
     ``hedge_ratios``.
     """
-    if not 0.0 <= t < params.t:
-        raise ValueError("valuation time must satisfy 0 <= t < horizon")
     index_t, stock_t = now
-    with np.errstate(all="ignore"):
-        ratios = {underlying: (stock_t if underlying is Underlying.STOCK
-                               else _exp(params.r * t)) / index_t
-                  for underlying in {comp.underlying for comp in strategy.components}}
-    # a NaN is the maximum, and fails the comparison
-    if not (all(x.max() < math.inf for x in now)
-            and all(map(_finite_positive, ratios.values()))):
-        raise ValueError("prices and their ratios must be finite and strictly positive")
-    ratios = {underlying: (ratio, np.log(ratio)) for underlying, ratio in ratios.items()}
+    ratios = {}
+    for underlying in {comp.underlying for comp in strategy.components}:
+        numerator = stock_t if underlying is Underlying.STOCK else _exp(params.r * t)
+        ratio = _check_valuation(t, params.t, numerator, index_t)[1]
+        ratios[underlying] = ratio, np.log(ratio)
     analytic, h_stock, h_index = (np.zeros(index_t.shape) for _ in range(3))
     for comp in strategy.components:
         ratio, log_ratio = ratios[comp.underlying]
         value, units_s, units_i = _valuation(
-            comp.spec, comp.reduced.delta_norm, params.t - t, ratio, log_ratio, index_t, True)
+            comp.spec, comp.delta_norm, params.t - t, ratio, log_ratio, index_t, True)
         value *= comp.units
         analytic += value
         units_i *= comp.units

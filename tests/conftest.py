@@ -77,7 +77,9 @@ def log_ratio_law(params: MarketParams, measure: Measure = Measure.PHYSICAL) -> 
     """Mean and standard deviation of the exact normal law of ln(S_T / I_T)."""
     reduced = params.reduced
     mu_i, mu_s = drift_pair(params, measure)
-    mean = (mu_s - mu_i) * params.t + 0.5 * (reduced.norm_i**2 - reduced.norm_s**2) * params.t
+    norm_i_sq = np.linalg.norm(reduced.sigma_i_bar)**2
+    norm_s_sq = np.linalg.norm(reduced.sigma_s_bar)**2
+    mean = (mu_s - mu_i) * params.t + 0.5 * (norm_i_sq - norm_s_sq) * params.t
     std = reduced.delta_norm * np.sqrt(params.t)
     return float(mean), float(std)
 

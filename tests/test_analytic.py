@@ -236,9 +236,9 @@ class TestClaimValue:
         tau = set_a.t - t
         xi = rng.normal_pairs(404, 0, n)
         sq = math.sqrt(tau)
-        i_term = i_t * np.exp((set_a.r - 0.5 * red.norm_i**2) * tau
+        i_term = i_t * np.exp((set_a.r - 0.5 * np.linalg.norm(red.sigma_i_bar)**2) * tau
                               + sq * (xi @ red.sigma_i_bar))
-        s_term = s_t * np.exp((set_a.r - 0.5 * red.norm_s**2) * tau
+        s_term = s_t * np.exp((set_a.r - 0.5 * np.linalg.norm(red.sigma_s_bar)**2) * tau
                               + sq * (xi @ red.sigma_s_bar))
         payoff = math.exp(-set_a.r * tau) * i_term * spec.payoff_indicator(
             np.log(s_term / i_term))

@@ -16,6 +16,7 @@ from eihlab import cli, experiments
 from eihlab.analytic import DigitalSpec, Direction, digital_price, log_thresholds
 from eihlab.cli import main
 from eihlab.market import MarketParams, Measure, reduce_dimension, simulate_paths, simulate_terminal
+from eihlab.normal import upper_quantile
 
 # reference market with the stock drift at its index-implied level
 # (0.06 - 0.025 + 0.0325), so the band event probability is exactly 0.95
@@ -266,6 +267,7 @@ class TestUsageErrors:
         (("simulate", "--steps", "0"), None, None),
         (("table", "--study", "convergence", "--t-grid", "1,abc"), None, None),
         (("table", "--study", "lemma", "--paths", "0"), None, None),
+        (("table", "--study", "lemma", "--paths", "1"), None, None),
         (("simulate", "--paths", "5", "--seed", "-1"), None, None),
         (("verify", "--prop", "two_sided", "--seed", str(2**64)), None, None),
         (("simulate", "--paths", "5"), "-1", None),
@@ -274,7 +276,7 @@ class TestUsageErrors:
         (("hedge", "--paths", "1000"), None, "1e20"),
         (("table", "--study", "convergence", "--t-grid", "10", "--paths", "0"), None, None),
         (("table", "--study", "convergence", "--t-grid", "10", "--workers", "0"), None, None),
-    ], ids=["paths-0", "steps-0", "t-grid-not-a-number", "lemma-paths-0",
+    ], ids=["paths-0", "steps-0", "t-grid-not-a-number", "lemma-paths-0", "lemma-paths-1",
             "flag-seed-negative", "flag-seed-2^64", "env-seed-negative", "env-seed-2^64",
             "config-seed-negative", "config-seed-above-2^64", "convergence-paths-0",
             "convergence-workers-0"])
@@ -301,6 +303,21 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "underflows" in err
+
+    @pytest.mark.parametrize("command", ["price", "thresholds"])
+    def test_overflowing_band_edge_is_one_error_line(self, capsys, tmp_path, command):
+        # a spread of z / sqrt(T) at z = z_{delta/2} puts ln b past 709.78,
+        # where math.exp overflows (an OverflowError traceback, exit 1, before)
+        z, horizon = upper_quantile(1e-320), 1000.0
+        sigma_s = 0.15 + z / math.sqrt(horizon)
+        assert log_thresholds(sigma_s - 0.15, horizon, 2e-320)[1] > 709.79
+        path = tmp_path / "c.cfg"
+        path.write_text(SET_A_CONFIG.replace("market.t       = 10.0", "market.t = 1000")
+                        .replace("0.15, 0.05", "0.15, 0").replace("0.25, -0.10", f"{sigma_s!r}, 0"))
+        code, out, err = run_cli(capsys, command, "--delta", "2e-320", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize("argv, module, name", [
         (("price",), cli, "digital_price"),

@@ -268,6 +268,16 @@ class TestLemmaCrosscheck:
         with pytest.raises(ValueError):
             lemma_crosscheck(0, seed=1)
 
+    @pytest.mark.parametrize("n_draws", [0, 1])
+    def test_rejects_fewer_than_two_monte_carlo_draws(self, n_draws):
+        # no standard error from one draw, no mean from none: a ValueError,
+        # not a RuntimeWarning and a NaN; the crosscheck gets it from there
+        from eihlab.quadrature import halfspace_monte_carlo
+        with pytest.raises(ValueError, match="n_draws must be at least 2"):
+            halfspace_monte_carlo((0.1, 0.2), (0.3, 0.4), 0.25, n_draws, 1)
+        with pytest.raises(ValueError, match="n_draws must be at least 2"):
+            lemma_crosscheck(1, seed=1, n_mc=n_draws)
+
     def test_largest_seed_wraps_the_monte_carlo_seeds(self):
         from eihlab.quadrature import halfspace_monte_carlo
         rows = lemma_crosscheck(2, seed=2**64 - 1, n_mc=100)

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from eihlab import rng
+from eihlab import rng, strategies
+from eihlab.analytic import log_thresholds
 from eihlab.market import (
-    _LOG_MAX,
-    _LOG_MIN,
     _in_exp_range,
     MarketParams,
     Measure,
@@ -114,10 +113,26 @@ class TestReduceDimension:
             assert red.sigma_i_bar @ red.sigma_s_bar == pytest.approx(
                 p.sigma_i @ p.sigma_s, rel=1e-12, abs=1e-15)
 
-    def test_bond_pair(self, set_a):
-        red = set_a.reduced_vs_bond
-        assert red.delta_norm == pytest.approx(np.linalg.norm(set_a.sigma_i), rel=1e-15)
-        assert np.all(red.sigma_s_bar == 0.0)
+    def test_bond_spread_norm_is_the_bond_pairs(self):
+        # the bond is the stock of zero volatility: its components and the
+        # recover event take norm_i, the float the bond's own reduced pair
+        # (sigma_i_bar, 0) gives, also where norm_i's square is subnormal
+        gen = np.random.default_rng(5)
+        markets = [random_market(gen) for _ in range(200)] + [
+            MarketParams(0.05, 0.06, (norm, 0.0), (0.0, 0.2), 0.02, 5.0)
+            for norm in (1e-150, 1e-160, 1e150)]
+        for p in markets:
+            bond = ReducedParams(np.array([p.norm_i, 0.0]), np.zeros(2))
+            comps = (strategies.build_index_vs_bond(p, 0.05).components
+                     + strategies.build_bond_one_sided(p, 0.05).components
+                     + strategies.build_capm_composite(p, 0.05, "cor_3delta").components)
+            norms = {c.delta_norm for c in comps if c.underlying is strategies.Underlying.BOND}
+            assert norms == {bond.delta_norm}
+            log_a, log_b = log_thresholds(bond.delta_norm, p.t, 0.05)
+            x = np.array([log_a, log_b, 0.5 * (log_a + log_b)])
+            x = np.concatenate([x, np.nextafter(x, -math.inf), np.nextafter(x, math.inf)])
+            assert np.array_equal(strategies.event_recover(p, 0.05, x),
+                                  (x > log_a) & (x < log_b))
 
     @pytest.mark.parametrize("sigma_i_bar, sigma_s_bar", [
         ((0.2, 0.0), (0.2, 0.0)), ((0.2, 0.0), (math.nan, 0.1)), ((0.2, 0.0), (math.inf, 0.0)),
@@ -131,10 +146,9 @@ class TestReduceDimension:
                 ReducedParams(np.array(sigma_i_bar), np.array(sigma_s_bar))
 
     def test_bars_are_read_only(self, set_a):
-        for red in (set_a.reduced, set_a.reduced_vs_bond):
-            for bar in (red.sigma_i_bar, red.sigma_s_bar):
-                with pytest.raises(ValueError, match="read-only"):
-                    bar[0] = 1.0
+        for bar in (set_a.reduced.sigma_i_bar, set_a.reduced.sigma_s_bar):
+            with pytest.raises(ValueError, match="read-only"):
+                bar[0] = 1.0
 
 
 def _direct_geometry(p: MarketParams) -> dict:
@@ -159,10 +173,8 @@ class TestCachedGeometry:
         for _ in range(500):
             p = random_market(gen)
             assert _cached_geometry(p) == _direct_geometry(p)
-            for red in (p.reduced, p.reduced_vs_bond):
-                assert red.delta_norm == float(np.linalg.norm(red.sigma_s_bar - red.sigma_i_bar))
-                assert red.norm_i == float(np.linalg.norm(red.sigma_i_bar))
-                assert red.norm_s == float(np.linalg.norm(red.sigma_s_bar))
+            red = p.reduced
+            assert red.delta_norm == float(np.linalg.norm(red.sigma_s_bar - red.sigma_i_bar))
             assert reduce_dimension(p) is p.reduced
             spread_differs += p.spread_norm != p.reduced.delta_norm
             square_differs += p.norm_i_sq != p.norm_i**2
@@ -257,9 +269,9 @@ class TestGeometryPin:
         assert "delta_norm" in vars(set_a.reduced)
         for name in _EAGER_GEOMETRY:
             assert not hasattr(MarketParams, name)
-        # read only by the bond constructions and the samplers, so left lazy
-        assert isinstance(vars(MarketParams)["reduced_vs_bond"], cached_property)
-        assert "reduced_vs_bond" not in vars(set_a)
+        # nothing is computed on first use
+        for cls in (MarketParams, ReducedParams):
+            assert not any(isinstance(v, cached_property) for v in vars(cls).values())
 
 
 class TestSimulateTerminal:
@@ -349,15 +361,40 @@ class TestSimulateTerminal:
             simulate_terminal(set_a, Measure.PHYSICAL, 10, 1)
 
 
+def _last_priced_level(estimate: float, outward: float) -> float:
+    """The float farthest towards ``outward`` whose price, as the two-element
+    ``np.exp`` of :func:`_in_exp_range` forms it, is finite and positive,
+    stepped to with ``np.nextafter`` from a nearby ``estimate``."""
+    def priced(x):
+        with np.errstate(over="ignore", under="ignore"):
+            price = np.exp([x, x])[0]
+        return 0.0 < price < math.inf
+
+    limit = estimate
+    while not priced(limit):
+        limit = np.nextafter(limit, -outward)
+    while priced(beyond := np.nextafter(limit, outward)):
+        limit = beyond
+    return float(limit)
+
+
+# about -745.13 (the least subnormal, half of which rounds to 0.0) and
+# 709.78 (the largest float)
+_LEAST_LEVEL = _last_priced_level(math.log(5e-324) - math.log(2.0), -math.inf)
+_GREATEST_LEVEL = _last_priced_level(math.log(np.finfo(float).max), math.inf)
+
+
 class TestExpRange:
-    """Log levels and log ratios are checked against the limits of
-    ``np.exp``, found once: the price of each limit is a finite positive
-    float, and the price one float beyond it is inf or 0.0."""
+    """Log levels and log ratios are checked by the prices ``np.exp`` gives
+    their two extremes: at the last level whose two-element price is a
+    finite positive float, the price of any array length is too, and one
+    float beyond it every length prices to inf or 0.0, so the rule agrees
+    with the long-array ``np.exp`` that forms the prices."""
 
     @pytest.mark.parametrize("n", [1, 7, 8, 65_536])
     def test_limits_are_exact_against_np_exp(self, n):
-        for limit, outward, price_beyond in ((_LOG_MIN, -math.inf, 0.0),
-                                             (_LOG_MAX, math.inf, math.inf)):
+        for limit, outward, price_beyond in ((_LEAST_LEVEL, -math.inf, 0.0),
+                                             (_GREATEST_LEVEL, math.inf, math.inf)):
             price = np.exp(np.full(n, limit))
             assert ((0.0 < price) & (price < math.inf)).all()
             with np.errstate(over="ignore", under="ignore"):
@@ -367,13 +404,13 @@ class TestExpRange:
     def test_limits_are_the_ends_of_the_float_range(self):
         # the least subnormal, and the largest float to within one step of
         # the level (an ulp of 709.78 moves its price by 1.1e-13 relative)
-        assert np.exp(_LOG_MIN) == 5e-324
-        assert np.exp(_LOG_MAX) == pytest.approx(np.finfo(float).max, rel=2e-13)
+        assert np.exp(_LEAST_LEVEL) == 5e-324
+        assert np.exp(_GREATEST_LEVEL) == pytest.approx(np.finfo(float).max, rel=2e-13)
 
     def test_rule_takes_the_limits_and_rejects_what_lies_beyond(self):
-        inside = np.array([_LOG_MIN, 0.0, _LOG_MAX])
+        inside = np.array([_LEAST_LEVEL, 0.0, _GREATEST_LEVEL])
         assert _in_exp_range(inside) and _in_exp_range(np.array([]))
-        for bad in (np.nextafter(_LOG_MIN, -math.inf), np.nextafter(_LOG_MAX, math.inf),
+        for bad in (np.nextafter(_LEAST_LEVEL, -math.inf), np.nextafter(_GREATEST_LEVEL, math.inf),
                     -math.inf, math.inf, math.nan):
             assert not _in_exp_range(np.append(inside, bad))
 

@@ -12,6 +12,7 @@ from eihlab.analytic import DigitalSpec, Direction, claim_value, digital_price, 
 from eihlab.market import (
     MarketParams,
     Measure,
+    ReducedParams,
     TerminalSample,
     reduce_dimension,
     simulate_paths,
@@ -129,7 +130,7 @@ class TestIndexVsBond:
     def test_recover_halfwidth_reference(self, set_a):
         # z_{0.025} * ||sigma_i|| * sqrt(10); frozen from 40-digit arithmetic
         from eihlab.analytic import log_thresholds
-        log_a, log_b = log_thresholds(set_a.reduced_vs_bond.delta_norm, set_a.t, 0.05)
+        log_a, log_b = log_thresholds(set_a.norm_i, set_a.t, 0.05)
         half_width = 0.5 * (log_b - log_a)
         assert half_width == pytest.approx(0.9799819922700271, abs=1e-12)
 
@@ -228,7 +229,7 @@ class TestHedgedWealth:
             hs_arr, hi_arr = np.zeros(1), np.zeros(1)
             for comp in strat.components:
                 assert comp.underlying is Underlying.STOCK
-                ratios = hedge_ratios(comp.reduced, comp.spec, t, stock[k:k + 1],
+                ratios = hedge_ratios(set_a.reduced, comp.spec, t, stock[k:k + 1],
                                       index[k:k + 1], set_a.t)
                 hs_arr += comp.units * ratios.units_s
                 hi_arr += comp.units * ratios.units_i
@@ -263,7 +264,10 @@ def _reference_tracks(strategy, params, batch, cutoff):
     """The wealth loop written over the public valuation functions: per
     component, ``claim_value`` then ``hedge_ratios``, each on its own
     ratio, in row-major arrays, rebalancing at every step up to
-    ``cutoff`` and holding the last units after it."""
+    ``cutoff`` and holding the last units after it.  Bond components are
+    valued on the bond's own reduced pair, (sigma_i_bar, 0)."""
+    pairs = {Underlying.STOCK: params.reduced,
+             Underlying.BOND: ReducedParams(np.array([params.norm_i, 0.0]), np.zeros(2))}
     times = batch.times
     n, m_plus_1 = batch.index_values.shape
     analytic = np.zeros((n, m_plus_1))
@@ -282,10 +286,10 @@ def _reference_tracks(strategy, params, batch, cutoff):
                 numer = stock_t
             else:
                 numer = np.asarray(math.exp(params.r * t))
-            analytic[:, k] += comp.units * claim_value(
-                comp.reduced, comp.spec, t, numer, index_t, params.t)
+            pair = pairs[comp.underlying]
+            analytic[:, k] += comp.units * claim_value(pair, comp.spec, t, numer, index_t, params.t)
             if t <= cutoff:
-                ratios = hedge_ratios(comp.reduced, comp.spec, t, numer, index_t, params.t)
+                ratios = hedge_ratios(pair, comp.spec, t, numer, index_t, params.t)
                 h_index += comp.units * ratios.units_i
                 if comp.underlying is Underlying.STOCK:
                     h_stock += comp.units * ratios.units_s
