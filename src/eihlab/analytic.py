@@ -151,7 +151,7 @@ def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_rati
     both once.  With ``sign`` +1 for ``at_least`` and -1 for ``at_most``,
     ``scale = delta_norm sqrt(tau)``, ``d = (log_ratio - log_threshold -
     delta_norm^2 tau / 2) / scale`` and ``z = sign * d``, returns
-    ``(value, units_s, units_i) = (i_t F(z), sign f(z) / (ratio scale),
+    ``(value, units_s, units_i) = (i_t F(z), sign f(z) / scale / ratio,
     F(z) - sign f(z) / scale)`` elementwise, without ``hedge`` the units
     None.  One CDF serves value and hedge, and ``F(z)`` keeps its
     relative accuracy deep in either tail, where ``1 - F(d)`` rounds to 0.
@@ -169,8 +169,10 @@ def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_rati
     if not hedge:
         return value, None, None
     density = std_normal_pdf(z)
-    units_s = density / (ratio * signed_scale)
+    # the scale first: ``ratio * signed_scale`` underflows to 0.0 on a
+    # subnormal ratio, whose density is 0.0 too
     density /= signed_scale
+    units_s = density / ratio
     prob -= density
     return value, units_s, prob
 

@@ -23,13 +23,14 @@ bounds, so that it and its arguments pickle: ``_verify_chunk`` (a
 proposition's counts, by name), ``_log_ratio_sums`` (the convergence
 study's float sums) and ``_hedge_chunk`` (the hedging study).  The
 hedging study hedges every step count on one fine path: a path chunk
-reads the finest grid's price stream (:func:`eihlab.market.price_steps`)
-and values the strategy once per fine step
-(:func:`eihlab.strategies.replicate`); each step count, which must
-divide the finest, reads them at its own times and carries its own
-hedged wealth (:func:`eihlab.strategies.self_financing`), keeping no
-grid.  Its terminal log ratios come from the last step's log levels,
-while ``replicate`` still values price ratios.
+reads the finest grid's log-level stream
+(:func:`eihlab.market.price_steps`), forms each fine step's prices once
+and values the strategy on them (:func:`eihlab.strategies.replicate`);
+each step count, which must divide the finest, reads them at its own
+times and carries its own hedged wealth
+(:func:`eihlab.strategies.self_financing`), keeping no grid.  Its
+terminal log ratios come from the last step's log levels, while
+``replicate`` still values price ratios.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from . import strategies
 from .market import (
     MarketParams,
     Measure,
-    PricePoint,
     TerminalSample,
     price_steps,
     simulate_terminal,
@@ -474,15 +474,15 @@ def _hedge_chunk(config: ExperimentConfig, grids: list[int], first: int, count: 
     params, fine = config.params, grids[-1]
     strategy = strategies.build_two_sided(params, config.delta)
     steps = price_steps(params, Measure.PHYSICAL, fine, count, config.seed, first_path=first)
-    now = PricePoint.at_start(count)
+    before = np.ones(count), np.ones(count)
     negative, starts = dict.fromkeys(grids, 0), {}
-    # a price out of the float range is rejected by the next valuation
-    # or, at expiry, by the log ratios; wealth that overflows, or turns
-    # NaN (an inf price times zero units, before that rejection, or the
-    # units of a subnormal ratio), is rejected by the study
+    # a price out of the float range (formed from its level as 0.0 or inf)
+    # is rejected by the next valuation or, at expiry, by the log ratios;
+    # wealth that overflows, or turns NaN (an inf price times zero units,
+    # before that rejection), is rejected by the study
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (t, t_next, point) in enumerate(steps):
-            before, after = (now.index, now.stock), (point.index, point.stock)
+        for k, (t, t_next, levels) in enumerate(steps):
+            after = levels.index, levels.stock
             analytic, held = strategies.replicate(strategy, params, t, before)
             if k == 0:
                 hedged, low = dict.fromkeys(grids, analytic), dict.fromkeys(grids, analytic)
@@ -497,10 +497,10 @@ def _hedge_chunk(config: ExperimentConfig, grids: list[int], first: int, count: 
                     hedged[m] = strategies.self_financing(hedged[m], start_held, start, after,
                                                           params.r * (t_next - start_t))
                     low[m] = np.minimum(low[m], hedged[m])
-            now = point
-    log_ratios = terminal_log_ratios(params, TerminalSample(now.log_index, now.log_stock),
+            before = after
+    log_ratios = terminal_log_ratios(params, levels,
                                      *{comp.underlying for comp in strategy.components})
-    terminal = strategies.terminal_wealth(strategy, now.index, log_ratios)
+    terminal = strategies.terminal_wealth(strategy, before[0], log_ratios)
     terminal_negative = int((terminal < 0.0).sum())
     return {m: (np.abs(hedged[m] - terminal), negative[m] + terminal_negative,
                 int((low[m] < 0.0).sum()), float(low[m].min()))
@@ -520,17 +520,18 @@ def hedging_fidelity_study(
     Every step count hedges the same path: the finest grid of ``M`` steps
     is the :func:`eihlab.market.price_steps` stream at ``M`` steps, and a
     grid of ``m`` steps, which must divide ``M``, reads that path at every
-    ``M / m``-th time.  A path chunk reads the stream once and values the
-    strategy once per fine step (:func:`eihlab.strategies.replicate`);
-    each grid rebalances at every one of its step starts to those units
-    and carries its own hedged wealth
-    (:func:`eihlab.strategies.self_financing`), keeping no path or wealth
-    grid.  Rows come out in ``step_counts`` order and equal those of
-    :func:`eihlab.market.simulate_paths` at ``M`` steps, read every ``M / m``
-    columns, with ``replicate`` and ``self_financing`` stepped along them,
-    whatever the chunk size.  A step count that is not an integer is a
-    ``ValueError``.  A price or price ratio that leaves the float range
-    (0.0 or inf) is a ``ValueError`` of ``replicate`` or, at expiry, of
+    ``M / m``-th time.  A path chunk reads the stream once, forms each
+    fine step's prices from its log levels once, and values the strategy
+    on them (:func:`eihlab.strategies.replicate`); each grid rebalances
+    at every one of its step starts to those units and carries its own
+    hedged wealth (:func:`eihlab.strategies.self_financing`), keeping no
+    path or wealth grid.  Rows come out in ``step_counts`` order and
+    equal those of :func:`eihlab.market.simulate_paths` at ``M`` steps,
+    read every ``M / m`` columns, with ``replicate`` and
+    ``self_financing`` stepped along them, whatever the chunk size.  A
+    step count that is not an integer is a ``ValueError``.  A price or
+    price ratio that leaves the float range (0.0 or inf) is a
+    ``ValueError`` of ``replicate`` or, at expiry, of
     :func:`eihlab.strategies.terminal_log_ratios`; hedged wealth or a row
     value that does (a large ``r``) is a ``ValueError`` of the study.
     """

@@ -7,11 +7,13 @@ driving motions: the pair is written in coordinates of an orthonormal
 basis of that span (the basis itself is not kept, nothing reads it).
 Samplers then draw the exact lognormal solution (no Euler bias), one
 normal pair per (path, step) through the counter-based generator in
-:mod:`eihlab.rng`.  The terminal sampler returns the log levels
-``ln I_T`` and ``ln S_T``, checked by asking ``np.exp`` for the prices
-of their extremes, so that log ratios are taken from the levels; its
-prices are formed only where they are read, with the bits ``np.exp``
-gives them.
+:mod:`eihlab.rng`.  One expression, :func:`_log_levels`, turns draws
+into log levels ``ln I`` and ``ln S`` over a time span: the terminal
+sampler takes it once over the horizon, and the price stream once per
+step.  Both give log levels, :class:`TerminalSample`, checked or read
+by asking ``np.exp`` for their prices, so that log ratios are taken
+from the levels; prices are formed only where they are read, with the
+bits ``np.exp`` gives them.
 
 :class:`MarketParams` is the one home of the pair's geometry: its
 norms, inner products and 2-d reduction are computed at construction,
@@ -26,7 +28,8 @@ one-path batch, and because draws depend only on (seed, path, step) it
 equals the matching row of any larger batch.  A batch moves through
 time by one function, :func:`step_prices`, which :func:`price_steps`
 drives from the counter draws on the uniform grid: that stream is the
-one rule from draws to steps.  :func:`simulate_paths` records it as the
+one rule from draws to steps, and at one step it is the terminal
+sampler, bit for bit.  :func:`simulate_paths` records it as the
 columns of column-major price grids, and a caller that needs only the
 current prices reads it and keeps no grid.  Draws depend on the step,
 not on the grid, so one stream can drive several grids at once.
@@ -81,11 +84,12 @@ class MarketParams:
     ``reduced``, the pair in coordinates of an orthonormal basis of its
     span.  ``e1`` points along ``sigma_i``; ``e2`` along the remainder
     of ``sigma_s`` after removing its ``e1`` component.  When the two
-    vectors are (numerically) collinear the remainder vanishes and the
-    stock sits on the first axis.  Norms and the inner product of the
-    pair are preserved up to rounding.  The bond is the stock of zero
-    volatility: its spread norm against the index is ``norm_i``, the
-    float the reduced pair ``([norm_i, 0], [0, 0])`` would give.
+    vectors are (numerically) collinear, the remainder's norm at most
+    1e-12 of ``norm_s``, the stock sits on the first axis.  Norms and
+    the inner product of the pair are preserved up to rounding.  The
+    bond is the stock of zero volatility: its spread norm against the
+    index is ``norm_i``, the float the reduced pair ``([norm_i, 0], [0,
+    0])`` would give.
     """
 
     mu_i: float
@@ -131,7 +135,7 @@ class MarketParams:
             rem_norm = _norm(sigma_s - proj * e1)
             spread_norm = _norm(sigma_s - sigma_i)
             cross = float(sigma_s.dot(sigma_i))
-        if rem_norm <= _COLLINEAR_TOL * max(1.0, norm_s):
+        if rem_norm <= _COLLINEAR_TOL * norm_s:
             # collinear: use the signed norm so that bitwise-equal sigma
             # vectors reduce to bitwise-equal coordinates
             s_bar = [math.copysign(norm_s, proj), 0.0]
@@ -184,7 +188,9 @@ def drift_pair(params: MarketParams, measure: Measure) -> tuple[float, float]:
 
 
 class TerminalSample(NamedTuple):
-    """Terminal log levels ``ln I_T`` and ``ln S_T`` for a batch of paths.
+    """Log levels ``ln I`` and ``ln S`` of a batch of paths at one time:
+    the terminal sampler's at the horizon, the price stream's at the end
+    of each step.
 
     The prices ``index`` and ``stock`` are ``np.exp`` of the levels,
     formed on each read; the log ratios that payoffs and events compare
@@ -234,17 +240,32 @@ def simulate_terminal(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    reduced = params.reduced
-    mu_i, mu_s = drift_pair(params, measure)
     xi = rng.normal_pairs(seed, first_path, n_paths)
-    sqrt_t = np.sqrt(params.t)
-    # elementwise, not ``xi @ sigma_bar``: a matrix product may round a
-    # row differently depending on how many rows it is given
-    w_i = xi[:, 0] * reduced.sigma_i_bar[0] + xi[:, 1] * reduced.sigma_i_bar[1]
-    w_s = xi[:, 0] * reduced.sigma_s_bar[0] + xi[:, 1] * reduced.sigma_s_bar[1]
-    log_i = (mu_i - 0.5 * _norm(reduced.sigma_i_bar)**2) * params.t + sqrt_t * w_i
-    log_s = (mu_s - 0.5 * _norm(reduced.sigma_s_bar)**2) * params.t + sqrt_t * w_s
-    return TerminalSample(*_in_float_range(log_i, log_s, rule=_in_exp_range))
+    log_levels = _log_levels(params, measure, params.t, np.sqrt(params.t), xi)
+    return TerminalSample(*_in_float_range(*log_levels, rule=_in_exp_range))
+
+
+def _log_levels(params: MarketParams, measure: Measure, dt: float, scale: float,
+                xi: np.ndarray) -> list[np.ndarray]:
+    """The package's one lognormal expression: the changes of ``ln I`` and
+    ``ln S`` over a span ``dt`` whose driver increments are ``scale * xi``,
+    for the ``(n, 2)`` normal pairs ``xi``.
+
+    Each is ``(mu - |sigma_bar|^2 / 2) dt + scale (xi_0 sigma_bar_0 +
+    xi_1 sigma_bar_1)``, worked in place with the bits of that
+    expression.  The sum is elementwise, not ``xi @ sigma_bar``: a matrix
+    product may round a row differently depending on how many rows it is
+    given.
+    """
+    reduced = params.reduced
+    levels = []
+    for mu, bar in zip(drift_pair(params, measure), (reduced.sigma_i_bar, reduced.sigma_s_bar)):
+        level = xi[:, 0] * bar[0]
+        level += xi[:, 1] * bar[1]
+        level *= scale
+        level += (mu - 0.5 * _norm(bar)**2) * dt
+        levels.append(level)
+    return levels
 
 
 def _finite_positive(x: np.ndarray) -> bool:
@@ -275,55 +296,27 @@ def _in_float_range(*arrays: np.ndarray, rule=_finite_positive) -> tuple[np.ndar
     return arrays
 
 
-class PricePoint(NamedTuple):
-    """A path batch at one time: prices and their log levels, shape (n,)."""
-
-    index: np.ndarray
-    stock: np.ndarray
-    log_index: np.ndarray
-    log_stock: np.ndarray
-
-    @classmethod
-    def at_start(cls, n_paths: int) -> "PricePoint":
-        """Time 0: both prices at 1, both log levels at 0."""
-        ones, zeros = np.ones(n_paths), np.zeros(n_paths)
-        return cls(ones, ones, zeros, zeros)
-
-
 def step_prices(
     params: MarketParams,
     measure: Measure,
     dt: float,
-    increments: np.ndarray,
-    start: PricePoint,
-) -> PricePoint:
+    scale: float,
+    xi: np.ndarray,
+    start: TerminalSample,
+) -> TerminalSample:
     """Exact lognormal step of a path batch over ``dt``.
 
-    ``increments`` holds each path's ``(n, 2)`` driver increment over the
-    step.  Each new log level is the diffusion ``increments @ sigma_bar``
-    plus the step's drift ``(mu - |sigma_bar|^2 / 2) dt`` plus the level
-    at ``start``, added in that order; the price is its exponential.  A
-    lone path is multiplied as a two-row stack, so a path's floats do not
-    depend on the size of its batch.  This is the package's one price
-    step, which :func:`price_steps` takes.
+    ``scale * xi`` holds each path's ``(n, 2)`` driver increment over the
+    step.  Each new log level is :func:`_log_levels` plus the level at
+    ``start``; the price, formed where it is read, is its exponential.
+    This is the package's one price step, which :func:`price_steps`
+    takes; from zero levels over the horizon, with ``scale =
+    sqrt(t)``, it is :func:`simulate_terminal` bit for bit.
     """
-    reduced = params.reduced
-    mu_i, mu_s = drift_pair(params, measure)
-    n = increments.shape[0]
-    if n == 1:
-        # a one-row product rounds differently from the same row in a
-        # batch; a two-row one rounds as the batch does
-        increments = np.vstack([increments, increments])
-
-    def level(mu: float, sigma_bar: np.ndarray, previous: np.ndarray) -> np.ndarray:
-        out = (increments @ sigma_bar)[:n]
-        out += (mu - 0.5 * float(sigma_bar @ sigma_bar)) * dt
-        out += previous
-        return out
-
-    log_index = level(mu_i, reduced.sigma_i_bar, start.log_index)
-    log_stock = level(mu_s, reduced.sigma_s_bar, start.log_stock)
-    return PricePoint(np.exp(log_index), np.exp(log_stock), log_index, log_stock)
+    log_index, log_stock = _log_levels(params, measure, dt, scale, xi)
+    log_index += start.log_index
+    log_stock += start.log_stock
+    return TerminalSample(log_index, log_stock)
 
 
 def price_steps(
@@ -334,19 +327,20 @@ def price_steps(
     seed: int,
     *,
     first_path: int = 0,
-) -> Iterator[tuple[float, float, PricePoint]]:
-    """The price stream of a batch of paths on the uniform grid.
+) -> Iterator[tuple[float, float, TerminalSample]]:
+    """The log-level stream of a batch of paths on the uniform grid.
 
-    Yields ``(t, t_next, point)`` for each step of ``linspace(0, t,
-    n_steps + 1)``: ``point`` is :func:`step_prices` of the last point
-    (time 0's prices at first), driven by the normal pairs at counters
-    ``(seed, first_path + k, step)`` scaled by ``sqrt(t / n_steps)``, so
-    a one-path stream with ``first_path=k`` equals path ``k`` of any
-    batch that holds it.  This is the package's one rule from draws to
-    steps.
+    Yields ``(t, t_next, levels)`` for each step of ``linspace(0, t,
+    n_steps + 1)``: ``levels`` is :func:`step_prices` of the last levels
+    (time 0's zeros at first), driven by the normal pairs at counters
+    ``(seed, first_path + k, step)`` with ``scale = sqrt(t / n_steps)``,
+    so a one-path stream with ``first_path=k`` equals path ``k`` of any
+    batch that holds it, and a one-step stream equals
+    :func:`simulate_terminal`.  This is the package's one rule from draws
+    to steps; its reader forms the prices.
     ``n_steps`` and ``n_paths`` are checked on the call, the seed and the
-    lanes by the first step's draw.  A price that leaves the float range
-    is yielded as 0.0 or inf, without a warning, for the reader to reject.
+    lanes by the first step's draw.  A level whose price leaves the float
+    range is yielded, without a warning, for the reader to reject.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -354,17 +348,16 @@ def price_steps(
         raise ValueError("n_paths must be at least 1")
     times, scale = np.linspace(0.0, params.t, n_steps + 1), np.sqrt(params.t / n_steps)
 
-    def steps() -> Iterator[tuple[float, float, PricePoint]]:
-        point = PricePoint.at_start(n_paths)
+    def steps() -> Iterator[tuple[float, float, TerminalSample]]:
+        levels = TerminalSample(np.zeros(n_paths), np.zeros(n_paths))
         for step in range(n_steps):
             # the error state covers the step only (one that spanned the
             # yield would hold in the reader's code); the unnamed draws are
             # freed before the yield
             with np.errstate(all="ignore"):
-                point = step_prices(params, measure, times[step + 1] - times[step],
-                                    rng.normal_pairs(seed, first_path, n_paths, step) * scale,
-                                    point)
-            yield float(times[step]), float(times[step + 1]), point
+                levels = step_prices(params, measure, times[step + 1] - times[step], scale,
+                                     rng.normal_pairs(seed, first_path, n_paths, step), levels)
+            yield float(times[step]), float(times[step + 1]), levels
 
     return steps()
 
@@ -380,15 +373,16 @@ def simulate_paths(
 ) -> PathBatch:
     """The :func:`price_steps` stream recorded as a batch of paths.
 
-    Column ``k + 1`` of each column-major grid holds the prices at the
-    end of step ``k``.  A price that leaves the float range (0.0 or inf)
-    is a ``ValueError``.
+    Column ``k + 1`` of each column-major grid holds the prices of the
+    log levels at the end of step ``k``.  A price that leaves the float
+    range (0.0 or inf) is a ``ValueError``.
     """
     steps = price_steps(params, measure, n_steps, n_paths, seed, first_path=first_path)
     times = np.zeros(n_steps + 1)
     shape = (n_paths, n_steps + 1)
     index, stock = np.empty(shape, order="F"), np.empty(shape, order="F")
     index[:, 0] = stock[:, 0] = 1.0
-    for k, (_, t_next, point) in enumerate(steps, 1):
-        times[k], index[:, k], stock[:, k] = t_next, point.index, point.stock
+    with np.errstate(over="ignore", under="ignore"):
+        for k, (_, t_next, levels) in enumerate(steps, 1):
+            times[k], index[:, k], stock[:, k] = t_next, levels.index, levels.stock
     return PathBatch(times, *_in_float_range(index, stock))

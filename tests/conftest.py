@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from eihlab.market import (MarketParams, Measure, PathBatch, PricePoint, ReducedParams,
-                           TerminalSample, _in_float_range, drift_pair, step_prices)
+from eihlab.market import (MarketParams, Measure, PathBatch, ReducedParams, TerminalSample,
+                           _in_float_range, drift_pair, step_prices)
 from eihlab.strategies import (PrudentStrategy, replicate, self_financing, terminal_log_ratios,
                                terminal_wealth)
 
@@ -95,8 +95,9 @@ def paths_from_increments(
     ``increments`` has shape ``(n, len(times) - 1, 2)``: ``increments[p,
     k]`` is path ``p``'s driver increment over ``(times[k], times[k+1])``.
     Zeros yield the deterministic drift-only path.  Column ``k + 1`` of
-    each grid is :func:`step_prices` of column ``k``.  A price that
-    leaves the float range (0.0 or inf) is a ``ValueError``.
+    each grid holds the prices of :func:`step_prices` of the levels of
+    column ``k``, the increments passed as ``xi`` with ``scale = 1.0``.
+    A price that leaves the float range (0.0 or inf) is a ``ValueError``.
     """
     times = np.asarray(times, dtype=float)
     increments = np.asarray(increments, dtype=float)
@@ -110,12 +111,13 @@ def paths_from_increments(
         raise ValueError("increments must be finite")
     n = increments.shape[0]
     index, stock = np.empty((n, times.size), order="F"), np.empty((n, times.size), order="F")
-    point = PricePoint.at_start(n)
-    index[:, 0], stock[:, 0] = point.index, point.stock
+    index[:, 0] = stock[:, 0] = 1.0
+    levels = TerminalSample(np.zeros(n), np.zeros(n))
     with np.errstate(all="ignore"):
         for k in range(times.size - 1):
-            point = step_prices(params, measure, times[k + 1] - times[k], increments[:, k], point)
-            index[:, k + 1], stock[:, k + 1] = point.index, point.stock
+            levels = step_prices(params, measure, times[k + 1] - times[k], 1.0, increments[:, k],
+                                 levels)
+            index[:, k + 1], stock[:, k + 1] = levels.index, levels.stock
     return PathBatch(times, *_in_float_range(index, stock))
 
 

@@ -342,6 +342,20 @@ class TestHedgeRatios:
                     - claim_value(red, spec, t, s, i - h_i, set_a.t)) / (2.0 * h_i)
             assert ratios.units_i == pytest.approx(fd_i, rel=1e-6)
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_units_are_finite_on_a_subnormal_ratio(self, set_a, direction):
+        # the ratio's product with the scale underflows to 0.0, as does the
+        # density far below the band: the units are 0.0, not 0/0
+        red, ratio, tau = reduce_dimension(set_a), 5e-324, 1.0
+        assert ratio * (red.delta_norm * math.sqrt(tau)) == 0.0
+        spec = DigitalSpec.at_level(direction, 1.1)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            units_s, units_i = hedge_ratios(red, spec, set_a.t - tau, np.array([ratio, 1.0]),
+                                            np.ones(2), set_a.t)
+        assert np.isfinite(units_s).all() and np.isfinite(units_i).all()
+        assert units_s[0] == 0.0
+        assert units_s[1] == hedge_ratios(red, spec, set_a.t - tau, 1.0, 1.0, set_a.t).units_s
+
     def test_replication_value_matches_claim(self, set_a):
         red = reduce_dimension(set_a)
         spec = DigitalSpec.at_level(Direction.AT_MOST, 0.8)

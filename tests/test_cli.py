@@ -159,6 +159,16 @@ class TestSimulate:
         assert np.array_equal(got_index, expected.index)
         assert np.array_equal(got_stock, expected.stock)
 
+    @pytest.mark.parametrize("measure", ["physical", "risk-neutral"])
+    @pytest.mark.parametrize("seed", [0, 2, 4, 7, 12])
+    def test_one_step_path_ends_at_the_terminal_row(self, capsys, config_path, measure, seed):
+        # one draw, one lognormal rule: the path's last row is the
+        # terminal sample's, digit for digit
+        common = ("--config", config_path, "--measure", measure, "--seed", str(seed))
+        _, path, _ = run_cli(capsys, "simulate", *common, "--steps", "1")
+        _, terminal, _ = run_cli(capsys, "simulate", *common, "--paths", "1")
+        assert path.splitlines()[-1].split(",")[1:] == terminal.splitlines()[-1].split(",")[1:]
+
 
 class TestVerify:
     def test_two_sided_passes(self, capsys, config_path, tmp_path):

@@ -18,8 +18,8 @@ from eihlab.market import (
     _in_exp_range,
     MarketParams,
     Measure,
-    PricePoint,
     ReducedParams,
+    TerminalSample,
     drift_pair,
     price_steps,
     reduce_dimension,
@@ -62,6 +62,17 @@ class TestParamsValidation:
             with pytest.raises(ValueError, match=re.escape(
                     f"the norm of {name} must be finite and positive")):
                 MarketParams(0.0, 0.0, sigma_i, sigma_s, 0.0, 1.0)
+
+    @pytest.mark.parametrize("sigma", [0.2, 1e-13, 1e-150])
+    def test_collinearity_is_relative_to_the_norm(self, sigma):
+        # an orthogonal pair of small norms is not collinear; equal vectors
+        # of the same norms still are, and have no spread
+        p = MarketParams(0.0, 0.0, (sigma, 0.0), (0.0, sigma), 0.0, 1.0)
+        assert p.reduced.delta_norm == pytest.approx(math.sqrt(2.0) * sigma, rel=1e-15)
+        assert p.spread_norm == pytest.approx(math.sqrt(2.0) * sigma, rel=1e-15)
+        with pytest.raises(ValueError, match=re.escape(
+                "the norm of sigma_s - sigma_i must be finite and positive")):
+            MarketParams(0.0, 0.0, (sigma, 0.0), (sigma, 0.0), 0.0, 1.0)
 
     def test_rejects_single_driver(self):
         with pytest.raises(ValueError):
@@ -436,21 +447,21 @@ class TestSimulatePath:
     @pytest.mark.parametrize("measure", list(Measure))
     def test_grids_are_column_major_row_major_bits(self, set_a, measure):
         # the column-major grids hold exactly the floats of the row-major
-        # cumsum-then-exp of the counter increments; one path, whose lone
-        # product rounds unlike a batch row's, included
+        # cumsum-then-exp of the per-step rule on the counter draws; one
+        # path included, since a path's floats may not depend on its batch
         n_steps = 40
         times = np.linspace(0.0, set_a.t, n_steps + 1)
+        scale = np.sqrt(set_a.t / n_steps)
         mu_i, mu_s = drift_pair(set_a, measure)
         reduced = set_a.reduced
         for n_paths in (1, 2, 3, 65, 300):
             batch = simulate_paths(set_a, measure, n_steps, n_paths, 808)
-            increments = np.stack([rng.normal_pairs(808, 0, n_paths, step)
-                                   for step in range(n_steps)], axis=1)
-            increments *= np.sqrt(set_a.t / n_steps)
-            for values, mu, sigma_bar in ((batch.index_values, mu_i, reduced.sigma_i_bar),
-                                          (batch.stock_values, mu_s, reduced.sigma_s_bar)):
-                steps = ((mu - 0.5 * float(sigma_bar @ sigma_bar)) * np.diff(times)
-                         + increments @ sigma_bar)
+            xi = np.stack([rng.normal_pairs(808, 0, n_paths, step) for step in range(n_steps)],
+                          axis=1)
+            for values, mu, bar in ((batch.index_values, mu_i, reduced.sigma_i_bar),
+                                    (batch.stock_values, mu_s, reduced.sigma_s_bar)):
+                steps = ((xi[..., 0] * bar[0] + xi[..., 1] * bar[1]) * scale
+                         + (mu - 0.5 * math.sqrt(bar @ bar)**2) * np.diff(times))
                 assert values.shape == (n_paths, n_steps + 1)
                 assert values.flags.f_contiguous
                 assert np.all(values[:, 0] == 1.0)
@@ -461,21 +472,38 @@ class TestSimulatePath:
         steps = list(price_steps(set_a, Measure.PHYSICAL, 16, 5, 9, first_path=7))
         assert [t for t, _, _ in steps] == batch.times[:-1].tolist()
         assert [t_next for _, t_next, _ in steps] == batch.times[1:].tolist()
-        for k, (_, _, point) in enumerate(steps, 1):
-            assert np.array_equal(point.index, batch.index_values[:, k])
-            assert np.array_equal(point.stock, batch.stock_values[:, k])
+        for k, (_, _, levels) in enumerate(steps, 1):
+            assert np.array_equal(levels.index, batch.index_values[:, k])
+            assert np.array_equal(levels.stock, batch.stock_values[:, k])
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    @pytest.mark.parametrize("n_paths", [1, 2, 1000])
+    def test_one_step_stream_is_the_terminal_sampler(self, measure, n_paths):
+        gen = np.random.default_rng(9)
+        for params, first_path in [(MarketParams(**SET_A), 0)] + [
+                (random_market(gen), int(gen.integers(0, 10**6))) for _ in range(6)]:
+            (_, t_next, levels), = price_steps(params, measure, 1, n_paths, 31,
+                                               first_path=first_path)
+            terminal = simulate_terminal(params, measure, n_paths, 31, first_path=first_path)
+            assert t_next == params.t
+            assert levels.log_index.tobytes() == terminal.log_index.tobytes()
+            assert levels.log_stock.tobytes() == terminal.log_stock.tobytes()
 
     def test_stream_leaves_the_error_state_to_its_reader(self, set_a):
-        # prices that overflow are yielded as inf without a warning, and
-        # the reader's code runs under its own error state
-        params = replace(set_a, mu_i=200.0)
-        with np.errstate(over="raise"):
-            points = [point for _, _, point in price_steps(params, Measure.PHYSICAL, 8, 3, 1)
-                      if np.geterr()["over"] == "raise"]
-        assert len(points) == 8 and np.isinf(points[-1].index).all()
+        # levels whose prices overflow, or which overflow themselves, are
+        # yielded without a warning, and the reader's code runs under its
+        # own error state
+        for mu_i in (200.0, 1e308):
+            params = replace(set_a, mu_i=mu_i)
+            with np.errstate(over="raise"):
+                steps = [levels for _, _, levels in price_steps(params, Measure.PHYSICAL, 8, 3, 1)
+                         if np.geterr()["over"] == "raise"]
+            assert len(steps) == 8
+            with np.errstate(over="ignore"):
+                assert np.isinf(steps[-1].index).all(), mu_i
 
     def test_peak_memory_is_the_two_grids(self, set_a):
-        # the stream holds one step's draws and prices; a buffer of every
+        # the stream holds one step's draws and levels; a buffer of every
         # step's increments took the peak to twice the grids
         tracemalloc.start()
         try:
@@ -568,7 +596,8 @@ class TestPathRange:
 
 def _drift_only_log_ratio(params, measure):
     """ln(S_T / I_T) on the path with zero driver increments, one step long."""
-    end = step_prices(params, measure, params.t, np.zeros((2, 2)), PricePoint.at_start(2))
+    start = TerminalSample(np.zeros(1), np.zeros(1))
+    end = step_prices(params, measure, params.t, np.sqrt(params.t), np.zeros((1, 2)), start)
     return float(end.log_stock[0] - end.log_index[0])
 
 

@@ -58,13 +58,16 @@ CASES = {
 }
 
 # (exit code, SHA-256 of stdout) on random stream "v3", valuation "v2";
-# the hedge digests on "hedge v2", every step count read off the finest grid
+# the hedge digests on "hedge v2", every step count read off the finest
+# grid, with stock units divided by the scale before the ratio; the hedge
+# and simulate_steps digests on path step "v2", the terminal sampler's
+# lognormal rule taken once per step
 PINS = {
-    "hedge": (0, "5466f0ddccb60f9ec5465503a00fd9957021c9894bb76e6fdc5a66a86772ebb8"),
-    "hedge_one_path_chunk": (0, "434fab34a39f966e23bf54d68dc3bb295ba55dca330f4e443c42f6483c72d1cb"),
-    "hedge_two_chunks": (0, "03ab05d57980db96047e0018ff428cb13fdb140a094817d93703e3e438ee609e"),
+    "hedge": (0, "afafa0a8932a4dad464ff01b952ca8e203d4337473e63fd36211702c6063d05c"),
+    "hedge_one_path_chunk": (0, "32750b9d002a2696cee5200c2e5177ff23bee7a3e2db526d3c1af359bd865085"),
+    "hedge_two_chunks": (0, "b481c7c17095612027533c4e0b83f30f3e810bffed668a7e7bc81f8a1f75d24a"),
     "price": (0, "0fff58482eb3a3ba2e241bb2ad82c0f1e5c133949b60772304003ea863fd3796"),
-    "simulate_steps": (0, "3377787d0363c26e8772bcbf5c243f973a0d4524dadfa4109850f807e7395348"),
+    "simulate_steps": (0, "d7f537198257c737a3e92810a0048fa0efd4d8ac01a996feb58836f8e49bbb63"),
     "simulate_terminal": (0, "d1037f2e729e26d5d000ba55d757f14ac8d5e1508065492b81c43943902e0dc4"),
     "table_convergence": (0, "c072526f494b99ba6917f58fbbbf46834aa6b0a9a9ebac4fe62cd4d29da863f1"),
     "table_lemma": (0, "830526201660375b2bfb23d5a5c68db1d66e212f301938f7d14ae6644cfead00"),
