@@ -9,7 +9,9 @@ are a single JSON object on stdout, tables are CSV with 17-significant-
 digit floats whose columns are the rows' keys; diagnostics go to stderr.
 Exit codes: 0 pass, 1 fail, 2 usage error, 3 inconclusive.  A
 ``ValueError`` from the config or the library is a usage error: ``main``
-prints it as one ``error:`` line and exits 2.
+prints it as one ``error:`` line and exits 2, as does a config key that
+is not in the schema below.  The argument parser is built once per
+process, on the first ``main`` call, and every later call reuses it.
 
 Config schema::
 
@@ -32,6 +34,7 @@ Config schema::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -71,6 +74,8 @@ _RUN_DEFAULTS = {
     "market.t": "1.0",
 }
 
+_KEYS = frozenset(_RUN_DEFAULTS) | {"market.sigma_i", "market.sigma_s"}
+
 
 # argparse settings of the run flags; each command takes those it reads
 _FLAGS = {
@@ -102,7 +107,10 @@ def _parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _KEYS:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -126,11 +134,14 @@ def _vector(values: dict[str, str], key: str) -> np.ndarray:
         raise ValueError(f"bad vector for {key}: {values[key]!r}") from exc
 
 
-def _real(values: dict[str, str], key: str) -> float:
+def _real(values: dict[str, str], key: str, text: str | None = None) -> float:
+    """``values[key]``, or ``text`` read under the name ``key``, as a
+    finite float."""
+    text = values[key] if text is None else text
     try:
-        out = float(values[key])
+        out = float(text)
     except ValueError as exc:
-        raise ValueError(f"bad number for {key}: {values[key]!r}") from exc
+        raise ValueError(f"bad number for {key}: {text!r}") from exc
     if not math.isfinite(out):
         raise ValueError(f"{key} must be finite")
     return out
@@ -349,8 +360,12 @@ def cmd_hedge(args, values: dict[str, str]) -> int:
 def cmd_table(args, values: dict[str, str]) -> int:
     seed = _resolve_seed(args, values)
     if args.study == "lemma":
-        rows = experiments.lemma_crosscheck(_integer(values, "run.trials"), seed,
-                                            n_mc=_integer(values, "run.n_paths"))
+        n_trials, n_mc = _integer(values, "run.trials"), _integer(values, "run.n_paths")
+        if n_trials < 1:
+            raise ValueError("run.trials must be at least 1")
+        if n_mc < 2:
+            raise ValueError("run.n_paths must be at least 2 for a standard error")
+        rows = experiments.lemma_crosscheck(n_trials, seed, n_mc=n_mc)
         _emit(_rows_csv(rows), args.out)
         return EXIT_PASS
     params = market_from_config(values)
@@ -361,7 +376,7 @@ def cmd_table(args, values: dict[str, str]) -> int:
     if not grid_text:
         raise ValueError("convergence table needs run.t_grid (or --t-grid)")
     study = experiments.capm_convergence_study(
-        params, delta, eps, [float(x) for x in grid_text.split(",")],
+        params, delta, eps, [_real(values, "run.t_grid", x) for x in grid_text.split(",")],
         n_paths=_integer(values, "run.n_paths"), seed=seed, n_workers=n_workers,
     )
     for name, slope in study.slopes.items():
@@ -386,7 +401,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call; later calls
+    return the same object, which ``main`` shares, so do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="eihlab",
         description="Digital-claim strategies on an index: pricing, simulation, verification.",

@@ -305,6 +305,22 @@ class TestUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("setting, argv, key", [
+        ("run.t_grid = 2.5, nan", ("table", "--study", "convergence"), "run.t_grid"),
+        ("run.t_grid = 2.5, 1O", ("table", "--study", "convergence"), "run.t_grid"),
+        ("", ("table", "--study", "convergence", "--t-grid", "10,"), "run.t_grid"),
+        ("", ("table", "--study", "lemma", "--paths", "1"), "run.n_paths"),
+        ("run.trials = 0", ("table", "--study", "lemma"), "run.trials"),
+    ], ids=["t-grid-nan", "t-grid-malformed", "t-grid-flag-empty-entry", "lemma-paths-1",
+            "lemma-trials-0"])
+    def test_error_line_names_the_config_key(self, capsys, tmp_path, setting, argv, key):
+        path = tmp_path / "c.cfg"
+        path.write_text(SET_A_CONFIG + setting + "\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert key in err
+
     @pytest.mark.parametrize("command", ["price", "thresholds"])
     def test_underflowing_band_edge_is_one_error_line(self, capsys, tmp_path, command):
         path = tmp_path / "c.cfg"
@@ -614,6 +630,18 @@ class TestConfigParsing:
         code, _, err = run_cli(capsys, "thresholds", "--config", str(path))
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("setting", ["run.delt = 0.3", "market.sigma = 0.2, 0.1"])
+    @pytest.mark.parametrize("argv", [("price",), ("verify", "--prop", "two_sided")],
+                             ids=["price", "verify"])
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path, setting, argv):
+        # a misspelt key would otherwise leave its value at the default
+        path = tmp_path / "c.cfg"
+        path.write_text(SET_A_CONFIG + setting + "\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert (code, out) == (2, "")
+        key = setting.split(" =")[0]
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and key in err
 
     def test_unreadable_config_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "price", "--config", "/nonexistent.cfg")

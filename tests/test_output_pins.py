@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from eihlab import cli
 from eihlab.cli import main
 
 # SET_A; its drift bounds hold (mu_bis and index are inconclusive)
@@ -81,11 +82,29 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_bytes_are_pinned(name, tmp_path, capsys):
+def _run_case(name, tmp_path, capsys) -> tuple[int, str]:
     market, *argv = CASES[name]
     config = tmp_path / f"{market}.cfg"
     config.write_text(HOLDS_CONFIG if market == "holds" else FAILS_CONFIG)
     code = main([argv[0], "--config", str(config), *argv[1:]])
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert (code, digest) == PINS[name]
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_bytes_are_pinned(name, tmp_path, capsys):
+    assert _run_case(name, tmp_path, capsys) == PINS[name]
+
+
+def test_one_process_reuses_one_parser(tmp_path, capsys):
+    # every case in one process, in reverse order, each after a usage
+    # error from argparse and one from the library, on the shared parser
+    assert cli.build_parser() is cli.build_parser()
+    config = tmp_path / "usage.cfg"
+    config.write_text(HOLDS_CONFIG)
+    for name in sorted(CASES, reverse=True):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(config)])
+        assert exc.value.code == 2
+        assert main(["verify", "--config", str(config), "--prop", "nonsense"]) == 2
+        assert capsys.readouterr().out == ""
+        assert _run_case(name, tmp_path, capsys) == PINS[name]
