@@ -5,13 +5,17 @@ per line, ``#`` comments); run options can be overridden by flags, with
 precedence flag > EIHLAB_SEED (seed only) > config > default.  Each
 command accepts ``--config``, ``--out`` and only the run flags it reads
 (``_COMMANDS``); any other flag is a usage error.  Reports
-are a single JSON object on stdout, tables are CSV with 17-significant-
-digit floats whose columns are the rows' keys; diagnostics go to stderr.
+are a single JSON object on stdout, tables are CSV whose columns are the
+rows' keys; diagnostics go to stderr.  One writer formats every CSV:
+ints as ``%d`` and floats as ``%.17g``, byte for byte, each chunk of rows
+built as one NUL-padded byte matrix (``_csv_rows``).
 Exit codes: 0 pass, 1 fail, 2 usage error, 3 inconclusive.  A
 ``ValueError`` from the config or the library is a usage error: ``main``
 prints it as one ``error:`` line and exits 2, as does a config key that
-is not in the schema below.  The argument parser is built once per
-process, on the first ``main`` call, and every later call reuses it.
+is not in the schema below, and a failed write to stdout (a closed pipe)
+or to the ``--out`` file, which the line names.  The argument parser is
+built once per process, on the first ``main`` call, and every later call
+reuses it.
 
 Config schema::
 
@@ -34,12 +38,13 @@ Config schema::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -50,8 +55,9 @@ from .market import MarketParams, Measure, simulate_paths, simulate_terminal
 DEFAULT_SEED = 42
 
 # rows that ``simulate`` samples, formats and writes at a time, so its
-# memory does not grow with --paths; at 10^6 rows, 4096 to 65536 ran
-# equally fast and 16384 peaked at 63 MB against 80 MB for 65536
+# memory does not grow with --paths; at 10^6 rows (2 vCPUs, start-up
+# included) 4096 to 32768 took 0.54 s, 65536 took 0.61 s, and the peak
+# RSS rose from 44 MB at 4096 to 48 MB at 16384 and 64 MB at 65536
 SIMULATE_CHUNK_ROWS = 16384
 
 EXIT_PASS = 0
@@ -206,39 +212,202 @@ def _measure(values: dict[str, str]) -> Measure:
         raise ValueError(f"unknown measure: {values['run.measure']!r}") from exc
 
 
+@contextlib.contextmanager
+def _out_file(path: str | None) -> Iterator:
+    """The ``--out`` file, opened for writing (None without a path); an
+    ``OSError`` in the block becomes a usage error that names the path."""
+    if not path:
+        yield None
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as sink:
+            yield sink
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
+def _stdout(call: Callable, *args) -> None:
+    """``call(*args)``, a write or flush of stdout.  An ``OSError`` (say,
+    a closed pipe) becomes a usage error that names stdout, and the file
+    descriptor of stdout then points at ``os.devnull``, so that the
+    interpreter's last flush of stdout at exit reports nothing more."""
+    try:
+        call(*args)
+    except OSError as exc:
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # a stream without a descriptor
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise ValueError(f"cannot write stdout: {exc}") from exc
+
+
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
     """Write text pieces to stdout and, with ``--out``, to that file.
 
     The file is opened before the first piece is produced, so an
-    unwritable path fails before anything reaches stdout.
+    unwritable path fails before anything reaches stdout.  A failed
+    write exits 2 with one ``error:`` line naming stdout or the file.
     """
-    if not out_path:
-        sys.stdout.writelines(pieces)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as sink:
-            for piece in pieces:
-                sys.stdout.write(piece)
+    if sys.stdout is None:  # the process started with stdout closed
+        raise ValueError("cannot write stdout: it is closed")
+    with _out_file(out_path) as sink:
+        for piece in pieces:
+            _stdout(sys.stdout.write, piece)
+            if sink is not None:
                 sink.write(piece)
-    except OSError as exc:
-        raise ValueError(f"cannot write {out_path}: {exc}") from exc
+        _stdout(sys.stdout.flush)
 
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _columns_csv(header: str, row_format: str, chunks: Iterable[tuple]) -> Iterator[str]:
-    """Each chunk of equal-length columns as one ``%``-format call over
-    its rows (``%.17g`` is ``format(x, ".17g")``); the header goes out
-    with the first chunk, so a failure to sample it leaves no output."""
+# ---------------------------------------------------------------------------
+# CSV rows as one byte matrix
+#
+# A chunk of rows is built as a uint8 matrix with one row per byte
+# position and one column per CSV row; each value has a fixed band of
+# rows, NUL where its text is shorter.  The transposed matrix is the
+# text with NULs in it, and ``bytes.translate`` deletes them.
+
+# the ASCII digits of 0..9999, four bytes per number read as one uint32,
+# so that one ``take`` gathers four digits
+_DIGITS4 = (np.arange(10_000, dtype=np.int16)[:, None]
+            // np.array([1000, 100, 10, 1], np.int16) % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+# 10^k for k <= 21, each an exact double
+_POW10 = np.array([float(10**k) for k in range(22)])
+
+# rows of a float's band: sign, the "0.000" lead of an exponent below 0,
+# then 17 digits and a point in 18 rows; 24 is also the longest ``%.17g``
+# text ("-2.2250738585072014e-308")
+_FLOAT_ROWS = 24
+_LEAD = np.array([ord(c) for c in "0.000"], np.uint8)[:, None]
+_LEAD_UP_TO = np.array([-1, -1, -2, -3, -4], np.int8)[:, None]
+_ROWS = np.arange(18, dtype=np.int8)[:, None]
+
+
+def _digits(values: np.ndarray, out: np.ndarray) -> None:
+    """The decimal digits of each of ``values`` (int64, at least 0) as
+    ASCII, right-aligned in the rows of ``out``."""
+    groups = np.empty((len(values), -(-len(out) // 4)), np.intp)
+    for i in reversed(range(groups.shape[1])):
+        quotient = values // 10_000
+        groups[:, i] = values - quotient * 10_000
+        values = quotient
+    out[:] = _DIGITS4.take(groups).view(np.uint8).T[4 * groups.shape[1] - len(out):]
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as a high part of at most 26 bits plus an exact low part."""
+    c = x * 134217729.0  # 2^27 + 1
+    high = c - (c - x)
+    return high, x - high
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10^k`` as the rounded product and its exact error, by
+    Dekker's two-product ("A floating-point technique for extending the
+    available precision", Numer. Math. 18, 1971) with Veltkamp's split."""
+    b = _POW10.take(k)
+    product = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return product, ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _put_floats(values: np.ndarray, band: np.ndarray) -> None:
+    """``%.17g`` of each float into its column of ``band`` (24 rows).
+
+    For 1e-4 <= |x| < 1e16 the 17 digits are the integer nearest to
+    |x| 10^(16 - e), ties to even, where e is the decimal exponent: that
+    product is exact as a rounded double p (an even integer, as p >= 2^53)
+    plus its exact error.  Every other value (0, subnormals, inf, nan, and
+    the exponent notation of ``%g``) is formatted by ``%`` one at a time.
+    """
+    a = np.abs(values)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))
+    a[slow] = 1.0
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    product, error = _scaled(a, k)
+    # a 10^k must lie in [10^16, 10^17); the exact pair decides, where a
+    # rounded log10 put e one off
+    shift = (((product > 1e17) | (product == 1e17) & (error >= 0)).astype(np.intp)
+             - ((product < 1e16) | (product == 1e16) & (error < 0)))
+    moved = np.flatnonzero(shift)
+    k[moved] -= shift[moved]
+    product[moved], error[moved] = _scaled(a[moved], k[moved])
+    mantissa = product.astype(np.int64) + np.rint(error).astype(np.int64)
+    carried = mantissa == 10**17
+    mantissa[carried] = 10**16
+    k[carried] -= 1
+    exponent = (16 - k).astype(np.int8)
+
+    # a NUL on either side of the 17 digits: band rows 6.. read them
+    # shifted by one after the point
+    digits = np.zeros((19, len(a)), np.uint8)
+    _digits(mantissa, digits[1:18])
+    last = (_ROWS[:17] * (digits[1:18] != ord("0"))).max(axis=0)
+    digits[1:18] *= _ROWS[:17] <= np.maximum(last, exponent)  # no trailing fraction zeros
+    # the point follows digit `exponent` when a nonzero digit follows it;
+    # 18 is past the band
+    point = 18 - (17 - exponent) * ((last > exponent) & (exponent >= 0))
+    at = _ROWS - point
+    band[0] = (values < 0) * np.uint8(ord("-"))
+    band[1:6] = _LEAD * (exponent <= _LEAD_UP_TO)
+    band[6:] = digits[1:] * (at < 0) + digits[:-1] * (at > 0) + np.uint8(ord(".")) * (at == 0)
+    if slow.size:
+        _put_texts(band, slow, [b"%.17g" % x for x in values[slow].tolist()])
+
+
+def _put_ints(values: np.ndarray, band: np.ndarray) -> None:
+    """``%d`` of each int into its column of ``band``, which has a row for
+    each character of the longest text; a negative int goes through ``%``."""
+    _digits(np.maximum(values, 0), band)
+    band[:-1] *= np.logical_or.accumulate(band[:-1] != ord("0"), axis=0)  # no leading zeros
+    negative = np.flatnonzero(values < 0)
+    if negative.size:
+        _put_texts(band, negative, [b"%d" % i for i in values[negative].tolist()])
+
+
+def _put_texts(band: np.ndarray, columns: np.ndarray, texts: list[bytes]) -> None:
+    """Each text, NUL-padded, into its column of ``band``."""
+    rows = len(band)
+    band[:, columns] = np.frombuffer(
+        b"".join(text.ljust(rows, b"\0") for text in texts), np.uint8).reshape(-1, rows).T
+
+
+def _csv_rows(columns: tuple) -> str:
+    """Equal-length columns as CSV rows: an integer column as ``%d``, any
+    other as ``%.17g`` of its float64 values (``format(x, ".17g")``)."""
+    bands = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind in "biu":
+            column = column.astype(np.int64, copy=False)
+            height = max(len(str(column.min())), len(str(column.max())))
+            bands.append((_put_ints, column, height))
+        else:
+            bands.append((_put_floats, column.astype(np.float64, copy=False), _FLOAT_ROWS))
+    text = np.empty((sum(height + 1 for *_, height in bands), len(bands[0][1])), np.uint8)
+    at = 0
+    for put, column, height in bands:
+        put(column, text[at:at + height])
+        text[at + height] = ord(",")
+        at += height + 1
+    text[-1] = ord("\n")
+    return text.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _columns_csv(header: str, chunks: Iterable[tuple]) -> Iterator[str]:
+    """Each chunk of equal-length columns as its CSV rows; the header goes
+    out with the first chunk, so a failure to sample it leaves no output."""
     prefix = header + "\n"
     for columns in chunks:
-        width, rows = len(columns), len(columns[0])
-        flat = [None] * (width * rows)
-        for j, column in enumerate(columns):
-            flat[j::width] = column
-        yield prefix + (row_format * rows) % tuple(flat)
+        yield prefix + _csv_rows(columns)
         prefix = ""
 
 
@@ -246,10 +415,10 @@ def _rows_csv(rows: list[dict]) -> Iterator[str]:
     """Table rows as one chunk of columns, headed by the first row's keys;
     a column whose first value is an ``int`` prints as ``%d``."""
     header = list(rows[0])
-    row_format = ",".join("%d" if isinstance(value, int) else "%.17g"
-                          for value in rows[0].values()) + "\n"
-    columns = [[row[name] for row in rows] for name in header]
-    return _columns_csv(",".join(header), row_format, [columns])
+    columns = [np.array([row[name] for row in rows],
+                        np.int64 if isinstance(rows[0][name], int) else np.float64)
+               for name in header]
+    return _columns_csv(",".join(header), [columns])
 
 
 def _terminal_chunks(params: MarketParams, measure: Measure, n_paths: int,
@@ -259,7 +428,7 @@ def _terminal_chunks(params: MarketParams, measure: Measure, n_paths: int,
     for lo in range(0, n_paths, SIMULATE_CHUNK_ROWS):
         hi = min(lo + SIMULATE_CHUNK_ROWS, n_paths)
         terminal = simulate_terminal(params, measure, hi - lo, seed, first_path=lo)
-        yield range(lo, hi), terminal.index.tolist(), terminal.stock.tolist()
+        yield np.arange(lo, hi), terminal.index, terminal.stock
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +479,14 @@ def cmd_simulate(args, values: dict[str, str]) -> int:
     measure = _measure(values)
     if args.steps is not None:
         batch = simulate_paths(params, measure, args.steps, 1, seed)
-        chunks = [(batch.times.tolist(), batch.index_values[0].tolist(),
-                   batch.stock_values[0].tolist())]
-        _emit(_columns_csv("time,index,stock", "%.17g,%.17g,%.17g\n", chunks), args.out)
+        chunks = [(batch.times, batch.index_values[0], batch.stock_values[0])]
+        _emit(_columns_csv("time,index,stock", chunks), args.out)
     else:
         n_paths = _integer(values, "run.n_paths")
         if n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         chunks = _terminal_chunks(params, measure, n_paths, seed)
-        _emit(_columns_csv("path,index_terminal,stock_terminal", "%d,%.17g,%.17g\n", chunks),
-              args.out)
+        _emit(_columns_csv("path,index_terminal,stock_terminal", chunks), args.out)
     return EXIT_PASS
 
 

@@ -1,11 +1,16 @@
 """Command-line contract: parsing, precedence, exit codes, output stability."""
 
 import contextlib
+import functools
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -678,6 +683,52 @@ def reference_csv(header: str, *columns) -> str:
         ",".join(text(x) for x in row) + "\n" for row in zip(*columns))
 
 
+def assert_rows_are_reference(*columns) -> None:
+    """``cli._csv_rows`` of numpy columns equals ``reference_csv`` of
+    their Python values."""
+    expected = reference_csv("h", *(np.asarray(c).tolist() for c in columns))
+    assert cli._csv_rows(tuple(np.asarray(c) for c in columns)) == expected[2:]
+
+
+def _with_neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+class TestCsvWriter:
+    """The byte-matrix writer against ``format(x, ".17g")`` and ``str(i)``."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_floats(self, xs):
+        assert_rows_are_reference(xs, [-x for x in xs])
+
+    def test_bit_patterns_across_all_doubles(self):
+        bits = np.random.default_rng(2024).integers(0, 2**64, 10**4, dtype=np.uint64)
+        assert_rows_are_reference(bits.view(np.float64))
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_exact_ties_round_half_to_even(self, k):
+        # x = m / 2^(k+1) with m odd lies halfway between two 17-digit
+        # decimals when x is in [10^(16-k), 10^(17-k))
+        lo, hi = 10**(16 - k) * 2**(k + 1), 10**(17 - k) * 2**(k + 1)
+        m = np.random.default_rng(k).integers(lo, hi, 2000) | 1
+        x = m / 2.0**(k + 1)
+        assert np.all(x * 2.0**(k + 1) == m)  # every tie is exact
+        assert_rows_are_reference(x, -x)
+
+    def test_powers_of_ten_and_the_fast_range_ends(self):
+        assert_rows_are_reference(_with_neighbours([10.0**k for k in range(-5, 18)]))
+        assert_rows_are_reference(np.concatenate([[0.0, -0.0], _with_neighbours([1e-4, 1e16])]))
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_short_chunks_with_negative_ints(self, rows):
+        ints = np.array([-1, 0, 9, -(2**63), 2**63 - 1, 10, -12345])[:rows]
+        floats = np.array([0.1, -2.5e-320, 1e300, np.nan, -np.inf, 123.0, 1e-4])[:rows]
+        assert_rows_are_reference(ints, floats, np.arange(rows))
+
+
 class TestStreamedSimulate:
     @pytest.mark.parametrize("n_rows", [6, 7, 8, 22])
     @pytest.mark.parametrize("measure", [Measure.PHYSICAL, Measure.RISK_NEUTRAL])
@@ -715,12 +766,72 @@ class TestStreamedSimulate:
                                     batch.index_values[0], batch.stock_values[0])
         assert out_path.read_bytes() == out.encode()
 
+    def test_subnormal_index_rows(self, capsys, monkeypatch, tmp_path):
+        # the README's subnormal-index market: every index value is
+        # formatted one at a time and every stock value by the byte matrix
+        path = tmp_path / "c.cfg"
+        path.write_text(SET_A_CONFIG + "market.mu_i = -72\n")
+        monkeypatch.setattr(cli, "SIMULATE_CHUNK_ROWS", 7)
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(path),
+                               "--paths", "22", "--seed", "7")
+        assert code == 0
+        batch = simulate_terminal(replace(SET_A_PARAMS, mu_i=-72.0), Measure.PHYSICAL, 22, 7)
+        index, stock = batch.index, batch.stock
+        assert np.all((index > 0) & (index < np.finfo(float).smallest_normal))
+        assert np.all((stock >= 1e-4) & (stock < 1e16))
+        assert out == reference_csv("path,index_terminal,stock_terminal",
+                                    range(22), index, stock)
+
     def test_unwritable_out_fails_before_stdout(self, capsys, config_path, tmp_path):
         code, out, err = run_cli(capsys, "simulate", "--config", config_path,
                                  "--paths", "5", "--out", str(tmp_path / "no-dir" / "t.csv"))
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "cannot write" in err
+
+
+def _cli_process(*argv, **popen) -> subprocess.Popen:
+    """``eihlab`` with ``argv`` in a new interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "eihlab.cli", *argv], env=env, **popen)
+
+
+class TestFailedWrites:
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_closed_stdout_is_one_error_line(self, config_path, tmp_path, with_out):
+        # as in `eihlab simulate --paths 200000 | head -c 100`
+        argv = ["simulate", "--config", config_path, "--paths", "200000"]
+        if with_out:
+            argv += ["--out", str(tmp_path / "o.csv")]
+        proc = _cli_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.read(100).startswith(b"path,index_terminal,stock_terminal\n")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert (code, err) == (2, b"error: cannot write stdout: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("argv", [("simulate", "--paths", "3"), ("price",)])
+    def test_stdout_closed_at_start_is_one_error_line(self, config_path, argv):
+        # as in `eihlab price >&-`: the interpreter starts with no sys.stdout
+        proc = _cli_process(*argv, "--config", config_path, stderr=subprocess.PIPE,
+                            preexec_fn=functools.partial(os.close, 1))
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (2, b"error: cannot write stdout: it is closed\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_out_file_names_the_file(self, capsys, config_path):
+        code, _, err = run_cli(capsys, "simulate", "--config", config_path,
+                               "--paths", "1000", "--out", "/dev/full")
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot write /dev/full: [Errno 28]")
 
 
 class TestIntegerConfig:
