@@ -13,9 +13,13 @@ Exit codes: 0 pass, 1 fail, 2 usage error, 3 inconclusive.  A
 ``ValueError`` from the config or the library is a usage error: ``main``
 prints it as one ``error:`` line and exits 2, as does a config key that
 is not in the schema below, and a failed write to stdout (a closed pipe)
-or to the ``--out`` file, which the line names.  The argument parser is
-built once per process, on the first ``main`` call, and every later call
-reuses it.
+or to the ``--out`` file, which the line names.  A closed stderr drops
+the diagnostics and leaves the exit code as it is.  The argument parser
+is built once per process, on the first ``main`` call, and every later
+call reuses it.  On glibc the first ``main`` call also lets the process
+keep the memory it frees (``_keep_freed_memory``), so that each chunk
+reuses the pages of the last; ``import eihlab`` leaves the allocator
+alone.
 
 Config schema::
 
@@ -243,6 +247,14 @@ def _stdout(call: Callable, *args) -> None:
             os.dup2(devnull, fd)
             os.close(devnull)
         raise ValueError(f"cannot write stdout: {exc}") from exc
+
+
+def _note(line: str) -> None:
+    """``line`` to stderr.  A closed stderr (None, or one whose write
+    fails) drops it, since the exit code already carries the outcome."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
 
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
@@ -510,7 +522,7 @@ def cmd_verify(args, values: dict[str, str]) -> int:
     config = _experiment_config(args, values)
     report = experiments.verify(config, args.prop)
     _emit([_json_text(experiments.report_to_dict(config, report))], args.out)
-    print(f"runtime: {report.runtime_seconds:.2f}s", file=sys.stderr)
+    _note(f"runtime: {report.runtime_seconds:.2f}s")
     if report.verdict == experiments.PASS:
         return EXIT_PASS
     if report.verdict == experiments.INCONCLUSIVE:
@@ -547,7 +559,7 @@ def cmd_table(args, values: dict[str, str]) -> int:
         n_paths=_integer(values, "run.n_paths"), seed=seed, n_workers=n_workers,
     )
     for name, slope in study.slopes.items():
-        print(f"log-log slope {name}: {slope:.12f}", file=sys.stderr)
+        _note(f"log-log slope {name}: {slope:.12f}")
     _emit(_rows_csv(study.rows), args.out)
     return EXIT_PASS
 
@@ -566,6 +578,34 @@ _COMMANDS = {
     "table": (cmd_table, "emit a study as CSV",
               ("--study", "--t-grid", "--seed", "--paths", "--delta", "--eps", "--workers")),
 }
+
+
+# glibc's ``mallopt`` parameters (``malloc.h``)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Let this process keep the memory it frees, on glibc; elsewhere do
+    nothing.
+
+    glibc serves a block of 128 KiB or more by a fresh ``mmap`` and
+    returns it to the kernel when it is freed, so each chunk, CSV chunk
+    or hedging step faults its arrays in again, page by page.  With the
+    mmap threshold at 32 MiB and the trim threshold at 128 MiB, arrays
+    under 32 MiB come from the heap, which keeps what the last chunk
+    freed for the next one.  Either value alone faults more.
+    """
+    # no os.confstr (Windows), no such name (macOS), another C library
+    # (an error or None), or no mallopt: leave the allocator as it is
+    with contextlib.suppress(AttributeError, ValueError, OSError):
+        if os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            import ctypes
+
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+            mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
 @functools.cache
@@ -593,16 +633,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         values = load_config(args.config)
         _apply_overrides(args, values)
         return args.func(args, values)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_USAGE
     except MemoryError:
-        print("error: out of memory; use fewer paths or steps", file=sys.stderr)
+        _note("error: out of memory; use fewer paths or steps")
         return EXIT_USAGE
 
 

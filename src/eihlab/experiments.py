@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -149,6 +148,8 @@ def _map_chunks(n_paths: int, n_workers: int, task: Callable, *args) -> list:
     n_threads = min(n_workers, len(chunks))
     if n_threads <= 1:
         return [task(*args, *chunk) for chunk in chunks]
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: only for a pool
+
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         return list(pool.map(lambda chunk: task(*args, *chunk), chunks))
 

@@ -20,8 +20,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
 from . import rng
 
@@ -41,6 +39,9 @@ def _rule(build, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def halfspace_quadrature(u, v, c: float, n_nodes: int = 64) -> float:
     """Quadrature value of E[exp(u . xi) 1{v . xi >= c}], xi ~ N(0, I2)."""
+    from numpy.polynomial.hermite import hermgauss  # only the lemma table needs a rule
+    from numpy.polynomial.legendre import leggauss
+
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     norm_v = float(np.linalg.norm(v))

@@ -1,5 +1,6 @@
 """Verification experiments: verdicts, targets, determinism."""
 
+import concurrent.futures
 import math
 import pickle
 import tracemalloc
@@ -526,7 +527,7 @@ class TestChunkTasks:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FakeExecutor)
         chunks = experiments._map_chunks(n_paths, n_workers, _bounds, "tag")
         assert built == ([] if threads is None else [threads])
         assert chunks == [("tag", first, min(CHUNK_PATHS, n_paths - first))

@@ -180,6 +180,17 @@ def test_import_skips_the_scipy_special_package_init():
     assert loaded == []
 
 
+def test_import_loads_no_thread_pool_or_polynomial_modules():
+    # a pool of two or more threads, and a quadrature rule, import them
+    loaded = run_fresh_interpreter("""
+        import json, sys
+        import eihlab, eihlab.cli
+        print(json.dumps(sorted(set(sys.modules) & {
+            "concurrent.futures", "logging", "numpy.polynomial"})))
+    """)
+    assert loaded == []
+
+
 @pytest.mark.parametrize("first", ["import eihlab", "import scipy.special"])
 def test_ufuncs_are_scipy_special_exports_in_either_import_order(first):
     report = run_fresh_interpreter(f"""
