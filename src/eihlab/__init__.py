@@ -28,7 +28,6 @@ from .market import (
     MarketParams,
     Measure,
     PathBatch,
-    ReducedParams,
     TerminalSample,
     reduce_dimension,
     simulate_paths,

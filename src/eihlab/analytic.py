@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market import ReducedParams, _finite_positive
+from .market import _finite_positive
 from .normal import std_normal_cdf, std_normal_pdf, upper_quantile
 
 __all__ = [
@@ -125,13 +125,23 @@ def log_thresholds(delta_norm: float, horizon: float, delta: float) -> tuple[flo
     return center - half_width, center + half_width
 
 
-def thresholds(reduced: ReducedParams, horizon: float, delta: float) -> tuple[float, float]:
-    """Band edges (a, b) in ratio space for a given escape mass ``delta``."""
+def _check_delta_norm(delta_norm: float) -> None:
+    """The spread norm of a claim's ratio, which no constructor vouches
+    for here, must be finite and positive."""
+    if not 0.0 < delta_norm < math.inf:
+        raise ValueError(f"delta_norm must be finite and positive, got {delta_norm!r}")
+
+
+def thresholds(delta_norm: float, horizon: float, delta: float) -> tuple[float, float]:
+    """Band edges (a, b) in ratio space for a given escape mass ``delta``,
+    for a ratio of spread norm ``delta_norm`` (such as
+    :attr:`~eihlab.market.MarketParams.delta_norm`)."""
+    _check_delta_norm(delta_norm)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
-    log_a, log_b = log_thresholds(reduced.delta_norm, horizon, delta)
+    log_a, log_b = log_thresholds(delta_norm, horizon, delta)
     a = math.exp(log_a)
     if a == 0.0:
         raise ValueError(f"band edge a = exp({log_a!r}) underflows; shorten the horizon")
@@ -191,50 +201,56 @@ def _check_valuation(t: float, horizon: float, s_t, i_t) -> tuple[np.ndarray, np
     return i_t, ratio
 
 
-def digital_price(reduced: ReducedParams, spec: DigitalSpec, tau: float) -> float:
-    """Time-(T - tau) claim value per unit index when S/I currently equals 1."""
+def digital_price(delta_norm: float, spec: DigitalSpec, tau: float) -> float:
+    """Time-(T - tau) claim value per unit index when S/I currently equals 1,
+    for a ratio of spread norm ``delta_norm``."""
+    _check_delta_norm(delta_norm)
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
-    return float(_valuation(spec, reduced.delta_norm, tau, 1.0, 0.0, 1.0, hedge=False)[0])
+    return float(_valuation(spec, delta_norm, tau, 1.0, 0.0, 1.0, hedge=False)[0])
 
 
 def claim_value(
-    reduced: ReducedParams,
+    delta_norm: float,
     spec: DigitalSpec,
     t: float,
     s_t,
     i_t,
     horizon: float,
 ):
-    """Value of the claim at time ``t < horizon`` given current prices.
+    """Value of the claim at time ``t < horizon`` given current prices, for
+    a ratio of spread norm ``delta_norm``.
 
     Scalar prices give a float; arrays broadcast elementwise.  The value
     is degree-1 homogeneous in ``(s_t, i_t)`` and nonnegative.
     """
+    _check_delta_norm(delta_norm)
     i_t, ratio = _check_valuation(t, horizon, s_t, i_t)
-    value = _valuation(spec, reduced.delta_norm, horizon - t, ratio, np.log(ratio), i_t,
+    value = _valuation(spec, delta_norm, horizon - t, ratio, np.log(ratio), i_t,
                        hedge=False)[0]
     return float(value) if value.ndim == 0 else value
 
 
 def hedge_ratios(
-    reduced: ReducedParams,
+    delta_norm: float,
     spec: DigitalSpec,
     t: float,
     s_t,
     i_t,
     horizon: float,
 ) -> HedgeRatios:
-    """Replicating portfolio of the claim at ``(t, s_t, i_t)``.
+    """Replicating portfolio of the claim at ``(t, s_t, i_t)``, for a ratio
+    of spread norm ``delta_norm``.
 
     Positions are the price partials; because the value is degree-1
     homogeneous in the two assets, they hold the whole value and no
     bond: ``units_s * s_t + units_i * i_t`` equals the claim value up to
     rounding.
     """
+    _check_delta_norm(delta_norm)
     i_t, ratio = _check_valuation(t, horizon, s_t, i_t)
-    _, units_s, units_i = _valuation(spec, reduced.delta_norm, horizon - t, ratio,
-                                     np.log(ratio), i_t, hedge=True)
+    _, units_s, units_i = _valuation(spec, delta_norm, horizon - t, ratio, np.log(ratio), i_t,
+                                     hedge=True)
     if np.asarray(units_s).ndim == 0:
         return HedgeRatios(float(units_s), float(units_i))
     return HedgeRatios(units_s, units_i)

@@ -450,18 +450,16 @@ def _terminal_chunks(params: MarketParams, measure: Measure, n_paths: int,
 def _band_edges(params: MarketParams, delta: float) -> tuple[float, float, float, float]:
     """(a, b, ln a, ln b); the logs are the stored values that payoffs and
     events compare against, not logs of the rounded exponentials."""
-    a, b = thresholds(params.reduced, params.t, delta)
-    return (a, b, *log_thresholds(params.reduced.delta_norm, params.t, delta))
+    a, b = thresholds(params.delta_norm, params.t, delta)
+    return (a, b, *log_thresholds(params.delta_norm, params.t, delta))
 
 
 def cmd_price(args, values: dict[str, str]) -> int:
     params = market_from_config(values)
     delta = _real(values, "run.delta")
     a, b, log_a, log_b = _band_edges(params, delta)
-    price_low = digital_price(
-        params.reduced, DigitalSpec(Direction.AT_MOST, log_a), params.t)
-    price_high = digital_price(
-        params.reduced, DigitalSpec(Direction.AT_LEAST, log_b), params.t)
+    price_low = digital_price(params.delta_norm, DigitalSpec(Direction.AT_MOST, log_a), params.t)
+    price_high = digital_price(params.delta_norm, DigitalSpec(Direction.AT_LEAST, log_b), params.t)
     payload = {
         "schema_version": 1,
         "delta": delta,
@@ -497,6 +495,9 @@ def cmd_simulate(args, values: dict[str, str]) -> int:
         n_paths = _integer(values, "run.n_paths")
         if n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        if n_paths > 2**64:
+            raise ValueError("n_paths must be at most 2^64, the lanes of the random stream, "
+                             f"got {n_paths}")
         chunks = _terminal_chunks(params, measure, n_paths, seed)
         _emit(_columns_csv("path,index_terminal,stock_terminal", chunks), args.out)
     return EXIT_PASS

@@ -91,6 +91,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_paths < 10**3:
             raise ValueError("n_paths must be at least 1000")
+        if self.n_paths > 2**64:
+            raise ValueError("n_paths must be at most 2^64, the lanes of the random stream, "
+                             f"got {self.n_paths}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.eps < 1.0:
@@ -270,13 +273,13 @@ class Proposition(NamedTuple):
 PROPOSITIONS = {
     "two_sided": Proposition(
         None, _two_sided_counts,
-        lambda c: band_probability(drift_gap(c.params), c.params.reduced.delta_norm, c.params.t,
+        lambda c: band_probability(drift_gap(c.params), c.params.delta_norm, c.params.t,
                                    upper_quantile(c.delta / 2.0)),
         "equals",
     ),
     "mu_bis": Proposition(
         "mu_bis", _mu_bis_counts,
-        lambda c: one_sided_beat_probability(drift_gap(c.params), c.params.reduced.delta_norm,
+        lambda c: one_sided_beat_probability(drift_gap(c.params), c.params.delta_norm,
                                              c.params.t, c.delta),
         "at_least",
     ),
@@ -388,6 +391,9 @@ def capm_convergence_study(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
+    if n_paths > 2**64:
+        raise ValueError("n_paths must be at most 2^64, the lanes of the random stream, "
+                         f"got {n_paths}")
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
     t_grid = [float(t) for t in t_grid]
@@ -409,7 +415,7 @@ def capm_convergence_study(
             "horizon": horizon,
             **{f"width_{name}": bound_check(p_t, delta, eps, name).rhs for name in bounds},
             "tpd_mc_mean": mean,
-            "tpd_target": -0.5 * p_t.reduced.delta_norm**2 * horizon,
+            "tpd_target": -0.5 * p_t.delta_norm**2 * horizon,
             "tpd_se": math.sqrt(var / n_paths),
         })
 

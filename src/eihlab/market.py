@@ -16,11 +16,12 @@ from the levels; prices are formed only where they are read, with the
 bits ``np.exp`` gives them.
 
 :class:`MarketParams` is the one home of the pair's geometry: its
-norms, inner products and 2-d reduction are computed at construction,
-in one pass, and stored as plain attributes.  The bond is the stock of
-zero volatility, so its spread against the index is ``norm_i`` and it
-needs no reduction of its own.  The bounds, builders, events and
-samplers read them; nothing is computed lazily or at import.
+norms, inner products, the 2-d coordinates ``bars`` and their spread
+norm ``delta_norm`` are computed at construction, in one pass, and
+stored as plain attributes.  The bond is the stock of zero volatility,
+so its spread against the index is ``norm_i`` and it needs no
+coordinates of its own.  The bounds, builders, events and samplers
+read them; nothing is computed lazily or at import.
 
 Paths have one type, :class:`PathBatch`: the times and the price
 grids, not the increments that drove them.  A single path is a
@@ -80,16 +81,19 @@ class MarketParams:
 
     The constructor also stores the pair's geometry as plain attributes:
     ``norm_i``, ``norm_s``, ``norm_i_sq`` = sigma_i . sigma_i, ``cross``
-    = sigma_s . sigma_i, ``spread_norm`` = ||sigma_s - sigma_i|| and
-    ``reduced``, the pair in coordinates of an orthonormal basis of its
-    span.  ``e1`` points along ``sigma_i``; ``e2`` along the remainder
-    of ``sigma_s`` after removing its ``e1`` component.  When the two
-    vectors are (numerically) collinear, the remainder's norm at most
-    1e-12 of ``norm_s``, the stock sits on the first axis.  Norms and
-    the inner product of the pair are preserved up to rounding.  The
-    bond is the stock of zero volatility: its spread norm against the
-    index is ``norm_i``, the float the reduced pair ``([norm_i, 0], [0,
-    0])`` would give.
+    = sigma_s . sigma_i, ``spread_norm`` = ||sigma_s - sigma_i||,
+    ``bars``, the pair in coordinates of an orthonormal basis of its
+    span (a read-only 2 x 2 array, sigma_i's row then sigma_s's), and
+    ``delta_norm`` = ||bars[1] - bars[0]||, the ratio volatility that
+    pricing, events and samplers read.  ``e1`` points along
+    ``sigma_i``; ``e2`` along the remainder of ``sigma_s`` after
+    removing its ``e1`` component.  When the two vectors are
+    (numerically) collinear, the remainder's norm at most 1e-12 of
+    ``norm_s``, the stock sits on the first axis.  Norms and the inner
+    product of the pair are preserved up to rounding.  The bond is the
+    stock of zero volatility: its spread norm against the index is
+    ``norm_i``, the float the coordinates ``([norm_i, 0], [0, 0])``
+    would give.
     """
 
     mu_i: float
@@ -120,11 +124,10 @@ class MarketParams:
         # The geometry, in one pass.  Two look-alike pairs differ in the
         # last bit on many markets and are kept apart, each the exact float
         # its readers always used: the driver-space ``spread_norm`` (drift
-        # bounds) against ``reduced.delta_norm`` (pricing, events,
-        # samplers), and ``norm_i_sq`` (drift gaps) against ``norm_i**2``
-        # (bounds).  A norm that overflows or underflows is rejected here,
-        # without a warning: sigma_i's, then sigma_s's, then the spread's,
-        # which the reduced pair checks.
+        # bounds) against ``delta_norm`` (pricing, events, samplers), and
+        # ``norm_i_sq`` (drift gaps) against ``norm_i**2`` (bounds).  A norm
+        # that overflows or underflows is rejected here, without a warning,
+        # in this order: sigma_i's, sigma_s's, the spread of the bars.
         with np.errstate(all="ignore"):
             norm_i_sq = float(sigma_i.dot(sigma_i))
             norm_i, norm_s = math.sqrt(norm_i_sq), _norm(sigma_s)
@@ -135,49 +138,27 @@ class MarketParams:
             rem_norm = _norm(sigma_s - proj * e1)
             spread_norm = _norm(sigma_s - sigma_i)
             cross = float(sigma_s.dot(sigma_i))
-        if rem_norm <= _COLLINEAR_TOL * norm_s:
-            # collinear: use the signed norm so that bitwise-equal sigma
-            # vectors reduce to bitwise-equal coordinates
-            s_bar = [math.copysign(norm_s, proj), 0.0]
-        else:
-            s_bar = [proj, rem_norm]
+            if rem_norm <= _COLLINEAR_TOL * norm_s:
+                # collinear: use the signed norm so that bitwise-equal sigma
+                # vectors reduce to bitwise-equal coordinates
+                s_bar = [math.copysign(norm_s, proj), 0.0]
+            else:
+                s_bar = [proj, rem_norm]
+            bars = np.array([[norm_i, 0.0], s_bar])
+            bars.flags.writeable = False
+            delta_norm = _norm(bars[1] - bars[0])
+            _check_norm("sigma_s - sigma_i", delta_norm)
         vars(self).update(norm_i=norm_i, norm_s=norm_s, norm_i_sq=norm_i_sq, cross=cross,
-                          spread_norm=spread_norm, reduced=_reduced([norm_i, 0.0], s_bar))
+                          spread_norm=spread_norm, bars=bars, delta_norm=delta_norm)
 
     @property
     def d(self) -> int:
         return self.sigma_i.size
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedParams:
-    """Volatility pair expressed in an orthonormal basis of its span.
-
-    The constructor stores ``delta_norm``, the norm of the volatility
-    spread and the lognormal ratio volatility, and rejects a pair whose
-    spread norm is not finite and positive (equal or NaN bars).
-    """
-
-    sigma_i_bar: np.ndarray
-    sigma_s_bar: np.ndarray
-
-    def __post_init__(self):
-        with np.errstate(all="ignore"):
-            delta_norm = _norm(self.sigma_s_bar - self.sigma_i_bar)
-        _check_norm("sigma_s - sigma_i", delta_norm)
-        object.__setattr__(self, "delta_norm", delta_norm)
-
-
-def _reduced(sigma_i_bar: list, sigma_s_bar: list) -> ReducedParams:
-    """The pair of coordinate lists as read-only rows of one array."""
-    bars = np.array([sigma_i_bar, sigma_s_bar])
-    bars.flags.writeable = False
-    return ReducedParams(sigma_i_bar=bars[0], sigma_s_bar=bars[1])
-
-
-def reduce_dimension(params: MarketParams) -> ReducedParams:
-    """The 2-d reduction of the pair, :attr:`MarketParams.reduced`."""
-    return params.reduced
+def reduce_dimension(params: MarketParams) -> float:
+    """The spread norm of the pair's coordinates, :attr:`MarketParams.delta_norm`."""
+    return params.delta_norm
 
 
 def drift_pair(params: MarketParams, measure: Measure) -> tuple[float, float]:
@@ -214,7 +195,8 @@ class PathBatch(NamedTuple):
 
     The price grids are column-major (Fortran order): the same shapes and
     values as row-major grids, laid out so that the prices of all paths
-    at one time are contiguous, as the per-step wealth loop reads them.
+    at one time are contiguous, as :func:`simulate_paths` writes them,
+    one column per step.
     """
 
     times: np.ndarray
@@ -257,9 +239,8 @@ def _log_levels(params: MarketParams, measure: Measure, dt: float, scale: float,
     product may round a row differently depending on how many rows it is
     given.
     """
-    reduced = params.reduced
     levels = []
-    for mu, bar in zip(drift_pair(params, measure), (reduced.sigma_i_bar, reduced.sigma_s_bar)):
+    for mu, bar in zip(drift_pair(params, measure), params.bars):
         level = xi[:, 0] * bar[0]
         level += xi[:, 1] * bar[1]
         level *= scale

@@ -83,8 +83,9 @@ class DigitalComponent:
     """One digital claim plus how many units of it the strategy holds.
 
     ``delta_norm`` is the spread norm of the claim's ratio, the one float
-    its valuation reads: the reduced pair's for a stock ratio, ``norm_i``
-    for a bond ratio (the bond is the stock of zero volatility).
+    its valuation reads: the market's ``delta_norm`` for a stock ratio,
+    ``norm_i`` for a bond ratio (the bond is the stock of zero
+    volatility).
     ``initial_wealth`` is the time-0 price of a single unit; replication
     of ``w`` units of wealth holds ``w / initial_wealth`` units.
     """
@@ -196,7 +197,7 @@ def build_two_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     times the index.
     """
     _check_delta(delta)
-    comps = _band_components(params.reduced.delta_norm, Underlying.STOCK, params.t, delta)
+    comps = _band_components(params.delta_norm, Underlying.STOCK, params.t, delta)
     return PrudentStrategy(comps)
 
 
@@ -204,7 +205,7 @@ def build_one_sided(params: MarketParams, delta: float, side: Side | str) -> Pru
     """Single-tail variant with the delta-quantile replacing delta/2."""
     _check_delta(delta)
     side = Side(side)
-    comp = _one_sided_component(params.reduced.delta_norm, Underlying.STOCK, params.t, delta,
+    comp = _one_sided_component(params.delta_norm, Underlying.STOCK, params.t, delta,
                                 side)
     return PrudentStrategy((comp,))
 
@@ -311,14 +312,14 @@ def event_two_sided(params: MarketParams, delta: float, log_ratio):
     Exact complement of the two-sided strategy's payoff: both compare
     the same log ratio against the same stored band edges.
     """
-    return _in_band(params.reduced.delta_norm, params.t, delta, log_ratio)
+    return _in_band(params.delta_norm, params.t, delta, log_ratio)
 
 
 def event_one_sided(params: MarketParams, delta: float, log_ratio, side: Side | str):
     """One-tail band event; upper: centered log ratio stays below the
     z_delta width, lower: stays above its negative."""
     _check_delta(delta)
-    comp = _one_sided_component(params.reduced.delta_norm, Underlying.STOCK, params.t, delta,
+    comp = _one_sided_component(params.delta_norm, Underlying.STOCK, params.t, delta,
                                 Side(side))
     return ~comp.spec.payoff_indicator(log_ratio)
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from eihlab.market import (MarketParams, Measure, PathBatch, ReducedParams, TerminalSample,
-                           _in_float_range, drift_pair, step_prices)
+from eihlab import market
+from eihlab.market import (MarketParams, Measure, PathBatch, TerminalSample, _in_float_range,
+                           drift_pair, step_prices)
 from eihlab.strategies import (PrudentStrategy, replicate, self_financing, terminal_log_ratios,
                                terminal_wealth)
 
@@ -42,16 +43,25 @@ def set_a() -> MarketParams:
 
 
 def make_degenerate_equal_sigmas(params: MarketParams) -> MarketParams:
-    """Test-only hook: force sigma_s = sigma_i, bypassing the guards of
-    both constructors (the public path rejects equal vectors and equal
-    reduced bars).  The copy gets the equal pair's geometry, the floats
-    the constructor computes for it, set directly."""
-    clone, reduced = copy.copy(params), object.__new__(ReducedParams)
-    bar = params.reduced.sigma_i_bar
-    vars(reduced).update(sigma_i_bar=bar, sigma_s_bar=bar, delta_norm=0.0)
+    """Test-only hook: force sigma_s = sigma_i, bypassing the constructor's
+    guards (the public path rejects equal vectors and equal bars).  The
+    copy gets the equal pair's geometry, the floats the constructor
+    computes for it, set directly."""
+    clone = copy.copy(params)
+    bars = np.array([params.bars[0], params.bars[0]])
+    bars.flags.writeable = False
     vars(clone).update(mu_s=params.mu_i, sigma_s=params.sigma_i.copy(), norm_s=params.norm_i,
-                       cross=params.norm_i_sq, spread_norm=0.0, reduced=reduced)
+                       cross=params.norm_i_sq, spread_norm=0.0, bars=bars, delta_norm=0.0)
     return clone
+
+
+def bond_delta_norm(params: MarketParams) -> float:
+    """The spread norm of the bond's own coordinates ``([norm_i, 0], [0,
+    0])`` (the bond is the stock of zero volatility), by the constructor's
+    expression for ``delta_norm``."""
+    bars = np.array([[params.norm_i, 0.0], [0.0, 0.0]])
+    with np.errstate(all="ignore"):
+        return market._norm(bars[1] - bars[0])
 
 
 def random_market(rng: np.random.Generator, d: int | None = None) -> MarketParams:
@@ -75,12 +85,11 @@ def random_market(rng: np.random.Generator, d: int | None = None) -> MarketParam
 
 def log_ratio_law(params: MarketParams, measure: Measure = Measure.PHYSICAL) -> tuple[float, float]:
     """Mean and standard deviation of the exact normal law of ln(S_T / I_T)."""
-    reduced = params.reduced
     mu_i, mu_s = drift_pair(params, measure)
-    norm_i_sq = np.linalg.norm(reduced.sigma_i_bar)**2
-    norm_s_sq = np.linalg.norm(reduced.sigma_s_bar)**2
+    norm_i_sq = np.linalg.norm(params.bars[0])**2
+    norm_s_sq = np.linalg.norm(params.bars[1])**2
     mean = (mu_s - mu_i) * params.t + 0.5 * (norm_i_sq - norm_s_sq) * params.t
-    std = reduced.delta_norm * np.sqrt(params.t)
+    std = params.delta_norm * np.sqrt(params.t)
     return float(mean), float(std)
 
 

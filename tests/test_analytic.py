@@ -20,7 +20,7 @@ from eihlab.analytic import (
     log_thresholds,
     thresholds,
 )
-from eihlab.market import Measure, reduce_dimension, simulate_paths, simulate_terminal
+from eihlab.market import Measure, simulate_paths, simulate_terminal
 from eihlab.normal import std_normal_cdf, upper_quantile
 from eihlab.quadrature import halfspace_quadrature
 
@@ -100,8 +100,8 @@ class TestQuadratureRules:
 
 class TestThresholds:
     def test_reference_values(self, set_a):
-        red = reduce_dimension(set_a)
-        a, b = thresholds(red, set_a.t, 0.05)
+        delta_norm = set_a.delta_norm
+        a, b = thresholds(delta_norm, set_a.t, 0.05)
         # frozen from 40-digit arithmetic on the defining identities
         assert math.log(b) == pytest.approx(0.9548513846259783, abs=1e-12)
         assert b == pytest.approx(2.5982844092152675, rel=1e-12)
@@ -112,75 +112,92 @@ class TestThresholds:
     def test_degenerate_full_mass_collapses_band(self, set_a):
         # delta = 1 makes the quantile vanish; internal hook, the public
         # surface rejects it
-        red = reduce_dimension(set_a)
-        log_a, log_b = log_thresholds(red.delta_norm, set_a.t, 1.0)
-        center = -0.5 * red.delta_norm**2 * set_a.t
+        delta_norm = set_a.delta_norm
+        log_a, log_b = log_thresholds(delta_norm, set_a.t, 1.0)
+        center = -0.5 * delta_norm**2 * set_a.t
         assert log_a == log_b == pytest.approx(center, abs=1e-15)
 
     def test_vanishing_mass_spreads_band(self, set_a):
-        red = reduce_dimension(set_a)
-        a_values, b_values = zip(*(thresholds(red, set_a.t, d)
+        delta_norm = set_a.delta_norm
+        a_values, b_values = zip(*(thresholds(delta_norm, set_a.t, d)
                                    for d in (1e-2, 1e-6, 1e-12, 1e-300)))
         assert np.all(np.diff(a_values) < 0.0)
         assert np.all(np.diff(b_values) > 0.0)
         assert a_values[-1] < 1e-8 and b_values[-1] > 1e8
 
     def test_rejects_bad_delta(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                thresholds(red, set_a.t, bad)
+                thresholds(delta_norm, set_a.t, bad)
+
+
+_SPEC = DigitalSpec(Direction.AT_LEAST, 0.0)
+
+
+@pytest.mark.parametrize("delta_norm", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("function, args", [
+    (thresholds, (10.0, 0.05)),
+    (digital_price, (_SPEC, 10.0)),
+    (claim_value, (_SPEC, 0.0, 1.0, 1.0, 10.0)),
+    (hedge_ratios, (_SPEC, 0.0, 1.0, 1.0, 10.0)),
+], ids=["thresholds", "digital_price", "claim_value", "hedge_ratios"])
+def test_rejects_a_spread_norm_that_is_not_finite_and_positive(function, args, delta_norm):
+    # no constructor vouches for the float, so each function checks it
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="delta_norm must be finite and positive"):
+            function(delta_norm, *args)
 
 
 class TestDigitalPrice:
     def test_tiny_threshold_pays_index_always(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         spec = DigitalSpec(Direction.AT_LEAST, -600.0)
-        assert digital_price(red, spec, set_a.t) == pytest.approx(1.0, abs=1e-12)
+        assert digital_price(delta_norm, spec, set_a.t) == pytest.approx(1.0, abs=1e-12)
 
     def test_band_components_price_half_delta(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         for delta in (0.01, 0.05, 0.25, 0.999):
-            a, b = thresholds(red, set_a.t, delta)
-            low = digital_price(red, DigitalSpec.at_level(Direction.AT_MOST, a), set_a.t)
-            high = digital_price(red, DigitalSpec.at_level(Direction.AT_LEAST, b), set_a.t)
+            a, b = thresholds(delta_norm, set_a.t, delta)
+            low = digital_price(delta_norm, DigitalSpec.at_level(Direction.AT_MOST, a), set_a.t)
+            high = digital_price(delta_norm, DigitalSpec.at_level(Direction.AT_LEAST, b), set_a.t)
             assert low == pytest.approx(delta / 2.0, abs=1e-12)
             assert high == pytest.approx(delta / 2.0, abs=1e-12)
             assert low + high == pytest.approx(delta, abs=1e-12)
 
     def test_at_money_price_reference(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         spec = DigitalSpec.at_level(Direction.AT_LEAST, 1.0)
         # F(-0.1625 / 0.570088); frozen from 40-digit arithmetic
-        assert digital_price(red, spec, 10.0) == pytest.approx(
+        assert digital_price(delta_norm, spec, 10.0) == pytest.approx(
             0.3878052712710187, abs=1e-13)
 
     def test_at_money_price_against_risk_neutral_mc(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         spec = DigitalSpec.at_level(Direction.AT_LEAST, 1.0)
         n = 10**6
         out = simulate_terminal(set_a, Measure.RISK_NEUTRAL, n, 202)
         payoff = math.exp(-set_a.r * set_a.t) * out.index * spec.payoff_indicator(
             np.log(out.stock / out.index))
         se = payoff.std(ddof=1) / math.sqrt(n)
-        assert abs(payoff.mean() - digital_price(red, spec, set_a.t)) <= 3.0 * se
+        assert abs(payoff.mean() - digital_price(delta_norm, spec, set_a.t)) <= 3.0 * se
 
     def test_monotone_in_threshold(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         levels = np.exp(np.linspace(-1.0, 1.0, 21))
-        at_least = [digital_price(red, DigitalSpec.at_level(Direction.AT_LEAST, lv), 10.0)
+        at_least = [digital_price(delta_norm, DigitalSpec.at_level(Direction.AT_LEAST, lv), 10.0)
                     for lv in levels]
-        at_most = [digital_price(red, DigitalSpec.at_level(Direction.AT_MOST, lv), 10.0)
+        at_most = [digital_price(delta_norm, DigitalSpec.at_level(Direction.AT_MOST, lv), 10.0)
                    for lv in levels]
         assert np.all(np.diff(at_least) < 0.0)
         assert np.all(np.diff(at_most) > 0.0)
 
     def test_rejects_bad_tau(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         spec = DigitalSpec.at_level(Direction.AT_LEAST, 1.0)
         for tau in (0.0, -1.0, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="tau"):
-                digital_price(red, spec, tau)
+                digital_price(delta_norm, spec, tau)
 
 
 class TestDigitalSpec:
@@ -192,8 +209,9 @@ class TestDigitalSpec:
         assert spec == enum_spec
         for log_ratio in (0.2, 0.5, 1.0):
             assert spec.payoff_indicator(log_ratio) == enum_spec.payoff_indicator(log_ratio)
-        red = reduce_dimension(set_a)
-        assert digital_price(red, spec, set_a.t) == digital_price(red, enum_spec, set_a.t)
+        delta_norm = set_a.delta_norm
+        assert (digital_price(delta_norm, spec, set_a.t)
+                == digital_price(delta_norm, enum_spec, set_a.t))
 
     @pytest.mark.parametrize("direction", list(Direction))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -211,50 +229,50 @@ class TestDigitalSpec:
 
 class TestClaimValue:
     def test_inception_consistency(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         spec = DigitalSpec.at_level(Direction.AT_LEAST, 1.3)
-        assert claim_value(red, spec, 0.0, 1.0, 1.0, set_a.t) == pytest.approx(
-            digital_price(red, spec, set_a.t), abs=1e-15)
+        assert claim_value(delta_norm, spec, 0.0, 1.0, 1.0, set_a.t) == pytest.approx(
+            digital_price(delta_norm, spec, set_a.t), abs=1e-15)
 
     def test_resolves_to_index_near_expiry(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         spec = DigitalSpec.at_level(Direction.AT_LEAST, 1.0)
-        value = claim_value(red, spec, set_a.t - 1e-9, 1.5, 1.1, set_a.t)
+        value = claim_value(delta_norm, spec, set_a.t - 1e-9, 1.5, 1.1, set_a.t)
         assert value == pytest.approx(1.1, rel=1e-12)
-        value = claim_value(red, spec, set_a.t - 1e-9, 0.7, 1.1, set_a.t)
+        value = claim_value(delta_norm, spec, set_a.t - 1e-9, 0.7, 1.1, set_a.t)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_midlife_value_against_nested_mc(self, set_a):
-        red = reduce_dimension(set_a)
-        _, b = thresholds(red, set_a.t, 0.05)
+        delta_norm = set_a.delta_norm
+        _, b = thresholds(delta_norm, set_a.t, 0.05)
         spec = DigitalSpec.at_level(Direction.AT_LEAST, b)
         t, s_t, i_t = 5.0, 1.2, 1.0
-        value = claim_value(red, spec, t, s_t, i_t, set_a.t)
+        value = claim_value(delta_norm, spec, t, s_t, i_t, set_a.t)
 
         # oracle: restart the exact risk-neutral solution from (s_t, i_t)
         n = 10**6
         tau = set_a.t - t
         xi = rng.normal_pairs(404, 0, n)
         sq = math.sqrt(tau)
-        i_term = i_t * np.exp((set_a.r - 0.5 * np.linalg.norm(red.sigma_i_bar)**2) * tau
-                              + sq * (xi @ red.sigma_i_bar))
-        s_term = s_t * np.exp((set_a.r - 0.5 * np.linalg.norm(red.sigma_s_bar)**2) * tau
-                              + sq * (xi @ red.sigma_s_bar))
+        i_term = i_t * np.exp((set_a.r - 0.5 * np.linalg.norm(set_a.bars[0])**2) * tau
+                              + sq * (xi @ set_a.bars[0]))
+        s_term = s_t * np.exp((set_a.r - 0.5 * np.linalg.norm(set_a.bars[1])**2) * tau
+                              + sq * (xi @ set_a.bars[1]))
         payoff = math.exp(-set_a.r * tau) * i_term * spec.payoff_indicator(
             np.log(s_term / i_term))
         se = payoff.std(ddof=1) / math.sqrt(n)
         assert abs(payoff.mean() - value) <= 3.0 * se
 
     def test_discounted_value_is_martingale_along_paths(self, set_a):
-        red = reduce_dimension(set_a)
-        _, b = thresholds(red, set_a.t, 0.1)
+        delta_norm = set_a.delta_norm
+        _, b = thresholds(delta_norm, set_a.t, 0.1)
         spec = DigitalSpec.at_level(Direction.AT_LEAST, b)
         n = 10**5
         batch = simulate_paths(set_a, Measure.RISK_NEUTRAL, 8, n, 505)
-        v0 = digital_price(red, spec, set_a.t)
+        v0 = digital_price(delta_norm, spec, set_a.t)
         for k, t in enumerate(batch.times[:-1]):
             values = math.exp(-set_a.r * float(t)) * claim_value(
-                red, spec, float(t), batch.stock_values[:, k],
+                delta_norm, spec, float(t), batch.stock_values[:, k],
                 batch.index_values[:, k], set_a.t)
             se = values.std(ddof=1) / math.sqrt(n)
             # the floor covers t=0, where all paths coincide and the
@@ -262,27 +280,26 @@ class TestClaimValue:
             assert abs(values.mean() - v0) <= max(4.0 * se, 1e-14)
 
     def test_rejects_expired_time(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         spec = DigitalSpec.at_level(Direction.AT_LEAST, 1.0)
         with pytest.raises(ValueError):
-            claim_value(red, spec, set_a.t, 1.0, 1.0, set_a.t)
+            claim_value(delta_norm, spec, set_a.t, 1.0, 1.0, set_a.t)
 
     def test_rejects_infinite_horizon(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         spec = DigitalSpec.at_level(Direction.AT_MOST, 0.8)
         for valuation in (claim_value, hedge_ratios):
             with pytest.raises(ValueError, match="horizon"):
-                valuation(red, spec, 0.0, 1.0, 1.0, math.inf)
+                valuation(delta_norm, spec, 0.0, 1.0, 1.0, math.inf)
 
     @pytest.mark.parametrize("d", [8.3, 9.0])
     def test_at_most_value_keeps_its_far_tail(self, set_a, d):
         # at t = 9, S = I = 1, the threshold puts the standardized
         # distance at d, where 1 - F(d) rounds to 0 but F(-d) does not
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         t, tau = 9.0, 1.0
-        delta_norm = red.delta_norm
         spec = DigitalSpec(Direction.AT_MOST, -0.5 * delta_norm**2 * tau - d * delta_norm)
-        value = claim_value(red, spec, t, 1.0, 1.0, set_a.t)
+        value = claim_value(delta_norm, spec, t, 1.0, 1.0, set_a.t)
         d_kernel = (0.0 - spec.log_threshold - 0.5 * delta_norm**2 * tau) / delta_norm
         assert d_kernel == pytest.approx(d, rel=1e-14)
         assert value > 0.0
@@ -291,31 +308,32 @@ class TestClaimValue:
     def test_nan_prices_are_rejected(self, set_a):
         # also an infinite price, and finite prices whose ratio underflows
         # to 0.0 (its log would be -inf); no warning
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         spec = DigitalSpec.at_level(Direction.AT_MOST, 0.8)
         for s_t, i_t in ((math.nan, 1.0), (1.0, np.array([1.0, math.nan])),
                          (math.inf, 10.0), (1.0, np.array([1.0, math.inf])),
                          (1e-320, 1e10)):
             with pytest.raises(ValueError, match="strictly positive"):
-                claim_value(red, spec, 1.0, s_t, i_t, set_a.t)
+                claim_value(delta_norm, spec, 1.0, s_t, i_t, set_a.t)
             with pytest.raises(ValueError, match="strictly positive"):
-                hedge_ratios(red, spec, 1.0, s_t, i_t, set_a.t)
+                hedge_ratios(delta_norm, spec, 1.0, s_t, i_t, set_a.t)
         # no price is out of range in an empty batch, whose values are empty
         empty = np.empty(0)
-        assert claim_value(red, spec, 1.0, empty, empty, set_a.t).shape == (0,)
-        assert [x.shape for x in hedge_ratios(red, spec, 1.0, empty, empty, set_a.t)] == [(0,)] * 2
+        assert claim_value(delta_norm, spec, 1.0, empty, empty, set_a.t).shape == (0,)
+        ratios = hedge_ratios(delta_norm, spec, 1.0, empty, empty, set_a.t)
+        assert [x.shape for x in ratios] == [(0,)] * 2
 
 
 class TestHedgeRatios:
     def test_value_is_degree_one_homogeneous(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         spec = DigitalSpec.at_level(Direction.AT_LEAST, 1.4)
-        v = claim_value(red, spec, 3.0, 1.1, 0.9, set_a.t)
-        v2 = claim_value(red, spec, 3.0, 2.2, 1.8, set_a.t)
+        v = claim_value(delta_norm, spec, 3.0, 1.1, 0.9, set_a.t)
+        v2 = claim_value(delta_norm, spec, 3.0, 2.2, 1.8, set_a.t)
         assert v2 == pytest.approx(2.0 * v, rel=1e-12)
 
     def test_bond_leg_vanishes(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         gen = np.random.default_rng(8)
         for direction in Direction:
             spec = DigitalSpec.at_level(direction, 1.2)
@@ -323,56 +341,57 @@ class TestHedgeRatios:
                 t = gen.uniform(0.0, set_a.t * 0.99)
                 s = gen.uniform(0.3, 3.0)
                 i = gen.uniform(0.3, 3.0)
-                ratios = hedge_ratios(red, spec, t, s, i, set_a.t)
-                value = claim_value(red, spec, t, s, i, set_a.t)
+                ratios = hedge_ratios(delta_norm, spec, t, s, i, set_a.t)
+                value = claim_value(delta_norm, spec, t, s, i, set_a.t)
                 assert abs(ratios.units_s * s + ratios.units_i * i - value) <= 1e-10
 
     def test_units_match_finite_differences(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         for direction in Direction:
             spec = DigitalSpec.at_level(direction, 1.1)
             t, s, i = 2.0, 1.15, 0.95
-            ratios = hedge_ratios(red, spec, t, s, i, set_a.t)
+            ratios = hedge_ratios(delta_norm, spec, t, s, i, set_a.t)
             h_s = 1e-5 * s
-            fd_s = (claim_value(red, spec, t, s + h_s, i, set_a.t)
-                    - claim_value(red, spec, t, s - h_s, i, set_a.t)) / (2.0 * h_s)
+            fd_s = (claim_value(delta_norm, spec, t, s + h_s, i, set_a.t)
+                    - claim_value(delta_norm, spec, t, s - h_s, i, set_a.t)) / (2.0 * h_s)
             assert ratios.units_s == pytest.approx(fd_s, rel=1e-6)
             h_i = 1e-5 * i
-            fd_i = (claim_value(red, spec, t, s, i + h_i, set_a.t)
-                    - claim_value(red, spec, t, s, i - h_i, set_a.t)) / (2.0 * h_i)
+            fd_i = (claim_value(delta_norm, spec, t, s, i + h_i, set_a.t)
+                    - claim_value(delta_norm, spec, t, s, i - h_i, set_a.t)) / (2.0 * h_i)
             assert ratios.units_i == pytest.approx(fd_i, rel=1e-6)
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_units_are_finite_on_a_subnormal_ratio(self, set_a, direction):
         # the ratio's product with the scale underflows to 0.0, as does the
         # density far below the band: the units are 0.0, not 0/0
-        red, ratio, tau = reduce_dimension(set_a), 5e-324, 1.0
-        assert ratio * (red.delta_norm * math.sqrt(tau)) == 0.0
+        delta_norm, ratio, tau = set_a.delta_norm, 5e-324, 1.0
+        assert ratio * (delta_norm * math.sqrt(tau)) == 0.0
         spec = DigitalSpec.at_level(direction, 1.1)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            units_s, units_i = hedge_ratios(red, spec, set_a.t - tau, np.array([ratio, 1.0]),
-                                            np.ones(2), set_a.t)
+            units_s, units_i = hedge_ratios(delta_norm, spec, set_a.t - tau,
+                                            np.array([ratio, 1.0]), np.ones(2), set_a.t)
         assert np.isfinite(units_s).all() and np.isfinite(units_i).all()
         assert units_s[0] == 0.0
-        assert units_s[1] == hedge_ratios(red, spec, set_a.t - tau, 1.0, 1.0, set_a.t).units_s
+        one = hedge_ratios(delta_norm, spec, set_a.t - tau, 1.0, 1.0, set_a.t)
+        assert units_s[1] == one.units_s
 
     def test_replication_value_matches_claim(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         spec = DigitalSpec.at_level(Direction.AT_MOST, 0.8)
         t, s, i = 4.0, 0.9, 1.2
-        ratios = hedge_ratios(red, spec, t, s, i, set_a.t)
-        value = claim_value(red, spec, t, s, i, set_a.t)
+        ratios = hedge_ratios(delta_norm, spec, t, s, i, set_a.t)
+        value = claim_value(delta_norm, spec, t, s, i, set_a.t)
         assert ratios.units_s * s + ratios.units_i * i == pytest.approx(value, rel=1e-12)
 
 
 class TestQuantileBridge:
     def test_band_masses_follow_quantiles(self, set_a):
         # consistency between upper_quantile and the band construction
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         delta = 0.2
-        log_a, log_b = log_thresholds(red.delta_norm, set_a.t, delta)
+        log_a, log_b = log_thresholds(delta_norm, set_a.t, delta)
         z = upper_quantile(delta / 2.0)
-        width = z * red.delta_norm * math.sqrt(set_a.t)
-        center = -0.5 * red.delta_norm**2 * set_a.t
+        width = z * delta_norm * math.sqrt(set_a.t)
+        center = -0.5 * delta_norm**2 * set_a.t
         assert log_b == pytest.approx(center + width, abs=1e-15)
         assert log_a == pytest.approx(center - width, abs=1e-15)

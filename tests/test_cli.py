@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from eihlab import cli, experiments
 from eihlab.analytic import DigitalSpec, Direction, digital_price, log_thresholds
 from eihlab.cli import main
-from eihlab.market import MarketParams, Measure, reduce_dimension, simulate_paths, simulate_terminal
+from eihlab.market import MarketParams, Measure, simulate_paths, simulate_terminal
 from eihlab.normal import upper_quantile
 
 # reference market with the stock drift at its index-implied level
@@ -109,8 +109,8 @@ class TestThresholds:
     @pytest.mark.parametrize("delta", ["0.09", "0.15"])
     def test_logs_and_prices_use_the_stored_edges(self, capsys, config_path, delta):
         # at these deltas ln(exp(ln a)) or ln(exp(ln b)) is not ln a or ln b
-        reduced = reduce_dimension(SET_A_PARAMS)
-        log_a, log_b = log_thresholds(reduced.delta_norm, SET_A_PARAMS.t, float(delta))
+        delta_norm = SET_A_PARAMS.delta_norm
+        log_a, log_b = log_thresholds(delta_norm, SET_A_PARAMS.t, float(delta))
         assert (math.log(math.exp(log_a)), math.log(math.exp(log_b))) != (log_a, log_b)
         code, out, _ = run_cli(capsys, "thresholds", "--config", config_path, "--delta", delta)
         assert code == 0
@@ -122,7 +122,7 @@ class TestThresholds:
         for key, direction, log_edge in (("price_at_most_a", Direction.AT_MOST, log_a),
                                           ("price_at_least_b", Direction.AT_LEAST, log_b)):
             spec = DigitalSpec(direction, log_edge)
-            assert payload[key] == digital_price(reduced, spec, SET_A_PARAMS.t)
+            assert payload[key] == digital_price(delta_norm, spec, SET_A_PARAMS.t)
 
     def test_bad_delta_is_usage_error(self, capsys, config_path):
         code, _, err = run_cli(capsys, "thresholds", "--config", config_path,
@@ -293,10 +293,20 @@ class TestUsageErrors:
         (("hedge", "--paths", "1000"), None, "1e20"),
         (("table", "--study", "convergence", "--t-grid", "10", "--paths", "0"), None, None),
         (("table", "--study", "convergence", "--t-grid", "10", "--workers", "0"), None, None),
+        # one path more than the lanes of the random stream (2^64 itself is
+        # valid, and would run for years)
+        (("verify", "--prop", "two_sided", "--paths", str(2**64 + 1)), None, None),
+        (("verify", "--prop", "mu_bis", "--paths", str(2**64 + 1)), None, None),
+        (("hedge", "--paths", str(2**64 + 1)), None, None),
+        (("table", "--study", "convergence", "--t-grid", "10", "--paths", str(2**64 + 1)),
+         None, None),
+        (("simulate", "--paths", str(2**64 + 1)), None, None),
     ], ids=["paths-0", "steps-0", "t-grid-not-a-number", "lemma-paths-0", "lemma-paths-1",
             "flag-seed-negative", "flag-seed-2^64", "env-seed-negative", "env-seed-2^64",
             "config-seed-negative", "config-seed-above-2^64", "convergence-paths-0",
-            "convergence-workers-0"])
+            "convergence-workers-0", "verify-paths-above-2^64", "verify-gated-paths-above-2^64",
+            "hedge-paths-above-2^64", "convergence-paths-above-2^64",
+            "simulate-paths-above-2^64"])
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, monkeypatch,
                                          argv, env_seed, config_seed):
         path = tmp_path / "c.cfg"
@@ -372,6 +382,24 @@ class TestUsageErrors:
 
         monkeypatch.setattr(module, name, rejects)
         assert run_cli(capsys, *argv, "--config", config_path) == (2, "", "error: injected\n")
+
+    @pytest.mark.parametrize("delta_norm", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("command", ["price", "thresholds"])
+    def test_spread_norm_not_finite_and_positive_is_one_error_line(
+            self, capsys, monkeypatch, config_path, command, delta_norm):
+        # no market the constructor accepts has such a spread norm; one set
+        # on a built market reaches the pricing functions' own check
+        build = cli.market_from_config
+
+        def market(values):
+            params = build(values)
+            vars(params)["delta_norm"] = delta_norm
+            return params
+
+        monkeypatch.setattr(cli, "market_from_config", market)
+        code, out, err = run_cli(capsys, command, "--config", config_path)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: delta_norm must be finite")
 
 
 class TestUnderflowingBandEdge:

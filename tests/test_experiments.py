@@ -26,8 +26,7 @@ from eihlab.experiments import (
     verify,
     wilson_ci,
 )
-from eihlab.market import (Measure, PathBatch, reduce_dimension, simulate_paths,
-                           simulate_terminal)
+from eihlab.market import Measure, PathBatch, simulate_paths, simulate_terminal
 from eihlab.normal import std_normal_cdf, upper_quantile
 from eihlab.strategies import (
     Underlying,
@@ -90,10 +89,10 @@ class TestVerifyTwoSided:
         config = ExperimentConfig(params=set_a, delta=0.05, n_paths=10**5, seed=144)
         report = verify(config, "two_sided")
         assert report.dichotomy_violations == 0
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         from eihlab.strategies import drift_gap
         target = band_probability(
-            drift_gap(set_a), red.delta_norm, set_a.t, float(upper_quantile(0.025)))
+            drift_gap(set_a), delta_norm, set_a.t, float(upper_quantile(0.025)))
         assert report.theoretical_target == pytest.approx(target, abs=1e-15)
         low, high = report.wilson_ci_95
         assert low <= target <= high
@@ -115,6 +114,15 @@ class TestVerifyTwoSided:
             ExperimentConfig(params=set_a, delta=1.5)
         with pytest.raises(ValueError):
             ExperimentConfig(params=set_a, delta=0.05, eps=0.0)
+
+    def test_paths_are_bounded_by_the_lanes_of_the_stream(self, set_a):
+        # 2^64 paths fit the 2^64 lanes; one more is rejected before a run
+        # is planned, not when the chunk that crosses the last lane is drawn
+        assert ExperimentConfig(params=set_a, delta=0.05, n_paths=2**64).n_paths == 2**64
+        with pytest.raises(ValueError, match=r"n_paths must be at most 2\^64"):
+            ExperimentConfig(params=set_a, delta=0.05, n_paths=2**64 + 1)
+        with pytest.raises(ValueError, match=r"n_paths must be at most 2\^64"):
+            capm_convergence_study(set_a, 0.05, 0.05, [10.0], n_paths=2**64 + 1)
 
     def test_unknown_proposition_is_a_value_error(self, set_a):
         config = ExperimentConfig(params=set_a, delta=0.05, n_paths=1000)
@@ -169,9 +177,9 @@ class TestVerifyCapm:
         z_e = float(upper_quantile(0.05))
         for margin in (1.0, 1.5, 2.0):
             params = mu_bis_boundary_params(set_a, 0.05, 0.05, margin=margin)
-            red = reduce_dimension(params)
+            delta_norm = params.delta_norm
             from eihlab.strategies import drift_gap
-            got = one_sided_beat_probability(drift_gap(params), red.delta_norm,
+            got = one_sided_beat_probability(drift_gap(params), delta_norm,
                                              params.t, 0.05)
             expected = float(std_normal_cdf(margin * (z_d + z_e) - z_d))
             assert got == pytest.approx(expected, abs=1e-9)

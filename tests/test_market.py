@@ -18,7 +18,6 @@ from eihlab.market import (
     _in_exp_range,
     MarketParams,
     Measure,
-    ReducedParams,
     TerminalSample,
     drift_pair,
     price_steps,
@@ -28,8 +27,8 @@ from eihlab.market import (
     step_prices,
 )
 
-from conftest import (SET_A, log_ratio_law, make_degenerate_equal_sigmas, paths_from_increments,
-                      random_market)
+from conftest import (SET_A, bond_delta_norm, log_ratio_law, make_degenerate_equal_sigmas,
+                      paths_from_increments, random_market)
 
 
 class TestParamsValidation:
@@ -68,7 +67,7 @@ class TestParamsValidation:
         # an orthogonal pair of small norms is not collinear; equal vectors
         # of the same norms still are, and have no spread
         p = MarketParams(0.0, 0.0, (sigma, 0.0), (0.0, sigma), 0.0, 1.0)
-        assert p.reduced.delta_norm == pytest.approx(math.sqrt(2.0) * sigma, rel=1e-15)
+        assert p.delta_norm == pytest.approx(math.sqrt(2.0) * sigma, rel=1e-15)
         assert p.spread_norm == pytest.approx(math.sqrt(2.0) * sigma, rel=1e-15)
         with pytest.raises(ValueError, match=re.escape(
                 "the norm of sigma_s - sigma_i must be finite and positive")):
@@ -90,6 +89,17 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="finite"):
             MarketParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["sigma_i", "sigma_s"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_sigmas(self, name, bad):
+        # before any norm or bar is formed, so no bar is ever NaN or inf
+        kwargs = dict(mu_i=0.0, mu_s=0.0, sigma_i=(0.2, 0.0), sigma_s=(0.1, 0.1), r=0.0, t=1.0)
+        kwargs[name] = (bad, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                MarketParams(**kwargs)
+
     def test_initial_prices_pinned(self, set_a):
         assert set_a.I0 == 1.0 and set_a.S0 == 1.0
 
@@ -97,67 +107,63 @@ class TestParamsValidation:
 class TestReduceDimension:
     def test_already_two_dimensional(self):
         p = MarketParams(0.0, 0.0, (0.2, 0.0), (0.1, 0.1), 0.0, 1.0)
-        red = reduce_dimension(p)
-        np.testing.assert_allclose(red.sigma_i_bar, [0.2, 0.0], atol=1e-15)
-        np.testing.assert_allclose(red.sigma_s_bar, [0.1, 0.1], atol=1e-15)
+        np.testing.assert_allclose(p.bars[0], [0.2, 0.0], atol=1e-15)
+        np.testing.assert_allclose(p.bars[1], [0.1, 0.1], atol=1e-15)
 
     def test_three_driver_example(self):
         p = MarketParams(0.0, 0.0, (0.15, 0.05, 0.0), (0.25, -0.10, 0.0), 0.0, 1.0)
-        red = reduce_dimension(p)
-        spread = np.linalg.norm(red.sigma_s_bar - red.sigma_i_bar)
+        spread = np.linalg.norm(p.bars[1] - p.bars[0])
         assert spread == pytest.approx(math.sqrt(0.0325), abs=1e-12)
 
     def test_collinear_pair(self):
         p = MarketParams(0.0, 0.0, (0.2, 0.0), (0.4, 0.0), 0.0, 1.0)
-        red = reduce_dimension(p)
-        np.testing.assert_allclose(red.sigma_i_bar, [0.2, 0.0], atol=1e-15)
-        np.testing.assert_allclose(red.sigma_s_bar, [0.4, 0.0], atol=1e-15)
+        np.testing.assert_allclose(p.bars[0], [0.2, 0.0], atol=1e-15)
+        np.testing.assert_allclose(p.bars[1], [0.4, 0.0], atol=1e-15)
 
     def test_preserves_geometry_on_random_inputs(self):
         gen = np.random.default_rng(0)
         for _ in range(200):
             p = random_market(gen)
-            red = reduce_dimension(p)
-            for bar, orig in ((red.sigma_i_bar, p.sigma_i), (red.sigma_s_bar, p.sigma_s)):
+            for bar, orig in ((p.bars[0], p.sigma_i), (p.bars[1], p.sigma_s)):
                 assert np.linalg.norm(bar) == pytest.approx(
                     np.linalg.norm(orig), rel=1e-12)
-            assert red.sigma_i_bar @ red.sigma_s_bar == pytest.approx(
+            assert p.bars[0] @ p.bars[1] == pytest.approx(
                 p.sigma_i @ p.sigma_s, rel=1e-12, abs=1e-15)
 
     def test_bond_spread_norm_is_the_bond_pairs(self):
         # the bond is the stock of zero volatility: its components and the
-        # recover event take norm_i, the float the bond's own reduced pair
-        # (sigma_i_bar, 0) gives, also where norm_i's square is subnormal
+        # recover event take norm_i, the float the bond's own coordinates
+        # ([norm_i, 0], [0, 0]) give, also where norm_i's square is subnormal
         gen = np.random.default_rng(5)
         markets = [random_market(gen) for _ in range(200)] + [
             MarketParams(0.05, 0.06, (norm, 0.0), (0.0, 0.2), 0.02, 5.0)
             for norm in (1e-150, 1e-160, 1e150)]
         for p in markets:
-            bond = ReducedParams(np.array([p.norm_i, 0.0]), np.zeros(2))
+            bond = bond_delta_norm(p)
             comps = (strategies.build_index_vs_bond(p, 0.05).components
                      + strategies.build_bond_one_sided(p, 0.05).components
                      + strategies.build_capm_composite(p, 0.05, "cor_3delta").components)
             norms = {c.delta_norm for c in comps if c.underlying is strategies.Underlying.BOND}
-            assert norms == {bond.delta_norm}
-            log_a, log_b = log_thresholds(bond.delta_norm, p.t, 0.05)
+            assert norms == {bond}
+            log_a, log_b = log_thresholds(bond, p.t, 0.05)
             x = np.array([log_a, log_b, 0.5 * (log_a + log_b)])
             x = np.concatenate([x, np.nextafter(x, -math.inf), np.nextafter(x, math.inf)])
             assert np.array_equal(strategies.event_recover(p, 0.05, x),
                                   (x > log_a) & (x < log_b))
 
-    @pytest.mark.parametrize("sigma_i_bar, sigma_s_bar", [
-        ((0.2, 0.0), (0.2, 0.0)), ((0.2, 0.0), (math.nan, 0.1)), ((0.2, 0.0), (math.inf, 0.0)),
-        ((1e154, 0.0), (-1e154, 0.0)),
-    ], ids=["equal", "nan", "inf", "spread-overflow"])
-    def test_constructor_rejects_pairs_without_a_spread(self, sigma_i_bar, sigma_s_bar):
+    # pairs whose bars are equal, and bars whose spread overflows
+    @pytest.mark.parametrize("sigma_i, sigma_s", [
+        ((0.2, 0.0), (0.2, 0.0)), ((1e154, 0.0), (-1e154, 0.0)),
+    ], ids=["equal", "spread-overflow"])
+    def test_constructor_rejects_pairs_without_a_spread(self, sigma_i, sigma_s):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(
                     "the norm of sigma_s - sigma_i must be finite and positive")):
-                ReducedParams(np.array(sigma_i_bar), np.array(sigma_s_bar))
+                MarketParams(0.0, 0.0, sigma_i, sigma_s, 0.0, 1.0)
 
     def test_bars_are_read_only(self, set_a):
-        for bar in (set_a.reduced.sigma_i_bar, set_a.reduced.sigma_s_bar):
+        for bar in (set_a.bars, set_a.bars[0], set_a.bars[1]):
             with pytest.raises(ValueError, match="read-only"):
                 bar[0] = 1.0
 
@@ -184,23 +190,22 @@ class TestCachedGeometry:
         for _ in range(500):
             p = random_market(gen)
             assert _cached_geometry(p) == _direct_geometry(p)
-            red = p.reduced
-            assert red.delta_norm == float(np.linalg.norm(red.sigma_s_bar - red.sigma_i_bar))
-            assert reduce_dimension(p) is p.reduced
-            spread_differs += p.spread_norm != p.reduced.delta_norm
+            assert p.delta_norm == float(np.linalg.norm(p.bars[1] - p.bars[0]))
+            assert reduce_dimension(p) is p.delta_norm
+            spread_differs += p.spread_norm != p.delta_norm
             square_differs += p.norm_i_sq != p.norm_i**2
         # the look-alikes are different floats, which is why both are kept
         assert spread_differs > 0 and square_differs > 0
 
     def test_replace_recomputes(self, set_a):
         before = _cached_geometry(set_a)
-        reduced = set_a.reduced
+        bars, delta_norm = set_a.bars, set_a.delta_norm
         moved = replace(set_a, sigma_s=np.array([0.05, 0.3]))
         assert _cached_geometry(moved) == _direct_geometry(moved)
         assert _cached_geometry(moved) != before
-        assert moved.reduced is not reduced
-        assert np.array_equal(moved.reduced.sigma_s_bar, reduce_dimension(moved).sigma_s_bar)
-        assert moved.reduced.delta_norm != reduced.delta_norm
+        assert moved.bars is not bars
+        assert reduce_dimension(moved) is moved.delta_norm
+        assert moved.delta_norm != delta_norm
         assert _cached_geometry(set_a) == before
 
     @pytest.mark.parametrize("sigma_i, factor", [((0.1, 0.2, 0.3), -2.0), ((0.15, 0.05), 0.7)])
@@ -213,11 +218,11 @@ class TestCachedGeometry:
         proj = float(p.sigma_s @ e1)
         assert (proj, float(np.linalg.norm(p.sigma_s - proj * e1))) != (
             math.copysign(p.norm_s, factor), 0.0)
-        assert p.reduced.sigma_s_bar.tolist() == [math.copysign(p.norm_s, factor), 0.0]
-        assert p.reduced.sigma_i_bar.tolist() == [p.norm_i, 0.0]
+        assert p.bars[1].tolist() == [math.copysign(p.norm_s, factor), 0.0]
+        assert p.bars[0].tolist() == [p.norm_i, 0.0]
 
 
-_EAGER_GEOMETRY = ("norm_i", "norm_s", "norm_i_sq", "cross", "spread_norm", "reduced")
+_EAGER_GEOMETRY = ("norm_i", "norm_s", "norm_i_sq", "cross", "spread_norm", "bars", "delta_norm")
 
 
 def _pinned_geometry(sigma_i: np.ndarray, sigma_s: np.ndarray) -> dict:
@@ -230,24 +235,22 @@ def _pinned_geometry(sigma_i: np.ndarray, sigma_s: np.ndarray) -> dict:
     e1 = sigma_i / norm_i
     proj = float(sigma_s @ e1)
     rem_norm = norm(sigma_s - proj * e1)
-    if rem_norm <= 1e-12 * max(1.0, norm_s):
+    if rem_norm <= 1e-12 * norm_s:
         s_bar = [math.copysign(norm_s, proj), 0.0]
     else:
         s_bar = [proj, rem_norm]
     return {
         "norm_i": norm_i, "norm_s": norm_s, "spread_norm": norm(sigma_s - sigma_i),
         "norm_i_sq": float(sigma_i @ sigma_i), "cross": float(sigma_s @ sigma_i),
-        "sigma_i_bar": [norm_i, 0.0], "sigma_s_bar": s_bar,
+        "bars": [[norm_i, 0.0], s_bar],
         "delta_norm": norm(np.array(s_bar) - np.array([norm_i, 0.0])),
     }
 
 
 def _stored_geometry(p: MarketParams) -> dict:
     return {
-        **{name: getattr(p, name) for name in _EAGER_GEOMETRY if name != "reduced"},
-        "sigma_i_bar": p.reduced.sigma_i_bar.tolist(),
-        "sigma_s_bar": p.reduced.sigma_s_bar.tolist(),
-        "delta_norm": p.reduced.delta_norm,
+        **{name: getattr(p, name) for name in _EAGER_GEOMETRY if name != "bars"},
+        "bars": p.bars.tolist(),
     }
 
 
@@ -257,6 +260,11 @@ def _pin_markets() -> list[MarketParams]:
     for sigma_i, factor in [((0.1, 0.2, 0.3), -2.0), ((0.15, 0.05), 0.7), ((0.3, -0.1), 3.0),
                             ((0.2, 0.1, -0.05, 0.4), -1.0), ((1e-3, 0.5), 1.5)]:
         markets.append(MarketParams(0.05, 0.06, sigma_i, factor * np.array(sigma_i), 0.02, 5.0))
+    # a remainder of 5e-13 lies under an absolute floor of 1e-12 but over
+    # the relative one, 1e-12 * norm_s = 5e-14: the pair is not collinear
+    sigma_i = np.array([0.06, 0.08])
+    markets.append(MarketParams(0.05, 0.06, sigma_i, 0.5 * sigma_i + 5e-13 * np.array([-0.8, 0.6]),
+                                0.02, 5.0))
     return markets
 
 
@@ -277,12 +285,10 @@ class TestGeometryPin:
 
     def test_geometry_is_stored_at_construction(self, set_a):
         assert set(_EAGER_GEOMETRY) <= set(vars(set_a))
-        assert "delta_norm" in vars(set_a.reduced)
         for name in _EAGER_GEOMETRY:
             assert not hasattr(MarketParams, name)
         # nothing is computed on first use
-        for cls in (MarketParams, ReducedParams):
-            assert not any(isinstance(v, cached_property) for v in vars(cls).values())
+        assert not any(isinstance(v, cached_property) for v in vars(MarketParams).values())
 
 
 class TestSimulateTerminal:
@@ -453,13 +459,12 @@ class TestSimulatePath:
         times = np.linspace(0.0, set_a.t, n_steps + 1)
         scale = np.sqrt(set_a.t / n_steps)
         mu_i, mu_s = drift_pair(set_a, measure)
-        reduced = set_a.reduced
         for n_paths in (1, 2, 3, 65, 300):
             batch = simulate_paths(set_a, measure, n_steps, n_paths, 808)
             xi = np.stack([rng.normal_pairs(808, 0, n_paths, step) for step in range(n_steps)],
                           axis=1)
-            for values, mu, bar in ((batch.index_values, mu_i, reduced.sigma_i_bar),
-                                    (batch.stock_values, mu_s, reduced.sigma_s_bar)):
+            for values, mu, bar in ((batch.index_values, mu_i, set_a.bars[0]),
+                                    (batch.stock_values, mu_s, set_a.bars[1])):
                 steps = ((xi[..., 0] * bar[0] + xi[..., 1] * bar[1]) * scale
                          + (mu - 0.5 * math.sqrt(bar @ bar)**2) * np.diff(times))
                 assert values.shape == (n_paths, n_steps + 1)
@@ -602,15 +607,15 @@ def _drift_only_log_ratio(params, measure):
 
 
 class TestLogRatioLaw:
-    # the law's mean is the drift-only log ratio; its std is the reduced
-    # spread norm over the horizon
+    # the law's mean is the drift-only log ratio; its std is the spread
+    # norm of the bars over the horizon
 
     def test_reference_values(self, set_a):
         mean, std = log_ratio_law(set_a)
         assert mean == pytest.approx(-0.3375, abs=1e-15)
         assert std == pytest.approx(0.570087712549569, abs=1e-15)
         assert _drift_only_log_ratio(set_a, Measure.PHYSICAL) == pytest.approx(-0.3375, abs=1e-15)
-        assert (set_a.reduced.delta_norm * math.sqrt(set_a.t)
+        assert (set_a.delta_norm * math.sqrt(set_a.t)
                 == pytest.approx(0.570087712549569, abs=1e-15))
 
     def test_symmetric_cancellation(self):

@@ -12,9 +12,7 @@ from eihlab.analytic import DigitalSpec, Direction, claim_value, digital_price, 
 from eihlab.market import (
     MarketParams,
     Measure,
-    ReducedParams,
     TerminalSample,
-    reduce_dimension,
     simulate_paths,
     simulate_terminal,
 )
@@ -39,7 +37,8 @@ from eihlab.strategies import (
     terminal_wealth,
 )
 
-from conftest import SET_A, paths_from_increments, random_market, wealth_tracks
+from conftest import (SET_A, bond_delta_norm, paths_from_increments, random_market,
+                      wealth_tracks)
 
 
 class TestTwoSided:
@@ -49,12 +48,12 @@ class TestTwoSided:
         assert strat.total_initial_wealth == 0.05
 
     def test_initial_wealth_matches_price(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         for delta in (0.01, 0.05, 0.5):
             strat = build_two_sided(set_a, delta)
             for comp in strat.components:
                 assert abs(comp.initial_wealth
-                           - digital_price(red, comp.spec, set_a.t)) <= 1e-12
+                           - digital_price(delta_norm, comp.spec, set_a.t)) <= 1e-12
 
     def test_beat_identity_is_exact(self, set_a):
         delta = 0.05
@@ -84,12 +83,12 @@ class TestTwoSided:
 
 class TestOneSided:
     def test_initial_wealth_is_delta(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         for side in Side:
             strat = build_one_sided(set_a, 0.05, side)
             (comp,) = strat.components
             assert comp.initial_wealth == 0.05
-            assert abs(digital_price(red, comp.spec, set_a.t) - 0.05) <= 1e-12
+            assert abs(digital_price(delta_norm, comp.spec, set_a.t) - 0.05) <= 1e-12
 
     def test_upper_pays_on_large_centered_log_ratio(self, set_a):
         # the upper claim fires exactly when the centered log ratio
@@ -102,19 +101,19 @@ class TestOneSided:
         event = event_one_sided(set_a, delta, log_ratios[Underlying.STOCK], Side.UPPER)
         np.testing.assert_array_equal(fires, ~event)
         (comp,) = strat.components
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         width = (comp.spec.log_threshold
-                 + 0.5 * red.delta_norm**2 * set_a.t) / (red.delta_norm * math.sqrt(set_a.t))
+                 + 0.5 * delta_norm**2 * set_a.t) / (delta_norm * math.sqrt(set_a.t))
         from eihlab.normal import upper_quantile
         assert width == pytest.approx(upper_quantile(delta), rel=1e-12)
 
     def test_median_split_at_half(self, set_a):
         # delta = 1/2 puts the threshold at the index-measure median, so
         # the claim price (its firing probability) is one half
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         strat = build_one_sided(set_a, 0.5, Side.LOWER)
         (comp,) = strat.components
-        assert digital_price(red, comp.spec, set_a.t) == pytest.approx(0.5, abs=1e-12)
+        assert digital_price(delta_norm, comp.spec, set_a.t) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestIndexVsBond:
@@ -229,7 +228,7 @@ class TestHedgedWealth:
             hs_arr, hi_arr = np.zeros(1), np.zeros(1)
             for comp in strat.components:
                 assert comp.underlying is Underlying.STOCK
-                ratios = hedge_ratios(set_a.reduced, comp.spec, t, stock[k:k + 1],
+                ratios = hedge_ratios(set_a.delta_norm, comp.spec, t, stock[k:k + 1],
                                       index[k:k + 1], set_a.t)
                 hs_arr += comp.units * ratios.units_s
                 hi_arr += comp.units * ratios.units_i
@@ -265,9 +264,9 @@ def _reference_tracks(strategy, params, batch, cutoff):
     component, ``claim_value`` then ``hedge_ratios``, each on its own
     ratio, in row-major arrays, rebalancing at every step up to
     ``cutoff`` and holding the last units after it.  Bond components are
-    valued on the bond's own reduced pair, (sigma_i_bar, 0)."""
-    pairs = {Underlying.STOCK: params.reduced,
-             Underlying.BOND: ReducedParams(np.array([params.norm_i, 0.0]), np.zeros(2))}
+    valued on the spread norm of the bond's own coordinates, ([norm_i,
+    0], [0, 0])."""
+    delta_norms = {Underlying.STOCK: params.delta_norm, Underlying.BOND: bond_delta_norm(params)}
     times = batch.times
     n, m_plus_1 = batch.index_values.shape
     analytic = np.zeros((n, m_plus_1))
@@ -286,10 +285,11 @@ def _reference_tracks(strategy, params, batch, cutoff):
                 numer = stock_t
             else:
                 numer = np.asarray(math.exp(params.r * t))
-            pair = pairs[comp.underlying]
-            analytic[:, k] += comp.units * claim_value(pair, comp.spec, t, numer, index_t, params.t)
+            delta_norm = delta_norms[comp.underlying]
+            analytic[:, k] += comp.units * claim_value(delta_norm, comp.spec, t, numer, index_t,
+                                                       params.t)
             if t <= cutoff:
-                ratios = hedge_ratios(pair, comp.spec, t, numer, index_t, params.t)
+                ratios = hedge_ratios(delta_norm, comp.spec, t, numer, index_t, params.t)
                 h_index += comp.units * ratios.units_i
                 if comp.underlying is Underlying.STOCK:
                     h_stock += comp.units * ratios.units_s
@@ -431,9 +431,9 @@ class TestWealthLoop:
 
 class TestEvents:
     def test_centered_ratio_inside_band(self, set_a):
-        red = reduce_dimension(set_a)
+        delta_norm = set_a.delta_norm
         # index and stock log levels whose log ratio is the band's center
-        terminal = TerminalSample(np.array([0.0]), np.array([-0.5 * red.delta_norm**2 * set_a.t]))
+        terminal = TerminalSample(np.array([0.0]), np.array([-0.5 * delta_norm**2 * set_a.t]))
         log_ratio = terminal_log_ratios(set_a, terminal, Underlying.STOCK)[Underlying.STOCK]
         for delta in (0.9, 0.5, 0.05):
             assert event_two_sided(set_a, delta, log_ratio)[0]
@@ -441,8 +441,8 @@ class TestEvents:
     def test_boundary_levels_reference(self, set_a):
         # band edges in log space; frozen from 40-digit arithmetic
         from eihlab.analytic import log_thresholds
-        red = reduce_dimension(set_a)
-        log_a, log_b = log_thresholds(red.delta_norm, set_a.t, 0.05)
+        delta_norm = set_a.delta_norm
+        log_a, log_b = log_thresholds(delta_norm, set_a.t, 0.05)
         assert log_a == pytest.approx(-1.2798513846259783, abs=1e-12)
         assert log_b == pytest.approx(0.9548513846259783, abs=1e-12)
 
