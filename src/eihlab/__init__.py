@@ -38,7 +38,6 @@ from .strategies import (
     BoundReport,
     DigitalComponent,
     PrudentStrategy,
-    Side,
     Underlying,
     bound_check,
     build_capm_composite,

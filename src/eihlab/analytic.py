@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market import _finite_positive
+from .market import _check_norm, _finite_positive
 from .normal import std_normal_cdf, std_normal_pdf, upper_quantile
 
 __all__ = [
@@ -45,10 +45,17 @@ __all__ = [
 
 
 class Direction(enum.Enum):
-    """Which side of the threshold the claim pays on."""
+    """Which side of the threshold the claim pays on: ``AT_LEAST`` the
+    upper tail of the ratio, ``AT_MOST`` the lower one.  A one-sided
+    strategy buys the tail that :meth:`of_gap` picks from a drift gap."""
 
     AT_LEAST = "at_least"
     AT_MOST = "at_most"
+
+    @classmethod
+    def of_gap(cls, gap: float) -> "Direction":
+        """The profitable tail for a drift gap: ``AT_LEAST`` when it is >= 0."""
+        return cls.AT_LEAST if gap >= 0.0 else cls.AT_MOST
 
 
 @dataclass(frozen=True)
@@ -125,18 +132,11 @@ def log_thresholds(delta_norm: float, horizon: float, delta: float) -> tuple[flo
     return center - half_width, center + half_width
 
 
-def _check_delta_norm(delta_norm: float) -> None:
-    """The spread norm of a claim's ratio, which no constructor vouches
-    for here, must be finite and positive."""
-    if not 0.0 < delta_norm < math.inf:
-        raise ValueError(f"delta_norm must be finite and positive, got {delta_norm!r}")
-
-
 def thresholds(delta_norm: float, horizon: float, delta: float) -> tuple[float, float]:
     """Band edges (a, b) in ratio space for a given escape mass ``delta``,
     for a ratio of spread norm ``delta_norm`` (such as
     :attr:`~eihlab.market.MarketParams.delta_norm`)."""
-    _check_delta_norm(delta_norm)
+    _check_norm("delta_norm", delta_norm)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not horizon > 0.0:
@@ -204,7 +204,7 @@ def _check_valuation(t: float, horizon: float, s_t, i_t) -> tuple[np.ndarray, np
 def digital_price(delta_norm: float, spec: DigitalSpec, tau: float) -> float:
     """Time-(T - tau) claim value per unit index when S/I currently equals 1,
     for a ratio of spread norm ``delta_norm``."""
-    _check_delta_norm(delta_norm)
+    _check_norm("delta_norm", delta_norm)
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
     return float(_valuation(spec, delta_norm, tau, 1.0, 0.0, 1.0, hedge=False)[0])
@@ -224,7 +224,7 @@ def claim_value(
     Scalar prices give a float; arrays broadcast elementwise.  The value
     is degree-1 homogeneous in ``(s_t, i_t)`` and nonnegative.
     """
-    _check_delta_norm(delta_norm)
+    _check_norm("delta_norm", delta_norm)
     i_t, ratio = _check_valuation(t, horizon, s_t, i_t)
     value = _valuation(spec, delta_norm, horizon - t, ratio, np.log(ratio), i_t,
                        hedge=False)[0]
@@ -247,7 +247,7 @@ def hedge_ratios(
     bond: ``units_s * s_t + units_i * i_t`` equals the claim value up to
     rounding.
     """
-    _check_delta_norm(delta_norm)
+    _check_norm("delta_norm", delta_norm)
     i_t, ratio = _check_valuation(t, horizon, s_t, i_t)
     _, units_s, units_i = _valuation(spec, delta_norm, horizon - t, ratio, np.log(ratio), i_t,
                                      hedge=True)

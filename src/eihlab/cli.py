@@ -55,6 +55,7 @@ import numpy as np
 from . import experiments
 from .analytic import DigitalSpec, Direction, digital_price, log_thresholds, thresholds
 from .market import MarketParams, Measure, simulate_paths, simulate_terminal
+from .rng import check_paths
 
 DEFAULT_SEED = 42
 
@@ -190,10 +191,7 @@ def _resolve_seed(args, values: dict[str, str]) -> int:
     if args.seed is not None:
         seed, source = args.seed, "--seed"
     elif env is not None:
-        try:
-            seed, source = int(env), "EIHLAB_SEED"
-        except ValueError as exc:
-            raise ValueError(f"EIHLAB_SEED must be an integer, got {env!r}") from exc
+        seed, source = _integer({"EIHLAB_SEED": env}, "EIHLAB_SEED"), "EIHLAB_SEED"
     else:
         seed, source = _integer(values, "run.seed"), "run.seed"
     if not 0 <= seed < 2**64:
@@ -493,11 +491,7 @@ def cmd_simulate(args, values: dict[str, str]) -> int:
         _emit(_columns_csv("time,index,stock", chunks), args.out)
     else:
         n_paths = _integer(values, "run.n_paths")
-        if n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
-        if n_paths > 2**64:
-            raise ValueError("n_paths must be at most 2^64, the lanes of the random stream, "
-                             f"got {n_paths}")
+        check_paths(n_paths)
         chunks = _terminal_chunks(params, measure, n_paths, seed)
         _emit(_columns_csv("path,index_terminal,stock_terminal", chunks), args.out)
     return EXIT_PASS

@@ -44,6 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import strategies
+from .analytic import Direction
 from .market import (
     MarketParams,
     Measure,
@@ -53,10 +54,9 @@ from .market import (
 )
 from .normal import std_normal_cdf, upper_quantile
 from .quadrature import halfspace_monte_carlo, halfspace_quadrature
-from .rng import uniform_pairs
+from .rng import check_paths, uniform_pairs
 from .strategies import (
     BoundReport,
-    Side,
     Underlying,
     bond_drift_gap,
     bound_check,
@@ -91,9 +91,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_paths < 10**3:
             raise ValueError("n_paths must be at least 1000")
-        if self.n_paths > 2**64:
-            raise ValueError("n_paths must be at most 2^64, the lanes of the random stream, "
-                             f"got {self.n_paths}")
+        check_paths(self.n_paths)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.eps < 1.0:
@@ -186,13 +184,13 @@ def mu_bis_boundary_params(
 ) -> MarketParams:
     """Move mu_s so the one-sided drift bound is violated by ``margin``.
 
-    ``margin`` is the ratio of the drift gap to the bound width; the gap
-    is nudged up by one part in 1e12 so that margin 1.0 lands strictly
-    outside the bound in floating point as well.
+    ``margin`` is the ratio of the drift gap to the bound width, the
+    ``rhs`` of :func:`~eihlab.strategies.bound_check` (which rejects a
+    ``delta`` or ``eps`` outside (0, 1)); the gap is nudged up by one part
+    in 1e12 so that margin 1.0 lands strictly outside the bound in
+    floating point as well.
     """
-    sqrt_t = math.sqrt(params.t)
-    width = ((upper_quantile(delta) + upper_quantile(eps))
-             * params.spread_norm / sqrt_t)
+    width = bound_check(params, delta, eps, "mu_bis").rhs
     gap = margin * width * (1.0 + 1e-12)
     base = exact_capm_params(params)
     return replace(base, mu_s=base.mu_s + gap)
@@ -217,11 +215,11 @@ def _mu_bis_counts(config: ExperimentConfig, terminal: TerminalSample) -> tuple[
     """Beat frequency of the one-sided stock strategy, tail picked by the
     sign of the drift gap, against the complementary one-sided event."""
     params, delta = config.params, config.delta
-    side = Side.of_gap(drift_gap(params))
-    strategy = strategies.build_one_sided(params, delta, side)
+    direction = Direction.of_gap(drift_gap(params))
+    strategy = strategies.build_one_sided(params, delta, direction)
     log_ratios = terminal_log_ratios(params, terminal, Underlying.STOCK)
     fires = strategy_fires(strategy, log_ratios)
-    event = event_one_sided(params, delta, log_ratios[Underlying.STOCK], side)
+    event = event_one_sided(params, delta, log_ratios[Underlying.STOCK], direction)
     return int(fires.sum()), int((event == fires).sum())
 
 
@@ -389,11 +387,9 @@ def capm_convergence_study(
     the mean log relative performance under zero-gap drifts matches
     ``-delta_norm^2 T / 2``.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    if n_paths > 2**64:
-        raise ValueError("n_paths must be at most 2^64, the lanes of the random stream, "
-                         f"got {n_paths}")
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2 for a standard error")
+    check_paths(n_paths)
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
     t_grid = [float(t) for t in t_grid]

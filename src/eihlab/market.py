@@ -70,9 +70,10 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def _check_norm(name: str, norm: float) -> None:
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"the norm of {name} must be finite and positive, got {norm!r}")
+def _check_norm(what: str, value: float) -> None:
+    """The one rule of a norm, computed or given: finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +132,8 @@ class MarketParams:
         with np.errstate(all="ignore"):
             norm_i_sq = float(sigma_i.dot(sigma_i))
             norm_i, norm_s = math.sqrt(norm_i_sq), _norm(sigma_s)
-            _check_norm("sigma_i", norm_i)
-            _check_norm("sigma_s", norm_s)
+            _check_norm("the norm of sigma_i", norm_i)
+            _check_norm("the norm of sigma_s", norm_s)
             e1 = sigma_i / norm_i
             proj = float(sigma_s.dot(e1))
             rem_norm = _norm(sigma_s - proj * e1)
@@ -147,7 +148,7 @@ class MarketParams:
             bars = np.array([[norm_i, 0.0], s_bar])
             bars.flags.writeable = False
             delta_norm = _norm(bars[1] - bars[0])
-            _check_norm("sigma_s - sigma_i", delta_norm)
+            _check_norm("the norm of sigma_s - sigma_i", delta_norm)
         vars(self).update(norm_i=norm_i, norm_s=norm_s, norm_i_sq=norm_i_sq, cross=cross,
                           spread_norm=spread_norm, bars=bars, delta_norm=delta_norm)
 
@@ -220,8 +221,7 @@ def simulate_terminal(
     :func:`_in_exp_range` checks the levels from the prices of their
     extremes alone, so no batch of prices is formed here.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    rng.check_paths(n_paths)
     xi = rng.normal_pairs(seed, first_path, n_paths)
     log_levels = _log_levels(params, measure, params.t, np.sqrt(params.t), xi)
     return TerminalSample(*_in_float_range(*log_levels, rule=_in_exp_range))
@@ -319,14 +319,15 @@ def price_steps(
     batch that holds it, and a one-step stream equals
     :func:`simulate_terminal`.  This is the package's one rule from draws
     to steps; its reader forms the prices.
-    ``n_steps`` and ``n_paths`` are checked on the call, the seed and the
-    lanes by the first step's draw.  A level whose price leaves the float
-    range is yielded, without a warning, for the reader to reject.
+    ``n_steps`` and ``n_paths`` (against the stream's lanes,
+    :func:`eihlab.rng.check_paths`) are checked on the call, the seed and
+    ``first_path`` by the first step's draw.  A level whose price leaves
+    the float range is yielded, without a warning, for the reader to
+    reject.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    rng.check_paths(n_paths)
     times, scale = np.linspace(0.0, params.t, n_steps + 1), np.sqrt(params.t / n_steps)
 
     def steps() -> Iterator[tuple[float, float, TerminalSample]]:

@@ -43,6 +43,16 @@ def _to_unit(words: np.ndarray) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
+def check_paths(n_paths: int) -> None:
+    """The one rule of a path count: one path at least, and no more than
+    the stream's 2^64 lanes, one per path."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if n_paths > _LANES:
+        raise ValueError("n_paths must be at most 2^64, the lanes of the random stream, "
+                         f"got {n_paths}")
+
+
 def _philox(seed: int, first_lane: int, n_lanes: int, block: int) -> np.random.Philox:
     """Bit generator whose next block is counter (first_lane, block, 0, 0)."""
     if first_lane < 0 or n_lanes < 0 or first_lane + n_lanes > _LANES:

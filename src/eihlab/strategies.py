@@ -38,7 +38,6 @@ __all__ = [
     "BoundReport",
     "DigitalComponent",
     "PrudentStrategy",
-    "Side",
     "Underlying",
     "bond_drift_gap",
     "bound_check",
@@ -64,18 +63,6 @@ class Underlying(enum.Enum):
 
     STOCK = "stock"
     BOND = "bond"
-
-
-class Side(enum.Enum):
-    """Tail direction of a one-sided construction."""
-
-    UPPER = "upper"
-    LOWER = "lower"
-
-    @classmethod
-    def of_gap(cls, gap: float) -> "Side":
-        """The profitable tail for a drift gap: upper when it is >= 0."""
-        return cls.UPPER if gap >= 0.0 else cls.LOWER
 
 
 @dataclass(frozen=True)
@@ -177,11 +164,12 @@ def _one_sided_component(
     underlying: Underlying,
     horizon: float,
     delta: float,
-    side: Side,
+    direction: Direction,
 ) -> DigitalComponent:
     # a band of tail mass 2 delta has one tail of mass delta on each side,
     # each claim worth (2 delta) / 2 = delta
-    return _band_components(delta_norm, underlying, horizon, 2.0 * delta)[side is Side.UPPER]
+    band = _band_components(delta_norm, underlying, horizon, 2.0 * delta)
+    return band[direction is Direction.AT_LEAST]
 
 
 def _check_delta(delta: float) -> None:
@@ -201,12 +189,12 @@ def build_two_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     return PrudentStrategy(comps)
 
 
-def build_one_sided(params: MarketParams, delta: float, side: Side | str) -> PrudentStrategy:
-    """Single-tail variant with the delta-quantile replacing delta/2."""
+def build_one_sided(params: MarketParams, delta: float, direction: Direction) -> PrudentStrategy:
+    """Single-tail variant with the delta-quantile replacing delta/2, paying
+    on the tail ``direction`` names (a :class:`Direction` or its value)."""
     _check_delta(delta)
-    side = Side(side)
     comp = _one_sided_component(params.delta_norm, Underlying.STOCK, params.t, delta,
-                                side)
+                                Direction(direction))
     return PrudentStrategy((comp,))
 
 
@@ -226,7 +214,7 @@ def build_bond_one_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     """One-sided bond/index strategy, tail picked by the sign of the bond drift gap."""
     _check_delta(delta)
     comp = _one_sided_component(params.norm_i, Underlying.BOND, params.t, delta,
-                                Side.of_gap(bond_drift_gap(params)))
+                                Direction.of_gap(bond_drift_gap(params)))
     return PrudentStrategy((comp,))
 
 
@@ -242,7 +230,7 @@ def build_capm_composite(params: MarketParams, delta: float, variant: str) -> Pr
     """
     _check_delta(delta)
     if variant == "cor_2delta":
-        stock = _scaled(build_one_sided(params, delta, Side.of_gap(drift_gap(params))), 1.0)
+        stock = _scaled(build_one_sided(params, delta, Direction.of_gap(drift_gap(params))), 1.0)
         bond = _scaled(build_bond_one_sided(params, delta), 1.0)
         return PrudentStrategy(stock.components + bond.components)
     if variant == "cor_3delta":
@@ -315,12 +303,13 @@ def event_two_sided(params: MarketParams, delta: float, log_ratio):
     return _in_band(params.delta_norm, params.t, delta, log_ratio)
 
 
-def event_one_sided(params: MarketParams, delta: float, log_ratio, side: Side | str):
-    """One-tail band event; upper: centered log ratio stays below the
-    z_delta width, lower: stays above its negative."""
+def event_one_sided(params: MarketParams, delta: float, log_ratio, direction: Direction):
+    """One-tail band event, the complement of :func:`build_one_sided`'s
+    payoff; at_least: centered log ratio stays below the z_delta width,
+    at_most: stays above its negative."""
     _check_delta(delta)
     comp = _one_sided_component(params.delta_norm, Underlying.STOCK, params.t, delta,
-                                Side(side))
+                                Direction(direction))
     return ~comp.spec.payoff_indicator(log_ratio)
 
 

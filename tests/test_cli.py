@@ -270,6 +270,26 @@ class TestSeedPrecedence:
         assert code == 2
         assert "EIHLAB_SEED" in err
 
+    @pytest.mark.parametrize("env, message", [
+        ("not-a-number", "EIHLAB_SEED must be an integer, got 'not-a-number'"),
+        ("2.5", "EIHLAB_SEED must be an integer, got '2.5'"),
+    ])
+    def test_bad_env_seed_message(self, capsys, config_path, monkeypatch, env, message):
+        monkeypatch.setenv("EIHLAB_SEED", env)
+        code, out, err = run_cli(capsys, "simulate", "--config", config_path, "--paths", "5")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_env_seed_follows_the_config_integer_rule(self, capsys, config_path,
+                                                       monkeypatch):
+        # run.seed = 1e3 is seed 1000, and so is EIHLAB_SEED=1e3
+        monkeypatch.setenv("EIHLAB_SEED", "1e3")
+        code, out_env, _ = run_cli(capsys, "simulate", "--config", config_path, "--paths", "5")
+        monkeypatch.delenv("EIHLAB_SEED")
+        _, out_1000, _ = run_cli(capsys, "simulate", "--config", config_path,
+                                 "--paths", "5", "--seed", "1000")
+        assert code == 0
+        assert out_env == out_1000
+
 
     def test_largest_seed_is_accepted(self, capsys, config_path):
         code, out, _ = run_cli(capsys, "simulate", "--config", config_path,
@@ -292,6 +312,8 @@ class TestUsageErrors:
         (("simulate", "--paths", "5"), None, "-1"),
         (("hedge", "--paths", "1000"), None, "1e20"),
         (("table", "--study", "convergence", "--t-grid", "10", "--paths", "0"), None, None),
+        # one path has no standard error
+        (("table", "--study", "convergence", "--t-grid", "2.5,10", "--paths", "1"), None, None),
         (("table", "--study", "convergence", "--t-grid", "10", "--workers", "0"), None, None),
         # one path more than the lanes of the random stream (2^64 itself is
         # valid, and would run for years)
@@ -304,7 +326,8 @@ class TestUsageErrors:
     ], ids=["paths-0", "steps-0", "t-grid-not-a-number", "lemma-paths-0", "lemma-paths-1",
             "flag-seed-negative", "flag-seed-2^64", "env-seed-negative", "env-seed-2^64",
             "config-seed-negative", "config-seed-above-2^64", "convergence-paths-0",
-            "convergence-workers-0", "verify-paths-above-2^64", "verify-gated-paths-above-2^64",
+            "convergence-paths-1", "convergence-workers-0", "verify-paths-above-2^64",
+            "verify-gated-paths-above-2^64",
             "hedge-paths-above-2^64", "convergence-paths-above-2^64",
             "simulate-paths-above-2^64"])
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, monkeypatch,

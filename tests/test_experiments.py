@@ -32,12 +32,13 @@ from eihlab.strategies import (
     Underlying,
     bound_check,
     build_two_sided,
+    drift_gap,
     event_two_sided,
     strategy_fires,
     terminal_log_ratios,
 )
 
-from conftest import wealth_tracks
+from conftest import random_market, wealth_tracks
 
 
 class TestWilsonCI:
@@ -185,6 +186,37 @@ class TestVerifyCapm:
             assert got == pytest.approx(expected, abs=1e-9)
 
 
+def _inline_boundary_params(params, delta, eps, margin):
+    """The boundary market by the width expression that
+    ``mu_bis_boundary_params`` once wrote out itself, as the oracle of
+    ``bound_check``'s ``mu_bis`` width."""
+    width = ((upper_quantile(delta) + upper_quantile(eps))
+             * params.spread_norm / math.sqrt(params.t))
+    base = exact_capm_params(params)
+    return replace(base, mu_s=base.mu_s + margin * width * (1.0 + 1e-12))
+
+
+class TestBoundaryParams:
+    def test_width_is_bound_checks_mu_bis_width(self, set_a):
+        gen = np.random.default_rng(3217)
+        cases = [(set_a, 0.05, 0.05, margin) for margin in (1.0, 1.5, 2.0)]
+        cases += [(random_market(gen), float(gen.uniform(1e-4, 0.9)),
+                   float(gen.uniform(1e-4, 0.9)), float(gen.uniform(0.0, 3.0)))
+                  for _ in range(1000)]
+        for params, delta, eps, margin in cases:
+            got = mu_bis_boundary_params(params, delta, eps, margin)
+            assert got.mu_s == _inline_boundary_params(params, delta, eps, margin).mu_s
+            width = bound_check(params, delta, eps, "mu_bis").rhs
+            assert drift_gap(got) == pytest.approx(margin * width, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5])
+    def test_rejects_tail_masses_outside_the_unit_interval(self, set_a, bad):
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)$"):
+            mu_bis_boundary_params(set_a, bad, 0.05, 1.0)
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)$"):
+            mu_bis_boundary_params(set_a, 0.05, bad, 1.0)
+
+
 class TestVerifyIndexPremium:
     def test_pinned_premium_reports_recover_band(self, set_a):
         norm_i_sq = float(set_a.sigma_i @ set_a.sigma_i)
@@ -248,6 +280,14 @@ class TestConvergenceStudy:
         reference = tpd_mc_mean(set_a)
         assert reference == pytest.approx(-0.172236671515464, abs=1e-12)
         assert tpd_mc_mean(replace(set_a, mu_i=mu_i)) == pytest.approx(reference, abs=1e-12)
+
+    @pytest.mark.parametrize("n_paths", [-1, 0, 1])
+    def test_a_standard_error_needs_two_paths(self, set_a, n_paths):
+        # one path would report a standard error of 0, an exact mean
+        with pytest.raises(ValueError, match="^n_paths must be at least 2 for a standard error$"):
+            capm_convergence_study(set_a, 0.05, 0.05, [2.5, 10.0], n_paths=n_paths)
+        (row,) = capm_convergence_study(set_a, 0.05, 0.05, [10.0], n_paths=2).rows
+        assert row["tpd_se"] > 0.0
 
     def test_rejects_bad_grids(self, set_a):
         with pytest.raises(ValueError):

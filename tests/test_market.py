@@ -588,6 +588,21 @@ class TestPathRange:
         with pytest.raises(ValueError, match="must lie in"):
             simulate_paths(set_a, Measure.PHYSICAL, 4, n_paths, 1, first_path=first_path)
 
+    @pytest.mark.parametrize("n_paths, message", [
+        (0, "^n_paths must be at least 1$"),
+        (2**64 + 1, r"^n_paths must be at most 2\^64, the lanes of the random stream, "
+                    f"got {2**64 + 1}$"),
+    ])
+    def test_path_count_is_checked_on_the_call(self, set_a, n_paths, message):
+        # one rule (rng.check_paths) for both samplers; the stream checks
+        # on the call, before its first draw
+        with pytest.raises(ValueError, match=message):
+            simulate_terminal(set_a, Measure.PHYSICAL, n_paths, 1)
+        with pytest.raises(ValueError, match=message):
+            price_steps(set_a, Measure.PHYSICAL, 4, n_paths, 1)
+        with pytest.raises(ValueError, match=message):
+            rng.check_paths(n_paths)
+
     def test_last_lane_is_a_valid_path(self, set_a):
         last = 2**64 - 1
         one = simulate_terminal(set_a, Measure.PHYSICAL, 1, 1, first_path=last)

@@ -17,7 +17,6 @@ from eihlab.market import (
     simulate_terminal,
 )
 from eihlab.strategies import (
-    Side,
     Underlying,
     bond_drift_gap,
     bound_check,
@@ -84,8 +83,8 @@ class TestTwoSided:
 class TestOneSided:
     def test_initial_wealth_is_delta(self, set_a):
         delta_norm = set_a.delta_norm
-        for side in Side:
-            strat = build_one_sided(set_a, 0.05, side)
+        for direction in Direction:
+            strat = build_one_sided(set_a, 0.05, direction)
             (comp,) = strat.components
             assert comp.initial_wealth == 0.05
             assert abs(digital_price(delta_norm, comp.spec, set_a.t) - 0.05) <= 1e-12
@@ -94,11 +93,11 @@ class TestOneSided:
         # the upper claim fires exactly when the centered log ratio
         # reaches the one-sided width
         delta = 0.05
-        strat = build_one_sided(set_a, delta, Side.UPPER)
+        strat = build_one_sided(set_a, delta, Direction.AT_LEAST)
         out = simulate_terminal(set_a, Measure.PHYSICAL, 100_000, 12)
         log_ratios = terminal_log_ratios(set_a, out, Underlying.STOCK)
         fires = strategy_fires(strat, log_ratios)
-        event = event_one_sided(set_a, delta, log_ratios[Underlying.STOCK], Side.UPPER)
+        event = event_one_sided(set_a, delta, log_ratios[Underlying.STOCK], Direction.AT_LEAST)
         np.testing.assert_array_equal(fires, ~event)
         (comp,) = strat.components
         delta_norm = set_a.delta_norm
@@ -107,11 +106,24 @@ class TestOneSided:
         from eihlab.normal import upper_quantile
         assert width == pytest.approx(upper_quantile(delta), rel=1e-12)
 
+    @pytest.mark.parametrize("stale", ["upper", "lower", "UPPER", None])
+    def test_direction_is_a_direction_or_its_value(self, set_a, stale):
+        # a name of no direction raises instead of picking a tail
+        with pytest.raises(ValueError):
+            build_one_sided(set_a, 0.05, stale)
+        with pytest.raises(ValueError):
+            event_one_sided(set_a, 0.05, np.zeros(3), stale)
+        for direction in Direction:
+            assert (build_one_sided(set_a, 0.05, direction.value)
+                    == build_one_sided(set_a, 0.05, direction))
+            assert np.array_equal(event_one_sided(set_a, 0.05, np.zeros(3), direction.value),
+                                  event_one_sided(set_a, 0.05, np.zeros(3), direction))
+
     def test_median_split_at_half(self, set_a):
         # delta = 1/2 puts the threshold at the index-measure median, so
         # the claim price (its firing probability) is one half
         delta_norm = set_a.delta_norm
-        strat = build_one_sided(set_a, 0.5, Side.LOWER)
+        strat = build_one_sided(set_a, 0.5, Direction.AT_MOST)
         (comp,) = strat.components
         assert digital_price(delta_norm, comp.spec, set_a.t) == pytest.approx(0.5, abs=1e-12)
 
@@ -156,8 +168,9 @@ class TestComposites:
                        MarketParams(**{**SET_A, "mu_i": 0.0}), flat):
             stock_gap, bond_gap = drift_gap(params), bond_drift_gap(params)
             signs.add((np.sign(stock_gap), np.sign(bond_gap)))
-            assert Side.of_gap(stock_gap) is (Side.UPPER if stock_gap >= 0.0 else Side.LOWER)
-            (mu_bis,) = build_one_sided(params, 0.05, Side.of_gap(stock_gap)).components
+            assert Direction.of_gap(stock_gap) is (Direction.AT_LEAST if stock_gap >= 0.0
+                                                   else Direction.AT_MOST)
+            (mu_bis,) = build_one_sided(params, 0.05, Direction.of_gap(stock_gap)).components
             (index,) = build_bond_one_sided(params, 0.05).components
             stock, bond = build_capm_composite(params, 0.05, "cor_2delta").components
             for comp, gap in ((mu_bis, stock_gap), (stock, stock_gap), (index, bond_gap),
@@ -165,6 +178,11 @@ class TestComposites:
                 assert comp.spec.direction is (Direction.AT_LEAST if gap >= 0.0
                                                else Direction.AT_MOST)
         assert signs == {(-1, -1), (1, -1), (1, 1), (0, 0)}
+        # zero gaps of either sign pick the upper tail, and the negative
+        # gap nearest zero the lower one
+        for gap, direction in ((0.0, Direction.AT_LEAST), (-0.0, Direction.AT_LEAST),
+                               (5e-324, Direction.AT_LEAST), (-5e-324, Direction.AT_MOST)):
+            assert Direction.of_gap(gap) is direction
 
     def test_cor_2delta_wealth_and_factor(self, set_a):
         delta = 0.05
