@@ -62,7 +62,9 @@ DEFAULT_SEED = 42
 # rows that ``simulate`` samples, formats and writes at a time, so its
 # memory does not grow with --paths; at 10^6 rows (2 vCPUs, start-up
 # included) 4096 to 32768 took 0.54 s, 65536 took 0.61 s, and the peak
-# RSS rose from 44 MB at 4096 to 48 MB at 16384 and 64 MB at 65536
+# RSS rose from 44 MB at 4096 to 48 MB at 16384 and 64 MB at 65536; a
+# multiple of the random stream's tiles of 4096 lanes, so no tile is
+# filled twice
 SIMULATE_CHUNK_ROWS = 16384
 
 EXIT_PASS = 0
@@ -434,7 +436,8 @@ def _rows_csv(rows: list[dict]) -> Iterator[str]:
 def _terminal_chunks(params: MarketParams, measure: Measure, n_paths: int,
                      seed: int) -> Iterator[tuple]:
     """(path, I_T, S_T) columns in chunks of SIMULATE_CHUNK_ROWS rows;
-    path ``k`` uses counter ``(seed, k)``, so chunking changes no bit."""
+    path ``k`` uses the normal pair of lane ``k`` under ``seed``, so
+    chunking changes no bit."""
     for lo in range(0, n_paths, SIMULATE_CHUNK_ROWS):
         hi = min(lo + SIMULATE_CHUNK_ROWS, n_paths)
         terminal = simulate_terminal(params, measure, hi - lo, seed, first_path=lo)

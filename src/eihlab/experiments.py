@@ -68,6 +68,8 @@ from .strategies import (
     terminal_log_ratios,
 )
 
+# a multiple of the random stream's tiles of 4096 lanes, so no chunk
+# fills a tile that another chunk fills too
 CHUNK_PATHS = 1 << 16
 
 _Z95 = upper_quantile(0.025)
@@ -385,7 +387,9 @@ def capm_convergence_study(
     The four bound widths scale exactly as C / sqrt(T); the study fits
     their log-log slopes and runs, per horizon, a Monte Carlo check that
     the mean log relative performance under zero-gap drifts matches
-    ``-delta_norm^2 T / 2``.
+    ``-delta_norm^2 T / 2``.  ``tpd_se`` is that mean's standard error,
+    from the sample variance (divisor ``n_paths - 1``) of the chunks'
+    sums, added in chunk order.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2 for a standard error")
@@ -406,7 +410,7 @@ def capm_convergence_study(
         total = sum(r[0] for r in results)
         total_sq = sum(r[1] for r in results)
         mean = total / n_paths
-        var = max(total_sq / n_paths - mean * mean, 0.0)
+        var = max((total_sq - total * mean) / (n_paths - 1), 0.0)
         rows.append({
             "horizon": horizon,
             **{f"width_{name}": bound_check(p_t, delta, eps, name).rhs for name in bounds},

@@ -28,7 +28,7 @@ grids, not the increments that drove them.  A single path is a
 one-path batch, and because draws depend only on (seed, path, step) it
 equals the matching row of any larger batch.  A batch moves through
 time by one function, :func:`step_prices`, which :func:`price_steps`
-drives from the counter draws on the uniform grid: that stream is the
+drives from the stream's draws on the uniform grid: that stream is the
 one rule from draws to steps, and at one step it is the terminal
 sampler, bit for bit.  :func:`simulate_paths` records it as the
 columns of column-major price grids, and a caller that needs only the
@@ -215,9 +215,10 @@ def simulate_terminal(
 ) -> TerminalSample:
     """Draw (ln I_T, ln S_T) pairs exactly from their joint normal law.
 
-    Path ``k`` uses the normal pair at counter ``(seed, first_path + k)``,
-    so results are reproducible regardless of batching.  A log level
-    whose price leaves the float range (0.0 or inf) is a ``ValueError``;
+    Path ``k`` uses the normal pair of lane ``first_path + k`` at block 0
+    under ``seed`` (:func:`eihlab.rng.normal_pairs`), so results are
+    reproducible regardless of batching.  A log level whose price leaves
+    the float range (0.0 or inf) is a ``ValueError``;
     :func:`_in_exp_range` checks the levels from the prices of their
     extremes alone, so no batch of prices is formed here.
     """
@@ -313,8 +314,9 @@ def price_steps(
 
     Yields ``(t, t_next, levels)`` for each step of ``linspace(0, t,
     n_steps + 1)``: ``levels`` is :func:`step_prices` of the last levels
-    (time 0's zeros at first), driven by the normal pairs at counters
-    ``(seed, first_path + k, step)`` with ``scale = sqrt(t / n_steps)``,
+    (time 0's zeros at first), driven by the normal pairs of lanes
+    ``first_path + k`` at block ``step`` under ``seed``
+    (:func:`eihlab.rng.normal_pairs`) with ``scale = sqrt(t / n_steps)``,
     so a one-path stream with ``first_path=k`` equals path ``k`` of any
     batch that holds it, and a one-step stream equals
     :func:`simulate_terminal`.  This is the package's one rule from draws

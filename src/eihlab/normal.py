@@ -12,7 +12,9 @@ The rest of the package leans on two accuracy guarantees:
 
 Threshold levels enter prices exponentially, which is why the quantile
 must be accurate to machine precision rather than to a rational
-approximation's 1e-9.
+approximation's 1e-9.  The quantile serves thresholds, bounds and
+intervals only: the random stream's normals come from numpy's ziggurat
+(:mod:`eihlab.rng`), not from the quantile of uniforms.
 
 A Python or numpy float takes a scalar path through ``std_normal_cdf``
 and ``upper_quantile``, the calls the scalar bound, threshold and price

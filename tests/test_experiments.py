@@ -278,7 +278,7 @@ class TestConvergenceStudy:
             return study.rows[-1]["tpd_mc_mean"]
 
         reference = tpd_mc_mean(set_a)
-        assert reference == pytest.approx(-0.172236671515464, abs=1e-12)
+        assert reference == pytest.approx(-0.16280662069740795, abs=1e-12)
         assert tpd_mc_mean(replace(set_a, mu_i=mu_i)) == pytest.approx(reference, abs=1e-12)
 
     @pytest.mark.parametrize("n_paths", [-1, 0, 1])
@@ -288,6 +288,19 @@ class TestConvergenceStudy:
             capm_convergence_study(set_a, 0.05, 0.05, [2.5, 10.0], n_paths=n_paths)
         (row,) = capm_convergence_study(set_a, 0.05, 0.05, [10.0], n_paths=2).rows
         assert row["tpd_se"] > 0.0
+
+    @pytest.mark.parametrize("n_paths", [2, 10])
+    def test_standard_error_is_the_sample_one(self, set_a, n_paths):
+        # the divisor is n - 1; a population variance would read
+        # sqrt((n - 1) / n) of it, 0.71 at two paths
+        (row,) = capm_convergence_study(set_a, 0.05, 0.05, [10.0], n_paths=n_paths,
+                                        seed=42).rows
+        p_t = replace(exact_capm_params(set_a), t=10.0)
+        terminal = simulate_terminal(p_t, Measure.PHYSICAL, n_paths, 42)
+        log_ratios = terminal_log_ratios(p_t, terminal, Underlying.STOCK)[Underlying.STOCK]
+        assert row["tpd_mc_mean"] == pytest.approx(log_ratios.mean(), rel=1e-12)
+        assert row["tpd_se"] == pytest.approx(
+            np.std(log_ratios, ddof=1) / math.sqrt(n_paths), rel=1e-12)
 
     def test_rejects_bad_grids(self, set_a):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ Each case runs the CLI at a fixed seed and compares the SHA-256 of its
 stdout, and its exit code, with a frozen value.  A refactor that should
 change no number must leave every digest as it is.  A deliberate change
 of the random stream or of the valuation (or of a report format)
-changes them, like ``test_normal_stream_is_frozen``, and needs a CHANGES.md note.
+changes them, like ``test_normal_stream_v4_is_frozen``, and needs a CHANGES.md note.
 """
 
 import hashlib
@@ -58,27 +58,29 @@ CASES = {
                        "--seed", "20"),
 }
 
-# (exit code, SHA-256 of stdout) on random stream "v3", valuation "v2";
-# the hedge digests on "hedge v2", every step count read off the finest
-# grid, with stock units divided by the scale before the ratio; the hedge
-# and simulate_steps digests on path step "v2", the terminal sampler's
-# lognormal rule taken once per step
+# (exit code, SHA-256 of stdout) on random stream "v4" (normals by
+# ziggurat on tiles of 4096 lanes; the lemma's uniform triples are still
+# "v3"), valuation "v2"; the hedge digests on "hedge v2", every step count
+# read off the finest grid, with stock units divided by the scale before
+# the ratio; the hedge and simulate_steps digests on path step "v2", the
+# terminal sampler's lognormal rule taken once per step; table_convergence
+# on the sample variance (n - 1) in tpd_se
 PINS = {
-    "hedge": (0, "afafa0a8932a4dad464ff01b952ca8e203d4337473e63fd36211702c6063d05c"),
-    "hedge_one_path_chunk": (0, "32750b9d002a2696cee5200c2e5177ff23bee7a3e2db526d3c1af359bd865085"),
-    "hedge_two_chunks": (0, "b481c7c17095612027533c4e0b83f30f3e810bffed668a7e7bc81f8a1f75d24a"),
+    "hedge": (0, "eeb806dbb61e6a326bbc84bc5d4c83833795ec456fd94c20359a79ee84f28a9c"),
+    "hedge_one_path_chunk": (0, "c6496548738c47676ad276651346024e72a2cb6f04b447a205432b8616d31353"),
+    "hedge_two_chunks": (0, "86fd253582dd9901fb8a6d342dceef77f5dfb1e9cffa4e4ae1be16386ab9b4d2"),
     "price": (0, "0fff58482eb3a3ba2e241bb2ad82c0f1e5c133949b60772304003ea863fd3796"),
-    "simulate_steps": (0, "d7f537198257c737a3e92810a0048fa0efd4d8ac01a996feb58836f8e49bbb63"),
-    "simulate_terminal": (0, "d1037f2e729e26d5d000ba55d757f14ac8d5e1508065492b81c43943902e0dc4"),
-    "table_convergence": (0, "c072526f494b99ba6917f58fbbbf46834aa6b0a9a9ebac4fe62cd4d29da863f1"),
-    "table_lemma": (0, "830526201660375b2bfb23d5a5c68db1d66e212f301938f7d14ae6644cfead00"),
+    "simulate_steps": (0, "3b409362eaf1442dc89e7a093a90fd1f2b9a1e48f26f924de2219a1332d9a483"),
+    "simulate_terminal": (0, "c52f09601c7fd2515c3baa97dc47a44c485825faf7fe368c58fcbcecebd7bd13"),
+    "table_convergence": (0, "219dd84ab63e63c5cbb79379f7596e33bef175f1137fa59604e1ee498b884d85"),
+    "table_lemma": (0, "a1715fd103c11c1f71e7e7a53f3949e6b41586ac1f4231f8e893ef01e0ccd458"),
     "thresholds": (0, "774eca3b3cb484dea97fca08c7b14e02b41273c18a520e464fe47d786450d96c"),
-    "verify_index_fails": (0, "9f7b1f13361852f54864c4abc78e235da0ca52dec7d54260eabd0acdc2194777"),
-    "verify_index_holds": (3, "56251f0adcaeac8b40152a02b5477a564e831f4a291fde3524300d93574cbfe8"),
-    "verify_mu_bis_fails": (0, "2145329ef38c90bf149fbb383437903807a7c581305001911875abbc5008e0e9"),
+    "verify_index_fails": (0, "6478eebb88642e804067dba445e43600cc224f0850370b2e777ccf43962b8386"),
+    "verify_index_holds": (3, "2bc3f4e8353d0f79c73f8a9393a64032ba53b06dd27bd281f782120a20b6a034"),
+    "verify_mu_bis_fails": (0, "78c53ba9aea5b5dcd140205d6c39acdb1d062247c17063e45e79a2a6859a2887"),
     "verify_mu_bis_holds": (3, "4426a7cea320e3160bf72cb884c67c5d434582d710356f80a73f7c597b6da889"),
-    "verify_two_sided_fails": (0, "26faa12b90dcf0aed01c506e67668cf5f035fafb4f3bebf9010e5d2b80c1dc42"),
-    "verify_two_sided_holds": (0, "578ed578e05fb5c16a78b06aa63bcb8788d3d2b5a64e461a6ab1edcc7de38ef2"),
+    "verify_two_sided_fails": (0, "68caece826b06c48fc63b3e79d1cfe95e68db668e99d5b990b0884b5e52172d1"),
+    "verify_two_sided_holds": (0, "6a0c71af6541b4df3eae0b638a9dc61cd3f26e243bc9fca5e85301a2c90578f2"),
 }
 
 

@@ -1,16 +1,20 @@
-"""Counter-based generator: bit-exactness against a pure-Python Philox,
-purity of draws in (seed, lane, block), lane range and memory."""
+"""Counter-based generator: bit-exactness of the uniforms against a
+pure-Python Philox and of the normals against numpy's ziggurat on the
+stream's tiles, purity of draws in (seed, lane, block), the law of the
+normals, lane range and memory."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from eihlab import rng
-from eihlab.normal import std_normal_quantile
+from eihlab.normal import std_normal_cdf, std_normal_quantile
 
 CHUNK = rng._CHUNK
+TILE = rng._TILE
 _MAX = 2**64 - 1
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
@@ -33,6 +37,21 @@ def reference_uniforms(seed, lane, block) -> np.ndarray:
     words = philox_reference((lane, block, 0, 0), (seed, 0))[:2]
     return np.array([min((float(w >> 11) + 0.5) * 2.0**-53, math.nextafter(1.0, 0.0))
                      for w in words])
+
+
+def reference_tile(seed, tile, block) -> np.ndarray:
+    """All 4096 normal pairs of a tile: numpy's ziggurat over a Philox of
+    key (seed, 1) and counter (0, block, tile, 0), built here on its own."""
+    bits = np.random.Philox(counter=np.array([0, block, tile, 0], dtype=np.uint64),
+                            key=np.array([seed, 1], dtype=np.uint64))
+    return np.random.Generator(bits).standard_normal((TILE, 2))
+
+
+def reference_normals(seed, first_lane, n_lanes, block) -> np.ndarray:
+    """The run's rows cut from the whole tiles that hold it."""
+    tiles = range(first_lane // TILE, (first_lane + n_lanes - 1) // TILE + 1)
+    rows = np.concatenate([reference_tile(seed, t, block) for t in tiles])
+    return rows[first_lane % TILE:first_lane % TILE + n_lanes]
 
 
 def boundary_sample(n: int) -> list[int]:
@@ -81,8 +100,6 @@ def test_single_lane_matches_reference(lane, block):
     u = rng.uniform_pairs(seed, lane, 1, block)
     assert u.shape == (1, 2)
     assert np.array_equal(u[0], reference_uniforms(seed, lane, block))
-    assert np.array_equal(rng.normal_pairs(seed, lane, 1, block)[0],
-                          std_normal_quantile(reference_uniforms(seed, lane, block)))
 
 
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
@@ -90,9 +107,7 @@ def test_chunked_uniforms_are_bit_exact(n):
     # the run ends at the last lane, so numpy's counter reaches 2^64 - 1
     seed, block, first = 2**64 - 3, 5, 2**64 - n
     u = rng.uniform_pairs(seed, first, n, block)
-    z = rng.normal_pairs(seed, first, n, block)
-    assert u.shape == z.shape == (n, 2)
-    assert np.array_equal(z, std_normal_quantile(u))
+    assert u.shape == (n, 2)
     for i in boundary_sample(n):
         ref = reference_uniforms(seed, first + i, block)
         assert np.array_equal(u[i], ref)
@@ -130,17 +145,51 @@ def test_extreme_words_give_finite_opposite_normals():
     assert std_normal_quantile(u[1]) == -std_normal_quantile(1.0 - u[1])
 
 
-def test_normal_stream_v3_is_frozen():
-    # Stream "v3" (numpy Philox, counter (lane, block, 0, 0), ndtri
-    # quantile).  These values pin the stream: changing them changes
-    # every simulated number and needs a CHANGES.md note.
+def test_normal_stream_v4_is_frozen():
+    # Stream "v4" (numpy's ziggurat on tiles of 4096 lanes, Philox key
+    # (seed, 1), counter (0, block, tile, 0)).  These values pin the
+    # stream: changing them changes every simulated number and needs a
+    # CHANGES.md note.
     frozen = {
-        (42, 0, 0): (0.39597478407094183, -0.5295290645051615),
-        (7, 123456789, 3): (-0.7118835742580427, 0.018459315385306003),
-        (2**64 - 1, 2**40, 511): (-0.041963737156387314, -3.167767062052758),
+        (42, 0, 0): (0.866892464921677, 0.9355636054453706),
+        (7, 123456789, 3): (0.7846509999568219, -0.02739701469424072),
+        (2**64 - 1, 2**40, 511): (1.5199422519401318, 0.6080256158293907),
+        (0, 4096, 0): (0.634140050997565, -1.3225477653421815),
+        (2**64 - 1, 2**64 - 1, 2**64 - 1): (1.087537456008049, 0.5242787719445957),
     }
     for (seed, lane, block), pair in frozen.items():
         assert tuple(rng.normal_pairs(seed, lane, 1, block)[0]) == pair
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("lane, block", [
+    (0, 0), (1, 0), (TILE - 1, 0), (TILE, 0), (TILE + 1, 0), (TILE + 1, 7),
+    (2**63 + 1, 2), (2**64 - 1, 0), (0, 2**64 - 1), (2**64 - 1, 2**64 - 1),
+])
+def test_normal_lane_is_its_row_of_the_reference_tile(seed, lane, block):
+    # a one-lane read fills its tile up to the lane and keeps the last row
+    z = rng.normal_pairs(seed, lane, 1, block)
+    assert z.shape == (1, 2)
+    assert np.array_equal(z, reference_normals(seed, lane, 1, block))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("first, n", [
+    (0, TILE - 1), (0, TILE), (0, TILE + 1), (TILE - 1, 2), (TILE - 1, TILE + 2),
+    (5, 3 * TILE), (TILE + 17, 100), (3 * TILE - 1, 1), (2**64 - TILE - 3, TILE + 3),
+])
+def test_normal_runs_equal_the_reference_tiles(seed, first, n):
+    # runs that start and end mid-tile, cross one or more tile edges, or
+    # end at the last lane
+    for block in (0, 5, 2**64 - 1):
+        assert np.array_equal(rng.normal_pairs(seed, first, n, block),
+                              reference_normals(seed, first, n, block))
+
+
+def test_normal_stream_is_not_the_uniform_quantile():
+    # the two draws have their own keys, (seed, 1) and (seed, 0)
+    u = rng.uniform_pairs(3, 0, 1000)
+    assert not np.any(rng.normal_pairs(3, 0, 1000) == std_normal_quantile(u))
 
 
 def test_vector_lanes_equal_scalar_calls():
@@ -182,6 +231,43 @@ def test_normal_pairs_moments():
     assert abs(corr) < 4.0 / np.sqrt(n / 2)
 
 
+def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float]:
+    p_hat, z_sq = successes / trials, z * z
+    center = (p_hat + z_sq / (2 * trials)) / (1 + z_sq / trials)
+    margin = z / (1 + z_sq / trials) * math.sqrt(
+        p_hat * (1 - p_hat) / trials + z_sq / (4 * trials * trials))
+    return center - margin, center + margin
+
+
+def test_normals_pass_a_ks_test():
+    # 10^6 normals over 123 tiles, against scipy's N(0, 1)
+    z = rng.normal_pairs(2024, 0, 500_000).ravel()
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+
+
+def test_tail_beyond_four_sigma_has_its_mass():
+    # the ziggurat's own tail sampler covers |z| > 3.654; 10^7 normals
+    # expect 633 beyond 4
+    beyond = trials = 0
+    for block in range(10):
+        z = rng.normal_pairs(4, 0, 500_000, block)
+        beyond += int(np.count_nonzero(np.abs(z) > 4.0))
+        trials += z.size
+    low, high = wilson_interval(beyond, trials, 5.0)
+    assert low <= 2.0 * std_normal_cdf(-4.0) <= high
+
+
+def test_pair_coordinates_are_independent():
+    # a chi-square test of the deciles of the two coordinates, and the
+    # correlation of their squares, which a dependence of scale moves
+    z = rng.normal_pairs(91, 0, 500_000)
+    cells = np.digitize(z, std_normal_quantile(np.arange(1, 10) / 10.0))
+    table = np.bincount(10 * cells[:, 0] + cells[:, 1], minlength=100).reshape(10, 10)
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+    corr = np.corrcoef(z[:, 0] ** 2, z[:, 1] ** 2)[0, 1]
+    assert abs(corr) < 4.0 / np.sqrt(len(z))
+
+
 @pytest.mark.parametrize("first_lane, n_lanes, block", [
     (-1, 1, 0), (-2, 3, 0), (2**64 - 2, 3, 0), (2**64, 1, 0), (0, -1, 0),
     (0, 1, -1), (0, 1, 2**64),
@@ -194,13 +280,14 @@ def test_lanes_outside_the_counter_range_are_rejected(first_lane, n_lanes, block
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seeds_outside_the_key_word_are_rejected(seed):
-    with pytest.raises(ValueError, match="must lie in"):
-        rng.normal_pairs(seed, 0, 1)
+    for draw in (rng.uniform_pairs, rng.normal_pairs):
+        with pytest.raises(ValueError, match="must lie in"):
+            draw(seed, 0, 1)
 
 
 def test_normal_pairs_holds_no_full_size_uniforms():
     n = 10**6
-    rng.normal_pairs(3, 0, CHUNK)  # warm numpy's and scipy's caches
+    rng.normal_pairs(3, 0, CHUNK)  # warm numpy's caches
     tracemalloc.start()
     try:
         z = rng.normal_pairs(3, 0, n)
