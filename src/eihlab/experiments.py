@@ -443,7 +443,11 @@ def lemma_crosscheck(
 
     Triples are drawn with ``||u|| <= 2``, ``0.05 <= ||v|| <= 2`` and
     ``|c| <= 3``; each row carries the three estimates, the closed-vs-
-    quadrature gap, and the MC standard error.
+    quadrature gap, and the MC standard error.  Trial ``k`` reads lane
+    ``k`` of ``uniform_pairs(seed, ...)`` at blocks 0 (the two angles),
+    1 (the two lengths) and 2 (``c``, from the first of the pair), and
+    its Monte Carlo draws lanes ``[0, n_mc)`` at block 0 of seed ``seed +
+    1 + k`` (mod 2^64); so the first rows do not depend on ``n_trials``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")

@@ -6,14 +6,15 @@ the span of the two vectors matters, everything is reduced to two
 driving motions: the pair is written in coordinates of an orthonormal
 basis of that span (the basis itself is not kept, nothing reads it).
 Samplers then draw the exact lognormal solution (no Euler bias), one
-normal pair per (path, step) through the counter-based generator in
-:mod:`eihlab.rng`.  One expression, :func:`_log_levels`, turns draws
-into log levels ``ln I`` and ``ln S`` over a time span: the terminal
-sampler takes it once over the horizon, and the price stream once per
-step.  Both give log levels, :class:`TerminalSample`, checked or read
-by asking ``np.exp`` for their prices, so that log ratios are taken
-from the levels; prices are formed only where they are read, with the
-bits ``np.exp`` gives them.
+normal pair per (path, step) from stream "v4" of the counter-based
+generator in :mod:`eihlab.rng` (the path is the lane, the step the
+block).  One expression, :func:`_log_levels`, turns draws into log
+levels ``ln I`` and ``ln S`` over a time span: the terminal sampler
+takes it once over the horizon, and the price stream once per step.
+Both give log levels, :class:`TerminalSample`, checked or read by
+asking ``np.exp`` for their prices, so that log ratios are taken from
+the levels; prices are formed only where they are read, with the bits
+``np.exp`` gives them.
 
 :class:`MarketParams` is the one home of the pair's geometry: its
 norms, inner products, the 2-d coordinates ``bars`` and their spread

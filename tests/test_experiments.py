@@ -321,6 +321,12 @@ class TestLemmaCrosscheck:
         (row,) = rows
         assert abs(row["mc_mean"] - row["closed_form"]) <= 4.0 * row["mc_se"]
 
+    def test_rows_are_a_prefix_in_the_trial_count(self):
+        # trial k reads lane k of blocks 0-2 and its own Monte Carlo seed,
+        # and draws are pure in (seed, lane, block)
+        five, three = (lemma_crosscheck(n, seed=61, n_mc=500) for n in (5, 3))
+        assert five[:3] == three
+
     def test_zero_tilt_reduces_to_tail_probability(self):
         from eihlab.analytic import gaussian_halfspace_expectation
         value = gaussian_halfspace_expectation((0.0, 0.0), (0.3, 0.4), 0.25)

@@ -4,7 +4,8 @@ Each case runs the CLI at a fixed seed and compares the SHA-256 of its
 stdout, and its exit code, with a frozen value.  A refactor that should
 change no number must leave every digest as it is.  A deliberate change
 of the random stream or of the valuation (or of a report format)
-changes them, like ``test_normal_stream_v4_is_frozen``, and needs a CHANGES.md note.
+changes them, like ``test_normal_stream_v4_is_frozen`` and
+``test_uniform_stream_v4_is_frozen``, and needs a CHANGES.md note.
 """
 
 import hashlib
@@ -59,12 +60,12 @@ CASES = {
 }
 
 # (exit code, SHA-256 of stdout) on random stream "v4" (normals by
-# ziggurat on tiles of 4096 lanes; the lemma's uniform triples are still
-# "v3"), valuation "v2"; the hedge digests on "hedge v2", every step count
-# read off the finest grid, with stock units divided by the scale before
-# the ratio; the hedge and simulate_steps digests on path step "v2", the
-# terminal sampler's lognormal rule taken once per step; table_convergence
-# on the sample variance (n - 1) in tpd_se
+# ziggurat and the lemma's uniform triples by Generator.random, both on
+# tiles of 4096 lanes), valuation "v2"; the hedge digests on "hedge v2",
+# every step count read off the finest grid, with stock units divided by
+# the scale before the ratio; the hedge and simulate_steps digests on
+# path step "v2", the terminal sampler's lognormal rule taken once per
+# step; table_convergence on the sample variance (n - 1) in tpd_se
 PINS = {
     "hedge": (0, "eeb806dbb61e6a326bbc84bc5d4c83833795ec456fd94c20359a79ee84f28a9c"),
     "hedge_one_path_chunk": (0, "c6496548738c47676ad276651346024e72a2cb6f04b447a205432b8616d31353"),
@@ -73,7 +74,7 @@ PINS = {
     "simulate_steps": (0, "3b409362eaf1442dc89e7a093a90fd1f2b9a1e48f26f924de2219a1332d9a483"),
     "simulate_terminal": (0, "c52f09601c7fd2515c3baa97dc47a44c485825faf7fe368c58fcbcecebd7bd13"),
     "table_convergence": (0, "219dd84ab63e63c5cbb79379f7596e33bef175f1137fa59604e1ee498b884d85"),
-    "table_lemma": (0, "a1715fd103c11c1f71e7e7a53f3949e6b41586ac1f4231f8e893ef01e0ccd458"),
+    "table_lemma": (0, "0165b585a4df8c4b8373cc2cffca0c9c83448b7641f1711847248646b703992b"),
     "thresholds": (0, "774eca3b3cb484dea97fca08c7b14e02b41273c18a520e464fe47d786450d96c"),
     "verify_index_fails": (0, "6478eebb88642e804067dba445e43600cc224f0850370b2e777ccf43962b8386"),
     "verify_index_holds": (3, "2bc3f4e8353d0f79c73f8a9393a64032ba53b06dd27bd281f782120a20b6a034"),

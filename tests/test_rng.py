@@ -1,7 +1,7 @@
-"""Counter-based generator: bit-exactness of the uniforms against a
-pure-Python Philox and of the normals against numpy's ziggurat on the
-stream's tiles, purity of draws in (seed, lane, block), the law of the
-normals, lane range and memory."""
+"""Counter-based generator: bit-exactness of both draws against numpy's
+Generator on the stream's tiles, of the bit generator against a
+pure-Python Philox, purity of draws in (seed, lane, block), the law of
+the normals, lane range and memory."""
 
 import math
 import tracemalloc
@@ -13,11 +13,13 @@ from scipy import stats
 from eihlab import rng
 from eihlab.normal import std_normal_cdf, std_normal_quantile
 
-CHUNK = rng._CHUNK
 TILE = rng._TILE
 _MAX = 2**64 - 1
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+# (key word, Generator method) of each draw
+UNIFORM = (0, np.random.Generator.random)
+NORMAL = (1, np.random.Generator.standard_normal)
 
 
 def philox_reference(counter, key) -> list[int]:
@@ -32,33 +34,20 @@ def philox_reference(counter, key) -> list[int]:
     return [x0, x1, x2, x3]
 
 
-def reference_uniforms(seed, lane, block) -> np.ndarray:
-    """Uniforms of counter (lane, block, 0, 0) under key (seed, 0)."""
-    words = philox_reference((lane, block, 0, 0), (seed, 0))[:2]
-    return np.array([min((float(w >> 11) + 0.5) * 2.0**-53, math.nextafter(1.0, 0.0))
-                     for w in words])
-
-
-def reference_tile(seed, tile, block) -> np.ndarray:
-    """All 4096 normal pairs of a tile: numpy's ziggurat over a Philox of
-    key (seed, 1) and counter (0, block, tile, 0), built here on its own."""
+def reference_tile(seed, word, fill, tile, block) -> np.ndarray:
+    """All 4096 pairs of a tile: the Generator method ``fill`` over a
+    Philox of key (seed, word) and counter (0, block, tile, 0), built here
+    on its own and filled in one call."""
     bits = np.random.Philox(counter=np.array([0, block, tile, 0], dtype=np.uint64),
-                            key=np.array([seed, 1], dtype=np.uint64))
-    return np.random.Generator(bits).standard_normal((TILE, 2))
+                            key=np.array([seed, word], dtype=np.uint64))
+    return fill(np.random.Generator(bits), (TILE, 2))
 
 
-def reference_normals(seed, first_lane, n_lanes, block) -> np.ndarray:
+def reference_run(seed, draw, first_lane, n_lanes, block) -> np.ndarray:
     """The run's rows cut from the whole tiles that hold it."""
     tiles = range(first_lane // TILE, (first_lane + n_lanes - 1) // TILE + 1)
-    rows = np.concatenate([reference_tile(seed, t, block) for t in tiles])
+    rows = np.concatenate([reference_tile(seed, *draw, t, block) for t in tiles])
     return rows[first_lane % TILE:first_lane % TILE + n_lanes]
-
-
-def boundary_sample(n: int) -> list[int]:
-    """Offsets next to every chunk boundary below n, plus a few inside."""
-    near = {0, n - 1} | {b + d for b in range(CHUNK, n, CHUNK) for d in (-1, 0, 1)}
-    inside = np.random.default_rng(n).integers(0, n, size=5)
-    return sorted(i for i in near | set(inside.tolist()) if 0 <= i < n)
 
 
 def test_philox_matches_numpy_bit_generator():
@@ -82,11 +71,15 @@ def test_philox_known_block():
     frozen = [8100971602769469133, 2109639848681571355,
               10123776418961152223, 9622983785844837127]
     assert philox_reference((6, 6, 7, 8), (11, 12)) == frozen
-    # the stream's first block at (lane 6, block 6) under seed 11
-    assert [int(w) for w in rng._philox(11, 6, 1, 6).random_raw(4)] == [
-        2898294635674527152, 3496182968677587198,
-        67349227601779835, 5368441096866324103,
-    ]
+    # the first raw block of the uniforms' tile 6 at block 6 under seed 11:
+    # counter (0, 6, 6, 0), so generated at (1, 6, 6, 0); Generator.random
+    # keeps the top 53 bits of one word per uniform, so the tile's first two
+    # lanes are this block
+    words = [17119443820859275890, 5506132445727923523,
+             13557492509912892305, 7237777241720134442]
+    assert philox_reference((1, 6, 6, 0), (11, 0)) == words
+    assert rng.uniform_pairs(11, 6 * TILE, 2, 6).ravel().tolist() == [
+        (w >> 11) * 2.0**-53 for w in words]
 
 
 @pytest.mark.parametrize("lane, block", [
@@ -94,55 +87,74 @@ def test_philox_known_block():
     (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1),
 ])
 def test_single_lane_matches_reference(lane, block):
-    # lane 0 makes the counter borrow from the block word (and, at
-    # block 0, from all four words); the top lanes end the range
-    seed = 2**64 - 3
-    u = rng.uniform_pairs(seed, lane, 1, block)
-    assert u.shape == (1, 2)
-    assert np.array_equal(u[0], reference_uniforms(seed, lane, block))
+    # a one-lane read of uniforms fills its tile up to the lane and keeps
+    # the last row; the top lanes end the range
+    for seed in (0, 2**64 - 1):
+        u = rng.uniform_pairs(seed, lane, 1, block)
+        assert u.shape == (1, 2)
+        assert np.array_equal(u, reference_run(seed, UNIFORM, lane, 1, block))
 
 
-@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("n", [4 * TILE - 1, 4 * TILE, 4 * TILE + 1, 12 * TILE + 5])
 def test_chunked_uniforms_are_bit_exact(n):
-    # the run ends at the last lane, so numpy's counter reaches 2^64 - 1
-    seed, block, first = 2**64 - 3, 5, 2**64 - n
-    u = rng.uniform_pairs(seed, first, n, block)
-    assert u.shape == (n, 2)
-    for i in boundary_sample(n):
-        ref = reference_uniforms(seed, first + i, block)
-        assert np.array_equal(u[i], ref)
-        assert np.array_equal(u[i], rng.uniform_pairs(seed, first + i, 1, block)[0])
-    # a run that starts mid-way sees the same lanes
-    assert np.array_equal(rng.uniform_pairs(seed, first + CHUNK - 2, n - CHUNK + 2, block),
-                          u[CHUNK - 2:])
+    # a run read tile by tile that ends at the last lane, and so starts
+    # mid-tile unless n is a multiple of the tile
+    first = 2**64 - n
+    for seed in (0, 2**64 - 1):
+        for block in (0, 5, 2**64 - 1):
+            u = rng.uniform_pairs(seed, first, n, block)
+            assert u.shape == (n, 2)
+            assert np.array_equal(u, reference_run(seed, UNIFORM, first, n, block))
+            for i in (0, 1, n - 1):
+                assert np.array_equal(u[i], rng.uniform_pairs(seed, first + i, 1, block)[0])
+            # a run that starts mid-way sees the same lanes
+            assert np.array_equal(
+                rng.uniform_pairs(seed, first + TILE - 2, n - TILE + 2, block), u[TILE - 2:])
 
 
 def test_chunked_lane_block_grid_is_bit_exact():
     # the path sampler's layout: one run of lanes per block, run longer
-    # than a chunk, lanes both at the bottom (borrow) and deep inside
-    seed, n = 11, CHUNK + 40
+    # than a tile, lanes at the tile edges and deep inside
+    seed, n = 11, 4 * TILE + 40
     for block in (0, 1, 2, 511, 2**40):
         run = rng.uniform_pairs(seed, 0, n, block)
-        for lane in (0, 1, 2, 37, CHUNK - 1, CHUNK, n - 1):
-            assert np.array_equal(run[lane], reference_uniforms(seed, lane, block))
+        for lane in (0, 1, 2, 37, TILE - 1, TILE, 4 * TILE, n - 1):
+            assert np.array_equal(run[lane], reference_run(seed, UNIFORM, lane, 1, block)[0])
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("first, n", [
+    (0, TILE - 1), (0, TILE + 1), (TILE - 1, 2), (TILE + 17, 100),
+    (5, 3 * TILE),
+])
+def test_uniform_runs_equal_the_reference_tiles(seed, first, n):
+    # runs that start and end mid-tile or cross one or more tile edges;
+    # test_chunked_uniforms_are_bit_exact ends runs at the last lane
+    for block in (0, 5, 2**64 - 1):
+        assert np.array_equal(rng.uniform_pairs(seed, first, n, block),
+                              reference_run(seed, UNIFORM, first, n, block))
 
 
 def test_scalar_lane():
     u = rng.uniform_pairs(3, 2**63 + 1, 1)
     assert u.shape == (1, 2)
-    assert np.array_equal(u[0], reference_uniforms(3, 2**63 + 1, 0))
+    assert np.array_equal(u, reference_run(3, UNIFORM, 2**63 + 1, 1, 0))
     assert rng.normal_pairs(3, 2**63 + 1, 1).shape == (1, 2)
 
 
-def test_extreme_words_give_finite_opposite_normals():
-    # 1 - 2^-54 is not a double: the top word's (k + 0.5) 2^-53 rounds to
-    # 1.0 and is clamped to the largest double below one
-    u = rng._to_unit(np.array([0, _MAX], dtype=np.uint64))
-    assert u[0] == 2.0**-54 and u[1] == 1.0 - 2.0**-53
-    z = std_normal_quantile(u)
-    assert np.all(np.isfinite(z)) and z[0] < -8.0 and z[1] > 8.0
-    # the quantile is exactly odd where 1 - p is exact
-    assert std_normal_quantile(u[1]) == -std_normal_quantile(1.0 - u[1])
+def test_uniform_stream_v4_is_frozen():
+    # Stream "v4" for uniforms (Generator.random on tiles of 4096 lanes,
+    # Philox key (seed, 0), counter (0, block, tile, 0)).  These values
+    # pin the lemma table's triples: changing them needs a CHANGES.md note.
+    frozen = {
+        (42, 0, 0): (0.8201981478608876, 0.18924562408645496),
+        (7, 123456789, 3): (0.27905688835104425, 0.3252904048775409),
+        (2**64 - 1, 2**40, 511): (0.720676660803374, 0.26922892875880267),
+        (0, 4096, 0): (0.6436367332217984, 0.06352798769864854),
+        (2**64 - 1, 2**64 - 1, 2**64 - 1): (0.7423982771161222, 0.2841960045189965),
+    }
+    for (seed, lane, block), pair in frozen.items():
+        assert tuple(rng.uniform_pairs(seed, lane, 1, block)[0]) == pair
 
 
 def test_normal_stream_v4_is_frozen():
@@ -170,7 +182,7 @@ def test_normal_lane_is_its_row_of_the_reference_tile(seed, lane, block):
     # a one-lane read fills its tile up to the lane and keeps the last row
     z = rng.normal_pairs(seed, lane, 1, block)
     assert z.shape == (1, 2)
-    assert np.array_equal(z, reference_normals(seed, lane, 1, block))
+    assert np.array_equal(z, reference_run(seed, NORMAL, lane, 1, block))
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -183,7 +195,7 @@ def test_normal_runs_equal_the_reference_tiles(seed, first, n):
     # end at the last lane
     for block in (0, 5, 2**64 - 1):
         assert np.array_equal(rng.normal_pairs(seed, first, n, block),
-                              reference_normals(seed, first, n, block))
+                              reference_run(seed, NORMAL, first, n, block))
 
 
 def test_normal_stream_is_not_the_uniform_quantile():
@@ -215,9 +227,10 @@ def test_streams_differ_across_seed_lane_block():
     assert not np.array_equal(a[:50], a[50:])
 
 
-def test_uniforms_strictly_inside_unit_interval():
+def test_uniforms_lie_in_the_half_open_unit_interval():
+    # Generator.random is (w >> 11) 2^-53: 0 is a value it can take, 1 is not
     u = rng.uniform_pairs(3, 0, 200_000)
-    assert u.min() > 0.0 and u.max() < 1.0
+    assert u.min() >= 0.0 and u.max() < 1.0
 
 
 def test_normal_pairs_moments():
@@ -285,12 +298,15 @@ def test_seeds_outside_the_key_word_are_rejected(seed):
             draw(seed, 0, 1)
 
 
-def test_normal_pairs_holds_no_full_size_uniforms():
+@pytest.mark.parametrize("draw", [rng.normal_pairs, rng.uniform_pairs],
+                         ids=lambda draw: draw.__name__)
+def test_peak_memory_is_the_output_plus_2mb(draw):
+    # a read fills its output tile by tile, with no full-size temporary
     n = 10**6
-    rng.normal_pairs(3, 0, CHUNK)  # warm numpy's caches
+    draw(3, 0, 4 * TILE)  # warm numpy's caches
     tracemalloc.start()
     try:
-        z = rng.normal_pairs(3, 0, n)
+        z = draw(3, 0, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
