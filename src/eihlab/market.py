@@ -81,21 +81,20 @@ def _check_norm(what: str, value: float) -> None:
 class MarketParams:
     """Model parameters. Initial prices are pinned to I0 = S0 = 1.
 
-    The constructor also stores the pair's geometry as plain attributes:
-    ``norm_i``, ``norm_s``, ``norm_i_sq`` = sigma_i . sigma_i, ``cross``
-    = sigma_s . sigma_i, ``spread_norm`` = ||sigma_s - sigma_i||,
-    ``bars``, the pair in coordinates of an orthonormal basis of its
-    span (a read-only 2 x 2 array, sigma_i's row then sigma_s's), and
-    ``delta_norm`` = ||bars[1] - bars[0]||, the ratio volatility that
-    pricing, events and samplers read.  ``e1`` points along
-    ``sigma_i``; ``e2`` along the remainder of ``sigma_s`` after
-    removing its ``e1`` component.  When the two vectors are
-    (numerically) collinear, the remainder's norm at most 1e-12 of
-    ``norm_s``, the stock sits on the first axis.  Norms and the inner
-    product of the pair are preserved up to rounding.  The bond is the
-    stock of zero volatility: its spread norm against the index is
-    ``norm_i``, the float the coordinates ``([norm_i, 0], [0, 0])``
-    would give.
+    The constructor also stores the pair's geometry as plain attributes,
+    one float per quantity, which drift gaps, drift bounds and pricing
+    share: ``norm_i``, ``norm_s``, ``norm_i_sq`` = sigma_i . sigma_i,
+    ``cross`` = sigma_s . sigma_i, ``bars``, the pair in coordinates of an
+    orthonormal basis of its span (a read-only 2 x 2 array, sigma_i's row
+    then sigma_s's), and ``delta_norm`` = ||bars[1] - bars[0]||, the
+    spread norm that pricing, events, samplers and drift bounds read.
+    ``e1`` points along ``sigma_i``; ``e2`` along the remainder of
+    ``sigma_s`` after removing its ``e1`` component.  When the two
+    vectors are (numerically) collinear, the remainder's norm at most
+    1e-12 of ``norm_s``, the stock sits on the first axis.  Norms and the
+    inner product are preserved up to rounding.  The bond is the stock of
+    zero volatility: its spread norm against the index is ``norm_i``, the
+    float the coordinates ``([norm_i, 0], [0, 0])`` would give.
     """
 
     mu_i: float
@@ -123,13 +122,9 @@ class MarketParams:
             raise ValueError("sigma_i and sigma_s must have equal length")
         if self.d < 2:
             raise ValueError("at least two Brownian drivers are required (d >= 2)")
-        # The geometry, in one pass.  Two look-alike pairs differ in the
-        # last bit on many markets and are kept apart, each the exact float
-        # its readers always used: the driver-space ``spread_norm`` (drift
-        # bounds) against ``delta_norm`` (pricing, events, samplers), and
-        # ``norm_i_sq`` (drift gaps) against ``norm_i**2`` (bounds).  A norm
-        # that overflows or underflows is rejected here, without a warning,
-        # in this order: sigma_i's, sigma_s's, the spread of the bars.
+        # The geometry, in one pass.  A norm that overflows or underflows is
+        # rejected here, without a warning, in this order: sigma_i's,
+        # sigma_s's, the spread of the bars.
         with np.errstate(all="ignore"):
             norm_i_sq = float(sigma_i.dot(sigma_i))
             norm_i, norm_s = math.sqrt(norm_i_sq), _norm(sigma_s)
@@ -138,7 +133,6 @@ class MarketParams:
             e1 = sigma_i / norm_i
             proj = float(sigma_s.dot(e1))
             rem_norm = _norm(sigma_s - proj * e1)
-            spread_norm = _norm(sigma_s - sigma_i)
             cross = float(sigma_s.dot(sigma_i))
             if rem_norm <= _COLLINEAR_TOL * norm_s:
                 # collinear: use the signed norm so that bitwise-equal sigma
@@ -151,7 +145,7 @@ class MarketParams:
             delta_norm = _norm(bars[1] - bars[0])
             _check_norm("the norm of sigma_s - sigma_i", delta_norm)
         vars(self).update(norm_i=norm_i, norm_s=norm_s, norm_i_sq=norm_i_sq, cross=cross,
-                          spread_norm=spread_norm, bars=bars, delta_norm=delta_norm)
+                          bars=bars, delta_norm=delta_norm)
 
     @property
     def d(self) -> int:

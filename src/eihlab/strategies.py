@@ -390,12 +390,15 @@ def self_financing(hedged: np.ndarray, held: tuple[np.ndarray, np.ndarray],
 def bound_check(params: MarketParams, delta: float, eps: float, which: str) -> BoundReport:
     """Evaluate one of the drift bounds at the given tail masses.
 
-    ``mu``         |drift gap| < (z_{delta/2} + z_eps) delta_norm / sqrt(T)
+    ``mu``         |drift_gap| < (z_{delta/2} + z_eps) delta_norm / sqrt(T)
     ``mu_bis``     same with z_delta
-    ``index``      |mu_i - r - ||sigma_i||^2| < (z_delta + z_eps) ||sigma_i|| / sqrt(T)
-    ``capm1``      |mu_s - r - sigma_s . sigma_i| < (z_delta + z_eps)(||sigma_i|| + delta_norm) / sqrt(T)
-    ``capm_final`` |mu_s - r - beta (mu_i - r)| <= (z_delta + z_eps)(||sigma_i|| + ||sigma_s|| + delta_norm) / sqrt(T)
-                   with beta = sigma_s . sigma_i / ||sigma_i||^2
+    ``index``      |bond_drift_gap| < (z_delta + z_eps) norm_i / sqrt(T)
+    ``capm1``      |mu_s - r - cross| < (z_delta + z_eps)(norm_i + delta_norm) / sqrt(T)
+    ``capm_final`` |mu_s - r - beta (mu_i - r)| <= (z_delta + z_eps)(norm_i + norm_s + delta_norm) / sqrt(T)
+                   with beta = cross / norm_i_sq
+
+    Each name is the stored :class:`MarketParams` float (``delta_norm`` =
+    ||sigma_s - sigma_i||) that the bound's strategy, gap and target read.
     """
     _check_delta(delta)
     if not 0.0 < eps < 1.0:
@@ -406,20 +409,20 @@ def bound_check(params: MarketParams, delta: float, eps: float, which: str) -> B
 
     if which == "mu":
         lhs = abs(drift_gap(params))
-        rhs = (upper_quantile(delta / 2.0) + z_eps) * params.spread_norm / sqrt_t
+        rhs = (upper_quantile(delta / 2.0) + z_eps) * params.delta_norm / sqrt_t
     elif which == "mu_bis":
         lhs = abs(drift_gap(params))
-        rhs = (z_delta + z_eps) * params.spread_norm / sqrt_t
+        rhs = (z_delta + z_eps) * params.delta_norm / sqrt_t
     elif which == "index":
-        lhs = abs(params.mu_i - params.r - params.norm_i**2)
+        lhs = abs(bond_drift_gap(params))
         rhs = (z_delta + z_eps) * params.norm_i / sqrt_t
     elif which == "capm1":
         lhs = abs(params.mu_s - params.r - params.cross)
-        rhs = (z_delta + z_eps) * (params.norm_i + params.spread_norm) / sqrt_t
+        rhs = (z_delta + z_eps) * (params.norm_i + params.delta_norm) / sqrt_t
     elif which == "capm_final":
-        beta = params.cross / params.norm_i**2
+        beta = params.cross / params.norm_i_sq
         lhs = abs(params.mu_s - params.r - beta * (params.mu_i - params.r))
-        rhs = (z_delta + z_eps) * (params.norm_i + params.norm_s + params.spread_norm) / sqrt_t
+        rhs = (z_delta + z_eps) * (params.norm_i + params.norm_s + params.delta_norm) / sqrt_t
         return BoundReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs, proposition=which)
     else:
         raise ValueError(f"unknown bound: {which!r}")

@@ -51,7 +51,7 @@ def make_degenerate_equal_sigmas(params: MarketParams) -> MarketParams:
     bars = np.array([params.bars[0], params.bars[0]])
     bars.flags.writeable = False
     vars(clone).update(mu_s=params.mu_i, sigma_s=params.sigma_i.copy(), norm_s=params.norm_i,
-                       cross=params.norm_i_sq, spread_norm=0.0, bars=bars, delta_norm=0.0)
+                       cross=params.norm_i_sq, bars=bars, delta_norm=0.0)
     return clone
 
 

@@ -30,6 +30,7 @@ from eihlab.market import Measure, PathBatch, simulate_paths, simulate_terminal
 from eihlab.normal import std_normal_cdf, upper_quantile
 from eihlab.strategies import (
     Underlying,
+    bond_drift_gap,
     bound_check,
     build_two_sided,
     drift_gap,
@@ -188,10 +189,11 @@ class TestVerifyCapm:
 
 def _inline_boundary_params(params, delta, eps, margin):
     """The boundary market by the width expression that
-    ``mu_bis_boundary_params`` once wrote out itself, as the oracle of
+    ``mu_bis_boundary_params`` once wrote out itself, on the stored spread
+    norm the boundary market's strategy prices with, as the oracle of
     ``bound_check``'s ``mu_bis`` width."""
     width = ((upper_quantile(delta) + upper_quantile(eps))
-             * params.spread_norm / math.sqrt(params.t))
+             * params.delta_norm / math.sqrt(params.t))
     base = exact_capm_params(params)
     return replace(base, mu_s=base.mu_s + margin * width * (1.0 + 1e-12))
 
@@ -215,6 +217,31 @@ class TestBoundaryParams:
             mu_bis_boundary_params(set_a, bad, 0.05, 1.0)
         with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)$"):
             mu_bis_boundary_params(set_a, 0.05, bad, 1.0)
+
+
+class TestBoundsReadTheStoredGeometry:
+    """Each drift bound is built from the floats its strategy, gap and
+    target read: one float per geometric quantity."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_bounds_read_delta_norm_and_norm_i_sq_bitwise(self, d):
+        gen = np.random.default_rng(3500 + d)
+        for _ in range(300):
+            p = random_market(gen, d)
+            delta, eps = float(gen.uniform(1e-4, 0.9)), float(gen.uniform(1e-4, 0.9))
+            sqrt_t, z_eps = math.sqrt(p.t), upper_quantile(eps)
+            z_delta, z_half = upper_quantile(delta), upper_quantile(delta / 2.0)
+            assert bound_check(p, delta, eps, "index").lhs == abs(bond_drift_gap(p))
+            assert bound_check(p, delta, eps, "mu_bis").rhs == (
+                (z_delta + z_eps) * p.delta_norm / sqrt_t)
+            assert bound_check(p, delta, eps, "mu").rhs == (
+                (z_half + z_eps) * p.delta_norm / sqrt_t)
+            assert bound_check(p, delta, eps, "capm1").rhs == (
+                (z_delta + z_eps) * (p.norm_i + p.delta_norm) / sqrt_t)
+            final = bound_check(p, delta, eps, "capm_final")
+            assert final.rhs == (z_delta + z_eps) * (p.norm_i + p.norm_s + p.delta_norm) / sqrt_t
+            beta = p.cross / p.norm_i_sq
+            assert final.lhs == abs(p.mu_s - p.r - beta * (p.mu_i - p.r))
 
 
 class TestVerifyIndexPremium:

@@ -5,7 +5,7 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -68,7 +68,6 @@ class TestParamsValidation:
         # of the same norms still are, and have no spread
         p = MarketParams(0.0, 0.0, (sigma, 0.0), (0.0, sigma), 0.0, 1.0)
         assert p.delta_norm == pytest.approx(math.sqrt(2.0) * sigma, rel=1e-15)
-        assert p.spread_norm == pytest.approx(math.sqrt(2.0) * sigma, rel=1e-15)
         with pytest.raises(ValueError, match=re.escape(
                 "the norm of sigma_s - sigma_i must be finite and positive")):
             MarketParams(0.0, 0.0, (sigma, 0.0), (sigma, 0.0), 0.0, 1.0)
@@ -173,7 +172,6 @@ def _direct_geometry(p: MarketParams) -> dict:
     return {
         "norm_i": float(np.linalg.norm(p.sigma_i)),
         "norm_s": float(np.linalg.norm(p.sigma_s)),
-        "spread_norm": float(np.linalg.norm(p.sigma_s - p.sigma_i)),
         "norm_i_sq": float(p.sigma_i @ p.sigma_i),
         "cross": float(p.sigma_s @ p.sigma_i),
     }
@@ -192,9 +190,10 @@ class TestCachedGeometry:
             assert _cached_geometry(p) == _direct_geometry(p)
             assert p.delta_norm == float(np.linalg.norm(p.bars[1] - p.bars[0]))
             assert reduce_dimension(p) is p.delta_norm
-            spread_differs += p.spread_norm != p.delta_norm
+            spread_differs += float(np.linalg.norm(p.sigma_s - p.sigma_i)) != p.delta_norm
             square_differs += p.norm_i_sq != p.norm_i**2
-        # the look-alikes are different floats, which is why both are kept
+        # the look-alikes that drift bounds once read differ from the stored
+        # floats, which is why a bound reads the stored ones
         assert spread_differs > 0 and square_differs > 0
 
     def test_replace_recomputes(self, set_a):
@@ -222,7 +221,7 @@ class TestCachedGeometry:
         assert p.bars[0].tolist() == [p.norm_i, 0.0]
 
 
-_EAGER_GEOMETRY = ("norm_i", "norm_s", "norm_i_sq", "cross", "spread_norm", "bars", "delta_norm")
+_EAGER_GEOMETRY = ("norm_i", "norm_s", "norm_i_sq", "cross", "bars", "delta_norm")
 
 
 def _pinned_geometry(sigma_i: np.ndarray, sigma_s: np.ndarray) -> dict:
@@ -240,7 +239,7 @@ def _pinned_geometry(sigma_i: np.ndarray, sigma_s: np.ndarray) -> dict:
     else:
         s_bar = [proj, rem_norm]
     return {
-        "norm_i": norm_i, "norm_s": norm_s, "spread_norm": norm(sigma_s - sigma_i),
+        "norm_i": norm_i, "norm_s": norm_s,
         "norm_i_sq": float(sigma_i @ sigma_i), "cross": float(sigma_s @ sigma_i),
         "bars": [[norm_i, 0.0], s_bar],
         "delta_norm": norm(np.array(s_bar) - np.array([norm_i, 0.0])),
@@ -284,7 +283,8 @@ class TestGeometryPin:
             assert _stored_geometry(moved) == _stored_geometry(p)
 
     def test_geometry_is_stored_at_construction(self, set_a):
-        assert set(_EAGER_GEOMETRY) <= set(vars(set_a))
+        # one float per quantity: no look-alike is stored beside them
+        assert set(vars(set_a)) == {f.name for f in fields(MarketParams)} | set(_EAGER_GEOMETRY)
         for name in _EAGER_GEOMETRY:
             assert not hasattr(MarketParams, name)
         # nothing is computed on first use

@@ -65,7 +65,9 @@ CASES = {
 # every step count read off the finest grid, with stock units divided by
 # the scale before the ratio; the hedge and simulate_steps digests on
 # path step "v2", the terminal sampler's lognormal rule taken once per
-# step; table_convergence on the sample variance (n - 1) in tpd_se
+# step; table_convergence on the sample variance (n - 1) in tpd_se;
+# verify_index_holds on drift bounds that read the stored norm_i_sq and
+# delta_norm (its index bound's lhs is the bond drift gap's)
 PINS = {
     "hedge": (0, "eeb806dbb61e6a326bbc84bc5d4c83833795ec456fd94c20359a79ee84f28a9c"),
     "hedge_one_path_chunk": (0, "c6496548738c47676ad276651346024e72a2cb6f04b447a205432b8616d31353"),
@@ -77,7 +79,7 @@ PINS = {
     "table_lemma": (0, "0165b585a4df8c4b8373cc2cffca0c9c83448b7641f1711847248646b703992b"),
     "thresholds": (0, "774eca3b3cb484dea97fca08c7b14e02b41273c18a520e464fe47d786450d96c"),
     "verify_index_fails": (0, "6478eebb88642e804067dba445e43600cc224f0850370b2e777ccf43962b8386"),
-    "verify_index_holds": (3, "2bc3f4e8353d0f79c73f8a9393a64032ba53b06dd27bd281f782120a20b6a034"),
+    "verify_index_holds": (3, "7e294ae233861f687af6f96de858f513b01e806dd0f2271638146f4f7e9fb44c"),
     "verify_mu_bis_fails": (0, "78c53ba9aea5b5dcd140205d6c39acdb1d062247c17063e45e79a2a6859a2887"),
     "verify_mu_bis_holds": (3, "4426a7cea320e3160bf72cb884c67c5d434582d710356f80a73f7c597b6da889"),
     "verify_two_sided_fails": (0, "68caece826b06c48fc63b3e79d1cfe95e68db668e99d5b990b0884b5e52172d1"),
