@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market import _check_norm, _finite_positive
+from .market import _check_norm
 from .normal import std_normal_cdf, std_normal_pdf, upper_quantile
 
 __all__ = [
@@ -185,6 +185,13 @@ def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_rati
     units_s = density / ratio
     prob -= density
     return value, units_s, prob
+
+
+def _finite_positive(x: np.ndarray) -> bool:
+    """The float-range rule of prices and their ratios: every element is
+    finite and positive (true of an empty array)."""
+    # a NaN is the minimum, and fails the first comparison
+    return x.size == 0 or (0.0 < x.min() and x.max() < math.inf)
 
 
 def _check_valuation(t: float, horizon: float, s_t, i_t) -> tuple[np.ndarray, np.ndarray]:

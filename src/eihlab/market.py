@@ -9,12 +9,12 @@ Samplers then draw the exact lognormal solution (no Euler bias), one
 normal pair per (path, step) from stream "v4" of the counter-based
 generator in :mod:`eihlab.rng` (the path is the lane, the step the
 block).  One expression, :func:`_log_levels`, turns draws into log
-levels ``ln I`` and ``ln S`` over a time span: the terminal sampler
-takes it once over the horizon, and the price stream once per step.
-Both give log levels, :class:`TerminalSample`, checked or read by
-asking ``np.exp`` for their prices, so that log ratios are taken from
-the levels; prices are formed only where they are read, with the bits
-``np.exp`` gives them.
+levels ``ln I`` and ``ln S`` over a time span, and one loop,
+:func:`price_steps`, takes it once per step; the terminal sampler is
+its one-step stream.  The stream gives log levels,
+:class:`TerminalSample`, checked or read by asking ``np.exp`` for their
+prices, so that log ratios are taken from the levels; prices are formed
+only where they are read, with the bits ``np.exp`` gives them.
 
 :class:`MarketParams` is the one home of the pair's geometry: its
 norms, inner products, the 2-d coordinates ``bars`` and their spread
@@ -28,13 +28,13 @@ Paths have one type, :class:`PathBatch`: the times and the price
 grids, not the increments that drove them.  A single path is a
 one-path batch, and because draws depend only on (seed, path, step) it
 equals the matching row of any larger batch.  A batch moves through
-time by one function, :func:`step_prices`, which :func:`price_steps`
-drives from the stream's draws on the uniform grid: that stream is the
-one rule from draws to steps, and at one step it is the terminal
-sampler, bit for bit.  :func:`simulate_paths` records it as the
-columns of column-major price grids, and a caller that needs only the
-current prices reads it and keeps no grid.  Draws depend on the step,
-not on the grid, so one stream can drive several grids at once.
+time by :func:`price_steps`, which steps its log levels by the
+stream's draws on the uniform grid: that stream is the one rule from
+draws to steps, and :func:`simulate_terminal` is its one-step stream.
+:func:`simulate_paths` records it as the columns of column-major price
+grids, and a caller that needs only the current prices reads it and
+keeps no grid.  Draws depend on the step, not on the grid, so one
+stream can drive several grids at once.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _check_norm(what: str, value: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MarketParams:
-    """Model parameters. Initial prices are pinned to I0 = S0 = 1.
+    """Model parameters. Initial prices are pinned to I_0 = S_0 = 1.
 
     The constructor also stores the pair's geometry as plain attributes,
     one float per quantity, which drift gaps, drift bounds and pricing
@@ -103,9 +103,6 @@ class MarketParams:
     sigma_s: np.ndarray
     r: float
     t: float
-
-    I0 = 1.0
-    S0 = 1.0
 
     def __post_init__(self):
         sigma_i, sigma_s = _as_vector(self.sigma_i, "sigma_i"), _as_vector(self.sigma_s, "sigma_s")
@@ -208,19 +205,17 @@ def simulate_terminal(
     *,
     first_path: int = 0,
 ) -> TerminalSample:
-    """Draw (ln I_T, ln S_T) pairs exactly from their joint normal law.
+    """Draw (ln I_T, ln S_T) pairs exactly from their joint normal law:
+    the one-step :func:`price_steps` stream over the horizon.
 
     Path ``k`` uses the normal pair of lane ``first_path + k`` at block 0
     under ``seed`` (:func:`eihlab.rng.normal_pairs`), so results are
     reproducible regardless of batching.  A log level whose price leaves
-    the float range (0.0 or inf) is a ``ValueError``;
-    :func:`_in_exp_range` checks the levels from the prices of their
-    extremes alone, so no batch of prices is formed here.
+    the float range (0.0 or inf) is a ``ValueError`` (:func:`_checked`),
+    and no batch of prices is formed here.
     """
-    rng.check_paths(n_paths)
-    xi = rng.normal_pairs(seed, first_path, n_paths)
-    log_levels = _log_levels(params, measure, params.t, np.sqrt(params.t), xi)
-    return TerminalSample(*_in_float_range(*log_levels, rule=_in_exp_range))
+    (_, _, levels), = price_steps(params, measure, 1, n_paths, seed, first_path=first_path)
+    return _checked(levels)
 
 
 def _log_levels(params: MarketParams, measure: Measure, dt: float, scale: float,
@@ -245,13 +240,6 @@ def _log_levels(params: MarketParams, measure: Measure, dt: float, scale: float,
     return levels
 
 
-def _finite_positive(x: np.ndarray) -> bool:
-    """The one float-range rule of prices and their ratios: every element
-    is finite and positive (true of an empty array)."""
-    # a NaN is the minimum, and fails the first comparison
-    return x.size == 0 or (0.0 < x.min() and x.max() < math.inf)
-
-
 def _in_exp_range(x: np.ndarray) -> bool:
     """The float-range rule of log levels and log ratios: every element's
     ``np.exp`` is finite and positive (true of an empty array).  ``np.exp``
@@ -264,36 +252,13 @@ def _in_exp_range(x: np.ndarray) -> bool:
     return 0.0 < low and high < math.inf
 
 
-def _in_float_range(*arrays: np.ndarray, rule=_finite_positive) -> tuple[np.ndarray, ...]:
-    """The arrays, if each follows ``rule``: prices finite and positive, or
-    with :func:`_in_exp_range`, log levels whose prices are."""
-    if not all(map(rule, arrays)):
+def _checked(levels: TerminalSample) -> TerminalSample:
+    """The levels, if each one's price is finite and positive
+    (:func:`_in_exp_range`): the samplers' one float-range check."""
+    if not all(map(_in_exp_range, levels)):
         raise ValueError("sampled prices must be finite and strictly positive; "
                          "the market leaves the float range")
-    return arrays
-
-
-def step_prices(
-    params: MarketParams,
-    measure: Measure,
-    dt: float,
-    scale: float,
-    xi: np.ndarray,
-    start: TerminalSample,
-) -> TerminalSample:
-    """Exact lognormal step of a path batch over ``dt``.
-
-    ``scale * xi`` holds each path's ``(n, 2)`` driver increment over the
-    step.  Each new log level is :func:`_log_levels` plus the level at
-    ``start``; the price, formed where it is read, is its exponential.
-    This is the package's one price step, which :func:`price_steps`
-    takes; from zero levels over the horizon, with ``scale =
-    sqrt(t)``, it is :func:`simulate_terminal` bit for bit.
-    """
-    log_index, log_stock = _log_levels(params, measure, dt, scale, xi)
-    log_index += start.log_index
-    log_stock += start.log_stock
-    return TerminalSample(log_index, log_stock)
+    return levels
 
 
 def price_steps(
@@ -308,14 +273,14 @@ def price_steps(
     """The log-level stream of a batch of paths on the uniform grid.
 
     Yields ``(t, t_next, levels)`` for each step of ``linspace(0, t,
-    n_steps + 1)``: ``levels`` is :func:`step_prices` of the last levels
-    (time 0's zeros at first), driven by the normal pairs of lanes
-    ``first_path + k`` at block ``step`` under ``seed``
-    (:func:`eihlab.rng.normal_pairs`) with ``scale = sqrt(t / n_steps)``,
-    so a one-path stream with ``first_path=k`` equals path ``k`` of any
-    batch that holds it, and a one-step stream equals
-    :func:`simulate_terminal`.  This is the package's one rule from draws
-    to steps; its reader forms the prices.
+    n_steps + 1)``: ``levels`` is :func:`_log_levels` over the step plus
+    the last levels (the first step's are its own, time 0's being zero),
+    driven by the normal pairs of lanes ``first_path + k`` at block
+    ``step`` under ``seed`` (:func:`eihlab.rng.normal_pairs`) with
+    ``scale = sqrt(t / n_steps)``, so a one-path stream with
+    ``first_path=k`` equals path ``k`` of any batch that holds it.  This
+    is the package's one rule from draws to steps, and its one-step
+    stream is :func:`simulate_terminal`; its reader forms the prices.
     ``n_steps`` and ``n_paths`` (against the stream's lanes,
     :func:`eihlab.rng.check_paths`) are checked on the call, the seed and
     ``first_path`` by the first step's draw.  A level whose price leaves
@@ -328,14 +293,19 @@ def price_steps(
     times, scale = np.linspace(0.0, params.t, n_steps + 1), np.sqrt(params.t / n_steps)
 
     def steps() -> Iterator[tuple[float, float, TerminalSample]]:
-        levels = TerminalSample(np.zeros(n_paths), np.zeros(n_paths))
+        levels = ()
         for step in range(n_steps):
             # the error state covers the step only (one that spanned the
             # yield would hold in the reader's code); the unnamed draws are
             # freed before the yield
             with np.errstate(all="ignore"):
-                levels = step_prices(params, measure, times[step + 1] - times[step], scale,
-                                     rng.normal_pairs(seed, first_path, n_paths, step), levels)
+                new = _log_levels(params, measure, times[step + 1] - times[step], scale,
+                                  rng.normal_pairs(seed, first_path, n_paths, step))
+                # the last levels added in place; the first step adds none,
+                # time 0's levels being zero
+                for level, last in zip(new, levels):
+                    level += last
+            levels = TerminalSample(*new)
             yield float(times[step]), float(times[step + 1]), levels
 
     return steps()
@@ -354,14 +324,16 @@ def simulate_paths(
 
     Column ``k + 1`` of each column-major grid holds the prices of the
     log levels at the end of step ``k``.  A price that leaves the float
-    range (0.0 or inf) is a ``ValueError``.
+    range (0.0 or inf) is a ``ValueError`` (:func:`_checked`, on each
+    step's levels).
     """
     steps = price_steps(params, measure, n_steps, n_paths, seed, first_path=first_path)
     times = np.zeros(n_steps + 1)
     shape = (n_paths, n_steps + 1)
     index, stock = np.empty(shape, order="F"), np.empty(shape, order="F")
     index[:, 0] = stock[:, 0] = 1.0
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(under="ignore"):
         for k, (_, t_next, levels) in enumerate(steps, 1):
+            _checked(levels)
             times[k], index[:, k], stock[:, k] = t_next, levels.index, levels.stock
-    return PathBatch(times, *_in_float_range(index, stock))
+    return PathBatch(times, index, stock)

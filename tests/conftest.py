@@ -6,8 +6,8 @@ import pytest
 from hypothesis import settings
 
 from eihlab import market
-from eihlab.market import (MarketParams, Measure, PathBatch, TerminalSample, _in_float_range,
-                           drift_pair, step_prices)
+from eihlab.market import (MarketParams, Measure, PathBatch, TerminalSample, _checked,
+                           _log_levels, drift_pair)
 from eihlab.strategies import (PrudentStrategy, replicate, self_financing, terminal_log_ratios,
                                terminal_wealth)
 
@@ -104,9 +104,10 @@ def paths_from_increments(
     ``increments`` has shape ``(n, len(times) - 1, 2)``: ``increments[p,
     k]`` is path ``p``'s driver increment over ``(times[k], times[k+1])``.
     Zeros yield the deterministic drift-only path.  Column ``k + 1`` of
-    each grid holds the prices of :func:`step_prices` of the levels of
-    column ``k``, the increments passed as ``xi`` with ``scale = 1.0``.
-    A price that leaves the float range (0.0 or inf) is a ``ValueError``.
+    each grid holds the prices of :func:`_log_levels` over the step, the
+    increments passed as ``xi`` with ``scale = 1.0``, plus the levels of
+    column ``k``.  A price that leaves the float range (0.0 or inf) is a
+    ``ValueError``.
     """
     times = np.asarray(times, dtype=float)
     increments = np.asarray(increments, dtype=float)
@@ -121,13 +122,15 @@ def paths_from_increments(
     n = increments.shape[0]
     index, stock = np.empty((n, times.size), order="F"), np.empty((n, times.size), order="F")
     index[:, 0] = stock[:, 0] = 1.0
-    levels = TerminalSample(np.zeros(n), np.zeros(n))
+    levels = ()
     with np.errstate(all="ignore"):
         for k in range(times.size - 1):
-            levels = step_prices(params, measure, times[k + 1] - times[k], 1.0, increments[:, k],
-                                 levels)
+            new = _log_levels(params, measure, times[k + 1] - times[k], 1.0, increments[:, k])
+            for level, last in zip(new, levels):
+                level += last
+            levels = _checked(TerminalSample(*new))
             index[:, k + 1], stock[:, k + 1] = levels.index, levels.stock
-    return PathBatch(times, *_in_float_range(index, stock))
+    return PathBatch(times, index, stock)
 
 
 # The wealth recorder: the ``==`` oracle that the streamed hedging study

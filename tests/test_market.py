@@ -16,15 +16,14 @@ from eihlab import rng, strategies
 from eihlab.analytic import log_thresholds
 from eihlab.market import (
     _in_exp_range,
+    _log_levels,
     MarketParams,
     Measure,
-    TerminalSample,
     drift_pair,
     price_steps,
     reduce_dimension,
     simulate_paths,
     simulate_terminal,
-    step_prices,
 )
 
 from conftest import (SET_A, bond_delta_norm, log_ratio_law, make_degenerate_equal_sigmas,
@@ -100,7 +99,8 @@ class TestParamsValidation:
                 MarketParams(**kwargs)
 
     def test_initial_prices_pinned(self, set_a):
-        assert set_a.I0 == 1.0 and set_a.S0 == 1.0
+        batch = simulate_paths(set_a, Measure.PHYSICAL, 4, 3, 1)
+        assert (batch.index_values[:, 0] == 1.0).all() and (batch.stock_values[:, 0] == 1.0).all()
 
 
 class TestReduceDimension:
@@ -507,6 +507,24 @@ class TestSimulatePath:
             with np.errstate(over="ignore"):
                 assert np.isinf(steps[-1].index).all(), mu_i
 
+    def test_rejects_levels_that_leave_the_float_range(self, set_a, monkeypatch):
+        # each step's levels are checked: prices that overflow or underflow
+        # midway, and a NaN drawn at the first step or a later one
+        for mu_i in (200.0, -80.0):
+            with pytest.raises(ValueError, match="the market leaves the float range"):
+                simulate_paths(replace(set_a, mu_i=mu_i), Measure.PHYSICAL, 8, 3, 1)
+        draw = rng.normal_pairs
+        for block in (0, 5):
+            def with_nan(*args, block=block):
+                pairs = draw(*args)
+                if args[3] == block:
+                    pairs[1, 0] = math.nan
+                return pairs
+
+            monkeypatch.setattr(rng, "normal_pairs", with_nan)
+            with pytest.raises(ValueError, match="the market leaves the float range"):
+                simulate_paths(set_a, Measure.PHYSICAL, 8, 3, 1)
+
     def test_peak_memory_is_the_two_grids(self, set_a):
         # the stream holds one step's draws and levels; a buffer of every
         # step's increments took the peak to twice the grids
@@ -616,9 +634,9 @@ class TestPathRange:
 
 def _drift_only_log_ratio(params, measure):
     """ln(S_T / I_T) on the path with zero driver increments, one step long."""
-    start = TerminalSample(np.zeros(1), np.zeros(1))
-    end = step_prices(params, measure, params.t, np.sqrt(params.t), np.zeros((1, 2)), start)
-    return float(end.log_stock[0] - end.log_index[0])
+    log_index, log_stock = _log_levels(params, measure, params.t, np.sqrt(params.t),
+                                       np.zeros((1, 2)))
+    return float(log_stock[0] - log_index[0])
 
 
 class TestLogRatioLaw:
