@@ -1,4 +1,22 @@
+import os
+import platform
+import sys
+
+# One reference for the CPU-dependent pins, set before numpy loads, since
+# numpy and OpenBLAS pick their kernels when they load.  On x86-64, numpy's
+# AVX-512 exp and log are its own kernels where its other dispatches call
+# libm, and OpenBLAS's ddot and gemv round differently on each kernel.  The
+# pins hold numpy's AVX2 dispatch and OpenBLAS's Haswell kernels, which any
+# x86-64 CPU with AVX2 runs; an AVX-512 dispatch differs in the last place.
+if platform.machine().lower() in ("x86_64", "amd64"):
+    if "numpy" in sys.modules:
+        raise RuntimeError("numpy was imported before tests/conftest.py could choose its "
+                           "CPU dispatch; the pinned bits would depend on this CPU")
+    os.environ["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+    os.environ["OPENBLAS_CORETYPE"] = "Haswell"
+
 import copy
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +71,15 @@ def make_degenerate_equal_sigmas(params: MarketParams) -> MarketParams:
     vars(clone).update(mu_s=params.mu_i, sigma_s=params.sigma_i.copy(), norm_s=params.norm_i,
                        cross=params.norm_i_sq, bars=bars, delta_norm=0.0)
     return clone
+
+
+def bits_digest(*arrays) -> str:
+    """SHA-256 of the float64 bytes of the arrays, in order: the kernel-bits
+    tests pin it, so that a rewrite of a kernel must keep every bit."""
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return digest.hexdigest()
 
 
 def bond_delta_norm(params: MarketParams) -> float:

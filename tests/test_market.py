@@ -344,15 +344,16 @@ class TestSimulateTerminal:
 
     # SHA-256 of the (index, stock) price bytes on SET_A at 10^5 paths,
     # frozen when the sampler still formed the prices itself, and re-pinned
-    # for random stream "v4": ``simulate`` prints these bits, and its pins
-    # and the benchmark's export check read them
+    # for random stream "v4" and for conftest's one CPU reference (numpy's
+    # AVX2 exp): ``simulate`` prints these bits, and its pins and the
+    # benchmark's export check read them
     PRICE_DIGESTS = {
-        11: ("caee8f0c1bada6e5bb8845e7553e5935b4dee9d154c83b00b47da1e8072c9b7a",
-             "cfa5e26c09592840ff785f6967b424aa533356def1141e994dbf8a1ed0948deb"),
-        12: ("0ba91ca9c905f4e7195c4e76490c5c5ceb17cf08f6afa5fa14b02b734be0e4be",
-             "e85cc4e703ef3f36b837b06dc8e5da1be5cdf31b54bf14914e3499bc2c5fb854"),
-        42: ("429835639502c127ddb465a0f7a51ffce7dc56f43f4269c0279ced5fa626aec0",
-             "b4f74730ea7d9a8db6b21c66a648d4738243f89392c6fb91a0be7e57cfa793f1"),
+        11: ("23420874b5e0fbc72a47c38cc2312f22ca8a6fa79c655d3f5fd7eabd4a7a60ff",
+             "e6673f45a343561bbb77e0717d5fdfd7de59a3f7c1caecd88a2c89eb0a01317f"),
+        12: ("09ec47d27de02a7d9bb5d1e6b1e0e81052cdf15e35b32785ec00e8e01de32293",
+             "99dfa23a9862fa1c258932562358f0f3c9dea017dcf1764fdbc48c21fa016f68"),
+        42: ("169c8c4d047285f0f8fed586807689a4ac51c09179b6b7792f4f01a8bd879941",
+             "46d99d05fca2ffce7ae9b38aabc6174b1708a926a100fcbf31749ba427c277e2"),
     }
 
     @pytest.mark.parametrize("seed", sorted(PRICE_DIGESTS))

@@ -67,21 +67,23 @@ CASES = {
 # path step "v2", the terminal sampler's lognormal rule taken once per
 # step; table_convergence on the sample variance (n - 1) in tpd_se;
 # verify_index_holds on drift bounds that read the stored norm_i_sq and
-# delta_norm (its index bound's lhs is the bond drift gap's)
+# delta_norm (its index bound's lhs is the bond drift gap's); all under
+# conftest's one CPU reference, numpy's AVX2 dispatch and OpenBLAS's
+# Haswell kernels
 PINS = {
-    "hedge": (0, "eeb806dbb61e6a326bbc84bc5d4c83833795ec456fd94c20359a79ee84f28a9c"),
-    "hedge_one_path_chunk": (0, "c6496548738c47676ad276651346024e72a2cb6f04b447a205432b8616d31353"),
-    "hedge_two_chunks": (0, "86fd253582dd9901fb8a6d342dceef77f5dfb1e9cffa4e4ae1be16386ab9b4d2"),
+    "hedge": (0, "228a2d38ac5f36da2ff02d6e17dc746c0136f05a8d2456cf7595932c380eb75b"),
+    "hedge_one_path_chunk": (0, "a4ef797228746b1aad0f5df8e82a4b7d3ba973f4db825912a2ceae1562e16ef7"),
+    "hedge_two_chunks": (0, "b47a4d57323afcb2d79b7c2bbfaefa2b8cc66c83dc6e002fbaddda70fc340a05"),
     "price": (0, "0fff58482eb3a3ba2e241bb2ad82c0f1e5c133949b60772304003ea863fd3796"),
-    "simulate_steps": (0, "3b409362eaf1442dc89e7a093a90fd1f2b9a1e48f26f924de2219a1332d9a483"),
-    "simulate_terminal": (0, "c52f09601c7fd2515c3baa97dc47a44c485825faf7fe368c58fcbcecebd7bd13"),
+    "simulate_steps": (0, "e37820eed362c7a7350a5ea02384936c8fb2a5a9577e9d17d5aa0bb99ea225e7"),
+    "simulate_terminal": (0, "caa210dd4b21176c4d75255409bf043e0adfe2297f9ff177d1a7899e25c15adb"),
     "table_convergence": (0, "219dd84ab63e63c5cbb79379f7596e33bef175f1137fa59604e1ee498b884d85"),
-    "table_lemma": (0, "0165b585a4df8c4b8373cc2cffca0c9c83448b7641f1711847248646b703992b"),
+    "table_lemma": (0, "067a4527ca9bbc3037546e27a09a2c5b2e8b3f8aceb7974d7140525e82ade28c"),
     "thresholds": (0, "774eca3b3cb484dea97fca08c7b14e02b41273c18a520e464fe47d786450d96c"),
     "verify_index_fails": (0, "6478eebb88642e804067dba445e43600cc224f0850370b2e777ccf43962b8386"),
-    "verify_index_holds": (3, "7e294ae233861f687af6f96de858f513b01e806dd0f2271638146f4f7e9fb44c"),
+    "verify_index_holds": (3, "2bc3f4e8353d0f79c73f8a9393a64032ba53b06dd27bd281f782120a20b6a034"),
     "verify_mu_bis_fails": (0, "78c53ba9aea5b5dcd140205d6c39acdb1d062247c17063e45e79a2a6859a2887"),
-    "verify_mu_bis_holds": (3, "4426a7cea320e3160bf72cb884c67c5d434582d710356f80a73f7c597b6da889"),
+    "verify_mu_bis_holds": (3, "e972272ab4acd02df9fbb8f512d08ff560c6a6d388153747b92090273488d58f"),
     "verify_two_sided_fails": (0, "68caece826b06c48fc63b3e79d1cfe95e68db668e99d5b990b0884b5e52172d1"),
     "verify_two_sided_holds": (0, "6a0c71af6541b4df3eae0b638a9dc61cd3f26e243bc9fca5e85301a2c90578f2"),
 }
