@@ -24,6 +24,8 @@ from eihlab.market import Measure, simulate_paths, simulate_terminal
 from eihlab.normal import std_normal_cdf, upper_quantile
 from eihlab.quadrature import halfspace_quadrature
 
+from conftest import bits_digest
+
 
 class TestHalfspaceExpectation:
     def test_plain_halfspace_probability(self):
@@ -382,6 +384,26 @@ class TestHedgeRatios:
         ratios = hedge_ratios(delta_norm, spec, t, s, i, set_a.t)
         value = claim_value(delta_norm, spec, t, s, i, set_a.t)
         assert ratios.units_s * s + ratios.units_i * i == pytest.approx(value, rel=1e-12)
+
+
+# (claim_value, units_s, units_i) digests of the band edges on SET_A
+VALUATION_DIGESTS = {
+    Direction.AT_LEAST: "17c1ba9b9face33b2d08bfea52c86ac97e9ec06b19cc2b994a0ac710536faf97",
+    Direction.AT_MOST: "cf66d45e2d56b1a3d9383e9690bd972bbe7af162244253f7be28127116243dcf",
+}
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_valuation_bits_are_frozen(set_a, direction):
+    # values and units at t = 2.5 on 10^4 seeded lognormal prices (drawn
+    # with libm's exp): a rewrite of the valuation kernel must keep every
+    # bit, and a deliberate change needs a CHANGES.md note
+    s_t, i_t = np.random.default_rng(37).lognormal(0.0, 0.5, (2, 10**4))
+    log_a, log_b = log_thresholds(set_a.delta_norm, set_a.t, 0.05)
+    spec = DigitalSpec(direction, log_b if direction is Direction.AT_LEAST else log_a)
+    value = claim_value(set_a.delta_norm, spec, 2.5, s_t, i_t, set_a.t)
+    units = hedge_ratios(set_a.delta_norm, spec, 2.5, s_t, i_t, set_a.t)
+    assert bits_digest(value, *units) == VALUATION_DIGESTS[direction]
 
 
 class TestQuantileBridge:

@@ -1,6 +1,7 @@
 """CDF and quantile accuracy contracts."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import eihlab
-from eihlab.normal import std_normal_cdf, std_normal_quantile, upper_quantile
+from eihlab.normal import std_normal_cdf, std_normal_pdf, std_normal_quantile, upper_quantile
+
+from conftest import bits_digest
 
 
 def bisect_cdf_inverse(target: float, lo: float = -50.0, hi: float = 50.0) -> float:
@@ -50,6 +53,27 @@ def test_cdf_monotone():
     grid = np.linspace(-12.0, 12.0, 4001)
     values = std_normal_cdf(grid)
     assert np.all(np.diff(values) >= 0.0)
+
+
+# a grid over [-40, 40], then signed zeros, infinities, least subnormals
+# and 1e-300s
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-300, -1e-300]
+KERNEL_INPUTS = np.concatenate([np.linspace(-40.0, 40.0, 100_001), SPECIAL])
+
+
+def test_cdf_and_pdf_bits_are_frozen():
+    # the kernels' output bits, on arrays and on 0-d arrays (which take the
+    # array path and return floats): a rewrite of either kernel must keep
+    # them, and a deliberate change needs a CHANGES.md note
+    assert bits_digest(std_normal_cdf(KERNEL_INPUTS)) == (
+        "1908743690cb643c9eae414b3864ca817e83b607c8d1ae4a6e2cba0c4e999e94")
+    assert bits_digest(std_normal_pdf(KERNEL_INPUTS)) == (
+        "719a76df8d123fcc1cc49a84465bffb6c714814150cbc801fe0e15e97f1c4c04")
+    zero_d = [np.array(x) for x in KERNEL_INPUTS[::1000].tolist() + SPECIAL]
+    cdf, pdf = [std_normal_cdf(x) for x in zero_d], [std_normal_pdf(x) for x in zero_d]
+    assert all(type(v) is float for v in cdf + pdf)
+    assert bits_digest(cdf, pdf) == (
+        "6769199cc7506112ca5c1ec79bdb7f46d597488e860eb340b6c4a5e0558bafdb")
 
 
 def test_upper_quantile_median():

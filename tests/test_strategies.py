@@ -36,7 +36,7 @@ from eihlab.strategies import (
     terminal_wealth,
 )
 
-from conftest import (SET_A, bond_delta_norm, paths_from_increments, random_market,
+from conftest import (SET_A, bits_digest, bond_delta_norm, paths_from_increments, random_market,
                       wealth_tracks)
 
 
@@ -225,6 +225,19 @@ class TestAnalyticWealth:
         batch = simulate_paths(set_a, Measure.PHYSICAL, 16, 10_000, 20)
         track = wealth_tracks(strat, set_a, batch)
         assert track.analytic.min() >= 0.0
+
+
+def test_replicate_bits_are_frozen(set_a):
+    # cor_3delta holds stock and bond components; its wealth and units at
+    # t = 3.0 on 10^4 seeded lognormal prices (drawn with libm's exp): a
+    # rewrite of the replication step must keep every bit, and a deliberate
+    # change needs a CHANGES.md note
+    strat = build_capm_composite(set_a, 0.05, "cor_3delta")
+    assert {comp.underlying for comp in strat.components} == set(Underlying)
+    index_t, stock_t = np.random.default_rng(38).lognormal(0.0, 0.5, (2, 10**4))
+    analytic, (h_stock, h_index) = replicate(strat, set_a, 3.0, (index_t, stock_t))
+    assert bits_digest(analytic, h_stock, h_index) == (
+        "c4b43d9d57c59e7f9dd79b1eae1d52061c86cb4ca925e5a61a0a0b99ac0aba7d")
 
 
 class TestHedgedWealth:
