@@ -166,25 +166,19 @@ def _valuation(spec: DigitalSpec, delta_norm: float, tau: float, ratio, log_rati
     None.  One CDF serves value and hedge, and ``F(z)`` keeps its
     relative accuracy deep in either tail, where ``1 - F(d)`` rounds to 0.
     Dividing by ``sign * scale`` negates exactly, so each result has the
-    bits of these expressions; arrays are worked on in place.
+    bits of these expressions.
     """
     signed_scale = delta_norm * np.sqrt(tau)
     if spec.direction is Direction.AT_MOST:
         signed_scale = -signed_scale
-    z = log_ratio - spec.log_threshold
-    z -= 0.5 * delta_norm * delta_norm * tau
-    z /= signed_scale
+    z = (log_ratio - spec.log_threshold - 0.5 * delta_norm * delta_norm * tau) / signed_scale
     prob = std_normal_cdf(z)
-    value = i_t * prob
     if not hedge:
-        return value, None, None
-    density = std_normal_pdf(z)
+        return i_t * prob, None, None
     # the scale first: ``ratio * signed_scale`` underflows to 0.0 on a
     # subnormal ratio, whose density is 0.0 too
-    density /= signed_scale
-    units_s = density / ratio
-    prob -= density
-    return value, units_s, prob
+    density = std_normal_pdf(z) / signed_scale
+    return i_t * prob, density / ratio, prob - density
 
 
 def _finite_positive(x: np.ndarray) -> bool:

@@ -224,20 +224,13 @@ def _log_levels(params: MarketParams, measure: Measure, dt: float, scale: float,
     ``ln S`` over a span ``dt`` whose driver increments are ``scale * xi``,
     for the ``(n, 2)`` normal pairs ``xi``.
 
-    Each is ``(mu - |sigma_bar|^2 / 2) dt + scale (xi_0 sigma_bar_0 +
-    xi_1 sigma_bar_1)``, worked in place with the bits of that
-    expression.  The sum is elementwise, not ``xi @ sigma_bar``: a matrix
-    product may round a row differently depending on how many rows it is
-    given.
+    Each is ``scale (xi_0 sigma_bar_0 + xi_1 sigma_bar_1) + (mu -
+    |sigma_bar|^2 / 2) dt``, in that order.  The sum is elementwise, not
+    ``xi @ sigma_bar``: a matrix product may round a row differently
+    depending on how many rows it is given.
     """
-    levels = []
-    for mu, bar in zip(drift_pair(params, measure), params.bars):
-        level = xi[:, 0] * bar[0]
-        level += xi[:, 1] * bar[1]
-        level *= scale
-        level += (mu - 0.5 * _norm(bar)**2) * dt
-        levels.append(level)
-    return levels
+    return [(xi[:, 0] * bar[0] + xi[:, 1] * bar[1]) * scale + (mu - 0.5 * _norm(bar)**2) * dt
+            for mu, bar in zip(drift_pair(params, measure), params.bars)]
 
 
 def _in_exp_range(x: np.ndarray) -> bool:

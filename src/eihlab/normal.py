@@ -81,20 +81,13 @@ def std_normal_cdf(x) -> np.ndarray | float:
     if isinstance(x, float):
         return float(0.5 * erfc(-x / _SQRT2))
     arr = np.asarray(x, dtype=float)
-    out = np.divide(arr, -_SQRT2, out=np.empty(arr.shape))
-    erfc(out, out=out)
-    out *= 0.5
-    return _maybe_scalar(out, arr.ndim == 0)
+    return _maybe_scalar(0.5 * erfc(arr / -_SQRT2), arr.ndim == 0)
 
 
 def std_normal_pdf(x) -> np.ndarray | float:
     """Density of N(0, 1), elementwise."""
     arr = np.asarray(x, dtype=float)
-    out = np.multiply(arr, -0.5, out=np.empty(arr.shape))
-    out *= arr
-    np.exp(out, out=out)
-    out *= _INV_SQRT_2PI
-    return _maybe_scalar(out, arr.ndim == 0)
+    return _maybe_scalar(np.exp(arr * -0.5 * arr) * _INV_SQRT_2PI, arr.ndim == 0)
 
 
 def std_normal_quantile(p) -> np.ndarray | float:

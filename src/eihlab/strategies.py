@@ -361,13 +361,10 @@ def replicate(
         ratio, log_ratio = ratios[comp.underlying]
         value, units_s, units_i = _valuation(
             comp.spec, comp.delta_norm, params.t - t, ratio, log_ratio, index_t, True)
-        value *= comp.units
-        analytic += value
-        units_i *= comp.units
-        h_index += units_i
+        analytic += comp.units * value
+        h_index += comp.units * units_i
         if comp.underlying is Underlying.STOCK:
-            units_s *= comp.units
-            h_stock += units_s
+            h_stock += comp.units * units_s
     return analytic, (h_stock, h_index)
 
 
