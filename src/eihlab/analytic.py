@@ -119,6 +119,12 @@ def gaussian_halfspace_expectation(u, v, c: float):
     return float(np.exp(0.5 * norm_u_sq)) * std_normal_cdf((float(u @ v) - c) / norm_v)
 
 
+def check_tail_mass(what: str, value: float) -> None:
+    """The one rule of a tail mass (``delta`` or ``eps``): it lies in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{what} must lie in (0, 1)")
+
+
 def log_thresholds(delta_norm: float, horizon: float, delta: float) -> tuple[float, float]:
     """Log-space band edges (ln a, ln b) for tail mass ``delta/2`` each.
 
@@ -137,8 +143,7 @@ def thresholds(delta_norm: float, horizon: float, delta: float) -> tuple[float, 
     for a ratio of spread norm ``delta_norm`` (such as
     :attr:`~eihlab.market.MarketParams.delta_norm`)."""
     _check_norm("delta_norm", delta_norm)
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    check_tail_mass("delta", delta)
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     log_a, log_b = log_thresholds(delta_norm, horizon, delta)

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import strategies
-from .analytic import Direction
+from .analytic import Direction, check_tail_mass
 from .market import (
     MarketParams,
     Measure,
@@ -94,10 +94,8 @@ class ExperimentConfig:
         if self.n_paths < 10**3:
             raise ValueError("n_paths must be at least 1000")
         check_paths(self.n_paths)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
+        check_tail_mass("delta", self.delta)
+        check_tail_mass("eps", self.eps)
         if self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
 

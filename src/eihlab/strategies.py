@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import DigitalSpec, Direction, _check_valuation, _valuation, log_thresholds
+from .analytic import (DigitalSpec, Direction, _check_valuation, _valuation, check_tail_mass,
+                       log_thresholds)
 from .market import MarketParams, TerminalSample, _in_exp_range
 from .normal import upper_quantile
 
@@ -172,11 +173,6 @@ def _one_sided_component(
     return band[direction is Direction.AT_LEAST]
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-
-
 def build_two_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     """Band strategy: pays I_T whenever S_T/I_T escapes (a, b).
 
@@ -184,7 +180,7 @@ def build_two_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     terminal wealth is I_T, a 1/delta multiple of the initial wealth
     times the index.
     """
-    _check_delta(delta)
+    check_tail_mass("delta", delta)
     comps = _band_components(params.delta_norm, Underlying.STOCK, params.t, delta)
     return PrudentStrategy(comps)
 
@@ -192,7 +188,7 @@ def build_two_sided(params: MarketParams, delta: float) -> PrudentStrategy:
 def build_one_sided(params: MarketParams, delta: float, direction: Direction) -> PrudentStrategy:
     """Single-tail variant with the delta-quantile replacing delta/2, paying
     on the tail ``direction`` names (a :class:`Direction` or its value)."""
-    _check_delta(delta)
+    check_tail_mass("delta", delta)
     comp = _one_sided_component(params.delta_norm, Underlying.STOCK, params.t, delta,
                                 Direction(direction))
     return PrudentStrategy((comp,))
@@ -205,14 +201,14 @@ def build_index_vs_bond(params: MarketParams, delta: float) -> PrudentStrategy:
     event says the index outperforms the bond by roughly the squared
     index volatility over the horizon.
     """
-    _check_delta(delta)
+    check_tail_mass("delta", delta)
     comps = _band_components(params.norm_i, Underlying.BOND, params.t, delta)
     return PrudentStrategy(comps)
 
 
 def build_bond_one_sided(params: MarketParams, delta: float) -> PrudentStrategy:
     """One-sided bond/index strategy, tail picked by the sign of the bond drift gap."""
-    _check_delta(delta)
+    check_tail_mass("delta", delta)
     comp = _one_sided_component(params.norm_i, Underlying.BOND, params.t, delta,
                                 Direction.of_gap(bond_drift_gap(params)))
     return PrudentStrategy((comp,))
@@ -228,7 +224,7 @@ def build_capm_composite(params: MarketParams, delta: float, variant: str) -> Pr
     ``cor_3delta``   one-sided bond strategy (wealth 1) plus the
                      cor_2delta basket (wealth 2); beats by 1/(3 delta).
     """
-    _check_delta(delta)
+    check_tail_mass("delta", delta)
     if variant == "cor_2delta":
         stock = _scaled(build_one_sided(params, delta, Direction.of_gap(drift_gap(params))), 1.0)
         bond = _scaled(build_bond_one_sided(params, delta), 1.0)
@@ -289,7 +285,7 @@ def strategy_fires(strategy: PrudentStrategy, log_ratios: dict):
 
 def _in_band(delta_norm: float, horizon: float, delta: float, log_ratio):
     """Whether the log ratio lies strictly inside the band of tail mass delta."""
-    _check_delta(delta)
+    check_tail_mass("delta", delta)
     log_a, log_b = log_thresholds(delta_norm, horizon, delta)
     return (log_ratio > log_a) & (log_ratio < log_b)
 
@@ -307,7 +303,7 @@ def event_one_sided(params: MarketParams, delta: float, log_ratio, direction: Di
     """One-tail band event, the complement of :func:`build_one_sided`'s
     payoff; at_least: centered log ratio stays below the z_delta width,
     at_most: stays above its negative."""
-    _check_delta(delta)
+    check_tail_mass("delta", delta)
     comp = _one_sided_component(params.delta_norm, Underlying.STOCK, params.t, delta,
                                 Direction(direction))
     return ~comp.spec.payoff_indicator(log_ratio)
@@ -397,9 +393,8 @@ def bound_check(params: MarketParams, delta: float, eps: float, which: str) -> B
     Each name is the stored :class:`MarketParams` float (``delta_norm`` =
     ||sigma_s - sigma_i||) that the bound's strategy, gap and target read.
     """
-    _check_delta(delta)
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    check_tail_mass("delta", delta)
+    check_tail_mass("eps", eps)
     sqrt_t = math.sqrt(params.t)
     z_eps = upper_quantile(eps)
     z_delta = upper_quantile(delta)

@@ -588,6 +588,21 @@ class TestBoundCheck:
             bound_check(set_a, 0.05, 0.05, "nope")
 
 
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan])
+def test_tail_masses_share_one_rule(set_a, bad):
+    # analytic.check_tail_mass is the one home of the (0, 1) rule
+    delta, eps = r"^delta must lie in \(0, 1\)$", r"^eps must lie in \(0, 1\)$"
+    for call, message in [
+        (lambda: analytic.thresholds(set_a.delta_norm, set_a.t, bad), delta),
+        (lambda: build_two_sided(set_a, bad), delta),
+        (lambda: event_two_sided(set_a, bad, 0.0), delta),
+        (lambda: bound_check(set_a, bad, 0.05, "mu"), delta),
+        (lambda: bound_check(set_a, 0.05, bad, "mu"), eps),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 @pytest.mark.parametrize("module", [analytic, strategies], ids=lambda m: m.__name__)
 def test_exports_resolve(module):
     # a deleted name must leave no entry behind in ``__all__``
